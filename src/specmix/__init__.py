@@ -40,7 +40,6 @@ from .solver import (
     SolverConfig,
     fcls,
     unmix_cube,
-    unmix_elmm_full,
     unmix_elmm_global,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "simulate_cube",
     "spectral_angle",
     "unmix_cube",
-    "unmix_elmm_full",
     "unmix_elmm_global",
     "validate_cube",
     "__version__",

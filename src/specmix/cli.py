@@ -378,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except ModelDomainError as exc:
         print(f"model-domain error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -293,10 +293,7 @@ class UnmixResult:
     abundances: FloatArray  # materials x pixels
     scales: FloatArray  # materials x pixels
     residual_rmse: FloatArray  # per pixel
-    iterations: NDArray[np.int64]  # per pixel
-    converged: bool
     sum_to_one: bool = True
-    objective_traces: tuple[FloatArray, ...] = ()
     degenerate: NDArray[np.bool_] | None = None
 
     def __post_init__(self) -> None:
@@ -316,10 +313,6 @@ class UnmixResult:
         object.__setattr__(self, "abundances", A)
         object.__setattr__(self, "scales", psi)
         object.__setattr__(self, "residual_rmse", _readonly(self.residual_rmse, ndim=1, name="residual_rmse"))
-        object.__setattr__(
-            self, "iterations", _readonly(self.iterations, dtype=np.int64, ndim=1, name="iterations")
-        )
-        object.__setattr__(self, "objective_traces", tuple(self.objective_traces))
 
     @property
     def n_pixels(self) -> int:

@@ -255,7 +255,14 @@ def cube_meta(sidecar_path: str | Path) -> dict[str, Any]:
 def write_unmix_result(
     stem: str | Path, result: UnmixResult, summary: dict[str, Any] | None = None
 ) -> Path:
-    """Write <stem>.a.bin, .psi.bin, .rmse.bin and the <stem>.json summary."""
+    """Write <stem>.a.bin, .psi.bin, .rmse.bin and the <stem>.json summary.
+
+    The summary holds the matrix sizes, the three binary file names, the
+    sum_to_one flag, residual_stats (mean, median and max of the per-pixel
+    RMSE) and degenerate_pixels (a count), plus any extra summary keys.  It
+    holds no per-pixel list: each pixel's final objective is L * rmse^2,
+    read from .rmse.bin.
+    """
     stem = Path(stem)
     stem.parent.mkdir(parents=True, exist_ok=True)
     a_path = stem.parent / (stem.name + ".a.bin")
@@ -264,17 +271,13 @@ def write_unmix_result(
     _write_matrix(a_path, result.abundances)
     _write_matrix(psi_path, result.scales)
     _write_matrix(rmse_path, result.residual_rmse.reshape(-1, 1))
-    trace = aggregate_objective_trace(result.objective_traces)
     payload: dict[str, Any] = {
         "materials": result.n_materials,
         "pixels": result.n_pixels,
         "abundances": a_path.name,
         "scales": psi_path.name,
         "residual_rmse": rmse_path.name,
-        "converged": bool(result.converged),
         "sum_to_one": bool(result.sum_to_one),
-        "iterations": [int(k) for k in result.iterations],
-        "objective_trace": [float(v) for v in trace],
         "residual_stats": {
             "mean": float(np.mean(result.residual_rmse)),
             "median": float(np.median(result.residual_rmse)),
@@ -289,23 +292,6 @@ def write_unmix_result(
     out = stem.with_suffix(".json")
     out.write_text(json.dumps(payload, indent=2) + "\n")
     return out
-
-
-def aggregate_objective_trace(traces: tuple[FloatArray, ...]) -> FloatArray:
-    """Sum per-pixel objective traces into one run-level trace.
-
-    Pixels that stopped early contribute their final objective to later
-    entries, so a sum of non-increasing traces stays non-increasing.
-    """
-    if not traces:
-        return np.zeros(0)
-    length = max(t.size for t in traces)
-    total = np.zeros(length)
-    for t in traces:
-        total[: t.size] += t
-        if t.size < length:
-            total[t.size:] += t[-1]
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Constrained least-squares unmixing against a fixed endmember matrix.
 
 Three models share one deterministic active-set core, run in Gram space so
-per-pixel iterations cost O(P^3) regardless of band count:
+per-pixel work costs O(P^3) regardless of band count:
 
 - "lmm": classic (fully) constrained least squares per pixel.
 - "elmm-global": one positive scale per pixel on top of the simplex.
-- "elmm-full": per-material scales, solved per pixel by block-coordinate
-  descent with an exact convex refinement step.
+- "elmm-full": per-material scales psi, x ~ S0 (psi * a).  Per pixel the
+  data pin down only the product z = psi * a, and the scaled simplex maps
+  onto exactly {z >= 0, lo <= sum(z) <= hi}.  That set is convex, so one
+  exact active-set solve gives the optimum; no iteration is needed.  The
+  optimum is split as a = z / sum(z) with psi = sum(z) on present materials
+  and psi = 1 on absent ones.  Telling per-material scales apart needs a
+  spatial prior, such as the regularized ADMM of Drumetz et al. (IEEE TIP
+  2016), which would also need an image shape on HyperCube.
 
 Per-pixel problems are independent and touch no shared mutable state, so
 pixels may be solved concurrently with results identical to a serial run.
@@ -14,7 +20,7 @@ pixels may be solved concurrently with results identical to a serial run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -32,17 +38,18 @@ _MAX_OUTER_FACTOR = 30
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Model choice, constraint flags and iteration budget for unmixing.
+    """Model choice and constraints for unmixing.
 
     Scaled models keep sum-to-one on: without it the product of scale and
     abundance is unidentifiable.  psi_bounds must bracket 1 so the plain
-    mixing model stays inside the feasible set.
+    mixing model stays inside the feasible set.  Every model is one exact
+    solve per pixel, so there is no iteration budget.  For elmm-full, psi
+    is the pixel's shared scale on every present material and exactly 1 on
+    every absent one.
     """
 
     model: str = "elmm-full"
     sum_to_one: bool = True
-    max_iters: int = 500
-    tol: float = 1e-8
     psi_bounds: tuple[float, float] = (1e-2, 1e2)
 
     def __post_init__(self) -> None:
@@ -52,10 +59,6 @@ class SolverConfig:
         if not (0.0 < lo <= 1.0 <= hi):
             raise ValueError(f"psi_bounds must satisfy 0 < low <= 1 <= high, got {self.psi_bounds}")
         object.__setattr__(self, "psi_bounds", (float(lo), float(hi)))
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.model != "lmm" and not self.sum_to_one:
             raise ValueError(f"{self.model} requires sum_to_one: the scale/abundance split is "
                              "unidentifiable without the simplex constraint")
@@ -64,21 +67,22 @@ class SolverConfig:
         return {
             "model": self.model,
             "sum_to_one": self.sum_to_one,
-            "max_iters": self.max_iters,
-            "tol": self.tol,
             "psi_bounds": list(self.psi_bounds),
         }
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "SolverConfig":
-        cfg = cls(
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(raw) - set(known))
+        if unknown:
+            raise ValueError(
+                f"unknown solver config keys: {', '.join(unknown)}; expected {', '.join(known)}"
+            )
+        return cls(
             model=raw.get("model", "elmm-full"),
             sum_to_one=bool(raw.get("sum_to_one", True)),
-            max_iters=int(raw.get("max_iters", 500)),
-            tol=float(raw.get("tol", 1e-8)),
             psi_bounds=tuple(raw.get("psi_bounds", (1e-2, 1e2))),
         )
-        return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +93,14 @@ def _nnls_gram(G: FloatArray, c: FloatArray) -> FloatArray:
     """min 0.5 a'Ga - c'a over a >= 0 (Lawson-Hanson on the Gram system).
 
     Entering variable: most negative multiplier, lowest index on ties.
-    Exit guarantees every active multiplier >= -tol, tol scaled to the data.
+    Exit guarantees every active multiplier >= -kkt_tol, kkt_tol scaled to the data.
     """
     n = c.size
     kkt_tol = _KKT_RTOL * max(1.0, float(np.max(np.abs(c))) if n else 1.0)
     a = np.zeros(n)
     free = np.zeros(n, dtype=bool)
     for _ in range(_MAX_OUTER_FACTOR * n + 30):
-        w = c - G @ a  # negative gradient; actives want w <= tol
+        w = c - G @ a  # negative gradient; actives want w <= kkt_tol
         w[free] = -np.inf
         j = int(np.argmax(w))
         if w[j] <= kkt_tol:
@@ -185,8 +189,9 @@ def _constrained_lstsq_gram(G: FloatArray, c: FloatArray, total: float | None) -
 def _best_mixture(G: FloatArray, c: FloatArray, lo: float, hi: float) -> FloatArray:
     """Exact minimizer of the mixture fit over {z >= 0, lo <= sum(z) <= hi}.
 
-    This box on the coefficient sum is precisely the image of the scaled
-    simplex parameterizations, so it bounds every scaled model from below.
+    This box on the coefficient sum is precisely the image of the
+    per-material scaled simplex {psi * a}, so its minimizer is the elmm-full
+    optimum and bounds every scaled model from below.
     """
     z = _nnls_gram(G, c)
     s = float(z.sum())
@@ -195,10 +200,6 @@ def _best_mixture(G: FloatArray, c: FloatArray, lo: float, hi: float) -> FloatAr
     if s > hi:
         return _sum_constrained_gram(G, c, hi)
     return z
-
-
-def _quad_objective(G: FloatArray, c: FloatArray, x_sq: float, z: FloatArray) -> float:
-    return float(x_sq - 2.0 * (c @ z) + z @ G @ z)
 
 
 # ---------------------------------------------------------------------------
@@ -284,87 +285,15 @@ def unmix_elmm_global(x, S0, config: SolverConfig) -> GlobalScalingFit:
     return GlobalScalingFit(abundances=a, scale=scale, degenerate=degenerate)
 
 
-# ---------------------------------------------------------------------------
-# per-material scaling: block-coordinate descent per pixel
-# ---------------------------------------------------------------------------
-
-def _bcd_pixel(
-    G: FloatArray,
-    c: FloatArray,
-    x_sq: float,
-    best_z: FloatArray,
-    best_f: float,
-    lo: float,
-    hi: float,
-    max_iters: int,
-    tol: float,
-) -> tuple[FloatArray, FloatArray, FloatArray, bool]:
-    """Minimize |x - S0 (psi * a)|^2 over the simplex and psi in [lo, hi].
-
-    Each iteration: (i) exact simplex-constrained abundances against the
-    psi-scaled matrix, (ii) a Gauss-Seidel sweep of closed-form psi updates
-    projected onto the bounds (materials with zero abundance keep psi = 1
-    by convention), (iii) adoption of the precomputed exact optimum of the
-    equivalent convex program when it does not lose to the sweep iterate.
-    Every step is an exact minimization from a feasible point, so the
-    recorded objective never increases.  The returned factorization is
-    canonical: abundances z / sum(z) with one shared scale sum(z).
-    """
-    n = c.size
-    diag = np.diag(G).copy()
-    a = _sum_constrained_gram(G, c, 1.0)
-    psi = np.ones(n)
-    z = psi * a
-    f = _quad_objective(G, c, x_sq, z)
-    trace = [f]
-    converged = False
-    for _ in range(max_iters):
-        scaled_G = G * np.outer(psi, psi)
-        a = _sum_constrained_gram(scaled_G, psi * c, 1.0)
-        z = psi * a
-        for p in range(n):
-            if a[p] <= 0.0:
-                psi[p] = 1.0
-                z[p] = 0.0
-                continue
-            # correlation of column p with the residual excluding material p
-            column_fit = c[p] - (G[p] @ z - G[p, p] * z[p])
-            psi[p] = min(max(column_fit / (a[p] * diag[p]), lo), hi)
-            z[p] = psi[p] * a[p]
-        f_sweep = _quad_objective(G, c, x_sq, z)
-        if best_f <= f_sweep:
-            total = float(best_z.sum())
-            a = best_z / total
-            psi = np.where(a > 0.0, total, 1.0)
-            z = best_z
-            f_new = best_f
-        else:
-            f_new = f_sweep
-        trace.append(f_new)
-        if f - f_new <= tol * max(f, np.finfo(float).tiny):
-            f = f_new
-            converged = True
-            break
-        f = f_new
-    total = float(z.sum())
-    if total > 0.0:
-        a = z / total
-        psi = np.where(a > 0.0, total, 1.0)
-    return a, psi, np.asarray(trace), converged
-
-
-def unmix_elmm_full(cube: HyperCube, S0, config: SolverConfig | None = None) -> UnmixResult:
-    """Unmix a cube with per-pixel, per-material scaling factors."""
-    config = config or SolverConfig(model="elmm-full")
-    return unmix_cube(cube, S0, replace(config, model="elmm-full"))
-
-
 def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     """Unmix every pixel of a cube under the configured model.
 
     Returns abundances, scaling factors (all ones for the plain mixing
-    model), per-pixel reconstruction RMSE, iteration counts and the
-    per-pixel objective traces.
+    model), per-pixel reconstruction RMSE and the degenerate-pixel flags.
+    Each pixel is one exact solve.  elmm-full solves the convex program in
+    z = psi * a and reports psi = sum(z) on present materials, 1 on absent
+    ones.  A non-finite cube value is rejected before any solve, naming its
+    band and pixel.
     """
     X = cube.values if isinstance(cube, HyperCube) else np.asarray(cube, dtype=float)
     S = _endmember_array(S0)
@@ -372,50 +301,39 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
         raise ValueError(
             f"cube has {X.shape[0] if X.ndim == 2 else '?'} bands, endmembers have {S.shape[0]}"
         )
+    if not np.all(np.isfinite(X)):
+        band, pixel = np.unravel_index(int(np.argmax(~np.isfinite(X))), X.shape)
+        raise ValueError(f"non-finite cube value {X[band, pixel]} at band {band}, pixel {pixel}")
     _check_endmembers(S)
-    n_bands, n_pixels = X.shape
+    n_pixels = X.shape[1]
     n_materials = S.shape[1]
     lo, hi = config.psi_bounds
 
     G = S.T @ S
     C = S.T @ X  # P x N cross terms: the only O(L) work per pixel
-    x_sq = np.einsum("ln,ln->n", X, X)
 
     A = np.empty((n_materials, n_pixels))
     psi = np.ones((n_materials, n_pixels))
-    iterations = np.ones(n_pixels, dtype=np.int64)
     degenerate = np.zeros(n_pixels, dtype=bool)
-    traces: list[FloatArray] = []
-    all_converged = True
 
     if config.model == "lmm":
         total = 1.0 if config.sum_to_one else None
         for n in range(n_pixels):
-            a = _constrained_lstsq_gram(G, C[:, n], total)
-            A[:, n] = a
-            traces.append(np.asarray([_quad_objective(G, C[:, n], float(x_sq[n]), a)]))
+            A[:, n] = _constrained_lstsq_gram(G, C[:, n], total)
     elif config.model == "elmm-global":
         for n in range(n_pixels):
             a, scale, is_degenerate = _global_pixel(G, C[:, n], lo, hi)
             A[:, n] = a
             psi[:, n] = scale
             degenerate[n] = is_degenerate
-            traces.append(
-                np.asarray([_quad_objective(G, C[:, n], float(x_sq[n]), scale * a)])
-            )
     else:
         for n in range(n_pixels):
-            c = C[:, n]
-            best_z = _best_mixture(G, c, lo, hi)
-            best_f = _quad_objective(G, c, float(x_sq[n]), best_z)
-            a, p, trace, converged = _bcd_pixel(
-                G, c, float(x_sq[n]), best_z, best_f, lo, hi, config.max_iters, config.tol
-            )
+            z = _best_mixture(G, C[:, n], lo, hi)
+            total = float(z.sum())  # >= lo > 0
+            a = z / total
             A[:, n] = a
-            psi[:, n] = p
-            iterations[n] = trace.size - 1
-            traces.append(trace)
-            all_converged &= converged
+            # a sum-constrained solve meets its bound only to rounding
+            psi[:, n] = np.where(a > 0.0, min(max(total, lo), hi), 1.0)
 
     residual = X - S @ (psi * A)
     residual_rmse = np.sqrt(np.mean(residual * residual, axis=0))
@@ -423,9 +341,6 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
         abundances=A,
         scales=psi,
         residual_rmse=residual_rmse,
-        iterations=iterations,
-        converged=bool(all_converged),
         sum_to_one=config.sum_to_one,
-        objective_traces=tuple(traces),
         degenerate=degenerate,
     )

@@ -2,7 +2,7 @@
 
 These evaluate the fit objective directly from the endmember matrix and
 pixel spectrum on dense grids with local refinement; they share no code
-path with the active-set or block-coordinate solvers they check.
+path with the active-set solvers they check.
 """
 
 import numpy as np

@@ -7,7 +7,7 @@ import pytest
 
 from specmix import io
 from specmix.cli import main
-from specmix.core import AlbedoSpectrum, PhotometricParams, WavelengthAxis
+from specmix.core import AlbedoSpectrum, HyperCube, PhotometricParams, WavelengthAxis
 
 
 @pytest.fixture
@@ -174,9 +174,15 @@ class TestUnmix:
         assert summary["abundance_rmse"] < 1e-6
         assert summary["psi_rmse"] < 1e-6
         assert summary["residual_stats"]["max"] < 1e-8
-        assert summary["converged"] is True
-        trace = summary["objective_trace"]
-        assert all(after - before <= 1e-12 for before, after in zip(trace[:-1], trace[1:]))
+
+        def has_pixel_list(node):
+            if isinstance(node, dict):
+                return any(has_pixel_list(v) for v in node.values())
+            if isinstance(node, list):
+                return len(node) == summary["pixels"] or any(has_pixel_list(v) for v in node)
+            return False
+
+        assert not has_pixel_list(summary)
 
     def test_scaled_model_beats_plain_on_scaled_data(self, tmp_path, albedo_csv):
         cube, endmembers = self.simulate(tmp_path, albedo_csv, model="relative", n_pixels=60)
@@ -208,6 +214,43 @@ class TestUnmix:
         a_pinned = np.frombuffer((tmp_path / "pinned.a.bin").read_bytes(), dtype="<f8")
         a_plain = np.frombuffer((tmp_path / "plain.a.bin").read_bytes(), dtype="<f8")
         np.testing.assert_allclose(a_pinned, a_plain, atol=1e-8)
+
+    def test_removed_iteration_keys_exit_1(self, tmp_path, albedo_csv, capsys):
+        cube, endmembers = self.simulate(tmp_path, albedo_csv, n_pixels=4)
+        solver_cfg = tmp_path / "solver.json"
+        solver_cfg.write_text(json.dumps({"model": "elmm-full", "max_iters": 500, "tol": 1e-8}))
+        assert main([
+            "unmix", "--cube", str(cube), "--endmembers", str(endmembers),
+            "--config", str(solver_cfg), "--out", str(tmp_path / "fit"),
+        ]) == 1
+        assert "unknown solver config keys: max_iters, tol" in capsys.readouterr().err
+
+    def test_non_finite_cube_exits_1_naming_pixel(self, tmp_path, albedo_csv, capsys):
+        cube, endmembers = self.simulate(tmp_path, albedo_csv, n_pixels=6)
+        clean = io.read_cube(cube)
+        values = np.array(clean.values)
+        values[3, 4] = np.nan
+        io.write_cube(tmp_path / "nan", HyperCube(values=values, axis=clean.axis))
+        assert main([
+            "unmix", "--cube", str(tmp_path / "nan.json"), "--endmembers", str(endmembers),
+            "--model", "elmm-full", "--out", str(tmp_path / "fit"),
+        ]) == 1
+        assert "at band 3, pixel 4" in capsys.readouterr().err
+
+    def test_solver_failure_exits_1_without_traceback(self, tmp_path, albedo_csv, capsys, monkeypatch):
+        cube, endmembers = self.simulate(tmp_path, albedo_csv, n_pixels=4)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("non-negative least squares did not converge")
+
+        monkeypatch.setattr("specmix.cli.unmix_cube", fail)
+        assert main([
+            "unmix", "--cube", str(cube), "--endmembers", str(endmembers),
+            "--model", "lmm", "--out", str(tmp_path / "fit"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-negative least squares did not converge")
+        assert "Traceback" not in err
 
     def test_axis_mismatch_exits_1(self, tmp_path, albedo_csv):
         cube, _ = self.simulate(tmp_path, albedo_csv, n_pixels=4)

@@ -158,8 +158,6 @@ class TestUnmixResult:
             abundances=A,
             scales=psi,
             residual_rmse=np.zeros(n),
-            iterations=np.ones(n, dtype=np.int64),
-            converged=True,
             sum_to_one=sum_to_one,
         )
 

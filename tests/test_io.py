@@ -152,19 +152,3 @@ class TestCubeFiles:
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="expected"):
             io.read_cube(sidecar)
-
-
-class TestObjectiveTraceAggregation:
-    def test_short_traces_extended_with_last_value(self):
-        traces = (np.array([5.0, 3.0, 2.0]), np.array([4.0, 1.0]))
-        total = io.aggregate_objective_trace(traces)
-        np.testing.assert_array_equal(total, [9.0, 4.0, 3.0])
-
-    def test_sum_of_monotone_traces_is_monotone(self):
-        rng = np.random.default_rng(0)
-        traces = []
-        for _ in range(50):
-            steps = rng.uniform(0, 1, rng.integers(1, 9))
-            traces.append(np.concatenate([[10.0], 10.0 - np.cumsum(steps)]))
-        total = io.aggregate_objective_trace(tuple(traces))
-        assert np.all(np.diff(total) <= 1e-12)

@@ -2,24 +2,19 @@ import numpy as np
 import pytest
 
 from bruteforce import elmm_full_oracle_two_materials, fcls_oracle_two_materials, kkt_violation
-from specmix.core import AlbedoSpectrum, Geometry, WavelengthAxis
+from specmix.core import AlbedoSpectrum, Geometry, HyperCube, WavelengthAxis
 from specmix.simulate import GeometrySampler, SceneConfig, simulate_cube
 from specmix.solver import (
     GlobalScalingFit,
     SolverConfig,
     fcls,
     unmix_cube,
-    unmix_elmm_full,
     unmix_elmm_global,
 )
 
 
 def random_endmembers(n_bands, n_materials, rng, low=0.05, high=1.0):
     return rng.uniform(low, high, (n_bands, n_materials))
-
-
-def monotone(trace, slack=1e-12):
-    return bool(np.all(np.diff(trace) <= slack))
 
 
 class TestSolverConfig:
@@ -35,8 +30,16 @@ class TestSolverConfig:
         SolverConfig(model="lmm", sum_to_one=False)  # allowed
 
     def test_dict_round_trip(self):
-        config = SolverConfig(model="elmm-global", max_iters=77, tol=1e-9, psi_bounds=(0.5, 3.0))
+        config = SolverConfig(model="elmm-global", psi_bounds=(0.5, 3.0))
         assert SolverConfig.from_dict(config.to_dict()) == config
+
+    def test_unknown_keys_rejected_by_name(self):
+        with pytest.raises(ValueError, match="unknown solver config keys: psi_bound, sed"):
+            SolverConfig.from_dict({"model": "lmm", "sed": 1, "psi_bound": [1, 2]})
+
+    def test_removed_iteration_keys_rejected(self):
+        with pytest.raises(ValueError, match="unknown solver config keys: max_iters, tol"):
+            SolverConfig.from_dict({"model": "elmm-full", "max_iters": 500, "tol": 1e-8})
 
 
 class TestFcls:
@@ -181,15 +184,12 @@ def linear_scene(n_pixels, seed, theta_hi=69.0, n_bands=30):
 class TestElmmFull:
     def test_linear_scene_reconstructed_to_machine_level(self):
         cube = linear_scene(n_pixels=150, seed=13)
-        result = unmix_elmm_full(cube, cube.ground_truth.endmembers)
+        result = unmix_cube(cube, cube.ground_truth.endmembers, SolverConfig(model="elmm-full"))
         assert float(np.max(result.residual_rmse)) < 1e-8
-        assert result.converged
-        for trace in result.objective_traces:
-            assert monotone(trace)
 
     def test_linear_scene_parameters_recovered(self):
         cube = linear_scene(n_pixels=150, seed=14)
-        result = unmix_elmm_full(cube, cube.ground_truth.endmembers)
+        result = unmix_cube(cube, cube.ground_truth.endmembers, SolverConfig(model="elmm-full"))
         gt = cube.ground_truth
         assert float(np.sqrt(np.mean((result.abundances - gt.abundances) ** 2))) < 1e-7
         assert float(np.sqrt(np.mean((result.scales - gt.scales) ** 2))) < 1e-7
@@ -198,10 +198,8 @@ class TestElmmFull:
         rng = np.random.default_rng(15)
         S = rng.uniform(0.1, 0.9, (12, 1))
         axis = WavelengthAxis(np.linspace(0.4, 2.5, 12))
-        from specmix.core import HyperCube
-
         cube = HyperCube(values=1.3 * S, axis=axis)
-        result = unmix_elmm_full(cube, S)
+        result = unmix_cube(cube, S, SolverConfig(model="elmm-full"))
         assert result.abundances[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert result.scales[0, 0] == pytest.approx(1.3, abs=1e-8)
 
@@ -210,7 +208,7 @@ class TestElmmFull:
         from specmix.core import HyperCube
 
         axis = WavelengthAxis(np.linspace(0.4, 2.5, 4))
-        config = SolverConfig(model="elmm-full", psi_bounds=(0.5, 2.0), tol=1e-12)
+        config = SolverConfig(model="elmm-full", psi_bounds=(0.5, 2.0))
         worst = -np.inf
         for _ in range(25):
             S = random_endmembers(4, 2, rng)
@@ -225,7 +223,7 @@ class TestElmmFull:
     def test_unit_psi_bounds_reduce_to_fcls(self):
         cube = linear_scene(n_pixels=40, seed=17)
         S = cube.ground_truth.endmembers
-        pinned = unmix_elmm_full(cube, S, SolverConfig(model="elmm-full", psi_bounds=(1.0, 1.0)))
+        pinned = unmix_cube(cube, S, SolverConfig(model="elmm-full", psi_bounds=(1.0, 1.0)))
         np.testing.assert_array_equal(pinned.scales, np.ones_like(pinned.scales))
         for n in range(cube.n_pixels):
             np.testing.assert_allclose(
@@ -235,8 +233,9 @@ class TestElmmFull:
     def test_deterministic(self):
         cube = linear_scene(n_pixels=30, seed=18)
         S = cube.ground_truth.endmembers
-        first = unmix_elmm_full(cube, S)
-        second = unmix_elmm_full(cube, S)
+        config = SolverConfig(model="elmm-full")
+        first = unmix_cube(cube, S, config)
+        second = unmix_cube(cube, S, config)
         np.testing.assert_array_equal(first.abundances, second.abundances)
         np.testing.assert_array_equal(first.scales, second.scales)
 
@@ -247,6 +246,30 @@ class TestElmmFull:
         assert np.all(result.abundances >= 0.0)
         np.testing.assert_allclose(result.abundances.sum(axis=0), 1.0, atol=1e-9)
         assert np.all(result.scales >= 0.5) and np.all(result.scales <= 2.0)
+
+    def test_equals_global_scaling_with_unit_psi_off_support(self):
+        rng = np.random.default_rng(33)
+        n_bands = 20
+        axis = WavelengthAxis(np.linspace(0.4, 2.5, n_bands))
+        clamped = 0
+        for trial in range(240):
+            n_materials = (2, 3, 4)[trial % 3]
+            lo, hi = ((1e-2, 1e2), (0.5, 2.0))[trial % 2]
+            S = random_endmembers(n_bands, n_materials, rng)
+            z_true = rng.uniform(0.2, 5.0, n_materials) * rng.dirichlet(np.full(n_materials, 0.5))
+            x = np.abs(S @ z_true + rng.normal(0.0, 0.01, n_bands))
+            cube = HyperCube(values=x[:, None], axis=axis)
+            full = unmix_cube(cube, S, SolverConfig(model="elmm-full", psi_bounds=(lo, hi)))
+            shared = unmix_cube(cube, S, SolverConfig(model="elmm-global", psi_bounds=(lo, hi)))
+            assert not shared.degenerate.any()
+            np.testing.assert_allclose(full.abundances, shared.abundances, rtol=0.0, atol=1e-12)
+            support = full.abundances[:, 0] > 0.0
+            psi = full.scales[:, 0]
+            np.testing.assert_allclose(psi[support], shared.scales[support, 0], rtol=1e-12)
+            assert np.all(psi[~support] == 1.0)
+            assert np.all((psi >= lo) & (psi <= hi))
+            clamped += shared.scales[0, 0] in (lo, hi)
+        assert clamped > 0
 
 
 def relative_scene(n_pixels, seed):
@@ -277,12 +300,12 @@ class TestModelComparison:
             scaled = unmix_cube(cube, S, SolverConfig(model="elmm-full"))
             assert float(np.mean(scaled.residual_rmse)) < float(np.mean(plain.residual_rmse))
 
-    def test_global_scaling_traces_and_degenerate_counts(self):
+    def test_global_scaling_shared_scale_and_degenerate_counts(self):
         cube = relative_scene(n_pixels=50, seed=31)
         S = cube.ground_truth.endmembers
         result = unmix_cube(cube, S, SolverConfig(model="elmm-global"))
         assert result.degenerate is not None and not result.degenerate.any()
-        assert all(t.size == 1 for t in result.objective_traces)
+        assert np.all(result.scales == result.scales[0])
 
     def test_lmm_without_sum_constraint(self):
         cube = relative_scene(n_pixels=20, seed=32)
@@ -291,3 +314,14 @@ class TestModelComparison:
         assert np.all(result.abundances >= 0.0)
         sums = result.abundances.sum(axis=0)
         assert not np.allclose(sums, 1.0, atol=1e-6)  # scaled data pulls sums off 1
+
+
+class TestCubeInput:
+    def test_non_finite_value_named_before_solving(self):
+        cube = linear_scene(n_pixels=10, seed=34)
+        values = np.array(cube.values)
+        values[5, 7] = np.nan
+        bad = HyperCube(values=values, axis=cube.axis)
+        for model in ("lmm", "elmm-global", "elmm-full"):
+            with pytest.raises(ValueError, match="non-finite cube value nan at band 5, pixel 7"):
+                unmix_cube(bad, cube.ground_truth.endmembers, SolverConfig(model=model))
