@@ -10,6 +10,7 @@ helpers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Iterable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -26,6 +27,17 @@ def _readonly(values, dtype=np.float64, ndim: int | None = None, name: str = "ar
         raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def check_config_keys(raw: Any, known: Iterable[str], what: str) -> dict[str, Any]:
+    """Return raw if it is a dict holding only known keys; else name what is wrong."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object, got {raw!r}")
+    known = list(known)
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}; expected {', '.join(known)}")
+    return raw
 
 
 def cos_deg(angle_deg):

@@ -10,7 +10,7 @@ parallel and serial evaluation orders produce bit-identical scenes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -23,6 +23,7 @@ from .core import (
     GroundTruth,
     HyperCube,
     PhotometricParams,
+    check_config_keys,
 )
 from .hapke import MODELS, endmember_variant, scaling_factor
 
@@ -138,16 +139,25 @@ class SceneConfig:
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "SceneConfig":
-        abund_raw = raw.get("abundances", {"kind": "uniform"})
+        """Inverse of to_dict; any unknown key, at any level, is rejected by name."""
+        check_config_keys(raw, (f.name for f in fields(cls)), "scene config")
+        abund_raw = check_config_keys(
+            raw.get("abundances", {"kind": "uniform"}), ("kind", "alpha"), "abundances"
+        )
         sampler = AbundanceSampler(
             kind=abund_raw.get("kind", "uniform"), alpha=float(abund_raw.get("alpha", 1.0))
         )
         geom_raw = raw.get("geometry", {"kind": "fixed"})
-        if geom_raw.get("kind", "fixed") == "fixed":
-            geometry = GeometrySampler(kind="fixed", fixed=_geometry_from(geom_raw.get("angles", {})))
+        kind = geom_raw.get("kind", "fixed") if isinstance(geom_raw, dict) else None
+        if kind == "fixed":
+            check_config_keys(geom_raw, ("kind", "angles"), "geometry")
+            fixed = _geometry_from(geom_raw.get("angles", {}), "geometry.angles")
+            geometry = GeometrySampler(kind="fixed", fixed=fixed)
         else:
+            ranges = ("theta0_range", "theta_range", "phi_range")
+            check_config_keys(geom_raw, ("kind", *ranges), "geometry")
             geometry = GeometrySampler(
-                kind="uniform",
+                kind=kind,
                 theta0_range=tuple(geom_raw.get("theta0_range", (0.0, 90.0))),
                 theta_range=tuple(geom_raw.get("theta_range", (0.0, 90.0))),
                 phi_range=tuple(geom_raw.get("phi_range", (0.0, 180.0))),
@@ -159,7 +169,7 @@ class SceneConfig:
             model=raw.get("model", "linear"),
             abundances=sampler,
             geometry=geometry,
-            reference=_geometry_from(raw.get("reference", {})),
+            reference=_geometry_from(raw.get("reference", {}), "reference"),
             snr_db=None if snr is None else float(snr),
             seed=int(raw.get("seed", 0)),
         )
@@ -169,7 +179,8 @@ def _geometry_dict(geom: Geometry) -> dict[str, float]:
     return {"theta0": geom.theta0, "theta": geom.theta, "phi": geom.phi}
 
 
-def _geometry_from(raw: dict[str, Any]) -> Geometry:
+def _geometry_from(raw: Any, what: str) -> Geometry:
+    check_config_keys(raw, ("theta0", "theta", "phi"), what)
     return Geometry(
         theta0=float(raw.get("theta0", 0.0)),
         theta=float(raw.get("theta", 0.0)),

@@ -14,8 +14,17 @@ per-pixel work costs O(P^3) regardless of band count:
   spatial prior, such as the regularized ADMM of Drumetz et al. (IEEE TIP
   2016), which would also need an image shape on HyperCube.
 
-Per-pixel problems are independent and touch no shared mutable state, so
-pixels may be solved concurrently with results identical to a serial run.
+The active-set solvers run every pixel of a batch in lockstep: each step
+takes one action per unfinished pixel (pick an entering material, or solve
+its system on the free materials and take the ratio step) and solves all
+those systems in one stacked ``np.linalg.solve``.  A pixel's system keeps
+the rows and columns of its free materials and replaces the others by the
+identity with a zero right-hand side, so its arithmetic never depends on
+which other pixels share the batch.  Every product whose length varies
+with the batch is computed one pixel at a time (``_rowwise``).  A pixel's
+result is therefore bit-identical whether it is solved alone, in a chunk
+or in the whole cube.  Cubes are processed in chunks of ``_CHUNK_PIXELS``
+so temporaries stay O(chunk * P^2).
 """
 
 from __future__ import annotations
@@ -25,15 +34,19 @@ from typing import Any
 
 import numpy as np
 
-from .core import EndmemberMatrix, FloatArray, HyperCube, UnmixResult
+from .core import EndmemberMatrix, FloatArray, HyperCube, UnmixResult, check_config_keys
 
 SOLVER_MODELS = ("lmm", "elmm-global", "elmm-full")
 
-#: Reduced-gradient slack at the active-set exit; well inside the 1e-8
-#: feasibility the result contract promises for data of order unity.
+#: Reduced-gradient slack at the active-set exit, relative to the scale of
+#: the pixel's gradient: well inside the 1e-8 feasibility the result
+#: contract promises, at any data magnitude.
 _KKT_RTOL = 1e-10
+#: Coefficients at or below this fraction of the solution scale are zero.
 _DROP_TOL = 1e-12
 _MAX_OUTER_FACTOR = 30
+#: Pixels per lockstep batch in unmix_cube.
+_CHUNK_PIXELS = 1024
 
 
 @dataclass(frozen=True)
@@ -72,12 +85,7 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "SolverConfig":
-        known = [f.name for f in fields(cls)]
-        unknown = sorted(set(raw) - set(known))
-        if unknown:
-            raise ValueError(
-                f"unknown solver config keys: {', '.join(unknown)}; expected {', '.join(known)}"
-            )
+        check_config_keys(raw, (f.name for f in fields(cls)), "solver config")
         return cls(
             model=raw.get("model", "elmm-full"),
             sum_to_one=bool(raw.get("sum_to_one", True)),
@@ -86,124 +94,190 @@ class SolverConfig:
 
 
 # ---------------------------------------------------------------------------
-# active-set core (Gram space)
+# lockstep active-set core (Gram space, one pixel per row)
 # ---------------------------------------------------------------------------
 
-def _nnls_gram(G: FloatArray, c: FloatArray) -> FloatArray:
-    """min 0.5 a'Ga - c'a over a >= 0 (Lawson-Hanson on the Gram system).
+def _rowwise(M: FloatArray, B: FloatArray) -> FloatArray:
+    """Row n of the result is M[n] @ B, as its own vector-matrix product.
+
+    With contiguous rows, BLAS computes a row the same way however many rows
+    are stacked, which a single matrix-matrix product does not promise.
+    """
+    return np.matmul(np.ascontiguousarray(M)[:, None, :], B)[:, 0, :]
+
+
+def _solve_free(K: FloatArray, rhs: FloatArray, free: np.ndarray) -> FloatArray:
+    """Solve K restricted to each row's free indices, zero elsewhere.
+
+    Rows and columns outside a pixel's free set become the identity with a
+    zero right-hand side: the kept block is solved as if alone.
+    """
+    system = np.where(free[:, :, None] & free[:, None, :], K, np.eye(K.shape[0]))
+    return np.linalg.solve(system, np.where(free, rhs, 0.0)[:, :, None])[:, :, 0]
+
+
+def _ratio_step(current: FloatArray, target: FloatArray, free: np.ndarray, sink: np.ndarray,
+                max_alpha: float) -> FloatArray:
+    """Move free entries from current toward target until the first sink hits 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.where(sink, current / (current - target), np.inf)
+    alpha = np.minimum(max_alpha, steps.min(axis=1))[:, None]
+    return np.where(free, current + alpha * (target - current), 0.0)
+
+
+def _did_not_converge(name: str, failed: np.ndarray) -> None:
+    if failed.any():
+        raise RuntimeError(
+            f"{name} did not converge on {int(failed.sum())} of {failed.size} pixels"
+        )
+
+
+def _nnls_gram(G: FloatArray, C: FloatArray) -> FloatArray:
+    """min 0.5 z'Gz - c'z over z >= 0 for every row c of C (Lawson-Hanson).
 
     Entering variable: most negative multiplier, lowest index on ties.
-    Exit guarantees every active multiplier >= -kkt_tol, kkt_tol scaled to the data.
+    Exit guarantees every active multiplier >= -_KKT_RTOL * max|c|; an
+    all-zero c gives tolerance 0 and z = 0.  Pixels run in lockstep (see
+    the module docstring).
     """
-    n = c.size
-    kkt_tol = _KKT_RTOL * max(1.0, float(np.max(np.abs(c))) if n else 1.0)
-    a = np.zeros(n)
-    free = np.zeros(n, dtype=bool)
-    for _ in range(_MAX_OUTER_FACTOR * n + 30):
-        w = c - G @ a  # negative gradient; actives want w <= kkt_tol
-        w[free] = -np.inf
-        j = int(np.argmax(w))
-        if w[j] <= kkt_tol:
-            return a
-        free[j] = True
-        for _ in range(_MAX_OUTER_FACTOR * n + 30):
-            idx = np.flatnonzero(free)
-            target = np.linalg.solve(G[np.ix_(idx, idx)], c[idx])
-            if np.all(target > _DROP_TOL):
-                a = np.zeros(n)
-                a[idx] = target
-                break
-            current = a[idx]
-            sink = target <= _DROP_TOL
-            steps = current[sink] / (current[sink] - target[sink])
-            alpha = float(np.min(steps))
-            a[idx] = current + alpha * (target - current)
-            drop = idx[a[idx] <= _DROP_TOL]
-            a[drop] = 0.0
-            free[drop] = False
-            if not free.any():
-                a = np.zeros(n)
-                break
-        else:
-            raise RuntimeError("non-negative least squares inner loop did not converge")
-    raise RuntimeError("non-negative least squares did not converge")
+    n, p = C.shape
+    cap = _MAX_OUTER_FACTOR * p + 30
+    scale = np.max(np.abs(C), axis=1, initial=0.0)
+    kkt_tol = _KKT_RTOL * scale
+    drop_tol = (_DROP_TOL * scale / np.max(np.diag(G)))[:, None]
+    Z = np.zeros((n, p))
+    free = np.zeros((n, p), dtype=bool)
+    outer = np.zeros(n, dtype=int)
+    inner = np.zeros(n, dtype=int)
+    failed = np.zeros(n, dtype=bool)
+    entering, solving = np.arange(n), np.arange(0)
+    while entering.size or solving.size:
+        outer[entering] += 1
+        failed[entering[outer[entering] > cap]] = True
+        e = entering[outer[entering] <= cap]
+        w = C[e] - _rowwise(Z[e], G)  # negative gradient; actives want w <= kkt_tol
+        w[free[e]] = -np.inf
+        j = np.argmax(w, axis=1)
+        go = w[np.arange(e.size), j] > kkt_tol[e]
+        e = e[go]
+        free[e, j[go]] = True
+        inner[e] = 0
+        solving = np.concatenate([solving, e])
+
+        inner[solving] += 1
+        failed[solving[inner[solving] > cap]] = True
+        s = solving[inner[solving] <= cap]
+        f = free[s]
+        target = _solve_free(G, C[s], f)
+        done = np.all(~f | (target > drop_tol[s]), axis=1)
+        Z[s[done]] = np.where(f[done], target[done], 0.0)
+
+        b, f, target = s[~done], f[~done], target[~done]
+        step = _ratio_step(Z[b], target, f, f & (target <= drop_tol[b]), np.inf)
+        f &= step > drop_tol[b]
+        Z[b] = np.where(f, step, 0.0)
+        free[b] = f
+        emptied = ~f.any(axis=1)
+        entering, solving = np.concatenate([s[done], b[emptied]]), b[~emptied]
+    _did_not_converge("non-negative least squares", failed)
+    return Z
 
 
-def _sum_constrained_gram(G: FloatArray, c: FloatArray, total: float) -> FloatArray:
-    """min 0.5 a'Ga - c'a over a >= 0, sum(a) = total (> 0).
+def _sum_constrained_gram(G: FloatArray, C: FloatArray, total: FloatArray) -> FloatArray:
+    """min 0.5 z'Gz - c'z over z >= 0, sum(z) = total for every row c of C.
 
-    Primal active set started from the uniform feasible point.  The KKT
-    system carries the equality row; the entering variable is the active
-    index with the most negative multiplier (lowest index on ties).
+    total holds one positive sum per row.  Primal active set started from
+    the uniform feasible point.  The KKT system carries the equality row;
+    the entering variable is the active index with the most negative
+    multiplier (lowest index on ties).  The exit tolerance is relative to
+    the gradient's scale, max(max|c|, total * max(diag G)), so a dark pixel
+    keeps a tolerance above the rounding of G z.  Pixels run in lockstep.
     """
-    n = c.size
-    kkt_tol = _KKT_RTOL * max(1.0, float(np.max(np.abs(c))) if n else 1.0)
-    drop_tol = _DROP_TOL * max(1.0, total)
-    a = np.full(n, total / n)
-    free = np.ones(n, dtype=bool)
-    lam = 0.0
-    for _ in range(_MAX_OUTER_FACTOR * n + 30):
-        for _ in range(_MAX_OUTER_FACTOR * n + 30):
-            idx = np.flatnonzero(free)
-            k = idx.size
-            kkt = np.zeros((k + 1, k + 1))
-            kkt[:k, :k] = G[np.ix_(idx, idx)]
-            kkt[:k, k] = 1.0
-            kkt[k, :k] = 1.0
-            rhs = np.append(c[idx], total)
-            solution = np.linalg.solve(kkt, rhs)
-            target, lam = solution[:k], -solution[k]
-            if np.all(target >= -drop_tol):
-                a = np.zeros(n)
-                a[idx] = np.maximum(target, 0.0)
-                break
-            current = a[idx]
-            sink = target < -drop_tol
-            steps = current[sink] / (current[sink] - target[sink])
-            alpha = min(1.0, float(np.min(steps)))
-            a[idx] = current + alpha * (target - current)
-            drop = idx[a[idx] <= drop_tol]
-            if drop.size == idx.size:
-                # keep the largest entry so the sum constraint stays satisfiable
-                drop = np.delete(drop, int(np.argmax(a[drop])))
-            a[drop] = 0.0
-            free[drop] = False
-        active = ~free
-        if not active.any():
-            return a
-        grad = G @ a - c
-        multipliers = np.where(active, grad - lam, np.inf)
-        j = int(np.argmin(multipliers))
-        if multipliers[j] >= -kkt_tol:
-            return a
-        free[j] = True
-    raise RuntimeError("sum-constrained least squares did not converge")
+    n, p = C.shape
+    cap = _MAX_OUTER_FACTOR * p + 30
+    g_max = np.max(np.diag(G))
+    kkt_tol = _KKT_RTOL * np.maximum(np.max(np.abs(C), axis=1, initial=0.0), total * g_max)
+    drop_tol = (_DROP_TOL * total)[:, None]
+    K = np.ones((p + 1, p + 1))
+    K[:p, :p] = G
+    K[p, p] = 0.0
+    rhs = np.column_stack([C, total])
+    Z = np.repeat((total / p)[:, None], p, axis=1)
+    free = np.ones((n, p), dtype=bool)
+    lam = np.zeros(n)
+    outer = np.ones(n, dtype=int)
+    inner = np.zeros(n, dtype=int)
+    failed = outer > cap
+    solving = np.flatnonzero(~failed)
+    while solving.size:
+        inner[solving] += 1
+        s = solving[inner[solving] <= cap]  # past the cap: on to the multiplier check
+        f = free[s]
+        border = np.ones((s.size, 1), dtype=bool)
+        solution = _solve_free(K, rhs[s], np.hstack([f, border]))
+        target, lam[s] = solution[:, :p], -solution[:, p]
+        done = np.all(~f | (target >= -drop_tol[s]), axis=1)
+        Z[s[done]] = np.where(f[done], np.maximum(target[done], 0.0), 0.0)
+
+        b, f, target = s[~done], f[~done], target[~done]
+        step = _ratio_step(Z[b], target, f, f & (target < -drop_tol[b]), 1.0)
+        # sum(step) stays total, so its largest entry never drops
+        f &= step > drop_tol[b]
+        Z[b] = np.where(f, step, 0.0)
+        free[b] = f
+
+        m = np.concatenate([solving[inner[solving] > cap], s[done]])
+        grad = _rowwise(Z[m], G) - C[m]
+        multipliers = np.where(free[m], np.inf, grad - lam[m, None])
+        j = np.argmin(multipliers, axis=1)
+        go = multipliers[np.arange(m.size), j] < -kkt_tol[m]
+        e, j = m[go], j[go]
+        free[e, j] = True
+        inner[e] = 0
+        outer[e] += 1
+        failed[e[outer[e] > cap]] = True
+        solving = np.concatenate([b, e[outer[e] <= cap]])
+    _did_not_converge("sum-constrained least squares", failed)
+    return Z
 
 
-def _constrained_lstsq_gram(G: FloatArray, c: FloatArray, total: float | None) -> FloatArray:
-    if total is None:
-        return _nnls_gram(G, c)
-    return _sum_constrained_gram(G, c, total)
+def _unmix_rows(config: SolverConfig, G: FloatArray, C: FloatArray):
+    """Abundances, scales and degenerate flags for the pixels c in the rows of C.
 
-
-def _best_mixture(G: FloatArray, c: FloatArray, lo: float, hi: float) -> FloatArray:
-    """Exact minimizer of the mixture fit over {z >= 0, lo <= sum(z) <= hi}.
-
-    This box on the coefficient sum is precisely the image of the
-    per-material scaled simplex {psi * a}, so its minimizer is the elmm-full
-    optimum and bounds every scaled model from below.
+    elmm-global and elmm-full start from the non-negative fit z and re-solve
+    the pixels whose sum(z) leaves psi_bounds on the nearer bound: the exact
+    optimum over {z >= 0, lo <= sum(z) <= hi}, the image of the scaled
+    simplex.  For elmm-global a pixel with z = 0 has no component in the
+    endmember cone and is degenerate instead: uniform abundances, scale lo.
     """
-    z = _nnls_gram(G, c)
-    s = float(z.sum())
-    if s < lo:
-        return _sum_constrained_gram(G, c, lo)
-    if s > hi:
-        return _sum_constrained_gram(G, c, hi)
-    return z
+    n, p = C.shape
+    psi = np.ones((n, p))
+    degenerate = np.zeros(n, dtype=bool)
+    if config.model == "lmm":
+        if config.sum_to_one:
+            return _sum_constrained_gram(G, C, np.ones(n)), psi, degenerate
+        return _nnls_gram(G, C), psi, degenerate
+    lo, hi = config.psi_bounds
+    Z = _nnls_gram(G, C)
+    s = Z.sum(axis=1)
+    bound = np.minimum(np.maximum(s, lo), hi)
+    if config.model == "elmm-global":
+        degenerate = s <= 0.0
+    resolve = (bound != s) & ~degenerate
+    Z[resolve] = _sum_constrained_gram(G, C[resolve], bound[resolve])
+    if config.model == "elmm-global":
+        A = Z / bound[:, None]
+        A[degenerate] = 1.0 / p
+        return A, psi * bound[:, None], degenerate
+    total = Z.sum(axis=1)  # >= lo > 0
+    A = Z / total[:, None]
+    # a sum-constrained solve meets its bound only to rounding
+    clamped = np.minimum(np.maximum(total, lo), hi)[:, None]
+    return A, np.where(A > 0.0, clamped, 1.0), degenerate
 
 
 # ---------------------------------------------------------------------------
-# public per-pixel operations
+# public operations
 # ---------------------------------------------------------------------------
 
 def _endmember_array(S0) -> FloatArray:
@@ -225,19 +299,25 @@ def _check_endmembers(S: FloatArray) -> None:
         raise ValueError("endmember matrix is rank deficient; materials are not independent")
 
 
-def fcls(x, S0, sum_to_one: bool = True) -> FloatArray:
-    """Least-squares abundances of one pixel under non-negativity.
-
-    Minimizes |x - S0 a| subject to a >= 0 and, when sum_to_one is set,
-    sum(a) = 1.  The active-set exit verifies the reduced gradient of every
-    zeroed material is > -1e-8, i.e. the KKT conditions hold.
-    """
+def _unmix_pixel(x, S0, config: SolverConfig):
     S = _endmember_array(S0)
     x_arr = np.asarray(x, dtype=float)
     if x_arr.ndim != 1 or x_arr.size != S.shape[0]:
         raise ValueError(f"pixel spectrum length {x_arr.shape} does not match {S.shape[0]} bands")
     _check_endmembers(S)
-    return _constrained_lstsq_gram(S.T @ S, S.T @ x_arr, 1.0 if sum_to_one else None)
+    a, psi, degenerate = _unmix_rows(config, S.T @ S, _rowwise(x_arr[None, :], S))
+    return a[0], psi[0], bool(degenerate[0])
+
+
+def fcls(x, S0, sum_to_one: bool = True) -> FloatArray:
+    """Least-squares abundances of one pixel under non-negativity.
+
+    Minimizes |x - S0 a| subject to a >= 0 and, when sum_to_one is set,
+    sum(a) = 1.  The active-set exit verifies the reduced gradient of every
+    zeroed material is > -1e-8, i.e. the KKT conditions hold.  The result
+    equals unmix_cube's lmm abundances for the same pixel, bit for bit.
+    """
+    return _unmix_pixel(x, S0, SolverConfig(model="lmm", sum_to_one=sum_to_one))[0]
 
 
 @dataclass(frozen=True)
@@ -249,22 +329,6 @@ class GlobalScalingFit:
     degenerate: bool = False
 
 
-def _global_pixel(
-    G: FloatArray, c: FloatArray, lo: float, hi: float
-) -> tuple[FloatArray, float, bool]:
-    z = _nnls_gram(G, c)
-    s = float(z.sum())
-    if s <= 0.0:
-        # x has no component in the cone: scale is arbitrary, report floor
-        n = c.size
-        return np.full(n, 1.0 / n), lo, True
-    if lo <= s <= hi:
-        return z / s, s, False
-    bound = lo if s < lo else hi
-    v = _sum_constrained_gram(G, c, bound)
-    return v / bound, bound, False
-
-
 def unmix_elmm_global(x, S0, config: SolverConfig) -> GlobalScalingFit:
     """Fit one pixel as a single positive scale times a simplex mixture.
 
@@ -273,16 +337,12 @@ def unmix_elmm_global(x, S0, config: SolverConfig) -> GlobalScalingFit:
     falls outside psi_bounds the fit is re-solved on that bound, which is
     the exact constrained optimum.  A pixel with no component in the
     endmember cone (z = 0) is degenerate: uniform abundances are returned
-    with the scale clamped to the lower bound and the flag set.
+    with the scale clamped to the lower bound and the flag set.  Only
+    config.psi_bounds is used.
     """
-    S = _endmember_array(S0)
-    x_arr = np.asarray(x, dtype=float)
-    if x_arr.ndim != 1 or x_arr.size != S.shape[0]:
-        raise ValueError(f"pixel spectrum length {x_arr.shape} does not match {S.shape[0]} bands")
-    _check_endmembers(S)
-    lo, hi = config.psi_bounds
-    a, scale, degenerate = _global_pixel(S.T @ S, S.T @ x_arr, lo, hi)
-    return GlobalScalingFit(abundances=a, scale=scale, degenerate=degenerate)
+    global_config = SolverConfig(model="elmm-global", psi_bounds=config.psi_bounds)
+    a, psi, degenerate = _unmix_pixel(x, S0, global_config)
+    return GlobalScalingFit(abundances=a, scale=float(psi[0]), degenerate=degenerate)
 
 
 def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
@@ -294,6 +354,10 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     z = psi * a and reports psi = sum(z) on present materials, 1 on absent
     ones.  A non-finite cube value is rejected before any solve, naming its
     band and pixel.
+
+    Pixels are solved in lockstep batches of _CHUNK_PIXELS, with no loop
+    over pixels; every output of a pixel is bit-identical to unmixing that
+    pixel alone, or in any other batch.
     """
     X = cube.values if isinstance(cube, HyperCube) else np.asarray(cube, dtype=float)
     S = _endmember_array(S0)
@@ -307,36 +371,21 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     _check_endmembers(S)
     n_pixels = X.shape[1]
     n_materials = S.shape[1]
-    lo, hi = config.psi_bounds
-
     G = S.T @ S
-    C = S.T @ X  # P x N cross terms: the only O(L) work per pixel
 
     A = np.empty((n_materials, n_pixels))
-    psi = np.ones((n_materials, n_pixels))
-    degenerate = np.zeros(n_pixels, dtype=bool)
-
-    if config.model == "lmm":
-        total = 1.0 if config.sum_to_one else None
-        for n in range(n_pixels):
-            A[:, n] = _constrained_lstsq_gram(G, C[:, n], total)
-    elif config.model == "elmm-global":
-        for n in range(n_pixels):
-            a, scale, is_degenerate = _global_pixel(G, C[:, n], lo, hi)
-            A[:, n] = a
-            psi[:, n] = scale
-            degenerate[n] = is_degenerate
-    else:
-        for n in range(n_pixels):
-            z = _best_mixture(G, C[:, n], lo, hi)
-            total = float(z.sum())  # >= lo > 0
-            a = z / total
-            A[:, n] = a
-            # a sum-constrained solve meets its bound only to rounding
-            psi[:, n] = np.where(a > 0.0, min(max(total, lo), hi), 1.0)
-
-    residual = X - S @ (psi * A)
-    residual_rmse = np.sqrt(np.mean(residual * residual, axis=0))
+    psi = np.empty((n_materials, n_pixels))
+    degenerate = np.empty(n_pixels, dtype=bool)
+    residual_rmse = np.empty(n_pixels)
+    for start in range(0, n_pixels, _CHUNK_PIXELS):
+        chunk = slice(start, start + _CHUNK_PIXELS)
+        rows = np.ascontiguousarray(X[:, chunk].T)  # one pixel per row
+        a, scales, degenerate[chunk] = _unmix_rows(config, G, _rowwise(rows, S))
+        A[:, chunk], psi[:, chunk] = a.T, scales.T
+        residual = _rowwise(scales * a, S.T)
+        residual -= rows
+        residual *= residual
+        residual_rmse[chunk] = np.sqrt(np.mean(residual, axis=1))
     return UnmixResult(
         abundances=A,
         scales=psi,

@@ -1,0 +1,151 @@
+"""Serial per-pixel active-set solvers: the reference the lockstep solver is checked against.
+
+_nnls_gram and _sum_constrained_gram are the one-pixel-at-a-time solvers
+specmix used before its solver ran all pixels in lockstep, kept unchanged,
+including their KKT tolerance floor of max(1, max|c|) and their absolute
+drop tolerance.  unmix_gram composes them per model exactly as the serial
+unmix_cube's loop body did; unmix_cube runs that loop.
+"""
+
+import numpy as np
+
+FloatArray = np.ndarray
+
+_KKT_RTOL = 1e-10
+_DROP_TOL = 1e-12
+_MAX_OUTER_FACTOR = 30
+
+
+def _nnls_gram(G: FloatArray, c: FloatArray) -> FloatArray:
+    """min 0.5 a'Ga - c'a over a >= 0 (Lawson-Hanson on the Gram system).
+
+    Entering variable: most negative multiplier, lowest index on ties.
+    Exit guarantees every active multiplier >= -kkt_tol, kkt_tol scaled to the data.
+    """
+    n = c.size
+    kkt_tol = _KKT_RTOL * max(1.0, float(np.max(np.abs(c))) if n else 1.0)
+    a = np.zeros(n)
+    free = np.zeros(n, dtype=bool)
+    for _ in range(_MAX_OUTER_FACTOR * n + 30):
+        w = c - G @ a  # negative gradient; actives want w <= kkt_tol
+        w[free] = -np.inf
+        j = int(np.argmax(w))
+        if w[j] <= kkt_tol:
+            return a
+        free[j] = True
+        for _ in range(_MAX_OUTER_FACTOR * n + 30):
+            idx = np.flatnonzero(free)
+            target = np.linalg.solve(G[np.ix_(idx, idx)], c[idx])
+            if np.all(target > _DROP_TOL):
+                a = np.zeros(n)
+                a[idx] = target
+                break
+            current = a[idx]
+            sink = target <= _DROP_TOL
+            steps = current[sink] / (current[sink] - target[sink])
+            alpha = float(np.min(steps))
+            a[idx] = current + alpha * (target - current)
+            drop = idx[a[idx] <= _DROP_TOL]
+            a[drop] = 0.0
+            free[drop] = False
+            if not free.any():
+                a = np.zeros(n)
+                break
+        else:
+            raise RuntimeError("non-negative least squares inner loop did not converge")
+    raise RuntimeError("non-negative least squares did not converge")
+
+
+def _sum_constrained_gram(G: FloatArray, c: FloatArray, total: float) -> FloatArray:
+    """min 0.5 a'Ga - c'a over a >= 0, sum(a) = total (> 0).
+
+    Primal active set started from the uniform feasible point.  The KKT
+    system carries the equality row; the entering variable is the active
+    index with the most negative multiplier (lowest index on ties).
+    """
+    n = c.size
+    kkt_tol = _KKT_RTOL * max(1.0, float(np.max(np.abs(c))) if n else 1.0)
+    drop_tol = _DROP_TOL * max(1.0, total)
+    a = np.full(n, total / n)
+    free = np.ones(n, dtype=bool)
+    lam = 0.0
+    for _ in range(_MAX_OUTER_FACTOR * n + 30):
+        for _ in range(_MAX_OUTER_FACTOR * n + 30):
+            idx = np.flatnonzero(free)
+            k = idx.size
+            kkt = np.zeros((k + 1, k + 1))
+            kkt[:k, :k] = G[np.ix_(idx, idx)]
+            kkt[:k, k] = 1.0
+            kkt[k, :k] = 1.0
+            rhs = np.append(c[idx], total)
+            solution = np.linalg.solve(kkt, rhs)
+            target, lam = solution[:k], -solution[k]
+            if np.all(target >= -drop_tol):
+                a = np.zeros(n)
+                a[idx] = np.maximum(target, 0.0)
+                break
+            current = a[idx]
+            sink = target < -drop_tol
+            steps = current[sink] / (current[sink] - target[sink])
+            alpha = min(1.0, float(np.min(steps)))
+            a[idx] = current + alpha * (target - current)
+            drop = idx[a[idx] <= drop_tol]
+            if drop.size == idx.size:
+                # keep the largest entry so the sum constraint stays satisfiable
+                drop = np.delete(drop, int(np.argmax(a[drop])))
+            a[drop] = 0.0
+            free[drop] = False
+        active = ~free
+        if not active.any():
+            return a
+        grad = G @ a - c
+        multipliers = np.where(active, grad - lam, np.inf)
+        j = int(np.argmin(multipliers))
+        if multipliers[j] >= -kkt_tol:
+            return a
+        free[j] = True
+    raise RuntimeError("sum-constrained least squares did not converge")
+
+
+def unmix_pixel(S, x, model, sum_to_one=True, psi_bounds=(1e-2, 1e2)):
+    """(abundances, scales, degenerate) of one pixel, as the serial unmix_cube computed them."""
+    return unmix_gram(S.T @ S, S.T @ x, model, sum_to_one, psi_bounds)
+
+
+def unmix_gram(G, c, model, sum_to_one=True, psi_bounds=(1e-2, 1e2)):
+    """unmix_pixel from the Gram matrix G = S'S and the pixel's cross terms c = S'x."""
+    n = c.size
+    lo, hi = psi_bounds
+    if model == "lmm":
+        if sum_to_one:
+            return _sum_constrained_gram(G, c, 1.0), np.ones(n), False
+        return _nnls_gram(G, c), np.ones(n), False
+    z = _nnls_gram(G, c)
+    s = float(z.sum())
+    if model == "elmm-global":
+        if s <= 0.0:
+            return np.full(n, 1.0 / n), np.full(n, lo), True
+        if lo <= s <= hi:
+            return z / s, np.full(n, s), False
+        bound = lo if s < lo else hi
+        return _sum_constrained_gram(G, c, bound) / bound, np.full(n, bound), False
+    if s < lo:
+        z = _sum_constrained_gram(G, c, lo)
+    elif s > hi:
+        z = _sum_constrained_gram(G, c, hi)
+    total = float(z.sum())
+    a = z / total
+    return a, np.where(a > 0.0, min(max(total, lo), hi), 1.0), False
+
+
+def unmix_cube(X, S, model, sum_to_one=True, psi_bounds=(1e-2, 1e2)):
+    """(A, psi, degenerate, residual_rmse) of a bands x pixels cube, one pixel at a time."""
+    G = S.T @ S
+    C = S.T @ X
+    A = np.empty(C.shape)
+    psi = np.empty(C.shape)
+    degenerate = np.zeros(C.shape[1], dtype=bool)
+    for n in range(C.shape[1]):
+        A[:, n], psi[:, n], degenerate[n] = unmix_gram(G, C[:, n], model, sum_to_one, psi_bounds)
+    residual = X - S @ (psi * A)
+    return A, psi, degenerate, np.sqrt(np.mean(residual * residual, axis=0))

@@ -123,6 +123,20 @@ class TestSimulateAndVerify:
         ])
         assert code == 1
 
+    def test_typoed_config_key_exits_1_naming_it(self, tmp_path, albedo_csv, capsys):
+        config = scene_config(
+            tmp_path, geometry={"kind": "uniform", "theta_rnage": [0.0, 10.0]}
+        )
+        code = main([
+            "simulate", "--config", str(config), "--albedo", str(albedo_csv),
+            "--out", str(tmp_path / "cube"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown geometry keys: theta_rnage")
+        assert "Traceback" not in err
+        assert not (tmp_path / "cube.bin").exists()
+
     def test_tampered_cube_fails_verify(self, tmp_path, albedo_csv, capsys):
         config = scene_config(tmp_path, n_pixels=6)
         out = tmp_path / "cube"

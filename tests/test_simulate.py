@@ -57,6 +57,49 @@ class TestSceneConfig:
         config = base_config(snr_db=25.0, seed=123)
         assert SceneConfig.from_dict(config.to_dict()) == config
 
+    @pytest.mark.parametrize(
+        "path, key, message",
+        [
+            ((), "sed", "unknown scene config keys: sed;"),
+            (("abundances",), "alpah", "unknown abundances keys: alpah;"),
+            (("geometry",), "theta_rnage", "unknown geometry keys: theta_rnage;"),
+            (("reference",), "phi0", "unknown reference keys: phi0;"),
+        ],
+    )
+    def test_unknown_keys_rejected_by_name(self, path, key, message):
+        raw = base_config().to_dict()
+        node = raw
+        for name in path:
+            node = node[name]
+        node[key] = 5
+        with pytest.raises(ValueError, match=message):
+            SceneConfig.from_dict(raw)
+
+    def test_unknown_fixed_angle_key_rejected(self):
+        config = base_config(geometry=GeometrySampler(kind="fixed"))
+        raw = config.to_dict()
+        raw["geometry"]["angles"]["thta"] = 10.0
+        with pytest.raises(ValueError, match="unknown geometry.angles keys: thta;"):
+            SceneConfig.from_dict(raw)
+
+    def test_keys_of_the_other_geometry_kind_rejected(self):
+        raw = base_config().to_dict()  # uniform geometry
+        raw["geometry"]["angles"] = {"theta0": 10.0}
+        with pytest.raises(ValueError, match="unknown geometry keys: angles;"):
+            SceneConfig.from_dict(raw)
+
+    def test_misspelled_geometry_kind_rejected(self):
+        raw = base_config().to_dict()
+        raw["geometry"]["kind"] = "unifrom"
+        with pytest.raises(ValueError, match="unknown geometry sampler kind 'unifrom'"):
+            SceneConfig.from_dict(raw)
+
+    def test_nested_value_must_be_an_object(self):
+        raw = base_config().to_dict()
+        raw["reference"] = [45.0, 45.0, 0.0]
+        with pytest.raises(ValueError, match="reference must be a JSON object"):
+            SceneConfig.from_dict(raw)
+
     def test_fixed_geometry_dict_round_trip(self):
         config = base_config(
             geometry=GeometrySampler(kind="fixed", fixed=Geometry(theta0=30.0, theta=20.0, phi=10.0))
