@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__, io
-from .core import Geometry, HyperCube, cos_deg, validate_cube
+from .core import Geometry, HyperCube, check_config_keys, validate_cube
 from .hapke import MODELS, ModelDomainError, endmember_variant
 from .metrics import SweepGrid, albedo_curve, angle_sweep
 from .simulate import SceneConfig, simulate_cube
@@ -196,13 +196,23 @@ def _cmd_unmix(args: argparse.Namespace) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _angle_list(spec: Any, default: np.ndarray) -> np.ndarray:
+_SWEEP_KEYS = {
+    "angle": ("kind", "model_pair", "theta0_values", "theta_values"),
+    "curve": ("kind", "model", "theta0", "theta", "omega"),
+}
+
+
+def _angle_list(raw: dict[str, Any], key: str) -> np.ndarray:
+    spec = raw.get(key)
     if spec is None:
-        return default
+        return np.arange(91, dtype=float)
     if isinstance(spec, dict):
+        check_config_keys(spec, ("start", "stop", "step"), key)
         start = float(spec.get("start", 0.0))
         stop = float(spec.get("stop", 90.0))
         step = float(spec.get("step", 1.0))
+        if not step > 0.0:
+            raise ValueError(f"{key}.step must be > 0, got {step:g}")
         return np.arange(start, stop + 0.5 * step, step)
     return np.asarray(spec, dtype=float)
 
@@ -212,6 +222,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     raw = _load_json(args.config) if args.config else {}
     albedos = io.read_albedos(args.albedo)
     kind = raw.get("kind", "angle")
+    if kind not in tuple(_SWEEP_KEYS):
+        raise ValueError(f"unknown sweep kind {kind!r}; expected 'angle' or 'curve'")
+    check_config_keys(raw, _SWEEP_KEYS[kind], f"{kind} sweep config")
     out_base = _out_base(args.out)
     outputs: list[Path] = []
     if kind == "curve":
@@ -220,19 +233,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         theta = args.theta if args.theta is not None else float(raw.get("theta", 0.0))
         omega_spec = raw.get("omega", {"start": 0.0, "stop": 1.0, "num": 101})
         if isinstance(omega_spec, dict):
+            check_config_keys(omega_spec, ("start", "stop", "num"), "omega")
+            num = int(omega_spec.get("num", 101))
+            if num < 1:
+                raise ValueError(f"omega.num must be >= 1, got {num}")
             omega = np.linspace(
-                float(omega_spec.get("start", 0.0)),
-                float(omega_spec.get("stop", 1.0)),
-                int(omega_spec.get("num", 101)),
+                float(omega_spec.get("start", 0.0)), float(omega_spec.get("stop", 1.0)), num
             )
         else:
             omega = np.asarray(omega_spec, dtype=float)
         photometry = io.read_photometry(args.photometry) if args.photometry else None
         params_list = io.photometry_for(photometry, [a.material for a in albedos])
-        mu = float(cos_deg(theta))
-        mu0 = float(cos_deg(theta0))
+        geom = Geometry(theta0=theta0, theta=theta, phi=args.phi)
         for albedo, params in zip(albedos, params_list):
-            rho = albedo_curve(mu, mu0, model, omega, params=params, phi=args.phi)
+            rho = albedo_curve(geom.mu, geom.mu0, model, omega, params=params, phi=args.phi)
             path = out_base.parent / f"{out_base.name}.{albedo.material}.csv"
             io.write_curve_csv(path, omega, rho)
             outputs.append(path)
@@ -243,11 +257,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "theta": theta,
             "omega_points": int(omega.size),
         }
-    elif kind == "angle":
+    else:
         pair = tuple(raw.get("model_pair", ("relative", "linear")))
         grid = SweepGrid(
-            theta0_values=_angle_list(raw.get("theta0_values"), np.arange(91, dtype=float)),
-            theta_values=_angle_list(raw.get("theta_values"), np.arange(91, dtype=float)),
+            theta0_values=_angle_list(raw, "theta0_values"),
+            theta_values=_angle_list(raw, "theta_values"),
             model_pair=pair,  # type: ignore[arg-type]
             omega_source=str(args.albedo),
         )
@@ -264,8 +278,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "albedo_source": str(args.albedo),
             "materials": [a.material for a in albedos],
         }
-    else:
-        raise ValueError(f"unknown sweep kind {kind!r}; expected 'angle' or 'curve'")
     _manifest(
         out_base,
         "sweep",

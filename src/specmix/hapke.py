@@ -3,8 +3,13 @@
 The chain runs from the full photometric model down to its Lambertian
 reduction, the relative (albedo-normalized) form, the first-order linear
 form, and the geometry scaling factor that links linear-model variants of
-one endmember.  Every function accepts scalar or array albedo values and
-evaluates band-by-band in 64-bit floats; all angles are degrees.
+one endmember.  Every closed form and the choice between them live in one
+kernel, reflectance(), whose arguments combine by numpy broadcasting: the
+caller picks the layout, so one call evaluates a spectrum, an albedo
+curve, a grid of angle cells or a whole block of pixels.  The kernel trusts
+its albedos and cosines; they are validated once, where they enter the
+program (AlbedoSpectrum, Geometry, or the raw-array functions below).
+All arithmetic is in 64-bit floats; all angles are degrees.
 
 Pure functions of immutable inputs: safe to call concurrently.
 """
@@ -13,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AlbedoSpectrum, FloatArray, Geometry, PhotometricParams, cos_deg
+from .core import AlbedoSpectrum, FloatArray, Geometry, PhotometricParams
 
 #: Valid model selectors, ordered from the full model to its simplest form.
 MODELS = ("full", "lambertian", "relative", "linear")
@@ -25,17 +30,17 @@ class ModelDomainError(ValueError):
 
 def _check_omega(omega) -> np.ndarray:
     w = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("albedo must be finite")
-    if np.any(w < 0.0) or np.any(w > 1.0):
-        raise ValueError("albedo must be in [0, 1]")
+    bad = ~((w >= 0.0) & (w <= 1.0))
+    if np.any(bad):
+        raise ValueError(f"albedo must be finite and in [0, 1], got {w[bad].flat[0]}")
     return w
 
 
 def _check_mu(mu, name: str) -> np.ndarray:
     m = np.asarray(mu, dtype=float)
-    if not np.all(np.isfinite(m)) or np.any(m < 0.0) or np.any(m > 1.0):
-        raise ValueError(f"{name} must be a cosine in [0, 1]")
+    bad = ~((m >= 0.0) & (m <= 1.0))
+    if np.any(bad):
+        raise ValueError(f"{name} must be a cosine in [0, 1], got {m[bad].flat[0]}")
     return m
 
 
@@ -73,6 +78,77 @@ def opposition_effect(g, params: PhotometricParams):
     return params.B0 / (1.0 + np.tan(np.radians(g_arr) / 2.0) / params.h)
 
 
+def _h(mu, root):
+    return (1.0 + 2.0 * mu) / (1.0 + 2.0 * mu * root)
+
+
+def _linear_gain(mu, mu0):
+    return 4.0 * mu * mu0 + 2.0 * mu + 2.0 * mu0 + 1.0
+
+
+def defined_at(model: str, mu, mu0) -> np.ndarray:
+    """Mask of the geometries (mu, mu0 broadcast) where the model is defined.
+
+    The full and Lambertian models divide by mu + mu0 and are singular at
+    the doubly grazing geometry; the relative and linear forms are defined
+    for every geometry.
+    """
+    mu_sum = np.add(mu, mu0)
+    if model in ("full", "lambertian"):
+        return mu_sum > 0.0
+    return np.ones(np.shape(mu_sum), dtype=bool)
+
+
+def reflectance(model: str, omega, mu, mu0, g=None, params: PhotometricParams | None = None):
+    """Bidirectional reflectance of the selected model, broadcast over its inputs.
+
+    omega is the single-scattering albedo, mu and mu0 the cosines of the
+    emergence and incidence angles, g the phase angle in degrees; g and
+    params are used, and required, by the full model only.  For N pixels
+    of L bands, omega of shape (L,) with (N, 1) geometry columns gives an
+    (N, L) block.  From the full model to its simplest form:
+
+    full        omega / (4 (mu + mu0)) ((1 + B(g)) P(g) + H(omega, mu) H(omega, mu0) - 1)
+    lambertian  (1 + 2 mu)(1 + 2 mu0) omega /
+                (4 (mu + mu0) (1 + 2 mu sqrt(1-omega)) (1 + 2 mu0 sqrt(1-omega)))
+    relative    omega / ((1 + 2 mu sqrt(1-omega)) (1 + 2 mu0 sqrt(1-omega)))
+    linear      omega / (4 mu mu0 + 2 mu + 2 mu0 + 1)
+
+    The full model is taken in its smooth-surface regime (no shadowing
+    term, unmodified angles); with isotropic scattering and no surge it
+    reduces to the Lambertian one.  The relative form is the Lambertian one
+    normalized by its omega = 1 value and equals the albedo at mu = mu0 = 0;
+    the linear form is its first-order expansion around omega = 0: its
+    denominator is >= 1 and its coefficient does not depend on wavelength.
+
+    Albedos and cosines in [0, 1] are the caller's guarantee and are not
+    checked.  Raises ValueError for an unknown model or a full model without
+    g and params, and ModelDomainError, judged on the geometry alone, where
+    the model is undefined (defined_at, phase_function, opposition_effect).
+    """
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+    if model == "full" and (g is None or params is None):
+        raise ValueError("full model requires photometric parameters and a phase angle")
+    if not np.all(defined_at(model, mu, mu0)):
+        raise ModelDomainError(
+            f"{model} reflectance requires mu + mu0 > 0; "
+            "theta0 = theta = 90 degrees (doubly grazing) is singular"
+        )
+    if model == "linear":
+        return omega / _linear_gain(mu, mu0)
+    root = np.sqrt(1.0 - omega)
+    if model == "relative":
+        return omega / ((1.0 + 2.0 * mu * root) * (1.0 + 2.0 * mu0 * root))
+    if model == "lambertian":
+        return ((1.0 + 2.0 * mu) * (1.0 + 2.0 * mu0) * omega) / (
+            4.0 * (mu + mu0) * (1.0 + 2.0 * mu * root) * (1.0 + 2.0 * mu0 * root)
+        )
+    surge = opposition_effect(g, params)
+    p = phase_function(g, params)
+    return omega / (4.0 * (mu + mu0)) * ((1.0 + surge) * p + _h(mu, root) * _h(mu0, root) - 1.0)
+
+
 def multiple_scattering(omega, mu):
     """Isotropic multiple-scattering approximation H(omega, mu).
 
@@ -80,83 +156,27 @@ def multiple_scattering(omega, mu):
     omega, mu in [0, 1].
     """
     w = _check_omega(omega)
-    m = _check_mu(mu, "mu")
-    return (1.0 + 2.0 * m) / (1.0 + 2.0 * m * np.sqrt(1.0 - w))
+    return _h(_check_mu(mu, "mu"), np.sqrt(1.0 - w))
 
 
 def full_reflectance(omega, geom: Geometry, params: PhotometricParams):
-    """Bidirectional reflectance of the full photometric model.
-
-    rho = omega / (4 (mu + mu0)) * ((1 + B(g)) P(g) + H(omega, mu) H(omega, mu0) - 1)
-
-    Smooth-surface regime: no shadowing term and unmodified angles.  The
-    doubly grazing configuration mu + mu0 = 0 is outside the model's domain
-    (the leading denominator vanishes).
-    """
-    w = _check_omega(omega)
-    mu, mu0 = geom.mu, geom.mu0
-    if mu + mu0 <= 0.0:
-        raise ModelDomainError(
-            "full reflectance requires mu + mu0 > 0; theta0 = theta = 90 degrees is singular"
-        )
-    surge = opposition_effect(geom.g, params)
-    p = phase_function(geom.g, params)
-    h_mu = multiple_scattering(w, mu)
-    h_mu0 = multiple_scattering(w, mu0)
-    return w / (4.0 * (mu + mu0)) * ((1.0 + surge) * p + h_mu * h_mu0 - 1.0)
+    """Full photometric model (see reflectance) at one geometry; singular at mu + mu0 = 0."""
+    return reflectance("full", _check_omega(omega), geom.mu, geom.mu0, geom.g, params)
 
 
 def lambertian_reflectance(omega, mu, mu0):
-    """Reflectance under isotropic scattering and no opposition surge.
-
-    rho = (1 + 2 mu)(1 + 2 mu0) omega /
-          (4 (mu + mu0) (1 + 2 mu sqrt(1-omega)) (1 + 2 mu0 sqrt(1-omega)))
-
-    Still singular at mu + mu0 = 0, like the full model it reduces.
-    """
-    w = _check_omega(omega)
-    m = _check_mu(mu, "mu")
-    m0 = _check_mu(mu0, "mu0")
-    if np.any(m + m0 <= 0.0):
-        raise ModelDomainError(
-            "Lambertian reflectance requires mu + mu0 > 0; doubly grazing geometry is singular"
-        )
-    root = np.sqrt(1.0 - w)
-    return ((1.0 + 2.0 * m) * (1.0 + 2.0 * m0) * w) / (
-        4.0 * (m + m0) * (1.0 + 2.0 * m * root) * (1.0 + 2.0 * m0 * root)
-    )
+    """Reflectance under isotropic scattering and no opposition surge; singular at mu + mu0 = 0."""
+    return reflectance("lambertian", _check_omega(omega), _check_mu(mu, "mu"), _check_mu(mu0, "mu0"))
 
 
 def relative_reflectance(omega, mu, mu0):
-    """Reflectance normalized by its own omega = 1 value.
-
-    rho0 = omega / ((1 + 2 mu sqrt(1-omega)) (1 + 2 mu0 sqrt(1-omega)))
-
-    Defined for every geometry including mu = mu0 = 0, where it equals the
-    albedo exactly.
-    """
-    w = _check_omega(omega)
-    m = _check_mu(mu, "mu")
-    m0 = _check_mu(mu0, "mu0")
-    root = np.sqrt(1.0 - w)
-    return w / ((1.0 + 2.0 * m * root) * (1.0 + 2.0 * m0 * root))
+    """Reflectance normalized by its own omega = 1 value; equals omega at mu = mu0 = 0."""
+    return reflectance("relative", _check_omega(omega), _check_mu(mu, "mu"), _check_mu(mu0, "mu0"))
 
 
 def linear_reflectance(omega, mu, mu0):
-    """First-order expansion of the relative reflectance around omega = 0.
-
-    rho = omega / (4 mu mu0 + 2 mu + 2 mu0 + 1); the denominator is >= 1,
-    so the map is defined everywhere and linear in omega with a
-    wavelength-independent coefficient.
-    """
-    w = _check_omega(omega)
-    m = _check_mu(mu, "mu")
-    m0 = _check_mu(mu0, "mu0")
-    return w / (4.0 * m * m0 + 2.0 * m + 2.0 * m0 + 1.0)
-
-
-def _linear_gain(geom: Geometry) -> float:
-    return 4.0 * geom.mu * geom.mu0 + 2.0 * geom.mu + 2.0 * geom.mu0 + 1.0
+    """First-order expansion of the relative reflectance around omega = 0; defined everywhere."""
+    return reflectance("linear", _check_omega(omega), _check_mu(mu, "mu"), _check_mu(mu0, "mu0"))
 
 
 def scaling_factor(local: Geometry, reference: Geometry) -> float:
@@ -170,7 +190,7 @@ def scaling_factor(local: Geometry, reference: Geometry) -> float:
     this denominator, the factor that maps the reference endmember onto the
     local variant is scaling_factor(reference, local).
     """
-    return _linear_gain(local) / _linear_gain(reference)
+    return _linear_gain(local.mu, local.mu0) / _linear_gain(reference.mu, reference.mu0)
 
 
 def endmember_variant(
@@ -181,19 +201,6 @@ def endmember_variant(
 ) -> FloatArray:
     """Reflectance spectrum of one material at one geometry.
 
-    Applies the selected model band-by-band to the albedo spectrum.  The
-    full model needs photometric parameters; the simplified models ignore
-    them.
+    The full model needs photometric parameters; the others ignore them.
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    if model == "full":
-        if params is None:
-            raise ValueError("full model requires photometric parameters")
-        return np.asarray(full_reflectance(albedo.omega, geom, params), dtype=float)
-    mu, mu0 = geom.mu, geom.mu0
-    if model == "lambertian":
-        return np.asarray(lambertian_reflectance(albedo.omega, mu, mu0), dtype=float)
-    if model == "relative":
-        return np.asarray(relative_reflectance(albedo.omega, mu, mu0), dtype=float)
-    return np.asarray(linear_reflectance(albedo.omega, mu, mu0), dtype=float)
+    return reflectance(model, albedo.omega, geom.mu, geom.mu0, geom.g, params)

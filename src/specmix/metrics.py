@@ -2,8 +2,9 @@
 
 The angle sweep compares a reference reflectance model against its
 approximation over a grid of incidence/emergence angles and reports the
-spectral angle and RMSE per grid cell.  Grid cells are independent; output
-ordering is fixed by grid order regardless of evaluation strategy.
+spectral angle and RMSE per grid cell.  Each model is one reflectance
+kernel call over all cells where both models are defined, laid out as
+(cells, bands); output ordering is fixed by grid order.
 """
 
 from __future__ import annotations
@@ -13,14 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import AlbedoSpectrum, FloatArray, Geometry, PhotometricParams, cos_deg
-from .hapke import (
-    MODELS,
-    ModelDomainError,
-    full_reflectance,
-    lambertian_reflectance,
-    linear_reflectance,
-    relative_reflectance,
-)
+from .hapke import _check_mu, _check_omega, defined_at, reflectance
 
 #: Models an angle sweep may pair: the ones fully determined by (mu, mu0).
 SWEEP_MODELS = ("lambertian", "relative", "linear")
@@ -76,23 +70,12 @@ def albedo_curve(
     the full model, which also needs photometric parameters).  Returns the
     reflectance for each omega in the grid; model-domain errors propagate.
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    omega = np.asarray(omega_grid, dtype=float)
-    if model == "full":
-        if params is None:
-            raise ValueError("full model requires photometric parameters")
-        geom = Geometry(
-            theta0=float(np.degrees(np.arccos(np.clip(mu0, 0.0, 1.0)))),
-            theta=float(np.degrees(np.arccos(np.clip(mu, 0.0, 1.0)))),
-            phi=phi,
-        )
-        return np.asarray(full_reflectance(omega, geom, params), dtype=float)
-    if model == "lambertian":
-        return np.asarray(lambertian_reflectance(omega, mu, mu0), dtype=float)
-    if model == "relative":
-        return np.asarray(relative_reflectance(omega, mu, mu0), dtype=float)
-    return np.asarray(linear_reflectance(omega, mu, mu0), dtype=float)
+    omega = _check_omega(omega_grid)
+    mu, mu0 = float(_check_mu(mu, "mu")), float(_check_mu(mu0, "mu0"))
+    g = Geometry(
+        theta0=float(np.degrees(np.arccos(mu0))), theta=float(np.degrees(np.arccos(mu))), phi=phi
+    ).g
+    return reflectance(model, omega, mu, mu0, g, params)
 
 
 def _default_grid() -> FloatArray:
@@ -130,8 +113,8 @@ class SweepResult:
     """Per-cell spectral angle and RMSE between the two swept models.
 
     sam and rmse are indexed [theta0, theta] following the grid order.
-    valid is False where the reference model is undefined (the doubly
-    grazing cell under the Lambertian model); those cells hold NaN.
+    valid is False where either model is undefined (the doubly grazing
+    cell when the Lambertian model takes part); those cells hold NaN.
     """
 
     grid: SweepGrid
@@ -144,29 +127,12 @@ class SweepResult:
         return int(np.size(self.valid) - np.count_nonzero(self.valid))
 
 
-def _model_surface(model: str, omega: FloatArray, mu: FloatArray, mu0: FloatArray) -> FloatArray:
-    """Reflectance spectra on a cell grid: shape (cells0, cells1, bands)."""
-    w = omega[None, None, :]
-    m = mu[None, :, None]
-    m0 = mu0[:, None, None]
-    if model == "linear":
-        return w / (4.0 * m * m0 + 2.0 * m + 2.0 * m0 + 1.0)
-    root = np.sqrt(1.0 - w)
-    relative = w / ((1.0 + 2.0 * m * root) * (1.0 + 2.0 * m0 * root))
-    if model == "relative":
-        return relative
-    # lambertian = relative * its omega=1 normalizer; grazing cells are
-    # masked by the caller before this denominator is used
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return relative * ((1.0 + 2.0 * m) * (1.0 + 2.0 * m0)) / (4.0 * (m + m0))
-
-
 def angle_sweep(albedo: AlbedoSpectrum, grid: SweepGrid) -> SweepResult:
     """Compare the grid's model pair on one albedo across all angle cells.
 
     For each (theta0, theta) cell both models' reflectance spectra are
     built from the albedo and compared by spectral angle and RMSE.  Cells
-    where the reference model is undefined are skipped and flagged.
+    where either model is undefined are skipped and flagged.
     """
     omega = albedo.omega
     if np.all(omega == 0.0):
@@ -174,16 +140,15 @@ def angle_sweep(albedo: AlbedoSpectrum, grid: SweepGrid) -> SweepResult:
     mu0 = np.asarray(cos_deg(grid.theta0_values), dtype=float)
     mu = np.asarray(cos_deg(grid.theta_values), dtype=float)
     reference, approximation = grid.model_pair
-
-    valid = np.ones((mu0.size, mu.size), dtype=bool)
-    needs_sum = [name for name in (reference, approximation) if name == "lambertian"]
-    if needs_sum:
-        valid = (mu0[:, None] + mu[None, :]) > 0.0
-
-    ref_surface = _model_surface(reference, omega, mu, mu0)
-    approx_surface = _model_surface(approximation, omega, mu, mu0)
+    valid = defined_at(reference, mu[None, :], mu0[:, None])
+    valid &= defined_at(approximation, mu[None, :], mu0[:, None])
+    # one row per valid cell, in grid order
+    cell_mu = np.broadcast_to(mu[None, :], valid.shape)[valid][:, None]
+    cell_mu0 = np.broadcast_to(mu0[:, None], valid.shape)[valid][:, None]
+    ref = reflectance(reference, omega, cell_mu, cell_mu0)
+    approx = reflectance(approximation, omega, cell_mu, cell_mu0)
     sam = np.full(valid.shape, np.nan)
     err = np.full(valid.shape, np.nan)
-    sam[valid] = spectral_angle(ref_surface[valid], approx_surface[valid])
-    err[valid] = rmse(ref_surface[valid], approx_surface[valid])
+    sam[valid] = spectral_angle(ref, approx)
+    err[valid] = rmse(ref, approx)
     return SweepResult(grid=grid, sam=sam, rmse=err, valid=valid)

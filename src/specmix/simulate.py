@@ -1,10 +1,12 @@
 """Synthetic hyperspectral scene generation.
 
-Per pixel: draw a geometry, evaluate each material's reflectance variant
-under the chosen model, mix linearly with sampled abundances, then add
-white Gaussian noise scaled to a target SNR.  Every random draw comes from
-a per-pixel counter-based stream keyed on (seed, purpose, pixel), so
-parallel and serial evaluation orders produce bit-identical scenes.
+Each pixel draws a geometry and an abundance column.  The reflectance
+kernel then evaluates every material at every pixel's geometry, one block
+of pixels at a time; each pixel mixes its variants linearly, and white
+Gaussian noise scaled to a target SNR is added last.  Every random draw
+comes from a per-pixel counter-based stream keyed on (seed, purpose,
+pixel), and a pixel's value does not depend on the block it falls in, so
+serial, chunked and parallel evaluation produce bit-identical scenes.
 """
 
 from __future__ import annotations
@@ -25,7 +27,11 @@ from .core import (
     PhotometricParams,
     check_config_keys,
 )
-from .hapke import MODELS, endmember_variant, scaling_factor
+from .hapke import MODELS, _linear_gain, endmember_variant, reflectance
+
+#: Pixels per block of variants: a (pixels, bands, materials) block of this
+#: many pixels stays a few megabytes at a few hundred bands.
+_CHUNK_PIXELS = 1024
 
 # stream tags: independent sub-streams per random purpose
 _ABUNDANCE_STREAM = 1
@@ -253,22 +259,25 @@ def simulate_cube(
     geometries = sample_geometries(config)
     endmembers = reference_endmembers(albedos, photometry, config)
 
+    # pixel geometry as (pixels, 1) columns, the layout of the variant blocks
+    mu = np.array([geom.mu for geom in geometries])[:, None]
+    mu0 = np.array([geom.mu0 for geom in geometries])[:, None]
+    g = np.array([geom.g for geom in geometries])[:, None]
     n_bands, n_pixels = len(axis), config.n_pixels
     values = np.empty((n_bands, n_pixels))
+    for start in range(0, n_pixels, _CHUNK_PIXELS):
+        px = slice(start, min(start + _CHUNK_PIXELS, n_pixels))
+        # block[n] is pixel n's S_n, C-contiguous like a column-stacked matrix
+        block = np.empty((px.stop - px.start, n_bands, config.n_materials))
+        for k, (albedo, params) in enumerate(zip(albedos, photometry)):
+            block[:, :, k] = reflectance(config.model, albedo.omega, mu[px], mu0[px], g[px], params)
+        # one matrix-vector product per pixel, S_n @ a_n
+        values[:, px] = np.matmul(block, abundances.T[px, :, None])[:, :, 0].T
     scales: FloatArray | None = None
     if config.model == "linear":
-        scales = np.empty((config.n_materials, n_pixels))
-    for n, geom in enumerate(geometries):
-        variants = np.column_stack(
-            [
-                endmember_variant(albedo, geom, config.model, params)
-                for albedo, params in zip(albedos, photometry)
-            ]
-        )
-        values[:, n] = variants @ abundances[:, n]
-        if scales is not None:
-            # maps the reference endmember onto this pixel's variant
-            scales[:, n] = scaling_factor(config.reference, geom)
+        # scaling_factor(reference, geom) per pixel
+        pixel_psi = _linear_gain(config.reference.mu, config.reference.mu0) / _linear_gain(mu, mu0)
+        scales = np.repeat(pixel_psi.T, config.n_materials, axis=0)
 
     cube = HyperCube(
         values=values,

@@ -337,3 +337,49 @@ class TestSweep:
         assert main([
             "sweep", "--albedo", str(albedo_csv), "--config", str(config), "--out", str(tmp_path / "s"),
         ]) == 1
+
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ({"theta0_values": {"start": 0, "stop": 90, "step": 0}}, "theta0_values.step must be > 0"),
+            ({"theta_values": {"start": 0, "stop": 90, "step": -5}}, "theta_values.step must be > 0"),
+            ({"kind": "curve", "omega": {"start": 0.0, "stop": 1.0, "num": 0}}, "omega.num must be >= 1"),
+        ],
+    )
+    def test_empty_or_endless_range_exits_1_naming_key(self, tmp_path, albedo_csv, capsys, config, named):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config))
+        assert main([
+            "sweep", "--albedo", str(albedo_csv), "--config", str(path), "--out", str(tmp_path / "s"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not list(tmp_path.glob("s.*"))
+
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ({"kind": "angle", "thta_values": [1, 2]}, "unknown angle sweep config keys: thta_values;"),
+            ({"theta": 45.0}, "unknown angle sweep config keys: theta;"),
+            ({"kind": "curve", "theta0_values": [1.0]}, "unknown curve sweep config keys: theta0_values;"),
+            ({"theta_values": {"start": 0, "stop": 10, "stpe": 1}}, "unknown theta_values keys: stpe;"),
+            ({"kind": "curve", "omega": {"start": 0, "stop": 1, "n": 5}}, "unknown omega keys: n;"),
+        ],
+    )
+    def test_unknown_config_key_exits_1_naming_it(self, tmp_path, albedo_csv, capsys, config, named):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config))
+        assert main([
+            "sweep", "--albedo", str(albedo_csv), "--config", str(path), "--out", str(tmp_path / "s"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    def test_curve_angle_out_of_range_exits_1_naming_value(self, tmp_path, albedo_csv, capsys):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"kind": "curve", "model": "linear", "theta0": 120}))
+        assert main([
+            "sweep", "--albedo", str(albedo_csv), "--config", str(path), "--out", str(tmp_path / "c"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "theta0" in err and "120" in err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from specmix.hapke import (
     multiple_scattering,
     opposition_effect,
     phase_function,
+    reflectance,
     relative_reflectance,
     scaling_factor,
 )
@@ -316,3 +319,68 @@ class TestEndmemberVariant:
         albedo = self.make_albedo([0.1])
         with pytest.raises(ValueError, match="unknown model"):
             endmember_variant(albedo, Geometry(theta0=0.0, theta=0.0), "nonsense")
+
+
+def restated(model, omega, mu, mu0, g, params):
+    """One pixel's spectrum, written out from the model's docstring formula."""
+    root = np.sqrt(1.0 - omega)
+    if model == "linear":
+        return omega / (4.0 * mu * mu0 + 2.0 * mu + 2.0 * mu0 + 1.0)
+    if model == "relative":
+        return omega / ((1.0 + 2.0 * mu * root) * (1.0 + 2.0 * mu0 * root))
+    if model == "lambertian":
+        return (1.0 + 2.0 * mu) * (1.0 + 2.0 * mu0) * omega / (
+            4.0 * (mu + mu0) * (1.0 + 2.0 * mu * root) * (1.0 + 2.0 * mu0 * root)
+        )
+    b, c = params.b, params.c
+    cos_g = math.cos(math.radians(g))
+    phase = c * (1.0 - b) ** 2 / (1.0 - 2.0 * b * cos_g + b * b) ** 1.5 + (1.0 - c) * (
+        1.0 - b
+    ) ** 2 / (1.0 + 2.0 * b * cos_g + b * b) ** 1.5
+    surge = params.B0 / (1.0 + math.tan(math.radians(g) / 2.0) / params.h)
+    h_mu = (1.0 + 2.0 * mu) / (1.0 + 2.0 * mu * root)
+    h_mu0 = (1.0 + 2.0 * mu0) / (1.0 + 2.0 * mu0 * root)
+    return omega / (4.0 * (mu + mu0)) * ((1.0 + surge) * phase + h_mu * h_mu0 - 1.0)
+
+
+class TestReflectanceKernel:
+    PARAMS = PhotometricParams(b=0.35, c=0.7, B0=0.8, h=0.06)
+
+    @staticmethod
+    def grid(with_double_grazing):
+        rng = np.random.default_rng(14)
+        omega = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 22)])
+        angles = [(0.0, 90.0, 0.0), (90.0, 0.0, 0.0), (37.0, 37.0, 0.0), (50.0, 50.001, 0.0),
+                  (20.0, 20.0, 0.002), (0.0, 0.0, 0.0), (89.9, 89.9, 1.0)]
+        angles += [tuple(row) for row in rng.uniform([0, 0, 0], [90, 90, 180], (12, 3))]
+        if with_double_grazing:
+            angles.append((90.0, 90.0, 0.0))
+        return omega, [Geometry(theta0=t0, theta=t, phi=p) for t0, t, p in angles]
+
+    @pytest.mark.parametrize("model", ["full", "lambertian", "relative", "linear"])
+    def test_grid_matches_per_pixel_formula(self, model):
+        omega, geoms = self.grid(with_double_grazing=model in ("relative", "linear"))
+        assert min(geom.g for geom in geoms) < 0.01  # the surge's steep end is on the grid
+        mu, mu0, g = (np.array([getattr(geom, name) for geom in geoms]) for name in ("mu", "mu0", "g"))
+        rho = reflectance(model, omega[:, None], mu[None, :], mu0[None, :], g[None, :], self.PARAMS)
+        assert rho.shape == (omega.size, len(geoms))
+        expected = np.column_stack(
+            [restated(model, omega, geom.mu, geom.mu0, geom.g, self.PARAMS) for geom in geoms]
+        )
+        if model == "full":
+            assert np.max(np.abs(rho - expected)) <= 2.2e-16 * np.max(np.abs(expected))
+        else:
+            np.testing.assert_array_equal(rho, expected)
+
+    @pytest.mark.parametrize("model", ["full", "lambertian"])
+    def test_double_grazing_column_rejected(self, model):
+        omega, geoms = self.grid(with_double_grazing=True)
+        mu = np.array([geom.mu for geom in geoms])
+        with pytest.raises(ModelDomainError, match="mu \\+ mu0"):
+            reflectance(model, omega[:, None], mu, mu, np.zeros_like(mu), self.PARAMS)
+
+    def test_unknown_model_and_missing_params_rejected(self):
+        with pytest.raises(ValueError, match="unknown model"):
+            reflectance("hapke", 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="photometric"):
+            reflectance("full", 0.5, 1.0, 1.0, g=0.0)

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from specmix.core import AlbedoSpectrum, PhotometricParams, WavelengthAxis, cos_deg
-from specmix.hapke import ModelDomainError, relative_reflectance
+from specmix.hapke import (
+    ModelDomainError,
+    lambertian_reflectance,
+    linear_reflectance,
+    relative_reflectance,
+)
 from specmix.metrics import SweepGrid, albedo_curve, angle_sweep, rmse, spectral_angle
 
 RMSE_OFFSET_CASE = 2.8284271247461901  # sqrt(16/2), hand-checkable
@@ -113,6 +118,14 @@ class TestAlbedoCurve:
         with pytest.raises(ModelDomainError):
             albedo_curve(0.0, 0.0, "lambertian", [0.5])
 
+    def test_raw_albedo_and_cosines_validated(self):
+        with pytest.raises(ValueError, match="albedo must be finite and in \\[0, 1\\], got 1.5"):
+            albedo_curve(1.0, 1.0, "linear", [0.2, 1.5])
+        with pytest.raises(ValueError, match="albedo"):
+            albedo_curve(1.0, 1.0, "relative", [np.nan])
+        with pytest.raises(ValueError, match="mu0 must be a cosine in \\[0, 1\\], got -0.5"):
+            albedo_curve(1.0, -0.5, "linear", [0.5])
+
     def test_full_model_needs_params(self):
         with pytest.raises(ValueError, match="photometric"):
             albedo_curve(1.0, 1.0, "full", [0.5])
@@ -218,3 +231,21 @@ class TestAngleSweep:
             albedo.omega / (4.0 * mu * mu0 + 2.0 * mu + 2.0 * mu0 + 1.0),
         )
         assert result.sam[1, 1] == pytest.approx(float(expected), rel=1e-12, abs=1e-15)
+
+    def test_lambertian_pair_matches_public_functions_per_cell(self):
+        rng = np.random.default_rng(6)
+        albedo = make_albedo(rng.uniform(0.05, 0.95, 24))
+        angles = np.array([0.0, 20.0, 45.0, 70.0, 90.0])
+        grid = SweepGrid(theta0_values=angles, theta_values=angles, model_pair=("lambertian", "linear"))
+        result = angle_sweep(albedo, grid)
+        cosines = cos_deg(angles)
+        for i, mu0 in enumerate(cosines):
+            for j, mu in enumerate(cosines):
+                if i == j == angles.size - 1:
+                    continue
+                ref = lambertian_reflectance(albedo.omega, mu, mu0)[None, :]
+                approx = linear_reflectance(albedo.omega, mu, mu0)[None, :]
+                assert result.sam[i, j] == spectral_angle(ref, approx)[0]
+                assert result.rmse[i, j] == rmse(ref, approx)[0]
+        assert not result.valid[-1, -1] and result.n_skipped == 1
+        assert np.isnan(result.sam[-1, -1]) and np.isnan(result.rmse[-1, -1])

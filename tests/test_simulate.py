@@ -6,6 +6,7 @@ import scipy.optimize
 
 from specmix.core import AlbedoSpectrum, Geometry, PhotometricParams, WavelengthAxis
 from specmix.hapke import endmember_variant, scaling_factor
+from specmix import simulate
 from specmix.simulate import (
     AbundanceSampler,
     GeometrySampler,
@@ -178,13 +179,11 @@ class TestSimulateCube:
         config = base_config(n_pixels=48, model=model)
         cube = simulate_cube(albedos, [None] * 3, config)
         A = cube.ground_truth.abundances
-        worst = 0.0
         for n, geom in enumerate(cube.geometries):
             variants = np.column_stack(
                 [endmember_variant(albedo, geom, model) for albedo in albedos]
             )
-            worst = max(worst, float(np.max(np.abs(cube.values[:, n] - variants @ A[:, n]))))
-        assert worst < 1e-12
+            np.testing.assert_array_equal(cube.values[:, n], variants @ A[:, n])
 
     def test_full_model_cube_and_recomputation(self):
         albedos = make_albedos()
@@ -202,6 +201,18 @@ class TestSimulateCube:
                 [endmember_variant(a, geom, "full", p) for a, p in zip(albedos, params)]
             )
             np.testing.assert_allclose(cube.values[:, n], variants @ A[:, n], atol=1e-12)
+
+    @pytest.mark.parametrize("model", ["full", "linear"])
+    def test_pixel_blocks_do_not_change_values(self, model, monkeypatch):
+        albedos = make_albedos()
+        params = [PhotometricParams(b=0.3, c=0.6, B0=0.5, h=0.1)] * 3
+        config = base_config(n_pixels=40, model=model, snr_db=30.0)
+        whole = simulate_cube(albedos, params, config)
+        monkeypatch.setattr(simulate, "_CHUNK_PIXELS", 7)
+        chunked = simulate_cube(albedos, params, config)
+        np.testing.assert_array_equal(chunked.values, whole.values)
+        if model == "linear":
+            np.testing.assert_array_equal(chunked.ground_truth.scales, whole.ground_truth.scales)
 
     def test_linear_conservation_identity(self):
         albedos = make_albedos()
