@@ -1,17 +1,23 @@
-"""Time the forward model (simulate_cube and angle_sweep) of two specmix source trees.
+"""Time the forward model (scene simulation and angle sweeps) of two specmix source trees.
 
 Run from the repository root, with a checkout of the commit to compare
 against (for example `git archive <commit> | tar -x -C /tmp/parent`):
 
-    OPENBLAS_NUM_THREADS=1 python benchmarks/bench_forward.py --parent /tmp/parent --out BENCH_4.json
+    OPENBLAS_NUM_THREADS=1 python benchmarks/bench_forward.py --parent /tmp/parent --out BENCH_<n>.json
 
 Cases, L = 200 bands: simulate_cube under the full and the linear model for
 P in {4, 8} materials and N in {1e3, 1e4} pixels (uniform angles up to 70
-degrees, no noise), and angle_sweep over a 181 x 181 grid for the
-relative/linear and lambertian/linear pairs.  Each round times every case
-once in a fresh process per tree, alternating which tree runs first.  The
-record holds, per case and tree, the median and IQR of the wall times in
-seconds, plus the largest difference between the two trees' outputs.
+degrees, no noise); its random draws sample_abundances and
+sample_geometries (P = 4) and inject_noise (30 dB on a linear P = 4 cube)
+at N in {1e3, 1e4}; and angle_sweep over a 181 x 181 grid for the
+relative/linear and lambertian/linear pairs and over the default 91 x 91
+relative/linear grid.  Each round times every case once in a fresh process
+per tree, alternating which tree runs first.  The record holds, per case
+and tree, the median and IQR of the wall times in seconds, plus the largest
+difference between the two trees' outputs.  A case that draws random
+numbers records that difference only where both trees drew the same
+numbers (same abundances, angles and noise); where the random stream
+differs, it is null and a note says why.
 """
 
 from __future__ import annotations
@@ -31,22 +37,38 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 N_BANDS = 200
 SIM_CASES = [(model, p, n) for model in ("full", "linear") for p in (4, 8) for n in (1000, 10_000)]
+DRAW_CASES = [(stage, n) for stage in ("sample_abundances", "sample_geometries", "inject_noise")
+              for n in (1000, 10_000)]
 SWEEP_PAIRS = [("relative", "linear"), ("lambertian", "linear")]
 SWEEP_GRID = np.arange(0.0, 90.25, 0.5)
+DEFAULT_SWEEP = "angle_sweep/relative/linear/91x91"
 
 
 def case_params() -> dict[str, dict]:
     """Case name -> its parameters, in run order."""
     cases = {f"simulate_cube/{model}/P={p}/N={n}": {"model": model, "P": p, "N": n, "L": N_BANDS}
              for model, p, n in SIM_CASES}
+    for stage, n in DRAW_CASES:
+        cases[f"{stage}/P=4/N={n}"] = {"P": 4, "N": n, "L": N_BANDS}
     for pair in SWEEP_PAIRS:
         cases[f"angle_sweep/{'/'.join(pair)}"] = {"pair": "/".join(pair), "cells": SWEEP_GRID.size ** 2,
                                                   "L": N_BANDS}
+    cases[DEFAULT_SWEEP] = {"pair": "relative/linear", "cells": 91 ** 2, "L": N_BANDS}
     return cases
 
 
+def timed(fn, *args):
+    start = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - start
+
+
 def run_cases(dump: Path | None) -> dict[str, float]:
-    """Time every case once with the specmix on sys.path; optionally save the outputs."""
+    """Time every case once with the specmix on sys.path; optionally save the outputs.
+
+    The dump holds each case's output under its name and, for cases that
+    draw random numbers, the draws under "draws|" + name.
+    """
     from specmix import core, metrics, simulate
 
     rng = np.random.default_rng(4)
@@ -60,25 +82,42 @@ def run_cases(dump: Path | None) -> dict[str, float]:
                                B0=rng.uniform(0.0, 1.0), h=rng.uniform(0.03, 0.2))
         for _ in range(8)
     ]
-    times, outputs = {}, {}
-    for model, p, n in SIM_CASES:
-        config = simulate.SceneConfig(
+
+    def scene(model: str, p: int, n: int) -> simulate.SceneConfig:
+        return simulate.SceneConfig(
             n_materials=p, n_pixels=n, model=model, seed=11,
             geometry=simulate.GeometrySampler(kind="uniform", theta0_range=(0.0, 70.0), theta_range=(0.0, 70.0)),
             reference=core.Geometry(theta0=45.0, theta=45.0, phi=0.0),
         )
-        start = time.perf_counter()
-        cube = simulate.simulate_cube(albedos[:p], photometry[:p], config)
+
+    def angles(geometries) -> np.ndarray:
+        return np.array([[geom.theta0, geom.theta, geom.phi] for geom in geometries])
+
+    times, outputs = {}, {}
+    for model, p, n in SIM_CASES:
         key = f"simulate_cube/{model}/P={p}/N={n}"
-        times[key] = time.perf_counter() - start
+        cube, times[key] = timed(simulate.simulate_cube, albedos[:p], photometry[:p], scene(model, p, n))
         outputs[key] = cube.values
-    for pair in SWEEP_PAIRS:
-        sweep_grid = metrics.SweepGrid(theta0_values=SWEEP_GRID, theta_values=SWEEP_GRID, model_pair=pair)
-        start = time.perf_counter()
-        result = metrics.angle_sweep(albedos[0], sweep_grid)
-        key = f"angle_sweep/{'/'.join(pair)}"
-        times[key] = time.perf_counter() - start
-        outputs[key] = np.stack([result.sam, result.rmse])
+        outputs["draws|" + key] = np.concatenate([cube.ground_truth.abundances.ravel(),
+                                                  angles(cube.geometries).ravel()])
+    for stage, n in DRAW_CASES:
+        key = f"{stage}/P=4/N={n}"
+        if stage == "sample_abundances":
+            out, times[key] = timed(simulate.sample_abundances, scene("linear", 4, n))
+        elif stage == "sample_geometries":
+            geometries, times[key] = timed(simulate.sample_geometries, scene("linear", 4, n))
+            out = angles(geometries)
+        else:
+            cube = simulate.simulate_cube(albedos[:4], photometry[:4], scene("linear", 4, n))
+            noisy, times[key] = timed(simulate.inject_noise, cube, 30.0, 11)
+            out = noisy.values - cube.values
+        outputs[key] = outputs["draws|" + key] = out
+    sweeps = [(f"angle_sweep/{'/'.join(pair)}",
+               metrics.SweepGrid(theta0_values=SWEEP_GRID, theta_values=SWEEP_GRID, model_pair=pair))
+              for pair in SWEEP_PAIRS]
+    for key, sweep_grid in sweeps + [(DEFAULT_SWEEP, metrics.SweepGrid())]:
+        result, times[key] = timed(metrics.angle_sweep, albedos[0], sweep_grid)
+        outputs[key] = np.stack([result.sam, result.rmse, result.valid])
     if dump is not None:
         np.savez(dump, **{key.replace("/", "|"): value for key, value in outputs.items()})
     return times
@@ -99,7 +138,7 @@ def summary(times: list[float]) -> dict[str, float]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, help="root of the source tree to compare against")
-    parser.add_argument("--out", default="BENCH_4.json")
+    parser.add_argument("--out", help="record path, BENCH_<n>.json (required with --parent)")
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--dump", type=Path, help=argparse.SUPPRESS)
@@ -109,8 +148,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.path.insert(0, str(args.worker))
         print(json.dumps(run_cases(args.dump)))
         return 0
-    if args.parent is None:
-        parser.error("--parent is required")
+    if args.parent is None or args.out is None:
+        parser.error("--parent and --out are required")
 
     trees = {"parent": args.parent.resolve() / "src", "change": ROOT / "src"}
     times: dict[str, dict[str, list[float]]] = {side: {} for side in trees}
@@ -123,8 +162,13 @@ def main(argv: list[str] | None = None) -> int:
                     times[side].setdefault(key, []).append(seconds)
             print(f"round {r + 1}/{args.rounds} done", flush=True)
         parent_out, change_out = (np.load(dumps[side]) for side in trees)
-        diffs = {key.replace("|", "/"): float(np.nanmax(np.abs(parent_out[key] - change_out[key])))
-                 for key in parent_out.files}
+        diffs: dict[str, float | None] = {}
+        for key in parent_out.files:
+            draws = "draws|" + key
+            if draws in parent_out.files and not np.array_equal(parent_out[draws], change_out[draws]):
+                diffs[key.replace("|", "/")] = None
+            elif not key.startswith("draws|"):
+                diffs[key.replace("|", "/")] = float(np.nanmax(np.abs(parent_out[key] - change_out[key])))
 
     cases = []
     for key, params in case_params().items():
@@ -132,8 +176,12 @@ def main(argv: list[str] | None = None) -> int:
         for side in trees:
             cases.append({"case": f"{key}/{side}", "params": params, **summary(times[side][key])})
         cases[-1]["max_abs_diff_vs_parent"] = diffs[key]
+        if diffs[key] is None:
+            cases[-1]["diff_note"] = ("not comparable: the two trees draw different random numbers "
+                                      "(abundances, angles or noise), so their outputs differ by design")
+        diff = "n/c" if diffs[key] is None else f"{diffs[key]:.1e}"
         print(f"{key:36s} parent {cases[-2]['median_s']:7.3f} s  change {cases[-1]['median_s']:7.3f} s"
-              f"  x{cases[-2]['median_s'] / cases[-1]['median_s']:4.1f}  diff {diffs[key]:.1e}")
+              f"  x{cases[-2]['median_s'] / cases[-1]['median_s']:4.1f}  diff {diff}")
     record = {
         "schema": 1,
         "numpy": np.__version__,

@@ -2,9 +2,10 @@
 
 The angle sweep compares a reference reflectance model against its
 approximation over a grid of incidence/emergence angles and reports the
-spectral angle and RMSE per grid cell.  Each model is one reflectance
-kernel call over all cells where both models are defined, laid out as
-(cells, bands); output ordering is fixed by grid order.
+spectral angle and RMSE per grid cell.  The cells where both models are
+defined are laid out in grid order as (cells, bands) rows and evaluated
+in consecutive blocks of them; every step is elementwise or reduces over
+one row's bands, so the block size does not change any value.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from .hapke import _check_mu, _check_omega, defined_at, reflectance
 
 #: Models an angle sweep may pair: the ones fully determined by (mu, mu0).
 SWEEP_MODELS = ("lambertian", "relative", "linear")
+
+#: Valid cells per (cells, bands) block of an angle sweep: cache-sized at L ~ 200.
+_CHUNK_CELLS = 128
 
 
 def spectral_angle(u, v):
@@ -96,8 +100,8 @@ class SweepGrid:
             arr = np.array(getattr(self, name), dtype=float)
             if arr.ndim != 1 or arr.size == 0:
                 raise ValueError(f"{name} must be a non-empty 1-D list of degrees")
-            if np.any(arr < 0.0) or np.any(arr > 90.0):
-                raise ValueError(f"{name} must lie in [0, 90] degrees")
+            if not np.all((arr >= 0.0) & (arr <= 90.0)):
+                raise ValueError(f"{name} must be finite and lie in [0, 90] degrees")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         reference, approximation = self.model_pair
@@ -145,10 +149,15 @@ def angle_sweep(albedo: AlbedoSpectrum, grid: SweepGrid) -> SweepResult:
     # one row per valid cell, in grid order
     cell_mu = np.broadcast_to(mu[None, :], valid.shape)[valid][:, None]
     cell_mu0 = np.broadcast_to(mu0[:, None], valid.shape)[valid][:, None]
-    ref = reflectance(reference, omega, cell_mu, cell_mu0)
-    approx = reflectance(approximation, omega, cell_mu, cell_mu0)
+    cell_sam, cell_err = np.empty(len(cell_mu)), np.empty(len(cell_mu))
+    for start in range(0, len(cell_mu), _CHUNK_CELLS):
+        cells = slice(start, start + _CHUNK_CELLS)
+        ref = reflectance(reference, omega, cell_mu[cells], cell_mu0[cells])
+        approx = reflectance(approximation, omega, cell_mu[cells], cell_mu0[cells])
+        cell_sam[cells] = spectral_angle(ref, approx)
+        cell_err[cells] = rmse(ref, approx)
     sam = np.full(valid.shape, np.nan)
     err = np.full(valid.shape, np.nan)
-    sam[valid] = spectral_angle(ref, approx)
-    err[valid] = rmse(ref, approx)
+    sam[valid] = cell_sam
+    err[valid] = cell_err
     return SweepResult(grid=grid, sam=sam, rmse=err, valid=valid)

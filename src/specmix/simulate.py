@@ -3,10 +3,11 @@
 Each pixel draws a geometry and an abundance column.  The reflectance
 kernel then evaluates every material at every pixel's geometry, one block
 of pixels at a time; each pixel mixes its variants linearly, and white
-Gaussian noise scaled to a target SNR is added last.  Every random draw
-comes from a per-pixel counter-based stream keyed on (seed, purpose,
-pixel), and a pixel's value does not depend on the block it falls in, so
-serial, chunked and parallel evaluation produce bit-identical scenes.
+Gaussian noise scaled to a target SNR is added last.  Each random purpose
+draws all pixels from one (seed, purpose) stream in one pixel-major call,
+so a pixel's draws do not depend on the pixel count, and its value does
+not depend on the block it falls in: a smaller scene is a prefix of a
+larger one, and chunked and whole evaluation give bit-identical scenes.
 """
 
 from __future__ import annotations
@@ -33,14 +34,10 @@ from .hapke import MODELS, _linear_gain, endmember_variant, reflectance
 #: many pixels stays a few megabytes at a few hundred bands.
 _CHUNK_PIXELS = 1024
 
-# stream tags: independent sub-streams per random purpose
+# stream tags: independent streams per random purpose, keyed [seed, tag]
 _ABUNDANCE_STREAM = 1
 _GEOMETRY_STREAM = 2
 _NOISE_STREAM = 3
-
-
-def _pixel_rng(seed: int, stream: int, pixel: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), int(stream), int(pixel)])
 
 
 @dataclass(frozen=True)
@@ -58,16 +55,8 @@ class AbundanceSampler:
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "dirichlet"):
             raise ValueError(f"unknown abundance sampler kind {self.kind!r}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"dirichlet concentration must be > 0, got {self.alpha}")
-
-    def draw(self, rng: np.random.Generator, n_materials: int) -> FloatArray:
-        if n_materials == 1:
-            return np.ones(1)
-        if self.kind == "uniform":
-            gaps = rng.exponential(1.0, n_materials)
-            return gaps / gaps.sum()
-        return rng.dirichlet(np.full(n_materials, self.alpha))
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"abundances alpha must be finite and > 0, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -88,15 +77,6 @@ class GeometrySampler:
             if not (0.0 <= lo <= up <= hi):
                 raise ValueError(f"{name} must satisfy 0 <= low <= high <= {hi:g}")
             object.__setattr__(self, name, (float(lo), float(up)))
-
-    def draw(self, rng: np.random.Generator) -> Geometry:
-        if self.kind == "fixed":
-            return self.fixed
-        return Geometry(
-            theta0=rng.uniform(*self.theta0_range),
-            theta=rng.uniform(*self.theta_range),
-            phi=rng.uniform(*self.phi_range),
-        )
 
 
 @dataclass(frozen=True)
@@ -197,22 +177,33 @@ def _geometry_from(raw: Any, what: str) -> Geometry:
 def sample_abundances(config: SceneConfig) -> FloatArray:
     """Draw the materials x pixels abundance matrix for a scene.
 
-    Columns are non-negative and sum to one; identical (config, seed) give
-    identical matrices, independent of evaluation order across pixels.
+    Columns are non-negative and sum to one.  They come from the (seed,
+    abundance) stream in one pixel-major call, so a smaller scene's columns
+    are a prefix of a larger one's.
     """
-    out = np.empty((config.n_materials, config.n_pixels))
-    for n in range(config.n_pixels):
-        rng = _pixel_rng(config.seed, _ABUNDANCE_STREAM, n)
-        out[:, n] = config.abundances.draw(rng, config.n_materials)
-    return out
+    shape = (config.n_pixels, config.n_materials)
+    if config.n_materials == 1:
+        return np.ones((1, config.n_pixels))
+    rng = np.random.default_rng([int(config.seed), _ABUNDANCE_STREAM])
+    if config.abundances.kind == "uniform":
+        gaps = rng.exponential(1.0, shape)
+        return (gaps / gaps.sum(axis=1, keepdims=True)).T
+    return rng.dirichlet(np.full(shape[1], config.abundances.alpha), size=shape[0]).T
 
 
 def sample_geometries(config: SceneConfig) -> tuple[Geometry, ...]:
-    """Draw one acquisition geometry per pixel."""
-    return tuple(
-        config.geometry.draw(_pixel_rng(config.seed, _GEOMETRY_STREAM, n))
-        for n in range(config.n_pixels)
-    )
+    """Draw one acquisition geometry per pixel.
+
+    Uniform angles come from the (seed, geometry) stream in one pixel-major
+    call, so a smaller scene's geometries are a prefix of a larger one's.
+    """
+    sampler = config.geometry
+    if sampler.kind == "fixed":
+        return (sampler.fixed,) * config.n_pixels
+    rng = np.random.default_rng([int(config.seed), _GEOMETRY_STREAM])
+    low, high = np.array([sampler.theta0_range, sampler.theta_range, sampler.phi_range]).T
+    angles = rng.uniform(low, high, (config.n_pixels, 3))
+    return tuple(Geometry(theta0=t0, theta=t, phi=phi) for t0, t, phi in angles.tolist())
 
 
 def reference_endmembers(
@@ -293,7 +284,9 @@ def simulate_cube(
 def inject_noise(cube: HyperCube, snr_db: float, seed: int) -> HyperCube:
     """Add white Gaussian noise scaled to the target SNR in decibels.
 
-    Noise is i.i.d. across bands and pixels, drawn from per-pixel streams.
+    Noise is i.i.d. across bands and pixels, drawn from the (seed, noise)
+    stream in one pixel-major call: a pixel's standard normal draws do not
+    depend on the pixel count (sigma does, through the signal power).
     An infinite snr_db disables noise and returns the cube unchanged.  The
     realized SNR concentrates around the target as the cube grows (within
     +/-0.5 dB from roughly 10^4 samples on).
@@ -304,10 +297,8 @@ def inject_noise(cube: HyperCube, snr_db: float, seed: int) -> HyperCube:
         return cube
     signal_power = float(np.mean(cube.values**2))
     sigma = math.sqrt(signal_power / 10.0 ** (snr_db / 10.0))
-    noisy = np.empty_like(cube.values)
-    for n in range(cube.n_pixels):
-        rng = _pixel_rng(seed, _NOISE_STREAM, n)
-        noisy[:, n] = cube.values[:, n] + rng.normal(0.0, sigma, cube.n_bands)
+    rng = np.random.default_rng([int(seed), _NOISE_STREAM])
+    noisy = cube.values + rng.normal(0.0, sigma, (cube.n_pixels, cube.n_bands)).T
     return HyperCube(
         values=noisy,
         axis=cube.axis,

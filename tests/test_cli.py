@@ -137,6 +137,22 @@ class TestSimulateAndVerify:
         assert "Traceback" not in err
         assert not (tmp_path / "cube.bin").exists()
 
+    def test_infinite_dirichlet_alpha_exits_1_naming_it(self, tmp_path, albedo_csv, capsys):
+        path = tmp_path / "scene.json"
+        # Python's json reads and writes the non-standard Infinity literal
+        path.write_text(json.dumps({
+            "n_materials": 3, "n_pixels": 4, "abundances": {"kind": "dirichlet", "alpha": float("inf")},
+        }))
+        assert "Infinity" in path.read_text()
+        code = main([
+            "simulate", "--config", str(path), "--albedo", str(albedo_csv),
+            "--out", str(tmp_path / "cube"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "alpha" in err
+        assert not (tmp_path / "cube.bin").exists()
+
     def test_tampered_cube_fails_verify(self, tmp_path, albedo_csv, capsys):
         config = scene_config(tmp_path, n_pixels=6)
         out = tmp_path / "cube"
@@ -374,6 +390,18 @@ class TestSweep:
         ]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("key", ["theta0_values", "theta_values"])
+    def test_nan_angle_exits_1_naming_key(self, tmp_path, albedo_csv, capsys, key):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({key: [float("nan"), 10.0]}))
+        assert "NaN" in path.read_text()
+        assert main([
+            "sweep", "--albedo", str(albedo_csv), "--config", str(path), "--out", str(tmp_path / "s"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key} must be finite" in err
+        assert not list(tmp_path.glob("s.*"))
 
     def test_curve_angle_out_of_range_exits_1_naming_value(self, tmp_path, albedo_csv, capsys):
         path = tmp_path / "curve.json"

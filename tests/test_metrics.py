@@ -8,6 +8,7 @@ from specmix.hapke import (
     linear_reflectance,
     relative_reflectance,
 )
+from specmix import metrics
 from specmix.metrics import SweepGrid, albedo_curve, angle_sweep, rmse, spectral_angle
 
 RMSE_OFFSET_CASE = 2.8284271247461901  # sqrt(16/2), hand-checkable
@@ -143,6 +144,14 @@ class TestSweepGrid:
         with pytest.raises(ValueError, match="\\[0, 90\\]"):
             SweepGrid(theta0_values=[95.0], theta_values=[0.0])
 
+    @pytest.mark.parametrize("name", ["theta0_values", "theta_values"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angles_rejected_by_name(self, name, bad):
+        values = {"theta0_values": [0.0, 10.0], "theta_values": [0.0, 10.0]}
+        values[name] = [bad, 10.0]
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SweepGrid(**values)
+
     def test_unsupported_pair_rejected(self):
         with pytest.raises(ValueError, match="not supported"):
             SweepGrid(model_pair=("full", "linear"))
@@ -249,3 +258,23 @@ class TestAngleSweep:
                 assert result.rmse[i, j] == rmse(ref, approx)[0]
         assert not result.valid[-1, -1] and result.n_skipped == 1
         assert np.isnan(result.sam[-1, -1]) and np.isnan(result.rmse[-1, -1])
+
+    @pytest.mark.parametrize("pair", [("relative", "linear"), ("lambertian", "linear")])
+    @pytest.mark.parametrize("cells", [1, 7])
+    def test_cell_blocks_do_not_change_values(self, pair, cells, monkeypatch):
+        # 8 x 6 cells; the lambertian pair skips the doubly grazing cells 0
+        # and 5 in grid order, so its first block of 7 valid cells spans one
+        rng = np.random.default_rng(7)
+        albedo = make_albedo(rng.uniform(0.05, 0.95, 33))
+        grid = SweepGrid(
+            theta0_values=[90.0, 0.0, 5.0, 20.0, 45.0, 60.0, 75.0, 89.0],
+            theta_values=[90.0, 0.0, 30.0, 60.0, 85.0, 90.0],
+            model_pair=pair,
+        )
+        whole = angle_sweep(albedo, grid)
+        monkeypatch.setattr(metrics, "_CHUNK_CELLS", cells)
+        blocked = angle_sweep(albedo, grid)
+        np.testing.assert_array_equal(blocked.valid, whole.valid)
+        np.testing.assert_array_equal(blocked.sam, whole.sam)
+        np.testing.assert_array_equal(blocked.rmse, whole.rmse)
+        assert whole.n_skipped == (2 if pair[0] == "lambertian" else 0)

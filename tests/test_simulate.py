@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from specmix.core import AlbedoSpectrum, Geometry, PhotometricParams, WavelengthAxis
+from specmix.core import AlbedoSpectrum, Geometry, HyperCube, PhotometricParams, WavelengthAxis
 from specmix.hapke import endmember_variant, scaling_factor
 from specmix import simulate
 from specmix.simulate import (
@@ -106,6 +106,13 @@ class TestSceneConfig:
             geometry=GeometrySampler(kind="fixed", fixed=Geometry(theta0=30.0, theta=20.0, phi=10.0))
         )
         assert SceneConfig.from_dict(config.to_dict()) == config
+
+
+class TestAbundanceSampler:
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -1.0])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            AbundanceSampler(kind="dirichlet", alpha=alpha)
 
 
 class TestSampleAbundances:
@@ -214,6 +221,29 @@ class TestSimulateCube:
         if model == "linear":
             np.testing.assert_array_equal(chunked.ground_truth.scales, whole.ground_truth.scales)
 
+    @pytest.mark.parametrize(
+        "sampler", [AbundanceSampler(kind="uniform"), AbundanceSampler(kind="dirichlet", alpha=0.3)]
+    )
+    def test_smaller_scene_is_prefix_of_larger(self, sampler):
+        albedos = make_albedos()
+        small, large = (
+            simulate_cube(albedos, [None] * 3, base_config(n_pixels=n, abundances=sampler))
+            for n in (17, 40)
+        )
+        np.testing.assert_array_equal(
+            small.ground_truth.abundances, large.ground_truth.abundances[:, :17]
+        )
+        assert small.geometries == large.geometries[:17]
+        np.testing.assert_array_equal(small.values, large.values[:, :17])
+        # the noise's standard normal draws are a prefix too; sigma follows
+        # each cube's own signal power
+        noisy_small, noisy_large = (inject_noise(cube, 20.0, seed=3) for cube in (small, large))
+        standardized = [
+            (noisy.values - cube.values) / math.sqrt(np.mean(cube.values**2) / 100.0)
+            for noisy, cube in ((noisy_small, small), (noisy_large, large))
+        ]
+        np.testing.assert_allclose(standardized[0], standardized[1][:, :17], rtol=0, atol=1e-12)
+
     def test_linear_conservation_identity(self):
         albedos = make_albedos()
         config = base_config(n_pixels=200)
@@ -288,6 +318,15 @@ class TestInjectNoise:
         np.testing.assert_array_equal(a.values, b.values)
         c = inject_noise(cube, 25.0, seed=12)
         assert not np.array_equal(a.values, c.values)
+
+    def test_noise_of_smaller_cube_is_prefix_of_larger(self):
+        # a constant cube has the same signal power, so the same sigma, at any size
+        axis = WavelengthAxis(np.linspace(0.4, 2.5, 9))
+        small, large = (
+            inject_noise(HyperCube(values=np.full((9, n), 0.5), axis=axis), 25.0, seed=4)
+            for n in (17, 40)
+        )
+        np.testing.assert_array_equal(small.values, large.values[:, :17])
 
     def test_invalid_snr_rejected(self):
         cube = self.make_cube(n_bands=4, n_pixels=4)
