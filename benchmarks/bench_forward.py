@@ -11,10 +11,14 @@ degrees, no noise); its random draws sample_abundances and
 sample_geometries (P = 4) and inject_noise (30 dB on a linear P = 4 cube)
 at N in {1e3, 1e4}; and angle_sweep over a 181 x 181 grid for the
 relative/linear and lambertian/linear pairs and over the default 91 x 91
-relative/linear grid.  Each round times every case once in a fresh process
+relative/linear grid; write_sweep_csv of one fixed 91 x 91 SweepResult; and
+the CLI's default sweep command (8 albedos, 91 x 91 relative/linear, compute
+plus CSV files).  Each round times every case once in a fresh process
 per tree, alternating which tree runs first.  The record holds, per case
 and tree, the median and IQR of the wall times in seconds, plus the largest
-difference between the two trees' outputs.  A case that draws random
+difference between the two trees' outputs: for write_sweep_csv, between the
+file bytes (0 means byte-identical); for the CLI sweep, between the SAM and
+RMSE read back from its CSV files.  A case that draws random
 numbers records that difference only where both trees drew the same
 numbers (same abundances, angles and noise); where the random stream
 differs, it is null and a note says why.
@@ -42,6 +46,8 @@ DRAW_CASES = [(stage, n) for stage in ("sample_abundances", "sample_geometries",
 SWEEP_PAIRS = [("relative", "linear"), ("lambertian", "linear")]
 SWEEP_GRID = np.arange(0.0, 90.25, 0.5)
 DEFAULT_SWEEP = "angle_sweep/relative/linear/91x91"
+WRITE_SWEEP = "write_sweep_csv/91x91"
+CLI_SWEEP = "cli_sweep/relative/linear/8x91x91"
 
 
 def case_params() -> dict[str, dict]:
@@ -54,6 +60,8 @@ def case_params() -> dict[str, dict]:
         cases[f"angle_sweep/{'/'.join(pair)}"] = {"pair": "/".join(pair), "cells": SWEEP_GRID.size ** 2,
                                                   "L": N_BANDS}
     cases[DEFAULT_SWEEP] = {"pair": "relative/linear", "cells": 91 ** 2, "L": N_BANDS}
+    cases[WRITE_SWEEP] = {"cells": 91 ** 2}
+    cases[CLI_SWEEP] = {"pair": "relative/linear", "albedos": 8, "cells": 91 ** 2, "L": N_BANDS}
     return cases
 
 
@@ -69,7 +77,7 @@ def run_cases(dump: Path | None) -> dict[str, float]:
     The dump holds each case's output under its name and, for cases that
     draw random numbers, the draws under "draws|" + name.
     """
-    from specmix import core, metrics, simulate
+    from specmix import cli, core, io, metrics, simulate
 
     rng = np.random.default_rng(4)
     axis = core.WavelengthAxis(np.linspace(0.4, 2.5, N_BANDS))
@@ -118,6 +126,18 @@ def run_cases(dump: Path | None) -> dict[str, float]:
     for key, sweep_grid in sweeps + [(DEFAULT_SWEEP, metrics.SweepGrid())]:
         result, times[key] = timed(metrics.angle_sweep, albedos[0], sweep_grid)
         outputs[key] = np.stack([result.sam, result.rmse, result.valid])
+    fixed = metrics.SweepResult(grid=metrics.SweepGrid(), sam=rng.uniform(0.0, 0.1, (91, 91)),
+                                rmse=rng.uniform(0.0, 0.01, (91, 91)), valid=np.ones((91, 91), dtype=bool))
+    with tempfile.TemporaryDirectory() as workdir:
+        csv_path = Path(workdir) / "sweep.csv"
+        _, times[WRITE_SWEEP] = timed(io.write_sweep_csv, csv_path, fixed)
+        outputs[WRITE_SWEEP] = np.frombuffer(csv_path.read_bytes(), dtype=np.uint8).astype(float)
+        io.write_albedos(Path(workdir) / "albedos.csv", albedos)
+        argv = ["sweep", "--albedo", str(Path(workdir) / "albedos.csv"), "--out", str(Path(workdir) / "cli")]
+        code, times[CLI_SWEEP] = timed(cli.main, argv)
+        assert code == 0, f"sweep command exited {code}"
+        outputs[CLI_SWEEP] = np.stack([np.loadtxt(Path(workdir) / f"cli.m{k}.csv", delimiter=",", skiprows=1)
+                                       for k in range(8)])
     if dump is not None:
         np.savez(dump, **{key.replace("/", "|"): value for key, value in outputs.items()})
     return times

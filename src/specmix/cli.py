@@ -5,8 +5,8 @@ Exit codes are a stable scripting contract: 0 success, 1 invalid input or
 failed validation, 2 model-domain error (the message names the violated
 precondition).  Every file-producing run writes a JSON manifest next to its
 outputs recording the command, configuration echo, paths, seed, tool
-version and wall-clock duration; outputs are byte-deterministic given the
-same inputs and seed.
+version, wall-clock duration and the wall seconds of its read, model, solve
+and write stages; outputs are byte-deterministic given the same inputs and seed.
 """
 
 from __future__ import annotations
@@ -32,6 +32,20 @@ EXIT_INPUT = 1
 EXIT_MODEL = 2
 
 
+class _StageClock:
+    """Wall seconds of one command and of its read, model, solve and write stages."""
+
+    def __init__(self) -> None:
+        self.started, self.stages = time.perf_counter(), {}
+
+    def timed(self, stage: str, fn, *args, **kwargs):
+        """Return fn(*args, **kwargs), adding its wall time to stage."""
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        self.stages[stage] = self.stages.get(stage, 0.0) + time.perf_counter() - start
+        return result
+
+
 def _manifest(
     out_base: Path,
     command: str,
@@ -39,7 +53,7 @@ def _manifest(
     inputs: dict[str, str],
     outputs: list[Path],
     seed: int | None,
-    started: float,
+    clock: _StageClock,
 ) -> None:
     payload = {
         "command": command,
@@ -48,7 +62,8 @@ def _manifest(
         "inputs": inputs,
         "outputs": [p.name for p in outputs],
         "seed": seed,
-        "duration_s": round(time.perf_counter() - started, 6),
+        "duration_s": round(time.perf_counter() - clock.started, 6),
+        "stages": {stage: round(seconds, 6) for stage, seconds in clock.stages.items()},
     }
     path = out_base.parent / (out_base.name + ".manifest.json")
     path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -72,20 +87,18 @@ def _out_base(out: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def _cmd_forward(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    albedos = io.read_albedos(args.albedo)
-    photometry = io.read_photometry(args.photometry) if args.photometry else None
+    clock = _StageClock()
+    albedos = clock.timed("read", io.read_albedos, args.albedo)
+    photometry = clock.timed("read", io.read_photometry, args.photometry) if args.photometry else None
     params_list = io.photometry_for(photometry, [a.material for a in albedos])
     geom = Geometry(theta0=args.theta0, theta=args.theta, phi=args.phi)
     columns = [
-        endmember_variant(albedo, geom, args.model, params)
+        clock.timed("model", endmember_variant, albedo, geom, args.model, params)
         for albedo, params in zip(albedos, params_list)
     ]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    io.write_spectra_table(
-        out, albedos[0].axis, [a.material for a in albedos], np.column_stack(columns)
-    )
+    clock.timed("write", io.write_spectra_table, out, albedos[0].axis, [a.material for a in albedos], np.column_stack(columns))
     _manifest(
         _out_base(args.out),
         "forward",
@@ -98,7 +111,7 @@ def _cmd_forward(args: argparse.Namespace) -> int:
         {"albedo": args.albedo, "photometry": args.photometry or ""},
         [out],
         None,
-        started,
+        clock,
     )
     return EXIT_OK
 
@@ -108,21 +121,21 @@ def _cmd_forward(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    raw = _load_json(args.config)
+    clock = _StageClock()
+    raw = clock.timed("read", _load_json, args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.model is not None:
         raw["model"] = args.model
     config = SceneConfig.from_dict(raw)
-    albedos = io.read_albedos(args.albedo)
+    albedos = clock.timed("read", io.read_albedos, args.albedo)
     if len(albedos) != config.n_materials:
         raise ValueError(
             f"config expects {config.n_materials} materials, albedo file has {len(albedos)}"
         )
-    photometry = io.read_photometry(args.photometry) if args.photometry else None
+    photometry = clock.timed("read", io.read_photometry, args.photometry) if args.photometry else None
     params_list = io.photometry_for(photometry, [a.material for a in albedos])
-    cube = simulate_cube(albedos, params_list, config)
+    cube = clock.timed("model", simulate_cube, albedos, params_list, config)
     meta = {
         "model": config.model,
         "seed": config.seed,
@@ -133,7 +146,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "phi": config.reference.phi,
         },
     }
-    sidecar = io.write_cube(args.out, cube, meta=meta)
+    sidecar = clock.timed("write", io.write_cube, args.out, cube, meta=meta)
     stem = Path(args.out)
     outputs = sorted(
         p for p in stem.parent.glob(stem.name + "*") if not p.name.endswith(".manifest.json")
@@ -145,7 +158,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         {"config": args.config, "albedo": args.albedo, "photometry": args.photometry or ""},
         [sidecar, *outputs],
         config.seed,
-        started,
+        clock,
     )
     return EXIT_OK
 
@@ -155,16 +168,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_unmix(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    raw = _load_json(args.config) if args.config else {}
+    clock = _StageClock()
+    raw = clock.timed("read", _load_json, args.config) if args.config else {}
     if args.model is not None:
         raw["model"] = args.model
     config = SolverConfig.from_dict(raw)
-    cube = io.read_cube(args.cube)
-    axis, endmembers = io.read_endmembers(args.endmembers)
+    cube = clock.timed("read", io.read_cube, args.cube)
+    axis, endmembers = clock.timed("read", io.read_endmembers, args.endmembers)
     if not np.allclose(axis.values, cube.axis.values, rtol=0.0, atol=1e-12):
         raise ValueError("endmember wavelength axis does not match the cube")
-    result = unmix_cube(cube, endmembers, config)
+    result = clock.timed("solve", unmix_cube, cube, endmembers, config)
     summary: dict[str, Any] = {"solver": config.to_dict(), "cube": str(args.cube)}
     gt = cube.ground_truth
     if gt is not None and gt.abundances.shape == result.abundances.shape:
@@ -173,7 +186,7 @@ def _cmd_unmix(args: argparse.Namespace) -> int:
         )
         if gt.scales is not None:
             summary["psi_rmse"] = float(np.sqrt(np.mean((result.scales - gt.scales) ** 2)))
-    out_json = io.write_unmix_result(args.out, result, summary=summary)
+    out_json = clock.timed("write", io.write_unmix_result, args.out, result, summary=summary)
     stem = Path(args.out)
     binaries = [
         stem.parent / (stem.name + ".a.bin"),
@@ -187,7 +200,7 @@ def _cmd_unmix(args: argparse.Namespace) -> int:
         {"cube": args.cube, "endmembers": args.endmembers, "config": args.config or ""},
         [out_json, *binaries],
         None,
-        started,
+        clock,
     )
     return EXIT_OK
 
@@ -211,16 +224,19 @@ def _angle_list(raw: dict[str, Any], key: str) -> np.ndarray:
         start = float(spec.get("start", 0.0))
         stop = float(spec.get("stop", 90.0))
         step = float(spec.get("step", 1.0))
-        if not step > 0.0:
-            raise ValueError(f"{key}.step must be > 0, got {step:g}")
+        for name, value in (("start", start), ("stop", stop)):
+            if not 0.0 <= value <= 90.0:
+                raise ValueError(f"{key}.{name} must be finite and in [0, 90] degrees, got {value:g}")
+        if not 0.0 < step < np.inf:
+            raise ValueError(f"{key}.step must be > 0 and finite, got {step:g}")
         return np.arange(start, stop + 0.5 * step, step)
     return np.asarray(spec, dtype=float)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    raw = _load_json(args.config) if args.config else {}
-    albedos = io.read_albedos(args.albedo)
+    clock = _StageClock()
+    raw = clock.timed("read", _load_json, args.config) if args.config else {}
+    albedos = clock.timed("read", io.read_albedos, args.albedo)
     kind = raw.get("kind", "angle")
     if kind not in tuple(_SWEEP_KEYS):
         raise ValueError(f"unknown sweep kind {kind!r}; expected 'angle' or 'curve'")
@@ -242,13 +258,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         else:
             omega = np.asarray(omega_spec, dtype=float)
-        photometry = io.read_photometry(args.photometry) if args.photometry else None
+        photometry = clock.timed("read", io.read_photometry, args.photometry) if args.photometry else None
         params_list = io.photometry_for(photometry, [a.material for a in albedos])
         geom = Geometry(theta0=theta0, theta=theta, phi=args.phi)
         for albedo, params in zip(albedos, params_list):
-            rho = albedo_curve(geom.mu, geom.mu0, model, omega, params=params, phi=args.phi)
+            rho = clock.timed("model", albedo_curve, geom.mu, geom.mu0, model, omega, params=params, phi=args.phi)
             path = out_base.parent / f"{out_base.name}.{albedo.material}.csv"
-            io.write_curve_csv(path, omega, rho)
+            clock.timed("write", io.write_curve_csv, path, omega, rho)
             outputs.append(path)
         config_echo: dict[str, Any] = {
             "kind": "curve",
@@ -266,9 +282,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             omega_source=str(args.albedo),
         )
         for albedo in albedos:
-            result = angle_sweep(albedo, grid)
+            result = clock.timed("model", angle_sweep, albedo, grid)
             path = out_base.parent / f"{out_base.name}.{albedo.material}.csv"
-            io.write_sweep_csv(path, result)
+            clock.timed("write", io.write_sweep_csv, path, result)
             outputs.append(path)
         config_echo = {
             "kind": "angle",
@@ -285,7 +301,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         {"albedo": args.albedo, "config": args.config or ""},
         outputs,
         None,
-        started,
+        clock,
     )
     return EXIT_OK
 

@@ -79,7 +79,11 @@ def opposition_effect(g, params: PhotometricParams):
 
 
 def _h(mu, root):
-    return (1.0 + 2.0 * mu) / (1.0 + 2.0 * mu * root)
+    return (1.0 + 2.0 * mu) / _chandrasekhar_divisor(mu, root)
+
+
+def _chandrasekhar_divisor(mu, root):
+    return 1.0 + 2.0 * mu * root
 
 
 def _linear_gain(mu, mu0):
@@ -113,6 +117,7 @@ def reflectance(model: str, omega, mu, mu0, g=None, params: PhotometricParams | 
                 (4 (mu + mu0) (1 + 2 mu sqrt(1-omega)) (1 + 2 mu0 sqrt(1-omega)))
     relative    omega / ((1 + 2 mu sqrt(1-omega)) (1 + 2 mu0 sqrt(1-omega)))
     linear      omega / (4 mu mu0 + 2 mu + 2 mu0 + 1)
+    (the last three evaluated, with these roundings, through their split: cell_factors)
 
     The full model is taken in its smooth-surface regime (no shadowing
     term, unmodified angles); with isotropic scattering and no surge it
@@ -135,18 +140,35 @@ def reflectance(model: str, omega, mu, mu0, g=None, params: PhotometricParams | 
             f"{model} reflectance requires mu + mu0 > 0; "
             "theta0 = theta = 90 degrees (doubly grazing) is singular"
         )
-    if model == "linear":
-        return omega / _linear_gain(mu, mu0)
-    root = np.sqrt(1.0 - omega)
-    if model == "relative":
-        return omega / ((1.0 + 2.0 * mu * root) * (1.0 + 2.0 * mu0 * root))
-    if model == "lambertian":
-        return ((1.0 + 2.0 * mu) * (1.0 + 2.0 * mu0) * omega) / (
-            4.0 * (mu + mu0) * (1.0 + 2.0 * mu * root) * (1.0 + 2.0 * mu0 * root)
-        )
+    if model != "full":
+        numerator, divisor = cell_factors(model, mu, mu0)
+        return numerator * omega / (divisor * angle_divisor(model, omega, mu) * angle_divisor(model, omega, mu0))
     surge = opposition_effect(g, params)
     p = phase_function(g, params)
+    root = np.sqrt(1.0 - omega)
     return omega / (4.0 * (mu + mu0)) * ((1.0 + surge) * p + _h(mu, root) * _h(mu0, root) - 1.0)
+
+
+def cell_factors(model: str, mu, mu0):
+    """Wavelength-free N and D of the split N omega / (D A(omega, mu) A(omega, mu0)), A = angle_divisor.
+
+    Lambertian N = (1 + 2 mu)(1 + 2 mu0), D = 4 (mu + mu0); relative N = D = 1;
+    linear N = 1, D = 4 mu mu0 + 2 mu + 2 mu0 + 1.
+    """
+    if model not in MODELS[1:]:
+        raise ValueError(f"the {model!r} model does not split per angle")
+    if model == "linear":
+        return 1.0, _linear_gain(mu, mu0)
+    if model == "relative":
+        return 1.0, 1.0
+    return (1.0 + 2.0 * mu) * (1.0 + 2.0 * mu0), 4.0 * (mu + mu0)
+
+
+def angle_divisor(model: str, omega, mu):
+    """A(omega, mu) of cell_factors' split: H's denominator 1 + 2 mu sqrt(1-omega), or 1 for linear."""
+    if model not in MODELS[1:]:
+        raise ValueError(f"the {model!r} model does not split per angle")
+    return 1.0 if model == "linear" else _chandrasekhar_divisor(mu, np.sqrt(1.0 - omega))
 
 
 def multiple_scattering(omega, mu):

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import product
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -29,10 +30,6 @@ from .core import (
 from .metrics import SweepResult
 
 _PARAM_KEYS = {"b", "c", "B0", "h"}
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +93,7 @@ def write_spectra_table(
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["wavelength", *materials])
-        for band, wavelength in enumerate(axis.values):
-            writer.writerow([_fmt(wavelength), *(_fmt(v) for v in matrix[band])])
+        writer.writerows(np.column_stack([axis.values, matrix]).tolist())  # csv writes a float as its repr
 
 
 # ---------------------------------------------------------------------------
@@ -298,24 +294,22 @@ def write_unmix_result(
 # sweep and curve CSV outputs
 # ---------------------------------------------------------------------------
 
+def _write_rows(path: str | Path, header: str, rows: Iterable[str]) -> None:
+    """Header and rows written as one string, each line ended in CRLF as csv.writer ends it."""
+    Path(path).write_text("\r\n".join([header, *rows, ""]), newline="")
+
+
 def write_sweep_csv(path: str | Path, result: SweepResult) -> None:
     """Long-form rows 'theta0,theta,sam_rad,rmse' in grid order."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta0", "theta", "sam_rad", "rmse"])
-        for i, theta0 in enumerate(result.grid.theta0_values):
-            for j, theta in enumerate(result.grid.theta_values):
-                writer.writerow(
-                    [_fmt(theta0), _fmt(theta), _fmt(result.sam[i, j]), _fmt(result.rmse[i, j])]
-                )
+    grid = result.grid
+    # product keeps the text of each grid angle, formatted once
+    angles = product(map(repr, grid.theta0_values.tolist()), map(repr, grid.theta_values.tolist()))
+    cells = zip(angles, result.sam.ravel().tolist(), result.rmse.ravel().tolist())
+    rows = (f"{theta0},{theta},{sam!r},{err!r}" for (theta0, theta), sam, err in cells)
+    _write_rows(path, "theta0,theta,sam_rad,rmse", rows)
 
 
 def write_curve_csv(path: str | Path, omega_grid, reflectance) -> None:
     """Albedo-to-reflectance curve rows 'omega,reflectance'."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega", "reflectance"])
-        for w, r in zip(np.asarray(omega_grid, dtype=float), np.asarray(reflectance, dtype=float)):
-            writer.writerow([_fmt(w), _fmt(r)])
+    omega, rho = (np.asarray(values, dtype=float).ravel().tolist() for values in (omega_grid, reflectance))
+    _write_rows(path, "omega,reflectance", (f"{w!r},{r!r}" for w, r in zip(omega, rho)))

@@ -2,10 +2,13 @@
 
 The angle sweep compares a reference reflectance model against its
 approximation over a grid of incidence/emergence angles and reports the
-spectral angle and RMSE per grid cell.  The cells where both models are
-defined are laid out in grid order as (cells, bands) rows and evaluated
-in consecutive blocks of them; every step is elementwise or reduces over
-one row's bands, so the block size does not change any value.
+spectral angle and RMSE per grid cell.  Each model is split as
+N omega / (D(mu, mu0) A(omega, mu) A(omega, mu0)) (hapke.cell_factors); A is tabled
+per grid angle and gathered by the valid cells, in grid order and consecutive
+blocks.  RMSE is rmse of the reflectances, bit for bit those of hapke.reflectance.
+SAM is spectral_angle of the shape spectra omega / (A(mu) A(mu0)), free of N / D:
+within 2 eps of that of the reflectances, and exactly 0 between lambertian and
+relative.  No value depends on the block size.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import AlbedoSpectrum, FloatArray, Geometry, PhotometricParams, cos_deg
-from .hapke import _check_mu, _check_omega, defined_at, reflectance
+from .hapke import _check_mu, _check_omega, angle_divisor, cell_factors, defined_at, reflectance
 
 #: Models an angle sweep may pair: the ones fully determined by (mu, mu0).
 SWEEP_MODELS = ("lambertian", "relative", "linear")
@@ -38,12 +41,13 @@ def spectral_angle(u, v):
     v_arr = np.asarray(v, dtype=float)
     if u_arr.shape[-1] != v_arr.shape[-1]:
         raise ValueError(f"spectra lengths differ: {u_arr.shape[-1]} vs {v_arr.shape[-1]}")
-    norm_u = np.linalg.norm(u_arr, axis=-1, keepdims=True)
-    norm_v = np.linalg.norm(v_arr, axis=-1, keepdims=True)
+    norm_u = np.sqrt(_sum_sq(u_arr))[..., None]
+    norm_v = np.sqrt(_sum_sq(v_arr))[..., None]
     if np.any(norm_u == 0.0) or np.any(norm_v == 0.0):
         raise ValueError("spectral angle undefined for a zero spectrum")
-    across = np.linalg.norm(u_arr * norm_v - v_arr * norm_u, axis=-1)
-    along = np.linalg.norm(u_arr * norm_v + v_arr * norm_u, axis=-1)
+    scaled_u, scaled_v = u_arr * norm_v, v_arr * norm_u  # both of the broadcast shape
+    across = np.sqrt(_sum_sq(scaled_u - scaled_v))
+    along = np.sqrt(_sum_sq(np.add(scaled_u, scaled_v, out=scaled_u)))
     return 2.0 * np.arctan2(across, along)
 
 
@@ -56,8 +60,11 @@ def rmse(u, v):
     v_arr = np.asarray(v, dtype=float)
     if u_arr.shape[-1] != v_arr.shape[-1]:
         raise ValueError(f"spectra lengths differ: {u_arr.shape[-1]} vs {v_arr.shape[-1]}")
-    diff = u_arr - v_arr
-    return np.sqrt(np.mean(diff * diff, axis=-1))
+    return np.sqrt(_sum_sq(u_arr - v_arr) / u_arr.shape[-1])
+
+
+def _sum_sq(rows):
+    return np.einsum("...i,...i->...", rows, rows)  # one pass over the last axis, no temporary
 
 
 def albedo_curve(
@@ -136,28 +143,27 @@ def angle_sweep(albedo: AlbedoSpectrum, grid: SweepGrid) -> SweepResult:
 
     For each (theta0, theta) cell both models' reflectance spectra are
     built from the albedo and compared by spectral angle and RMSE.  Cells
-    where either model is undefined are skipped and flagged.
+    where either model is undefined are skipped and flagged.  The angle is
+    that of the shape spectra (see the module docstring).
     """
     omega = albedo.omega
     if np.all(omega == 0.0):
         raise ValueError("albedo spectrum is identically zero; spectral angle undefined")
-    mu0 = np.asarray(cos_deg(grid.theta0_values), dtype=float)
-    mu = np.asarray(cos_deg(grid.theta_values), dtype=float)
-    reference, approximation = grid.model_pair
-    valid = defined_at(reference, mu[None, :], mu0[:, None])
-    valid &= defined_at(approximation, mu[None, :], mu0[:, None])
-    # one row per valid cell, in grid order
-    cell_mu = np.broadcast_to(mu[None, :], valid.shape)[valid][:, None]
-    cell_mu0 = np.broadcast_to(mu0[:, None], valid.shape)[valid][:, None]
-    cell_sam, cell_err = np.empty(len(cell_mu)), np.empty(len(cell_mu))
-    for start in range(0, len(cell_mu), _CHUNK_CELLS):
-        cells = slice(start, start + _CHUNK_CELLS)
-        ref = reflectance(reference, omega, cell_mu[cells], cell_mu0[cells])
-        approx = reflectance(approximation, omega, cell_mu[cells], cell_mu0[cells])
-        cell_sam[cells] = spectral_angle(ref, approx)
-        cell_err[cells] = rmse(ref, approx)
-    sam = np.full(valid.shape, np.nan)
-    err = np.full(valid.shape, np.nan)
-    sam[valid] = cell_sam
-    err[valid] = cell_err
+    mu0, mu = cos_deg(grid.theta0_values), cos_deg(grid.theta_values)
+    valid = np.logical_and(*(defined_at(m, mu[None, :], mu0[:, None]) for m in grid.model_pair))
+    cells = np.flatnonzero(valid)  # valid cells in grid order
+    tables = {m: (angle_divisor(m, omega, mu0[:, None]), angle_divisor(m, omega, mu[:, None]))
+              for m in grid.model_pair if m != "linear"}
+    sam, err = np.full(valid.shape, np.nan), np.full(valid.shape, np.nan)
+    for start in range(0, cells.size, _CHUNK_CELLS):
+        i, j = np.divmod(cells[start:start + _CHUNK_CELLS], mu.size)
+        shapes = [omega if m == "linear" else omega / (tables[m][1][j] * tables[m][0][i]) for m in grid.model_pair]
+        sam[i, j] = spectral_angle(*shapes)
+        rhos = []  # rounded as in hapke.reflectance; relative's is its shape (N = D = 1), linear's omega / D
+        for m, shape in zip(grid.model_pair, shapes):
+            numerator, divisor = cell_factors(m, mu[j, None], mu0[i, None])
+            if m == "lambertian":
+                shape = numerator * omega / (divisor * tables[m][1][j] * tables[m][0][i])
+            rhos.append(omega / divisor if m == "linear" else shape)
+        err[i, j] = rmse(*rhos)
     return SweepResult(grid=grid, sam=sam, rmse=err, valid=valid)

@@ -411,3 +411,80 @@ class TestSweep:
         ]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "theta0" in err and "120" in err
+
+
+class TestSweepRangeBounds:
+    @pytest.mark.parametrize("key", ["theta0_values", "theta_values"])
+    @pytest.mark.parametrize("end", ["start", "stop"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e9])
+    def test_bad_range_end_exits_1_naming_key_before_arange(
+        self, tmp_path, albedo_csv, capsys, monkeypatch, key, end, value
+    ):
+        other = "theta_values" if key == "theta0_values" else "theta0_values"
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({key: {end: value}, other: [0.0, 10.0]}))
+
+        def arange_reached(*args, **kwargs):
+            raise AssertionError(f"np.arange reached with {args}")
+
+        monkeypatch.setattr(np, "arange", arange_reached)
+        assert main([
+            "sweep", "--albedo", str(albedo_csv), "--config", str(path), "--out", str(tmp_path / "s"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key}.{end} must be finite and in [0, 90] degrees" in err
+        assert not list(tmp_path.glob("s.*"))
+
+    @pytest.mark.parametrize("step", [float("inf"), float("nan")])
+    def test_non_finite_step_exits_1_naming_key(self, tmp_path, albedo_csv, capsys, step):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"theta_values": {"step": step}}))
+        assert main([
+            "sweep", "--albedo", str(albedo_csv), "--config", str(path), "--out", str(tmp_path / "s"),
+        ]) == 1
+        assert "theta_values.step must be > 0 and finite" in capsys.readouterr().err
+
+
+class TestManifestStages:
+    def run(self, tmp_path, albedo_csv, command):
+        out = tmp_path / "out"
+        if command == "forward":
+            argv = ["forward", "--albedo", str(albedo_csv), "--model", "relative",
+                    "--theta0", "30", "--theta", "10", "--out", str(out / "refl.csv")]
+            base = out / "refl"
+        elif command in ("simulate", "unmix"):
+            argv = ["simulate", "--config", str(scene_config(tmp_path)), "--albedo", str(albedo_csv),
+                    "--out", str(out / "cube")]
+            base = out / "cube"
+            if command == "unmix":
+                assert main(argv) == 0
+                argv = ["unmix", "--cube", str(out / "cube.json"), "--endmembers",
+                        str(out / "cube.endmembers.csv"), "--model", "elmm-full", "--out", str(out / "fit")]
+                base = out / "fit"
+        else:
+            config = tmp_path / "sweep.json"
+            config.write_text(json.dumps(
+                {"kind": "curve", "theta0": 10.0} if command == "curve" else {"theta0_values": [0.0, 45.0]}
+            ))
+            argv = ["sweep", "--albedo", str(albedo_csv), "--config", str(config), "--out", str(out / "s")]
+            base = out / "s"
+        assert main(argv) == 0
+        return json.loads((base.parent / (base.name + ".manifest.json")).read_text())
+
+    @pytest.mark.parametrize(
+        "command, stages",
+        [
+            ("forward", ["read", "model", "write"]),
+            ("simulate", ["read", "model", "write"]),
+            ("unmix", ["read", "solve", "write"]),
+            ("sweep", ["read", "model", "write"]),
+            ("curve", ["read", "model", "write"]),
+        ],
+    )
+    def test_stages_named_per_command_and_within_duration(self, tmp_path, albedo_csv, command, stages):
+        manifest = self.run(tmp_path, albedo_csv, command)
+        assert list(manifest["stages"]) == stages
+        assert all(seconds >= 0.0 for seconds in manifest["stages"].values())
+        # each entry and the duration are rounded to the microsecond
+        rounding = 0.5e-6 * (len(stages) + 1)
+        assert sum(manifest["stages"].values()) <= manifest["duration_s"] + rounding

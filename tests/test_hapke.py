@@ -5,6 +5,8 @@ import pytest
 
 from specmix.core import AlbedoSpectrum, Geometry, PhotometricParams, WavelengthAxis, cos_deg
 from specmix.hapke import (
+    angle_divisor,
+    cell_factors,
     ModelDomainError,
     endmember_variant,
     full_reflectance,
@@ -384,3 +386,29 @@ class TestReflectanceKernel:
             reflectance("hapke", 0.5, 1.0, 1.0)
         with pytest.raises(ValueError, match="photometric"):
             reflectance("full", 0.5, 1.0, 1.0, g=0.0)
+
+
+class TestSeparableSplit:
+    @pytest.mark.parametrize("model", ["lambertian", "relative", "linear"])
+    def test_split_is_wavelength_free_factor_times_shape(self, model):
+        # N / D is the reflectance over the shape omega / (A(mu) A(mu0)), at every albedo
+        omega, geoms = TestReflectanceKernel.grid(with_double_grazing=model != "lambertian")
+        mu, mu0 = (np.array([getattr(geom, name) for geom in geoms]) for name in ("mu", "mu0"))
+        rho = reflectance(model, omega[:, None], mu, mu0)
+        shape = omega[:, None] / (angle_divisor(model, omega[:, None], mu) * angle_divisor(model, omega[:, None], mu0))
+        numerator, divisor = cell_factors(model, mu, mu0)
+        np.testing.assert_allclose(rho, numerator / divisor * shape, rtol=8 * np.finfo(float).eps, atol=0.0)
+
+    def test_lambertian_and_relative_share_the_angle_divisor(self):
+        omega = np.array([0.0, 0.19, 0.75, 1.0])
+        np.testing.assert_array_equal(angle_divisor("lambertian", omega, 0.5), angle_divisor("relative", omega, 0.5))
+        np.testing.assert_array_equal(angle_divisor("relative", omega, 0.5), [2.0, 1.9, 1.5, 1.0])
+        assert angle_divisor("linear", omega, 0.5) == 1.0
+        assert cell_factors("relative", 0.3, 0.6) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("split", [lambda model: cell_factors(model, 0.5, 0.5),
+                                       lambda model: angle_divisor(model, 0.5, 0.5)])
+    @pytest.mark.parametrize("model", ["full", "hapke"])
+    def test_only_the_three_reduced_forms_split(self, split, model):
+        with pytest.raises(ValueError, match=f"'{model}' model does not split"):
+            split(model)

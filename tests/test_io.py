@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from specmix.core import (
     PhotometricParams,
     WavelengthAxis,
 )
+from specmix.metrics import SweepGrid, SweepResult, angle_sweep
 
 
 @pytest.fixture
@@ -152,3 +154,54 @@ class TestCubeFiles:
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="expected"):
             io.read_cube(sidecar)
+
+
+def reference_csv(path, header, rows):
+    """The per-cell csv.writer + repr writer the text outputs must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(value)) for value in row])
+    return path.read_bytes()
+
+
+class TestNumericCsvBytes:
+    @pytest.mark.parametrize("step", [0.5, 1.0 / 3.0])
+    def test_sweep_csv_matches_reference(self, tmp_path, albedos, step):
+        angles = np.arange(0.0, 90.0 + step / 2, step)
+        angles = np.append(angles[:40:3], angles[-2:])  # 90 is last: a skipped, NaN cell
+        grid = SweepGrid(theta0_values=angles, theta_values=angles[::-1], model_pair=("lambertian", "linear"))
+        result = angle_sweep(albedos[0], grid)
+        assert result.n_skipped == 1 and np.isnan(result.sam[-1, 0])
+        io.write_sweep_csv(tmp_path / "sweep.csv", result)
+        rows = [(t0, t, result.sam[i, j], result.rmse[i, j])
+                for i, t0 in enumerate(grid.theta0_values) for j, t in enumerate(grid.theta_values)]
+        expected = reference_csv(tmp_path / "ref.csv", ["theta0", "theta", "sam_rad", "rmse"], rows)
+        assert (tmp_path / "sweep.csv").read_bytes() == expected
+
+    def test_sweep_csv_of_hand_built_result(self, tmp_path):
+        grid = SweepGrid(theta0_values=[0.1, 89.99999999999999], theta_values=[1e-300, 45.0, 90.0])
+        sam = np.array([[0.0, 5e-324, np.nan], [1.5707963267948966, 1e-17, 0.30000000000000004]])
+        err = np.array([[2.0, np.nan, 1e300], [0.1, 123456.789, 7e-310]])
+        result = SweepResult(grid=grid, sam=sam, rmse=err, valid=~np.isnan(sam))
+        io.write_sweep_csv(tmp_path / "sweep.csv", result)
+        rows = [(t0, t, sam[i, j], err[i, j])
+                for i, t0 in enumerate(grid.theta0_values) for j, t in enumerate(grid.theta_values)]
+        expected = reference_csv(tmp_path / "ref.csv", ["theta0", "theta", "sam_rad", "rmse"], rows)
+        assert (tmp_path / "sweep.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("points", [1, 21])
+    def test_curve_csv_matches_reference(self, tmp_path, points):
+        omega = np.linspace(0.0, 1.0, points) if points > 1 else np.array([0.3])
+        rho = omega / (1.0 + 2.0 * np.sqrt(1.0 - omega)) ** 2
+        io.write_curve_csv(tmp_path / "curve.csv", omega, rho)
+        expected = reference_csv(tmp_path / "ref.csv", ["omega", "reflectance"], zip(omega, rho))
+        assert (tmp_path / "curve.csv").read_bytes() == expected
+
+    def test_spectra_table_matches_reference(self, tmp_path, axis):
+        matrix = np.column_stack([np.linspace(0.0, 1.125, len(axis)), np.full(len(axis), 1.0 / 3.0)])
+        io.write_spectra_table(tmp_path / "table.csv", axis, ["bright", "dark"], matrix)
+        rows = np.column_stack([axis.values, matrix])
+        expected = reference_csv(tmp_path / "ref.csv", ["wavelength", "bright", "dark"], rows)
+        assert (tmp_path / "table.csv").read_bytes() == expected

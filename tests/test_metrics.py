@@ -6,6 +6,7 @@ from specmix.hapke import (
     ModelDomainError,
     lambertian_reflectance,
     linear_reflectance,
+    reflectance,
     relative_reflectance,
 )
 from specmix import metrics
@@ -169,8 +170,8 @@ class TestAngleSweep:
         albedo = make_albedo(rng.uniform(0.0, 1.0, 40))
         grid = SweepGrid(theta0_values=[90.0], theta_values=[90.0])
         result = angle_sweep(albedo, grid)
-        assert result.sam[0, 0] <= 1e-15
-        assert result.rmse[0, 0] <= 1e-15
+        assert result.sam[0, 0] == 0.0
+        assert result.rmse[0, 0] == 0.0
         assert result.valid[0, 0]
 
     def test_constant_albedo_parallel_everywhere(self):
@@ -254,10 +255,24 @@ class TestAngleSweep:
                     continue
                 ref = lambertian_reflectance(albedo.omega, mu, mu0)[None, :]
                 approx = linear_reflectance(albedo.omega, mu, mu0)[None, :]
-                assert result.sam[i, j] == spectral_angle(ref, approx)[0]
+                # the angle is taken between the shape spectra: relative (the
+                # lambertian one without its wavelength-free factor) and the albedo
+                shape = relative_reflectance(albedo.omega, mu, mu0)[None, :]
+                assert result.sam[i, j] == spectral_angle(shape, albedo.omega[None, :])[0]
                 assert result.rmse[i, j] == rmse(ref, approx)[0]
         assert not result.valid[-1, -1] and result.n_skipped == 1
         assert np.isnan(result.sam[-1, -1]) and np.isnan(result.rmse[-1, -1])
+
+    @pytest.mark.parametrize("pair", [("relative", "linear"), ("lambertian", "linear"), ("lambertian", "relative")])
+    def test_angle_of_shapes_is_angle_of_reflectances_to_rounding(self, pair):
+        rng = np.random.default_rng(16)
+        albedo = make_albedo(rng.uniform(0.05, 0.95, 24))
+        angles = np.array([0.0, 20.0, 45.0, 70.0, 89.0])
+        result = angle_sweep(albedo, SweepGrid(theta0_values=angles, theta_values=angles, model_pair=pair))
+        mu = cos_deg(angles)
+        ref, approx = (reflectance(m, albedo.omega, mu[None, :, None], mu[:, None, None]) for m in pair)
+        assert np.max(np.abs(result.sam - spectral_angle(ref, approx))) <= 2 * np.finfo(float).eps
+        np.testing.assert_array_equal(result.rmse, rmse(ref, approx))
 
     @pytest.mark.parametrize("pair", [("relative", "linear"), ("lambertian", "linear")])
     @pytest.mark.parametrize("cells", [1, 7])
@@ -278,3 +293,68 @@ class TestAngleSweep:
         np.testing.assert_array_equal(blocked.sam, whole.sam)
         np.testing.assert_array_equal(blocked.rmse, whole.rmse)
         assert whole.n_skipped == (2 if pair[0] == "lambertian" else 0)
+
+
+def long_double_sweep(pair, omega, angles):
+    """SAM (2 atan2 form) and RMSE of the reflectance docstring formulas in long double."""
+    w = np.asarray(omega, dtype=np.longdouble)
+    mu = cos_deg(angles).astype(np.longdouble)
+    mu, mu0 = mu[None, :, None], mu[:, None, None]
+
+    def model(name):
+        if name == "linear":
+            return w / (4 * mu * mu0 + 2 * mu + 2 * mu0 + 1)
+        root = np.sqrt(1 - w)
+        relative = w / ((1 + 2 * mu * root) * (1 + 2 * mu0 * root))
+        if name == "relative":
+            return relative
+        return (1 + 2 * mu) * (1 + 2 * mu0) * relative / (4 * (mu + mu0))
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # the lambertian doubly grazing cell
+        a, b = model(pair[0]), model(pair[1])
+        unit_a = a / np.sqrt(np.sum(a * a, axis=-1, keepdims=True))
+        unit_b = b / np.sqrt(np.sum(b * b, axis=-1, keepdims=True))
+        across = np.sqrt(np.sum((unit_a - unit_b) ** 2, axis=-1))
+        along = np.sqrt(np.sum((unit_a + unit_b) ** 2, axis=-1))
+        scale = np.sqrt(np.mean(a * a, axis=-1))
+        return 2 * np.arctan2(across, along), np.sqrt(np.mean((a - b) ** 2, axis=-1)), scale
+
+
+class TestFactoredSweepAccuracy:
+    ANGLES = np.append(np.arange(0.0, 90.0, 2.5), 90.0)
+
+    @staticmethod
+    def smooth_albedos(count=3, bands=120):
+        rng = np.random.default_rng(8)
+        x = np.linspace(0.0, 1.0, bands)
+        return [
+            make_albedo(np.clip(rng.uniform(0.2, 0.7) + rng.uniform(-0.3, 0.3) * x
+                                + 0.1 * np.sin(rng.uniform(2.0, 9.0) * x), 0.01, 0.99))
+            for _ in range(count)
+        ]
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double")
+    @pytest.mark.parametrize("pair", [("relative", "linear"), ("lambertian", "linear")])
+    def test_matches_long_double_oracle(self, pair):
+        eps = np.finfo(float).eps
+        grid = SweepGrid(theta0_values=self.ANGLES, theta_values=self.ANGLES, model_pair=pair)
+        for albedo in self.smooth_albedos():
+            result = angle_sweep(albedo, grid)
+            sam, err, scale = long_double_sweep(pair, albedo.omega, self.ANGLES)
+            valid = result.valid
+            assert np.max(np.abs(result.sam[valid] - sam[valid])) <= eps
+            assert np.all(np.abs(result.rmse[valid] - err[valid]) <= 4 * eps * scale[valid])
+
+    def test_same_factor_pair_has_exactly_zero_angle(self):
+        grid = SweepGrid(theta0_values=self.ANGLES, theta_values=self.ANGLES, model_pair=("lambertian", "relative"))
+        for albedo in self.smooth_albedos():
+            result = angle_sweep(albedo, grid)
+            assert result.n_skipped == 1
+            assert np.all(result.sam[result.valid] == 0.0)
+
+    def test_doubly_grazing_cell_is_exactly_zero_inside_a_block(self):
+        grid = SweepGrid(theta0_values=self.ANGLES, theta_values=self.ANGLES)
+        for albedo in self.smooth_albedos():
+            result = angle_sweep(albedo, grid)
+            assert result.sam[-1, -1] == 0.0 and result.rmse[-1, -1] == 0.0
+            assert np.all(result.sam[:-1, :] > 0.0)
