@@ -9,7 +9,9 @@ Cases, L = 200 bands: simulate_cube under the full and the linear model for
 P in {4, 8} materials and N in {1e3, 1e4} pixels (uniform angles up to 70
 degrees, no noise); its random draws sample_abundances and
 sample_geometries (P = 4) and inject_noise (30 dB on a linear P = 4 cube)
-at N in {1e3, 1e4}; and angle_sweep over a 181 x 181 grid for the
+at N in {1e3, 1e4}; write_cube and read_cube of that linear P = 4 cube
+(with geometries and ground truth) at N in {1e3, 1e4}; and angle_sweep
+over a 181 x 181 grid for the
 relative/linear and lambertian/linear pairs and over the default 91 x 91
 relative/linear grid; write_sweep_csv of one fixed 91 x 91 SweepResult; and
 the CLI's default sweep command (8 albedos, 91 x 91 relative/linear, compute
@@ -18,7 +20,9 @@ per tree, alternating which tree runs first.  The record holds, per case
 and tree, the median and IQR of the wall times in seconds, plus the largest
 difference between the two trees' outputs: for write_sweep_csv, between the
 file bytes (0 means byte-identical); for the CLI sweep, between the SAM and
-RMSE read back from its CSV files.  A case that draws random
+RMSE read back from its CSV files; for write_cube, between the cube's .bin
+files; for read_cube, between the cube, angles and ground truth read back
+(the sidecar formats may differ).  A case that draws random
 numbers records that difference only where both trees drew the same
 numbers (same abundances, angles and noise); where the random stream
 differs, it is null and a note says why.
@@ -43,6 +47,7 @@ N_BANDS = 200
 SIM_CASES = [(model, p, n) for model in ("full", "linear") for p in (4, 8) for n in (1000, 10_000)]
 DRAW_CASES = [(stage, n) for stage in ("sample_abundances", "sample_geometries", "inject_noise")
               for n in (1000, 10_000)]
+IO_CASES = [(stage, n) for n in (1000, 10_000) for stage in ("write_cube", "read_cube")]
 SWEEP_PAIRS = [("relative", "linear"), ("lambertian", "linear")]
 SWEEP_GRID = np.arange(0.0, 90.25, 0.5)
 DEFAULT_SWEEP = "angle_sweep/relative/linear/91x91"
@@ -54,7 +59,7 @@ def case_params() -> dict[str, dict]:
     """Case name -> its parameters, in run order."""
     cases = {f"simulate_cube/{model}/P={p}/N={n}": {"model": model, "P": p, "N": n, "L": N_BANDS}
              for model, p, n in SIM_CASES}
-    for stage, n in DRAW_CASES:
+    for stage, n in DRAW_CASES + IO_CASES:
         cases[f"{stage}/P=4/N={n}"] = {"P": 4, "N": n, "L": N_BANDS}
     for pair in SWEEP_PAIRS:
         cases[f"angle_sweep/{'/'.join(pair)}"] = {"pair": "/".join(pair), "cells": SWEEP_GRID.size ** 2,
@@ -99,7 +104,10 @@ def run_cases(dump: Path | None) -> dict[str, float]:
         )
 
     def angles(geometries) -> np.ndarray:
-        return np.array([[geom.theta0, geom.theta, geom.phi] for geom in geometries])
+        """Pixels x (theta0, theta, phi) of a cube's geometries."""
+        if isinstance(geometries, tuple):  # source trees that keep one Geometry object per pixel
+            return np.array([[geom.theta0, geom.theta, geom.phi] for geom in geometries])
+        return np.column_stack([geometries.theta0, geometries.theta, geometries.phi])
 
     times, outputs = {}, {}
     for model, p, n in SIM_CASES:
@@ -120,6 +128,19 @@ def run_cases(dump: Path | None) -> dict[str, float]:
             noisy, times[key] = timed(simulate.inject_noise, cube, 30.0, 11)
             out = noisy.values - cube.values
         outputs[key] = outputs["draws|" + key] = out
+    with tempfile.TemporaryDirectory() as workdir:
+        for n in sorted({n for _, n in IO_CASES}):
+            cube = simulate.simulate_cube(albedos[:4], photometry[:4], scene("linear", 4, n))
+            draws = np.concatenate([cube.ground_truth.abundances.ravel(), angles(cube.geometries).ravel()])
+            stem = Path(workdir) / f"cube{n}"
+            write_key, read_key = f"write_cube/P=4/N={n}", f"read_cube/P=4/N={n}"
+            sidecar, times[write_key] = timed(io.write_cube, stem, cube)
+            loaded, times[read_key] = timed(io.read_cube, sidecar)
+            outputs[write_key] = np.frombuffer(stem.with_suffix(".bin").read_bytes(), dtype="<f8")
+            truth = loaded.ground_truth
+            outputs[read_key] = np.concatenate([loaded.values.ravel(), angles(loaded.geometries).ravel(),
+                                                truth.abundances.ravel(), truth.scales.ravel()])
+            outputs["draws|" + write_key] = outputs["draws|" + read_key] = draws
     sweeps = [(f"angle_sweep/{'/'.join(pair)}",
                metrics.SweepGrid(theta0_values=SWEEP_GRID, theta_values=SWEEP_GRID, model_pair=pair))
               for pair in SWEEP_PAIRS]

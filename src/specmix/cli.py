@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -214,11 +216,16 @@ _SWEEP_KEYS = {
     "curve": ("kind", "model", "theta0", "theta", "omega"),
 }
 
+#: Most cells an angle sweep grid may have: room for the whole 0.1-degree
+#: grid (901 x 901), 120 times the default 1-degree one.
+_MAX_SWEEP_CELLS = 10**6
 
-def _angle_list(raw: dict[str, Any], key: str) -> np.ndarray:
+
+def _angle_list(raw: dict[str, Any], key: str) -> tuple[int, Callable[[], np.ndarray]]:
+    """One sweep axis as (angle count, builder of its angles), validated, with nothing built yet."""
     spec = raw.get(key)
     if spec is None:
-        return np.arange(91, dtype=float)
+        return 91, partial(np.arange, 91, dtype=float)
     if isinstance(spec, dict):
         check_config_keys(spec, ("start", "stop", "step"), key)
         start = float(spec.get("start", 0.0))
@@ -229,8 +236,21 @@ def _angle_list(raw: dict[str, Any], key: str) -> np.ndarray:
                 raise ValueError(f"{key}.{name} must be finite and in [0, 90] degrees, got {value:g}")
         if not 0.0 < step < np.inf:
             raise ValueError(f"{key}.step must be > 0 and finite, got {step:g}")
-        return np.arange(start, stop + 0.5 * step, step)
-    return np.asarray(spec, dtype=float)
+        stop += 0.5 * step
+        return max(0, math.ceil((stop - start) / step)), partial(np.arange, start, stop, step)
+    values = np.asarray(spec, dtype=float)
+    return values.size, partial(np.asarray, values)
+
+
+def _angle_grid(raw: dict[str, Any]) -> tuple[np.ndarray, np.ndarray]:
+    """theta0 and theta angles of a sweep config, refused by key before building if too many cells."""
+    (n_theta0, theta0), (n_theta, theta) = (_angle_list(raw, key) for key in ("theta0_values", "theta_values"))
+    if n_theta0 * n_theta > _MAX_SWEEP_CELLS:
+        raise ValueError(
+            f"theta0_values ({n_theta0} angles) x theta_values ({n_theta} angles) make "
+            f"{n_theta0 * n_theta} sweep cells; at most {_MAX_SWEEP_CELLS} are allowed"
+        )
+    return theta0(), theta()
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -275,9 +295,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         }
     else:
         pair = tuple(raw.get("model_pair", ("relative", "linear")))
+        theta0_values, theta_values = _angle_grid(raw)
         grid = SweepGrid(
-            theta0_values=_angle_list(raw, "theta0_values"),
-            theta_values=_angle_list(raw, "theta_values"),
+            theta0_values=theta0_values,
+            theta_values=theta_values,
             model_pair=pair,  # type: ignore[arg-type]
             omega_source=str(args.albedo),
         )

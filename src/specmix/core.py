@@ -54,18 +54,26 @@ def sin_deg(angle_deg):
     return np.sin(np.radians(np.asarray(angle_deg, dtype=float)))
 
 
-def phase_angle_deg(theta0: float, theta: float, phi: float) -> float:
+def phase_angle_deg(theta0, theta, phi):
     """Phase angle from incidence, emergence and azimuth angles (degrees).
 
     Spherical law of cosines,
     cos g = cos(theta0) cos(theta) + sin(theta0) sin(theta) cos(phi),
     evaluated in its half-angle (haversine) rearrangement: the arccosine
     form loses eight digits near g = 0, where the opposition surge makes
-    the phase angle matter most.  Always lands in [0, 180].
+    the phase angle matter most.  Always lands in [0, 180].  Broadcasts
+    over its arguments; squares are np.square, so a scalar and an array
+    element of the same angles give the same bits.
     """
-    half_chord_sq = sin_deg((theta0 - theta) / 2.0) ** 2 + sin_deg(theta0) * sin_deg(theta) * sin_deg(phi / 2.0) ** 2
+    half_chord_sq = np.square(sin_deg((theta0 - theta) / 2.0)) + sin_deg(theta0) * sin_deg(theta) * np.square(
+        sin_deg(phi / 2.0)
+    )
     half_chord = np.sqrt(np.clip(half_chord_sq, 0.0, 1.0))
-    return float(2.0 * np.degrees(np.arcsin(half_chord)))
+    return 2.0 * np.degrees(np.arcsin(half_chord))
+
+
+#: Each acquisition angle's name and upper bound in degrees (all start at 0).
+_ANGLE_LIMITS = (("theta0", 90.0), ("theta", 90.0), ("phi", 180.0))
 
 
 @dataclass(frozen=True)
@@ -167,12 +175,12 @@ class Geometry:
     g: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name, hi in (("theta0", 90.0), ("theta", 90.0), ("phi", 180.0)):
+        for name, hi in _ANGLE_LIMITS:
             value = getattr(self, name)
             if not np.isfinite(value) or not 0.0 <= value <= hi:
                 raise ValueError(f"{name} must be in [0, {hi:g}] degrees, got {value}")
             object.__setattr__(self, name, float(value))
-        object.__setattr__(self, "g", phase_angle_deg(self.theta0, self.theta, self.phi))
+        object.__setattr__(self, "g", float(phase_angle_deg(self.theta0, self.theta, self.phi)))
 
     @property
     def mu0(self) -> float:
@@ -183,6 +191,47 @@ class Geometry:
     def mu(self) -> float:
         """Cosine of the emergence angle."""
         return float(cos_deg(self.theta))
+
+
+@dataclass(frozen=True)
+class Geometries:
+    """Acquisition angles of N pixels, in degrees: Geometry's fields as (N,) arrays.
+
+    theta0, theta and phi are read-only arrays of equal length, validated
+    once on the bounds of Geometry; the cosines mu0 and mu and the phase
+    angle g are derived once, by the formulas of Geometry, so pixel n
+    equals Geometry(theta0[n], theta[n], phi[n]) bit for bit.
+    """
+
+    theta0: FloatArray
+    theta: FloatArray
+    phi: FloatArray
+    mu0: FloatArray = field(init=False)
+    mu: FloatArray = field(init=False)
+    g: FloatArray = field(init=False)
+
+    def __post_init__(self) -> None:
+        for name, hi in _ANGLE_LIMITS:
+            arr = _readonly(getattr(self, name), ndim=1, name=name)
+            bad = ~((arr >= 0.0) & (arr <= hi))
+            if np.any(bad):
+                pixel = int(np.argmax(bad))
+                raise ValueError(f"{name} must be in [0, {hi:g}] degrees, got {arr[pixel]} at pixel {pixel}")
+            object.__setattr__(self, name, arr)
+        if not self.theta0.size == self.theta.size == self.phi.size:
+            raise ValueError(
+                f"theta0, theta and phi lengths differ: {self.theta0.size}, {self.theta.size}, {self.phi.size}"
+            )
+        for name, values in (
+            ("mu0", cos_deg(self.theta0)),
+            ("mu", cos_deg(self.theta)),
+            ("g", phase_angle_deg(self.theta0, self.theta, self.phi)),
+        ):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+
+    def __len__(self) -> int:
+        return int(self.theta0.size)
 
 
 @dataclass(frozen=True)
@@ -236,21 +285,21 @@ class GroundTruth:
 class HyperCube:
     """Reflectance image: bands x pixels matrix plus its wavelength axis.
 
-    Construction only enforces structural shape; value-level invariants
-    (non-negative reflectance, geometry count) are reported by
-    validate_cube so that malformed files can be loaded and diagnosed.
+    geometries, when known, holds every pixel's acquisition angles as one
+    Geometries (pixel n at index n).  Construction only enforces
+    structural shape; value-level invariants (non-negative reflectance,
+    geometry count) are reported by validate_cube so that malformed files
+    can be loaded and diagnosed.
     """
 
     values: FloatArray  # bands x pixels
     axis: WavelengthAxis
-    geometries: tuple[Geometry, ...] | None = None
+    geometries: Geometries | None = None
     ground_truth: GroundTruth | None = None
 
     def __post_init__(self) -> None:
         arr = _readonly(self.values, ndim=2, name="cube values")
         object.__setattr__(self, "values", arr)
-        if self.geometries is not None:
-            object.__setattr__(self, "geometries", tuple(self.geometries))
 
     @property
     def n_bands(self) -> int:

@@ -20,7 +20,7 @@ from .core import (
     AlbedoSpectrum,
     EndmemberMatrix,
     FloatArray,
-    Geometry,
+    Geometries,
     GroundTruth,
     HyperCube,
     PhotometricParams,
@@ -146,7 +146,9 @@ def photometry_for(photometry, materials: list[str]):
 
 # ---------------------------------------------------------------------------
 # cube: flat little-endian float64 binary (column-major bands x pixels)
-# plus a JSON sidecar with dimensions, axis, geometries, ground-truth paths
+# plus a JSON sidecar with dimensions, axis and the names of sibling files:
+# <stem>.geom.bin, the pixels x 3 angles (theta0, theta, phi columns, in
+# degrees) laid out like the cube; ground truth; reference endmembers
 # ---------------------------------------------------------------------------
 
 def _write_matrix(path: Path, matrix: np.ndarray) -> None:
@@ -163,8 +165,9 @@ def _read_matrix(path: Path, rows: int, cols: int) -> np.ndarray:
 def write_cube(stem: str | Path, cube: HyperCube, meta: dict[str, Any] | None = None) -> Path:
     """Write <stem>.bin plus the <stem>.json sidecar; returns the sidecar path.
 
-    Ground-truth matrices and the reference endmember matrix, when present,
-    go to sibling files referenced from the sidecar by relative path.
+    Per-pixel geometries (<stem>.geom.bin), ground-truth matrices and the
+    reference endmember matrix, when present, go to sibling files
+    referenced from the sidecar by relative path.
     """
     stem = Path(stem)
     stem.parent.mkdir(parents=True, exist_ok=True)
@@ -183,10 +186,11 @@ def write_cube(stem: str | Path, cube: HyperCube, meta: dict[str, Any] | None = 
     }
     if meta:
         sidecar.update(meta)
-    if cube.geometries is not None:
-        sidecar["geometries"] = [
-            {"theta0": g.theta0, "theta": g.theta, "phi": g.phi} for g in cube.geometries
-        ]
+    geoms = cube.geometries
+    if geoms is not None:
+        geom_path = stem.parent / (stem.name + ".geom.bin")
+        _write_matrix(geom_path, np.column_stack((geoms.theta0, geoms.theta, geoms.phi)))
+        sidecar["geometries"] = geom_path.name
     gt = cube.ground_truth
     if gt is not None:
         a_path = stem.parent / (stem.name + ".gt_a.bin")
@@ -211,7 +215,13 @@ def write_cube(stem: str | Path, cube: HyperCube, meta: dict[str, Any] | None = 
 
 
 def read_cube(sidecar_path: str | Path) -> HyperCube:
-    """Read a cube from its JSON sidecar (paths resolved relative to it)."""
+    """Read a cube from its JSON sidecar (paths resolved relative to it).
+
+    A sidecar whose "geometries" is not a file name (such as the per-pixel
+    list of an older format) is rejected by that key, as are a .geom.bin of
+    the wrong size (by its path) and an angle outside its range (by angle
+    name and first bad pixel).
+    """
     sidecar_path = Path(sidecar_path)
     raw = json.loads(sidecar_path.read_text())
     base = sidecar_path.parent
@@ -219,11 +229,19 @@ def read_cube(sidecar_path: str | Path) -> HyperCube:
     values = _read_matrix(base / raw["data"], bands, pixels)
     axis = WavelengthAxis(np.asarray(raw["wavelengths_um"], dtype=float))
     geometries = None
-    if raw.get("geometries") is not None:
-        geometries = tuple(
-            Geometry(theta0=g["theta0"], theta=g["theta"], phi=g.get("phi", 0.0))
-            for g in raw["geometries"]
-        )
+    geom_name = raw.get("geometries")
+    if geom_name is not None:
+        if not isinstance(geom_name, str):
+            raise ValueError(
+                f"{sidecar_path}: geometries must name a .geom.bin file, got a {type(geom_name).__name__} "
+                "(per-pixel geometry lists are an older cube format)"
+            )
+        geom_path = base / geom_name
+        angles = _read_matrix(geom_path, pixels, 3)
+        try:
+            geometries = Geometries(theta0=angles[:, 0], theta=angles[:, 1], phi=angles[:, 2])
+        except ValueError as exc:
+            raise ValueError(f"{geom_path}: {exc}") from None
     ground_truth = None
     gt_raw = raw.get("ground_truth")
     if gt_raw is not None:

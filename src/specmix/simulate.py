@@ -22,6 +22,7 @@ from .core import (
     AlbedoSpectrum,
     EndmemberMatrix,
     FloatArray,
+    Geometries,
     Geometry,
     GroundTruth,
     HyperCube,
@@ -191,19 +192,22 @@ def sample_abundances(config: SceneConfig) -> FloatArray:
     return rng.dirichlet(np.full(shape[1], config.abundances.alpha), size=shape[0]).T
 
 
-def sample_geometries(config: SceneConfig) -> tuple[Geometry, ...]:
-    """Draw one acquisition geometry per pixel.
+def sample_geometries(config: SceneConfig) -> Geometries:
+    """Draw one acquisition geometry per pixel, as one Geometries of n_pixels angles.
 
-    Uniform angles come from the (seed, geometry) stream in one pixel-major
-    call, so a smaller scene's geometries are a prefix of a larger one's.
+    The fixed kind repeats its geometry.  Uniform angles come from the
+    (seed, geometry) stream in one pixel-major call, so a smaller scene's
+    geometries are a prefix of a larger one's.
     """
     sampler = config.geometry
     if sampler.kind == "fixed":
-        return (sampler.fixed,) * config.n_pixels
-    rng = np.random.default_rng([int(config.seed), _GEOMETRY_STREAM])
-    low, high = np.array([sampler.theta0_range, sampler.theta_range, sampler.phi_range]).T
-    angles = rng.uniform(low, high, (config.n_pixels, 3))
-    return tuple(Geometry(theta0=t0, theta=t, phi=phi) for t0, t, phi in angles.tolist())
+        fixed = sampler.fixed
+        angles = np.tile([fixed.theta0, fixed.theta, fixed.phi], (config.n_pixels, 1))
+    else:
+        rng = np.random.default_rng([int(config.seed), _GEOMETRY_STREAM])
+        low, high = np.array([sampler.theta0_range, sampler.theta_range, sampler.phi_range]).T
+        angles = rng.uniform(low, high, (config.n_pixels, 3))
+    return Geometries(theta0=angles[:, 0], theta=angles[:, 1], phi=angles[:, 2])
 
 
 def reference_endmembers(
@@ -232,7 +236,9 @@ def simulate_cube(
     Each pixel mixes that pixel's endmember variants: x_n = S_n a_n, where
     S_n holds the per-material reflectances at the pixel's geometry.  Every
     material in a pixel shares the pixel's single geometry (topography is a
-    per-pixel tangent plane).  Ground-truth scaling factors are stored only
+    per-pixel tangent plane); the cube's geometries are the Geometries of
+    sample_geometries, whose mu, mu0 and g arrays feed the kernel directly,
+    sliced per block of pixels.  Ground-truth scaling factors are stored only
     for the linear model, where variant = psi * reference holds exactly;
     for the other models the scales field is None.
     """
@@ -251,9 +257,7 @@ def simulate_cube(
     endmembers = reference_endmembers(albedos, photometry, config)
 
     # pixel geometry as (pixels, 1) columns, the layout of the variant blocks
-    mu = np.array([geom.mu for geom in geometries])[:, None]
-    mu0 = np.array([geom.mu0 for geom in geometries])[:, None]
-    g = np.array([geom.g for geom in geometries])[:, None]
+    mu, mu0, g = geometries.mu[:, None], geometries.mu0[:, None], geometries.g[:, None]
     n_bands, n_pixels = len(axis), config.n_pixels
     values = np.empty((n_bands, n_pixels))
     for start in range(0, n_pixels, _CHUNK_PIXELS):

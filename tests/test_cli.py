@@ -282,6 +282,22 @@ class TestUnmix:
         assert err.startswith("error: non-negative least squares did not converge")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["unmix", "verify"])
+    def test_per_pixel_geometry_list_exits_1_naming_it(self, tmp_path, albedo_csv, capsys, command):
+        cube, endmembers = self.simulate(tmp_path, albedo_csv, n_pixels=4)
+        meta = json.loads(cube.read_text())
+        meta["geometries"] = [{"theta0": 10.0, "theta": 20.0, "phi": 0.0}] * 4  # the older sidecar format
+        cube.write_text(json.dumps(meta))
+        argv = {
+            "unmix": ["unmix", "--cube", str(cube), "--endmembers", str(endmembers), "--out", str(tmp_path / "fit")],
+            "verify": ["verify", "--cube", str(cube), "--out", str(tmp_path / "report.json")],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "geometries must name a .geom.bin file, got a list" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("fit*")) and not (tmp_path / "report.json").exists()
+
     def test_axis_mismatch_exits_1(self, tmp_path, albedo_csv):
         cube, _ = self.simulate(tmp_path, albedo_csv, n_pixels=4)
         other_axis = WavelengthAxis(np.linspace(0.5, 2.6, 16))
@@ -433,6 +449,34 @@ class TestSweepRangeBounds:
         ]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{key}.{end} must be finite and in [0, 90] degrees" in err
+        assert not list(tmp_path.glob("s.*"))
+
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ({"theta0_values": {"step": 1e-4}}, "theta0_values (900001 angles) x theta_values (91 angles)"),
+            # a list-valued axis counts its angles
+            (
+                {"theta_values": {"step": 0.01}, "theta0_values": [0.45 * k for k in range(200)]},
+                "theta0_values (200 angles) x theta_values (9001 angles) make 1800200 sweep cells",
+            ),
+        ],
+    )
+    def test_oversized_grid_exits_1_naming_keys_before_arange(
+        self, tmp_path, albedo_csv, capsys, monkeypatch, config, named
+    ):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config))
+
+        def arange_reached(*args, **kwargs):
+            raise AssertionError(f"np.arange reached with {args}")
+
+        monkeypatch.setattr(np, "arange", arange_reached)
+        assert main([
+            "sweep", "--albedo", str(albedo_csv), "--config", str(path), "--out", str(tmp_path / "s"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "at most 1000000" in err
         assert not list(tmp_path.glob("s.*"))
 
     @pytest.mark.parametrize("step", [float("inf"), float("nan")])

@@ -4,6 +4,7 @@ import pytest
 from specmix.core import (
     AlbedoSpectrum,
     EndmemberMatrix,
+    Geometries,
     Geometry,
     GroundTruth,
     HyperCube,
@@ -109,12 +110,67 @@ class TestGeometry:
         np.testing.assert_allclose(cos_deg(angles), np.cos(np.radians(angles)), atol=1e-15)
 
 
+class TestGeometries:
+    def random_angles(self, n=2000, seed=5):
+        rng = np.random.default_rng(seed)
+        angles = rng.uniform([0.0, 0.0, 0.0], [90.0, 90.0, 180.0], (n, 3))
+        # the range ends, where the cosines and the phase angle are exact
+        ends = np.array([[0.0, 0.0, 0.0], [90.0, 90.0, 180.0], [90.0, 0.0, 0.0], [45.0, 45.0, 0.0]])
+        return np.vstack([ends, angles])
+
+    def test_every_pixel_equals_its_geometry(self):
+        angles = self.random_angles()
+        geoms = Geometries(theta0=angles[:, 0], theta=angles[:, 1], phi=angles[:, 2])
+        assert len(geoms) == angles.shape[0]
+        for n, (theta0, theta, phi) in enumerate(angles.tolist()):
+            oracle = Geometry(theta0=theta0, theta=theta, phi=phi)
+            # one formula for both, so g too is bit-identical, not merely within one ulp
+            for name in ("theta0", "theta", "phi", "mu0", "mu", "g"):
+                assert getattr(geoms, name)[n] == getattr(oracle, name), (n, name)
+
+    def test_phase_angle_broadcasts_as_its_scalar_form(self):
+        theta0, theta, phi = self.random_angles(n=500, seed=9).T
+        g = phase_angle_deg(theta0, theta, phi)
+        assert g.shape == theta0.shape
+        expected = [float(phase_angle_deg(*cell)) for cell in zip(theta0.tolist(), theta.tolist(), phi.tolist())]
+        np.testing.assert_array_equal(g, expected)
+        assert phase_angle_deg(theta0[:, None], theta[None, :3], 0.0).shape == (504, 3)
+
+    def test_arrays_are_read_only(self):
+        geoms = Geometries(theta0=[10.0, 20.0], theta=[5.0, 6.0], phi=[0.0, 1.0])
+        for name in ("theta0", "theta", "phi", "mu0", "mu", "g"):
+            with pytest.raises(ValueError):
+                getattr(geoms, name)[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "name, bad, message",
+        [
+            ("theta0", np.nan, r"theta0 must be in \[0, 90\] degrees, got nan at pixel 2"),
+            ("theta", 90.5, r"theta must be in \[0, 90\] degrees, got 90.5 at pixel 2"),
+            ("phi", -1.0, r"phi must be in \[0, 180\] degrees, got -1.0 at pixel 2"),
+            ("phi", np.inf, r"phi must be in \[0, 180\] degrees, got inf at pixel 2"),
+        ],
+    )
+    def test_bad_angle_named_with_first_bad_pixel(self, name, bad, message):
+        angles = {key: np.full(4, 10.0) for key in ("theta0", "theta", "phi")}
+        angles[name][2:] = bad
+        with pytest.raises(ValueError, match=message):
+            Geometries(**angles)
+
+    def test_shapes_validated(self):
+        with pytest.raises(ValueError, match="lengths differ: 3, 2, 3"):
+            Geometries(theta0=[1.0, 2.0, 3.0], theta=[1.0, 2.0], phi=[0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="theta must be 1-D"):
+            Geometries(theta0=[1.0], theta=[[1.0]], phi=[0.0])
+
+
 class TestValidateCube:
     def make_cube(self, values, n_geoms=None):
         axis = make_axis(values.shape[0])
         geometries = None
         if n_geoms is not None:
-            geometries = tuple(Geometry(theta0=10.0 * k % 90, theta=5.0, phi=0.0) for k in range(n_geoms))
+            k = np.arange(n_geoms)
+            geometries = Geometries(theta0=10.0 * k % 90, theta=np.full(n_geoms, 5.0), phi=np.zeros(n_geoms))
         return HyperCube(values=values, axis=axis, geometries=geometries)
 
     def test_well_formed_cube_is_clean(self):

@@ -8,6 +8,7 @@ from specmix import io
 from specmix.core import (
     AlbedoSpectrum,
     EndmemberMatrix,
+    Geometries,
     Geometry,
     GroundTruth,
     HyperCube,
@@ -103,10 +104,10 @@ class TestCubeFiles:
         rng = np.random.default_rng(3)
         n_pixels = 5
         values = rng.uniform(0.0, 0.8, (len(axis), n_pixels))
-        geometries = tuple(
-            Geometry(theta0=rng.uniform(0, 90), theta=rng.uniform(0, 90), phi=rng.uniform(0, 180))
-            for _ in range(n_pixels)
+        angles = np.array(
+            [[rng.uniform(0, 90), rng.uniform(0, 90), rng.uniform(0, 180)] for _ in range(n_pixels)]
         )
+        geometries = Geometries(theta0=angles[:, 0], theta=angles[:, 1], phi=angles[:, 2])
         ground_truth = None
         if with_gt:
             abundances = rng.dirichlet(np.ones(2), n_pixels).T
@@ -123,7 +124,15 @@ class TestCubeFiles:
         loaded = io.read_cube(sidecar)
         np.testing.assert_array_equal(loaded.values, cube.values)
         np.testing.assert_array_equal(loaded.axis.values, cube.axis.values)
-        assert loaded.geometries == cube.geometries
+        for n in range(cube.n_pixels):
+            # the per-pixel Geometry oracle, built from each side's angles
+            written, read = (
+                Geometry(theta0=geoms.theta0[n], theta=geoms.theta[n], phi=geoms.phi[n])
+                for geoms in (cube.geometries, loaded.geometries)
+            )
+            assert read == written
+        for name in ("theta0", "theta", "phi", "mu0", "mu", "g"):
+            np.testing.assert_array_equal(getattr(loaded.geometries, name), getattr(cube.geometries, name))
         np.testing.assert_array_equal(loaded.ground_truth.abundances, cube.ground_truth.abundances)
         np.testing.assert_array_equal(loaded.ground_truth.scales, cube.ground_truth.scales)
         np.testing.assert_array_equal(
@@ -145,6 +154,66 @@ class TestCubeFiles:
         raw = np.frombuffer((tmp_path / "order.bin").read_bytes(), dtype="<f8")
         # first pixel's spectrum is contiguous
         np.testing.assert_array_equal(raw[: len(axis)], cube.values[:, 0])
+
+    def test_geometries_side_file_is_column_major_angles(self, tmp_path, axis):
+        cube = self.make_cube(axis, with_gt=False)
+        sidecar = io.write_cube(tmp_path / "scene", cube)
+        assert json.loads(sidecar.read_text())["geometries"] == "scene.geom.bin"
+        raw = np.frombuffer((tmp_path / "scene.geom.bin").read_bytes(), dtype="<f8")
+        geoms = cube.geometries
+        np.testing.assert_array_equal(raw, np.concatenate([geoms.theta0, geoms.theta, geoms.phi]))
+
+    def test_sidecar_holds_no_pixel_list(self, tmp_path, axis):
+        n_pixels = 1024
+        rng = np.random.default_rng(8)
+        angles = rng.uniform(0.0, [90.0, 90.0, 180.0], (n_pixels, 3))
+        cube = HyperCube(
+            values=rng.uniform(0.0, 0.8, (len(axis), n_pixels)),
+            axis=axis,
+            geometries=Geometries(theta0=angles[:, 0], theta=angles[:, 1], phi=angles[:, 2]),
+            ground_truth=GroundTruth(abundances=rng.dirichlet(np.ones(2), n_pixels).T),
+        )
+        sidecar = json.loads(io.write_cube(tmp_path / "big", cube).read_text())
+
+        def has_pixel_list(node):
+            if isinstance(node, dict):
+                return any(has_pixel_list(v) for v in node.values())
+            if isinstance(node, list):
+                return len(node) == n_pixels or any(has_pixel_list(v) for v in node)
+            return False
+
+        assert not has_pixel_list(sidecar)
+
+    def test_per_pixel_geometry_list_rejected_by_name(self, tmp_path, axis):
+        cube = self.make_cube(axis, with_gt=False)
+        sidecar = io.write_cube(tmp_path / "old", cube)
+        meta = json.loads(sidecar.read_text())
+        meta["geometries"] = [
+            {"theta0": t0, "theta": t, "phi": p}
+            for t0, t, p in zip(cube.geometries.theta0, cube.geometries.theta, cube.geometries.phi)
+        ]
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="geometries must name a .geom.bin file, got a list"):
+            io.read_cube(sidecar)
+
+    def test_geometries_file_of_wrong_size_named(self, tmp_path, axis):
+        cube = self.make_cube(axis, with_gt=False)
+        sidecar = io.write_cube(tmp_path / "short", cube)
+        path = tmp_path / "short.geom.bin"
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match=r"short\.geom\.bin: expected 15 values, found 14"):
+            io.read_cube(sidecar)
+
+    @pytest.mark.parametrize("column, name, value", [(1, "theta", np.nan), (2, "phi", 270.0)])
+    def test_bad_angle_in_geometries_file_named_with_pixel(self, tmp_path, axis, column, name, value):
+        cube = self.make_cube(axis, with_gt=False)
+        sidecar = io.write_cube(tmp_path / "bad", cube)
+        path = tmp_path / "bad.geom.bin"
+        angles = np.frombuffer(path.read_bytes(), dtype="<f8").reshape((5, 3), order="F").copy()
+        angles[3, column] = value
+        path.write_bytes(angles.tobytes(order="F"))
+        with pytest.raises(ValueError, match=rf"bad\.geom\.bin: {name} must be in .* got {value} at pixel 3"):
+            io.read_cube(sidecar)
 
     def test_size_mismatch_detected(self, tmp_path, axis):
         cube = self.make_cube(axis, with_gt=False)

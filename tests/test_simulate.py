@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from specmix.core import AlbedoSpectrum, Geometry, HyperCube, PhotometricParams, WavelengthAxis
+from specmix.core import AlbedoSpectrum, Geometries, Geometry, HyperCube, PhotometricParams, WavelengthAxis
 from specmix.hapke import endmember_variant, scaling_factor
 from specmix import simulate
 from specmix.simulate import (
@@ -25,6 +25,16 @@ def make_albedos(n_materials=3, n_bands=12, seed=1):
         AlbedoSpectrum(material=f"m{k}", omega=rng.uniform(0.05, 0.95, n_bands), axis=axis)
         for k in range(n_materials)
     ]
+
+
+def pixel_geometry(geometries, n):
+    """Pixel n of a Geometries as the per-pixel Geometry oracle, built from its angles."""
+    return Geometry(theta0=geometries.theta0[n], theta=geometries.theta[n], phi=geometries.phi[n])
+
+
+def assert_same_geometries(actual, expected):
+    for name in ("theta0", "theta", "phi", "mu0", "mu", "g"):
+        np.testing.assert_array_equal(getattr(actual, name), getattr(expected, name), err_msg=name)
 
 
 def base_config(**overrides):
@@ -151,6 +161,26 @@ class TestSampleAbundances:
         assert np.mean(A.max(axis=0)) > 0.85
 
 
+class TestSampleGeometries:
+    def test_fixed_kind_repeats_its_geometry(self):
+        fixed = Geometry(theta0=30.0, theta=20.0, phi=10.0)
+        geoms = sample_geometries(base_config(n_pixels=5, geometry=GeometrySampler(kind="fixed", fixed=fixed)))
+        assert isinstance(geoms, Geometries) and len(geoms) == 5
+        for name in ("theta0", "theta", "phi", "mu0", "mu", "g"):
+            np.testing.assert_array_equal(getattr(geoms, name), np.full(5, getattr(fixed, name)), err_msg=name)
+
+    def test_uniform_angles_in_range_and_equal_to_per_pixel_geometry(self):
+        config = base_config(n_pixels=300)
+        geoms = sample_geometries(config)
+        for name, (low, high) in (("theta0", (0.0, 69.0)), ("theta", (0.0, 69.0)), ("phi", (0.0, 180.0))):
+            values = getattr(geoms, name)
+            assert values.shape == (300,) and np.all((values >= low) & (values <= high))
+        for n in range(config.n_pixels):
+            oracle = pixel_geometry(geoms, n)
+            for name in ("mu0", "mu", "g"):
+                assert getattr(geoms, name)[n] == getattr(oracle, name), (n, name)
+
+
 class TestSimulateCube:
     def test_reference_pixel_reproduces_reference_mixture(self):
         albedos = make_albedos()
@@ -186,7 +216,8 @@ class TestSimulateCube:
         config = base_config(n_pixels=48, model=model)
         cube = simulate_cube(albedos, [None] * 3, config)
         A = cube.ground_truth.abundances
-        for n, geom in enumerate(cube.geometries):
+        for n in range(cube.n_pixels):
+            geom = pixel_geometry(cube.geometries, n)
             variants = np.column_stack(
                 [endmember_variant(albedo, geom, model) for albedo in albedos]
             )
@@ -203,7 +234,8 @@ class TestSimulateCube:
         cube = simulate_cube(albedos, params, config)
         assert cube.ground_truth.scales is None  # no exact scale ground truth
         A = cube.ground_truth.abundances
-        for n, geom in enumerate(cube.geometries):
+        for n in range(cube.n_pixels):
+            geom = pixel_geometry(cube.geometries, n)
             variants = np.column_stack(
                 [endmember_variant(a, geom, "full", p) for a, p in zip(albedos, params)]
             )
@@ -233,7 +265,11 @@ class TestSimulateCube:
         np.testing.assert_array_equal(
             small.ground_truth.abundances, large.ground_truth.abundances[:, :17]
         )
-        assert small.geometries == large.geometries[:17]
+        large_prefix = large.geometries
+        assert_same_geometries(
+            small.geometries,
+            Geometries(large_prefix.theta0[:17], large_prefix.theta[:17], large_prefix.phi[:17]),
+        )
         np.testing.assert_array_equal(small.values, large.values[:, :17])
         # the noise's standard normal draws are a prefix too; sigma follows
         # each cube's own signal power
@@ -268,7 +304,7 @@ class TestSimulateCube:
         first = simulate_cube(albedos, [None] * 3, config)
         second = simulate_cube(albedos, [None] * 3, config)
         np.testing.assert_array_equal(first.values, second.values)
-        assert first.geometries == second.geometries
+        assert_same_geometries(first.geometries, second.geometries)
 
     def test_doubly_grazing_full_model_propagates(self):
         albedos = make_albedos()
