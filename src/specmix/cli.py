@@ -149,16 +149,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         },
     }
     sidecar = clock.timed("write", io.write_cube, args.out, cube, meta=meta)
-    stem = Path(args.out)
-    outputs = sorted(
-        p for p in stem.parent.glob(stem.name + "*") if not p.name.endswith(".manifest.json")
-    )
     _manifest(
         _out_base(args.out),
         "simulate",
         config.to_dict(),
         {"config": args.config, "albedo": args.albedo, "photometry": args.photometry or ""},
-        [sidecar, *outputs],
+        [sidecar, *io.cube_files(sidecar)],
         config.seed,
         clock,
     )
@@ -216,8 +212,8 @@ _SWEEP_KEYS = {
     "curve": ("kind", "model", "theta0", "theta", "omega"),
 }
 
-#: Most cells an angle sweep grid may have: room for the whole 0.1-degree
-#: grid (901 x 901), 120 times the default 1-degree one.
+#: Most cells an angle sweep grid, or points an albedo curve, may have: room
+#: for the whole 0.1-degree grid (901 x 901), 120 times the default one.
 _MAX_SWEEP_CELLS = 10**6
 
 
@@ -261,6 +257,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if kind not in tuple(_SWEEP_KEYS):
         raise ValueError(f"unknown sweep kind {kind!r}; expected 'angle' or 'curve'")
     check_config_keys(raw, _SWEEP_KEYS[kind], f"{kind} sweep config")
+    if kind == "angle":
+        for flag in ("model", "theta0", "theta", "photometry"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} applies to curve sweeps only, not to an angle sweep")
     out_base = _out_base(args.out)
     outputs: list[Path] = []
     if kind == "curve":
@@ -270,11 +270,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         omega_spec = raw.get("omega", {"start": 0.0, "stop": 1.0, "num": 101})
         if isinstance(omega_spec, dict):
             check_config_keys(omega_spec, ("start", "stop", "num"), "omega")
-            num = int(omega_spec.get("num", 101))
-            if num < 1:
+            num = omega_spec.get("num", 101)  # compared as given: float() overflows on huge integers
+            if isinstance(num, bool) or not isinstance(num, (int, float)):
+                raise ValueError(f"omega.num must be a number, got {num!r}")
+            if not num >= 1:
                 raise ValueError(f"omega.num must be >= 1, got {num}")
+            if num > _MAX_SWEEP_CELLS:
+                raise ValueError(f"omega.num must be at most {_MAX_SWEEP_CELLS}, got {num}")
             omega = np.linspace(
-                float(omega_spec.get("start", 0.0)), float(omega_spec.get("stop", 1.0)), num
+                float(omega_spec.get("start", 0.0)), float(omega_spec.get("stop", 1.0)), int(num)
             )
         else:
             omega = np.asarray(omega_spec, dtype=float)
@@ -300,7 +304,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             theta0_values=theta0_values,
             theta_values=theta_values,
             model_pair=pair,  # type: ignore[arg-type]
-            omega_source=str(args.albedo),
         )
         for albedo in albedos:
             result = clock.timed("model", angle_sweep, albedo, grid)

@@ -262,6 +262,15 @@ def cube_meta(sidecar_path: str | Path) -> dict[str, Any]:
     return json.loads(Path(sidecar_path).read_text())
 
 
+def cube_files(sidecar_path: str | Path) -> list[Path]:
+    """The files a cube sidecar names, in its order: data, geometries, ground truth, endmembers."""
+    sidecar_path = Path(sidecar_path)
+    raw = cube_meta(sidecar_path)
+    gt = raw.get("ground_truth") or {}
+    names = (raw["data"], raw.get("geometries"), gt.get("abundances"), gt.get("scales"), raw.get("endmembers"))
+    return [sidecar_path.parent / name for name in names if name is not None]
+
+
 # ---------------------------------------------------------------------------
 # unmixing result: binary matrices + JSON summary
 # ---------------------------------------------------------------------------

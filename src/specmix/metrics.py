@@ -100,7 +100,6 @@ class SweepGrid:
     theta0_values: FloatArray = field(default_factory=_default_grid)
     theta_values: FloatArray = field(default_factory=_default_grid)
     model_pair: tuple[str, str] = ("relative", "linear")
-    omega_source: str | None = None
 
     def __post_init__(self) -> None:
         for name in ("theta0_values", "theta_values"):

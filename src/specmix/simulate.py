@@ -29,7 +29,7 @@ from .core import (
     PhotometricParams,
     check_config_keys,
 )
-from .hapke import MODELS, _linear_gain, endmember_variant, reflectance
+from .hapke import MODELS, endmember_variant, reflectance, scaling_factor
 
 #: Pixels per block of variants: a (pixels, bands, materials) block of this
 #: many pixels stays a few megabytes at a few hundred bands.
@@ -270,9 +270,8 @@ def simulate_cube(
         values[:, px] = np.matmul(block, abundances.T[px, :, None])[:, :, 0].T
     scales: FloatArray | None = None
     if config.model == "linear":
-        # scaling_factor(reference, geom) per pixel
-        pixel_psi = _linear_gain(config.reference.mu, config.reference.mu0) / _linear_gain(mu, mu0)
-        scales = np.repeat(pixel_psi.T, config.n_materials, axis=0)
+        pixel_psi = scaling_factor(config.reference, geometries)
+        scales = np.repeat(pixel_psi[None, :], config.n_materials, axis=0)
 
     cube = HyperCube(
         values=values,

@@ -1,7 +1,10 @@
 """Constrained least-squares unmixing against a fixed endmember matrix.
 
-Three models share one deterministic active-set core, run in Gram space so
-per-pixel work costs O(P^3) regardless of band count:
+Three models share one deterministic active-set core, ``_active_set``,
+run in Gram space so per-pixel work costs O(P^3) regardless of band count.
+It is the primal active set of Lawson & Hanson (1974): non-negative least
+squares, or with the equality row sum(z) = total the fully constrained
+least squares of Heinz & Chang (IEEE TGRS 2001).
 
 - "lmm": classic (fully) constrained least squares per pixel.
 - "elmm-global": one positive scale per pixel on top of the simplex.
@@ -14,17 +17,18 @@ per-pixel work costs O(P^3) regardless of band count:
   spatial prior, such as the regularized ADMM of Drumetz et al. (IEEE TIP
   2016), which would also need an image shape on HyperCube.
 
-The active-set solvers run every pixel of a batch in lockstep: each step
-takes one action per unfinished pixel (pick an entering material, or solve
-its system on the free materials and take the ratio step) and solves all
-those systems in one stacked ``np.linalg.solve``.  A pixel's system keeps
-the rows and columns of its free materials and replaces the others by the
+The core runs every pixel of a batch in lockstep: each step takes one
+action per unfinished pixel (pick an entering material, or solve its
+system on the free materials and take the ratio step) and solves all those
+systems in one stacked ``np.linalg.solve``.  A pixel's system keeps the
+rows and columns of its free materials and replaces the others by the
 identity with a zero right-hand side, so its arithmetic never depends on
 which other pixels share the batch.  Every product whose length varies
 with the batch is computed one pixel at a time (``_rowwise``).  A pixel's
 result is therefore bit-identical whether it is solved alone, in a chunk
 or in the whole cube.  Cubes are processed in chunks of ``_CHUNK_PIXELS``
-so temporaries stay O(chunk * P^2).
+so temporaries stay O(chunk * P^2).  fcls and unmix_elmm_global unmix one
+pixel as a one-column cube.
 """
 
 from __future__ import annotations
@@ -116,119 +120,83 @@ def _solve_free(K: FloatArray, rhs: FloatArray, free: np.ndarray) -> FloatArray:
     return np.linalg.solve(system, np.where(free, rhs, 0.0)[:, :, None])[:, :, 0]
 
 
-def _ratio_step(current: FloatArray, target: FloatArray, free: np.ndarray, sink: np.ndarray,
-                max_alpha: float) -> FloatArray:
-    """Move free entries from current toward target until the first sink hits 0."""
+def _ratio_step(current: FloatArray, target: FloatArray, free: np.ndarray, sink: np.ndarray) -> FloatArray:
+    """Move free entries from current toward target until the first sink hits 0, at most to target."""
     with np.errstate(divide="ignore", invalid="ignore"):
         steps = np.where(sink, current / (current - target), np.inf)
-    alpha = np.minimum(max_alpha, steps.min(axis=1))[:, None]
+    alpha = np.minimum(1.0, steps.min(axis=1))[:, None]
     return np.where(free, current + alpha * (target - current), 0.0)
 
 
-def _did_not_converge(name: str, failed: np.ndarray) -> None:
-    if failed.any():
-        raise RuntimeError(
-            f"{name} did not converge on {int(failed.sum())} of {failed.size} pixels"
-        )
+def _active_set(G: FloatArray, C: FloatArray, total: FloatArray | None = None) -> FloatArray:
+    """min 0.5 z'Gz - c'z over z >= 0 for every row c of C, and sum(z) = total if given.
 
-
-def _nnls_gram(G: FloatArray, C: FloatArray) -> FloatArray:
-    """min 0.5 z'Gz - c'z over z >= 0 for every row c of C (Lawson-Hanson).
-
-    Entering variable: most negative multiplier, lowest index on ties.
-    Exit guarantees every active multiplier >= -_KKT_RTOL * max|c|; an
-    all-zero c gives tolerance 0 and z = 0.  Pixels run in lockstep (see
-    the module docstring).
-    """
-    n, p = C.shape
-    cap = _MAX_OUTER_FACTOR * p + 30
-    scale = np.max(np.abs(C), axis=1, initial=0.0)
-    kkt_tol = _KKT_RTOL * scale
-    drop_tol = (_DROP_TOL * scale / np.max(np.diag(G)))[:, None]
-    Z = np.zeros((n, p))
-    free = np.zeros((n, p), dtype=bool)
-    outer = np.zeros(n, dtype=int)
-    inner = np.zeros(n, dtype=int)
-    failed = np.zeros(n, dtype=bool)
-    entering, solving = np.arange(n), np.arange(0)
-    while entering.size or solving.size:
-        outer[entering] += 1
-        failed[entering[outer[entering] > cap]] = True
-        e = entering[outer[entering] <= cap]
-        w = C[e] - _rowwise(Z[e], G)  # negative gradient; actives want w <= kkt_tol
-        w[free[e]] = -np.inf
-        j = np.argmax(w, axis=1)
-        go = w[np.arange(e.size), j] > kkt_tol[e]
-        e = e[go]
-        free[e, j[go]] = True
-        inner[e] = 0
-        solving = np.concatenate([solving, e])
-
-        inner[solving] += 1
-        failed[solving[inner[solving] > cap]] = True
-        s = solving[inner[solving] <= cap]
-        f = free[s]
-        target = _solve_free(G, C[s], f)
-        done = np.all(~f | (target > drop_tol[s]), axis=1)
-        Z[s[done]] = np.where(f[done], target[done], 0.0)
-
-        b, f, target = s[~done], f[~done], target[~done]
-        step = _ratio_step(Z[b], target, f, f & (target <= drop_tol[b]), np.inf)
-        f &= step > drop_tol[b]
-        Z[b] = np.where(f, step, 0.0)
-        free[b] = f
-        emptied = ~f.any(axis=1)
-        entering, solving = np.concatenate([s[done], b[emptied]]), b[~emptied]
-    _did_not_converge("non-negative least squares", failed)
-    return Z
-
-
-def _sum_constrained_gram(G: FloatArray, C: FloatArray, total: FloatArray) -> FloatArray:
-    """min 0.5 z'Gz - c'z over z >= 0, sum(z) = total for every row c of C.
-
-    total holds one positive sum per row.  Primal active set started from
-    the uniform feasible point.  The KKT system carries the equality row;
-    the entering variable is the active index with the most negative
-    multiplier (lowest index on ties).  The exit tolerance is relative to
-    the gradient's scale, max(max|c|, total * max(diag G)), so a dark pixel
-    keeps a tolerance above the rounding of G z.  Pixels run in lockstep.
+    total holds one positive sum per row.  Only the setup depends on it.
+    Without it the start is z = 0 and goes straight to the multiplier check
+    (Lawson-Hanson); with it the start is the uniform point, and the systems
+    carry the equality row as a border whose multiplier the check subtracts.
+    The entering variable is the active index with the most negative
+    multiplier (lowest index on ties).  A free entry whose target is at or
+    below the floor, +drop_tol without a total and -drop_tol with one, is a
+    sink; the ratio step moves toward the target until the first sink hits
+    0, at most all the way.  Tolerances are relative: kkt_tol to the
+    gradient's scale, max|c| (with a total also total * max(diag G), so a
+    dark pixel keeps a tolerance above the rounding of G z), and drop_tol to
+    the solution's.  A pixel fails past either cap: 1 plus its entering
+    steps, or its solves since the last one.
     """
     n, p = C.shape
     cap = _MAX_OUTER_FACTOR * p + 30
     g_max = np.max(np.diag(G))
-    kkt_tol = _KKT_RTOL * np.maximum(np.max(np.abs(C), axis=1, initial=0.0), total * g_max)
-    drop_tol = (_DROP_TOL * total)[:, None]
-    K = np.ones((p + 1, p + 1))
-    K[:p, :p] = G
-    K[p, p] = 0.0
-    rhs = np.column_stack([C, total])
-    Z = np.repeat((total / p)[:, None], p, axis=1)
-    free = np.ones((n, p), dtype=bool)
-    lam = np.zeros(n)
+    scale = np.max(np.abs(C), axis=1, initial=0.0)
+    if total is None:
+        name = "non-negative least squares"
+        kkt_tol = _KKT_RTOL * scale
+        floor = drop_tol = (_DROP_TOL * scale / g_max)[:, None]
+        Z, free = np.zeros((n, p)), np.zeros((n, p), dtype=bool)
+        checking, solving = np.arange(n), np.arange(0)
+    else:
+        name = "sum-constrained least squares"
+        K = np.ones((p + 1, p + 1))
+        K[:p, :p], K[p, p] = G, 0.0
+        rhs = np.column_stack([C, total])
+        kkt_tol = _KKT_RTOL * np.maximum(scale, total * g_max)
+        drop_tol = (_DROP_TOL * total)[:, None]
+        floor = -drop_tol
+        Z, free = np.repeat((total / p)[:, None], p, axis=1), np.ones((n, p), dtype=bool)
+        checking, solving = np.arange(0), np.arange(n)
+        lam = np.zeros(n)
     outer = np.ones(n, dtype=int)
     inner = np.zeros(n, dtype=int)
-    failed = outer > cap
-    solving = np.flatnonzero(~failed)
-    while solving.size:
+    failed = np.zeros(n, dtype=bool)
+    while checking.size or solving.size:
         inner[solving] += 1
-        s = solving[inner[solving] <= cap]  # past the cap: on to the multiplier check
+        failed[solving[inner[solving] > cap]] = True
+        s = solving[inner[solving] <= cap]
         f = free[s]
-        border = np.ones((s.size, 1), dtype=bool)
-        solution = _solve_free(K, rhs[s], np.hstack([f, border]))
-        target, lam[s] = solution[:, :p], -solution[:, p]
-        done = np.all(~f | (target >= -drop_tol[s]), axis=1)
+        if total is None:
+            target = _solve_free(G, C[s], f)
+        else:
+            solution = _solve_free(K, rhs[s], np.hstack([f, np.ones((s.size, 1), dtype=bool)]))
+            target, lam[s] = solution[:, :p], -solution[:, p]
+        sink = f & (target <= floor[s])
+        done = ~sink.any(axis=1)
         Z[s[done]] = np.where(f[done], np.maximum(target[done], 0.0), 0.0)
 
-        b, f, target = s[~done], f[~done], target[~done]
-        step = _ratio_step(Z[b], target, f, f & (target < -drop_tol[b]), 1.0)
-        # sum(step) stays total, so its largest entry never drops
+        stepping = ~done
+        b, f = s[stepping], f[stepping]
+        step = _ratio_step(Z[b], target[stepping], f, sink[stepping])
         f &= step > drop_tol[b]
         Z[b] = np.where(f, step, 0.0)
         free[b] = f
+        emptied = ~f.any(axis=1)
+        # multiplier check: the z = 0 start, finished solves and emptied supports
+        m = np.concatenate([checking, s[done], b[emptied]])
 
-        m = np.concatenate([solving[inner[solving] > cap], s[done]])
-        grad = _rowwise(Z[m], G) - C[m]
-        multipliers = np.where(free[m], np.inf, grad - lam[m, None])
+        multipliers = _rowwise(Z[m], G) - C[m]
+        if total is not None:
+            multipliers -= lam[m, None]
+        multipliers[free[m]] = np.inf
         j = np.argmin(multipliers, axis=1)
         go = multipliers[np.arange(m.size), j] < -kkt_tol[m]
         e, j = m[go], j[go]
@@ -236,8 +204,9 @@ def _sum_constrained_gram(G: FloatArray, C: FloatArray, total: FloatArray) -> Fl
         inner[e] = 0
         outer[e] += 1
         failed[e[outer[e] > cap]] = True
-        solving = np.concatenate([b, e[outer[e] <= cap]])
-    _did_not_converge("sum-constrained least squares", failed)
+        checking, solving = np.arange(0), np.concatenate([b[~emptied], e[outer[e] <= cap]])
+    if failed.any():
+        raise RuntimeError(f"{name} did not converge on {int(failed.sum())} of {n} pixels")
     return Z
 
 
@@ -254,17 +223,15 @@ def _unmix_rows(config: SolverConfig, G: FloatArray, C: FloatArray):
     psi = np.ones((n, p))
     degenerate = np.zeros(n, dtype=bool)
     if config.model == "lmm":
-        if config.sum_to_one:
-            return _sum_constrained_gram(G, C, np.ones(n)), psi, degenerate
-        return _nnls_gram(G, C), psi, degenerate
+        return _active_set(G, C, np.ones(n) if config.sum_to_one else None), psi, degenerate
     lo, hi = config.psi_bounds
-    Z = _nnls_gram(G, C)
+    Z = _active_set(G, C)
     s = Z.sum(axis=1)
     bound = np.minimum(np.maximum(s, lo), hi)
     if config.model == "elmm-global":
         degenerate = s <= 0.0
     resolve = (bound != s) & ~degenerate
-    Z[resolve] = _sum_constrained_gram(G, C[resolve], bound[resolve])
+    Z[resolve] = _active_set(G, C[resolve], bound[resolve])
     if config.model == "elmm-global":
         A = Z / bound[:, None]
         A[degenerate] = 1.0 / p
@@ -299,25 +266,21 @@ def _check_endmembers(S: FloatArray) -> None:
         raise ValueError("endmember matrix is rank deficient; materials are not independent")
 
 
-def _unmix_pixel(x, S0, config: SolverConfig):
-    S = _endmember_array(S0)
-    x_arr = np.asarray(x, dtype=float)
-    if x_arr.ndim != 1 or x_arr.size != S.shape[0]:
-        raise ValueError(f"pixel spectrum length {x_arr.shape} does not match {S.shape[0]} bands")
-    _check_endmembers(S)
-    a, psi, degenerate = _unmix_rows(config, S.T @ S, _rowwise(x_arr[None, :], S))
-    return a[0], psi[0], bool(degenerate[0])
-
-
 def fcls(x, S0, sum_to_one: bool = True) -> FloatArray:
     """Least-squares abundances of one pixel under non-negativity.
 
     Minimizes |x - S0 a| subject to a >= 0 and, when sum_to_one is set,
     sum(a) = 1.  The active-set exit verifies the reduced gradient of every
     zeroed material is > -1e-8, i.e. the KKT conditions hold.  The result
-    equals unmix_cube's lmm abundances for the same pixel, bit for bit.
+    equals unmix_cube's lmm abundances for the same pixel, bit for bit:
+    the pixel is unmixed as a one-column cube, with the same input checks.
     """
-    return _unmix_pixel(x, S0, SolverConfig(model="lmm", sum_to_one=sum_to_one))[0]
+    x_arr = np.asarray(x, dtype=float)
+    n_bands = _endmember_array(S0).shape[0]
+    if x_arr.ndim != 1 or x_arr.size != n_bands:
+        raise ValueError(f"pixel spectrum length {x_arr.shape} does not match {n_bands} bands")
+    config = SolverConfig(model="lmm", sum_to_one=sum_to_one)
+    return unmix_cube(x_arr[:, None], S0, config).abundances[:, 0]
 
 
 @dataclass(frozen=True)
@@ -338,11 +301,13 @@ def unmix_elmm_global(x, S0, config: SolverConfig) -> GlobalScalingFit:
     the exact constrained optimum.  A pixel with no component in the
     endmember cone (z = 0) is degenerate: uniform abundances are returned
     with the scale clamped to the lower bound and the flag set.  Only
-    config.psi_bounds is used.
+    config.psi_bounds is used.  The pixel is unmixed as a one-column cube
+    by unmix_cube, with its input checks.
     """
     global_config = SolverConfig(model="elmm-global", psi_bounds=config.psi_bounds)
-    a, psi, degenerate = _unmix_pixel(x, S0, global_config)
-    return GlobalScalingFit(abundances=a, scale=float(psi[0]), degenerate=degenerate)
+    result = unmix_cube(np.asarray(x, dtype=float)[:, None], S0, global_config)
+    return GlobalScalingFit(abundances=result.abundances[:, 0], scale=float(result.scales[0, 0]),
+                            degenerate=bool(result.degenerate[0]))
 
 
 def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:

@@ -183,6 +183,19 @@ class TestSimulateAndVerify:
         assert manifest["seed"] == 99
         assert json.loads((tmp_path / "cube.json").read_text())["seed"] == 99
 
+    def test_manifest_lists_exactly_the_written_files_in_sidecar_order(self, tmp_path, albedo_csv):
+        (tmp_path / "cube_old.txt").write_text("unrelated")
+        (tmp_path / "cubes.json").write_text("{}")
+        assert main([
+            "simulate", "--config", str(scene_config(tmp_path, n_pixels=4)), "--albedo", str(albedo_csv),
+            "--out", str(tmp_path / "cube"),
+        ]) == 0
+        manifest = json.loads((tmp_path / "cube.manifest.json").read_text())
+        assert manifest["outputs"] == [
+            "cube.json", "cube.bin", "cube.geom.bin", "cube.gt_a.bin", "cube.gt_psi.bin", "cube.endmembers.csv",
+        ]
+        assert all((tmp_path / name).exists() for name in manifest["outputs"])
+
 
 class TestUnmix:
     def simulate(self, tmp_path, albedo_csv, **overrides):
@@ -429,6 +442,21 @@ class TestSweep:
         assert err.startswith("error: ") and "theta0" in err and "120" in err
 
 
+class TestAngleSweepFlags:
+    @pytest.mark.parametrize(
+        "flag, value", [("--model", "full"), ("--theta0", "10"), ("--theta", "20"), ("--photometry", None)]
+    )
+    def test_curve_only_flag_on_angle_sweep_exits_1_naming_it(
+        self, tmp_path, albedo_csv, photometry_json, capsys, flag, value
+    ):
+        argv = ["sweep", "--albedo", str(albedo_csv), "--out", str(tmp_path / "out" / "s"),
+                flag, value or str(photometry_json)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} applies to curve sweeps only")
+        assert not (tmp_path / "out").exists()
+
+
 class TestSweepRangeBounds:
     @pytest.mark.parametrize("key", ["theta0_values", "theta_values"])
     @pytest.mark.parametrize("end", ["start", "stop"])
@@ -478,6 +506,35 @@ class TestSweepRangeBounds:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "at most 1000000" in err
         assert not list(tmp_path.glob("s.*"))
+
+    @pytest.mark.parametrize("num", [1e10, 10**6 + 1, float("inf"), pytest.param(10**400, id="int-1e400")])
+    def test_oversized_curve_exits_1_naming_key_before_linspace(
+        self, tmp_path, albedo_csv, capsys, monkeypatch, num
+    ):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"kind": "curve", "omega": {"num": num}}))
+
+        def linspace_reached(*args, **kwargs):
+            raise AssertionError(f"np.linspace reached with {args}")
+
+        monkeypatch.setattr(np, "linspace", linspace_reached)
+        assert main([
+            "sweep", "--albedo", str(albedo_csv), "--config", str(path), "--out", str(tmp_path / "c"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "omega.num must be at most 1000000" in err
+        assert not list(tmp_path.glob("c.*"))
+
+    @pytest.mark.parametrize("num", ["5", True, None])
+    def test_non_numeric_curve_num_exits_1_naming_key(self, tmp_path, albedo_csv, capsys, num):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"kind": "curve", "omega": {"num": num}}))
+        assert main([
+            "sweep", "--albedo", str(albedo_csv), "--config", str(path), "--out", str(tmp_path / "c"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "omega.num must be a number" in err
+        assert not list(tmp_path.glob("c.*"))
 
     @pytest.mark.parametrize("step", [float("inf"), float("nan")])
     def test_non_finite_step_exits_1_naming_key(self, tmp_path, albedo_csv, capsys, step):

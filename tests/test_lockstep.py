@@ -154,6 +154,23 @@ def test_global_scaling_is_magnitude_free():
         np.testing.assert_allclose(scaled.scales, k * unit.scales, rtol=1e-9)
 
 
+def test_single_pixel_entry_points_refuse_what_unmix_cube_refuses():
+    # At radiance scale (cube x1e12, endmembers at reflectance scale) the
+    # sum-constrained solve misses the simplex by up to 3e-4 here.  The
+    # single-pixel entry points raise like unmix_cube rather than return it.
+    S, X = problem(0, 2)
+    x = 1e12 * X[:, 1]
+    with pytest.raises(ValueError, match="abundance columns must sum to 1"):
+        unmix_cube(cube_of(x[:, None]), S, SolverConfig(model="lmm"))
+    with pytest.raises(ValueError, match="abundance columns must sum to 1"):
+        fcls(x, S)
+    with pytest.raises(ValueError, match="abundance columns must sum to 1"):
+        unmix_elmm_global(1e12 * X[:, 3], S, SolverConfig(model="elmm-global"))
+    assert np.array_equal(fcls(x, S, sum_to_one=False),
+                          unmix_cube(cube_of(x[:, None]), S, SolverConfig(model="lmm", sum_to_one=False))
+                          .abundances[:, 0])
+
+
 def serial_failures(S, X, sum_to_one):
     failures = 0
     for n in range(X.shape[1]):

@@ -325,3 +325,16 @@ class TestCubeInput:
         for model in ("lmm", "elmm-global", "elmm-full"):
             with pytest.raises(ValueError, match="non-finite cube value nan at band 5, pixel 7"):
                 unmix_cube(bad, cube.ground_truth.endmembers, SolverConfig(model=model))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_named_by_band_in_single_pixel_entry_points(self, value):
+        rng = np.random.default_rng(35)
+        S = random_endmembers(12, 3, rng)
+        x = S @ np.array([0.2, 0.5, 0.3])
+        x[4] = value
+        message = f"non-finite cube value {value} at band 4"
+        for sum_to_one in (True, False):
+            with pytest.raises(ValueError, match=message):
+                fcls(x, S, sum_to_one=sum_to_one)
+        with pytest.raises(ValueError, match=message):
+            unmix_elmm_global(x, S, SolverConfig(model="elmm-global"))
