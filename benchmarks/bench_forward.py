@@ -105,8 +105,6 @@ def run_cases(dump: Path | None) -> dict[str, float]:
 
     def angles(geometries) -> np.ndarray:
         """Pixels x (theta0, theta, phi) of a cube's geometries."""
-        if isinstance(geometries, tuple):  # source trees that keep one Geometry object per pixel
-            return np.array([[geom.theta0, geom.theta, geom.phi] for geom in geometries])
         return np.column_stack([geometries.theta0, geometries.theta, geometries.phi])
 
     times, outputs = {}, {}

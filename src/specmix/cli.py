@@ -23,7 +23,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__, io
-from .core import Geometry, HyperCube, check_config_keys, validate_cube
+from .core import Geometry, HyperCube, check_config_keys, config_value, validate_cube
 from .hapke import MODELS, ModelDomainError, endmember_variant
 from .metrics import SweepGrid, albedo_curve, angle_sweep
 from .simulate import SceneConfig, simulate_cube
@@ -185,18 +185,12 @@ def _cmd_unmix(args: argparse.Namespace) -> int:
         if gt.scales is not None:
             summary["psi_rmse"] = float(np.sqrt(np.mean((result.scales - gt.scales) ** 2)))
     out_json = clock.timed("write", io.write_unmix_result, args.out, result, summary=summary)
-    stem = Path(args.out)
-    binaries = [
-        stem.parent / (stem.name + ".a.bin"),
-        stem.parent / (stem.name + ".psi.bin"),
-        stem.parent / (stem.name + ".rmse.bin"),
-    ]
     _manifest(
         _out_base(args.out),
         "unmix",
         config.to_dict(),
         {"cube": args.cube, "endmembers": args.endmembers, "config": args.config or ""},
-        [out_json, *binaries],
+        [out_json, *io.unmix_files(args.out)],
         None,
         clock,
     )
@@ -224,9 +218,10 @@ def _angle_list(raw: dict[str, Any], key: str) -> tuple[int, Callable[[], np.nda
         return 91, partial(np.arange, 91, dtype=float)
     if isinstance(spec, dict):
         check_config_keys(spec, ("start", "stop", "step"), key)
-        start = float(spec.get("start", 0.0))
-        stop = float(spec.get("stop", 90.0))
-        step = float(spec.get("step", 1.0))
+        start, stop, step = (
+            config_value(spec.get(name, default), f"{key}.{name}")
+            for name, default in (("start", 0.0), ("stop", 90.0), ("step", 1.0))
+        )
         for name, value in (("start", start), ("stop", stop)):
             if not 0.0 <= value <= 90.0:
                 raise ValueError(f"{key}.{name} must be finite and in [0, 90] degrees, got {value:g}")
@@ -234,7 +229,7 @@ def _angle_list(raw: dict[str, Any], key: str) -> tuple[int, Callable[[], np.nda
             raise ValueError(f"{key}.step must be > 0 and finite, got {step:g}")
         stop += 0.5 * step
         return max(0, math.ceil((stop - start) / step)), partial(np.arange, start, stop, step)
-    values = np.asarray(spec, dtype=float)
+    values = np.array(config_value(spec, key, "numbers"))
     return values.size, partial(np.asarray, values)
 
 
@@ -258,35 +253,36 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown sweep kind {kind!r}; expected 'angle' or 'curve'")
     check_config_keys(raw, _SWEEP_KEYS[kind], f"{kind} sweep config")
     if kind == "angle":
-        for flag in ("model", "theta0", "theta", "photometry"):
+        for flag in ("model", "theta0", "theta", "phi", "photometry"):
             if getattr(args, flag) is not None:
                 raise ValueError(f"--{flag} applies to curve sweeps only, not to an angle sweep")
     out_base = _out_base(args.out)
     outputs: list[Path] = []
     if kind == "curve":
         model = args.model or raw.get("model", "relative")
-        theta0 = args.theta0 if args.theta0 is not None else float(raw.get("theta0", 0.0))
-        theta = args.theta if args.theta is not None else float(raw.get("theta", 0.0))
+        theta0 = args.theta0 if args.theta0 is not None else config_value(raw.get("theta0", 0.0), "theta0")
+        theta = args.theta if args.theta is not None else config_value(raw.get("theta", 0.0), "theta")
+        phi = 0.0 if args.phi is None else args.phi
         omega_spec = raw.get("omega", {"start": 0.0, "stop": 1.0, "num": 101})
         if isinstance(omega_spec, dict):
             check_config_keys(omega_spec, ("start", "stop", "num"), "omega")
-            num = omega_spec.get("num", 101)  # compared as given: float() overflows on huge integers
-            if isinstance(num, bool) or not isinstance(num, (int, float)):
-                raise ValueError(f"omega.num must be a number, got {num!r}")
+            num = config_value(omega_spec.get("num", 101), "omega.num")
             if not num >= 1:
                 raise ValueError(f"omega.num must be >= 1, got {num}")
             if num > _MAX_SWEEP_CELLS:
                 raise ValueError(f"omega.num must be at most {_MAX_SWEEP_CELLS}, got {num}")
-            omega = np.linspace(
-                float(omega_spec.get("start", 0.0)), float(omega_spec.get("stop", 1.0)), int(num)
+            start, stop = (
+                config_value(omega_spec.get(name, default), f"omega.{name}")
+                for name, default in (("start", 0.0), ("stop", 1.0))
             )
+            omega = np.linspace(start, stop, int(num))
         else:
-            omega = np.asarray(omega_spec, dtype=float)
+            omega = np.array(config_value(omega_spec, "omega", "numbers"))
         photometry = clock.timed("read", io.read_photometry, args.photometry) if args.photometry else None
         params_list = io.photometry_for(photometry, [a.material for a in albedos])
-        geom = Geometry(theta0=theta0, theta=theta, phi=args.phi)
+        geom = Geometry(theta0=theta0, theta=theta, phi=phi)
         for albedo, params in zip(albedos, params_list):
-            rho = clock.timed("model", albedo_curve, geom.mu, geom.mu0, model, omega, params=params, phi=args.phi)
+            rho = clock.timed("model", albedo_curve, geom.mu, geom.mu0, model, omega, params=params, phi=phi)
             path = out_base.parent / f"{out_base.name}.{albedo.material}.csv"
             clock.timed("write", io.write_curve_csv, path, omega, rho)
             outputs.append(path)
@@ -298,12 +294,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "omega_points": int(omega.size),
         }
     else:
-        pair = tuple(raw.get("model_pair", ("relative", "linear")))
         theta0_values, theta_values = _angle_grid(raw)
         grid = SweepGrid(
             theta0_values=theta0_values,
             theta_values=theta_values,
-            model_pair=pair,  # type: ignore[arg-type]
+            model_pair=raw.get("model_pair", ("relative", "linear")),
         )
         for albedo in albedos:
             result = clock.timed("model", angle_sweep, albedo, grid)
@@ -411,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--model", choices=MODELS, help="curve model override")
     sweep.add_argument("--theta0", type=float, help="curve incidence angle override")
     sweep.add_argument("--theta", type=float, help="curve emergence angle override")
-    sweep.add_argument("--phi", type=float, default=0.0, help="azimuth for full-model curves")
+    sweep.add_argument("--phi", type=float, help="curve azimuth, degrees (default 0; full model only)")
     sweep.add_argument("--out", required=True, help="output stem (one CSV per material)")
     sweep.set_defaults(func=_cmd_sweep)
 

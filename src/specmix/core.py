@@ -40,6 +40,34 @@ def check_config_keys(raw: Any, known: Iterable[str], what: str) -> dict[str, An
     return raw
 
 
+def config_value(value: Any, where: str, kind: str = "number") -> Any:
+    """A config value read as a JSON value of kind; else refused by its key path where.
+
+    "number": an int or float, not a bool, as a float (an integer beyond
+    float range as infinity, as json reads the literal 1e400); "count": a
+    whole number, as an int; "flag": true or false; "pair" and "numbers": a
+    list of two numbers or of any count, as a tuple of floats.
+    """
+    if kind == "flag":
+        if not isinstance(value, bool):
+            raise ValueError(f"{where} must be true or false, got {value!r}")
+        return value
+    if kind in ("pair", "numbers"):
+        if not isinstance(value, (list, tuple)) or (kind == "pair" and len(value) != 2):
+            raise ValueError(f"{where} must be a list of {'two ' if kind == 'pair' else ''}numbers, got {value!r}")
+        return tuple(config_value(item, f"{where}[{i}]") for i, item in enumerate(value))
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    if kind == "count":
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{where} must be a whole number, got {value!r}")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
+
+
 def cos_deg(angle_deg):
     """Cosine of an angle given in degrees.
 
@@ -161,77 +189,44 @@ class PhotometricParams:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Acquisition angles of one pixel, in degrees.
+    """Acquisition angles of one pixel (floats) or N pixels (read-only (N,) arrays), in degrees.
 
     theta0 is the incidence (sun zenith) angle, theta the emergence (sensor)
     angle, phi the azimuth between the projected sun and sensor directions.
-    The phase angle g is always derived from the other three; theta0 = 90
-    (raking light) is a valid configuration and gives mu0 exactly 0.
+    The cosines mu0 and mu and the phase angle g are derived once, by the
+    same formulas for both forms, so pixel n equals Geometry(theta0[n],
+    theta[n], phi[n]) bit for bit.  theta0 = 90 (raking light) is valid and
+    gives mu0 exactly 0.
     """
 
-    theta0: float
-    theta: float
-    phi: float = 0.0
-    g: float = field(init=False)
+    theta0: float | FloatArray
+    theta: float | FloatArray
+    phi: float | FloatArray = 0.0
+    mu0: float | FloatArray = field(init=False)
+    mu: float | FloatArray = field(init=False)
+    g: float | FloatArray = field(init=False)
 
     def __post_init__(self) -> None:
-        for name, hi in _ANGLE_LIMITS:
-            value = getattr(self, name)
-            if not np.isfinite(value) or not 0.0 <= value <= hi:
-                raise ValueError(f"{name} must be in [0, {hi:g}] degrees, got {value}")
-            object.__setattr__(self, name, float(value))
-        object.__setattr__(self, "g", float(phase_angle_deg(self.theta0, self.theta, self.phi)))
-
-    @property
-    def mu0(self) -> float:
-        """Cosine of the incidence angle."""
-        return float(cos_deg(self.theta0))
-
-    @property
-    def mu(self) -> float:
-        """Cosine of the emergence angle."""
-        return float(cos_deg(self.theta))
-
-
-@dataclass(frozen=True)
-class Geometries:
-    """Acquisition angles of N pixels, in degrees: Geometry's fields as (N,) arrays.
-
-    theta0, theta and phi are read-only arrays of equal length, validated
-    once on the bounds of Geometry; the cosines mu0 and mu and the phase
-    angle g are derived once, by the formulas of Geometry, so pixel n
-    equals Geometry(theta0[n], theta[n], phi[n]) bit for bit.
-    """
-
-    theta0: FloatArray
-    theta: FloatArray
-    phi: FloatArray
-    mu0: FloatArray = field(init=False)
-    mu: FloatArray = field(init=False)
-    g: FloatArray = field(init=False)
-
-    def __post_init__(self) -> None:
-        for name, hi in _ANGLE_LIMITS:
-            arr = _readonly(getattr(self, name), ndim=1, name=name)
-            bad = ~((arr >= 0.0) & (arr <= hi))
-            if np.any(bad):
-                pixel = int(np.argmax(bad))
-                raise ValueError(f"{name} must be in [0, {hi:g}] degrees, got {arr[pixel]} at pixel {pixel}")
-            object.__setattr__(self, name, arr)
-        if not self.theta0.size == self.theta.size == self.phi.size:
-            raise ValueError(
-                f"theta0, theta and phi lengths differ: {self.theta0.size}, {self.theta.size}, {self.phi.size}"
-            )
-        for name, values in (
-            ("mu0", cos_deg(self.theta0)),
-            ("mu", cos_deg(self.theta)),
-            ("g", phase_angle_deg(self.theta0, self.theta, self.phi)),
-        ):
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
+        one_pixel = all(np.ndim(getattr(self, name)) == 0 for name, _ in _ANGLE_LIMITS)
+        angles = [_readonly(getattr(self, name), ndim=0 if one_pixel else 1, name=name) for name, _ in _ANGLE_LIMITS]
+        for (name, hi), arr in zip(_ANGLE_LIMITS, angles):
+            in_range = (arr >= 0.0) & (arr <= hi)  # False at NaN too
+            if not in_range.all():
+                pixel = int(np.argmin(in_range))
+                got = float(arr) if one_pixel else f"{arr[pixel]} at pixel {pixel}"
+                raise ValueError(f"{name} must be in [0, {hi:g}] degrees, got {got}")
+        theta0, theta, phi = angles
+        if not theta0.size == theta.size == phi.size:
+            raise ValueError(f"theta0, theta and phi lengths differ: {theta0.size}, {theta.size}, {phi.size}")
+        derived = (cos_deg(theta0), cos_deg(theta), phase_angle_deg(theta0, theta, phi))
+        for name, value in zip(("theta0", "theta", "phi", "mu0", "mu", "g"), (*angles, *derived)):
+            if not one_pixel:
+                value.setflags(write=False)
+            object.__setattr__(self, name, float(value) if one_pixel else value)
 
     def __len__(self) -> int:
-        return int(self.theta0.size)
+        """Pixel count: 1 for scalar angles."""
+        return int(np.size(self.theta0))
 
 
 @dataclass(frozen=True)
@@ -286,7 +281,7 @@ class HyperCube:
     """Reflectance image: bands x pixels matrix plus its wavelength axis.
 
     geometries, when known, holds every pixel's acquisition angles as one
-    Geometries (pixel n at index n).  Construction only enforces
+    Geometry of (N,) arrays (pixel n at index n).  Construction only enforces
     structural shape; value-level invariants (non-negative reflectance,
     geometry count) are reported by validate_cube so that malformed files
     can be loaded and diagnosed.
@@ -294,7 +289,7 @@ class HyperCube:
 
     values: FloatArray  # bands x pixels
     axis: WavelengthAxis
-    geometries: Geometries | None = None
+    geometries: Geometry | None = None
     ground_truth: GroundTruth | None = None
 
     def __post_init__(self) -> None:

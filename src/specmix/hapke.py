@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AlbedoSpectrum, FloatArray, Geometries, Geometry, PhotometricParams
+from .core import AlbedoSpectrum, FloatArray, Geometry, PhotometricParams
 
 #: Valid model selectors, ordered from the full model to its simplest form.
 MODELS = ("full", "lambertian", "relative", "linear")
@@ -201,13 +201,13 @@ def linear_reflectance(omega, mu, mu0):
     return reflectance("linear", _check_omega(omega), _check_mu(mu, "mu"), _check_mu(mu0, "mu0"))
 
 
-def scaling_factor(local: Geometry | Geometries, reference: Geometry | Geometries) -> float | FloatArray:
+def scaling_factor(local: Geometry, reference: Geometry) -> float | FloatArray:
     """Geometry ratio linking linear-model reflectances at two geometries.
 
     psi = (4 mu_l mu0_l + 2 mu_l + 2 mu0_l + 1) / (4 mu_r mu0_r + 2 mu_r + 2 mu0_r + 1)
 
-    Either side may be a Geometry or a Geometries: the factor is a float
-    for two Geometry objects and one value per pixel, an (N,) array,
+    Either side may hold one pixel or N pixels: the factor is a float for
+    two one-pixel geometries and one value per pixel, an (N,) array,
     otherwise.
     Strictly positive, 1 when both geometries coincide, and transitive:
     scaling_factor(a, b) * scaling_factor(b, c) = scaling_factor(a, c).

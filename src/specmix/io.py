@@ -20,12 +20,13 @@ from .core import (
     AlbedoSpectrum,
     EndmemberMatrix,
     FloatArray,
-    Geometries,
+    Geometry,
     GroundTruth,
     HyperCube,
     PhotometricParams,
     UnmixResult,
     WavelengthAxis,
+    config_value,
 )
 from .metrics import SweepResult
 
@@ -117,9 +118,7 @@ def read_photometry(path: str | Path):
 def _params_from(raw: Any, where: str) -> PhotometricParams:
     if not isinstance(raw, dict) or not _PARAM_KEYS <= set(raw):
         raise ValueError(f"{where}: expected keys b, c, B0, h")
-    return PhotometricParams(
-        b=float(raw["b"]), c=float(raw["c"]), B0=float(raw["B0"]), h=float(raw["h"])
-    )
+    return PhotometricParams(**{key: config_value(raw[key], f"{where}: {key}") for key in ("b", "c", "B0", "h")})
 
 
 def write_photometry(path: str | Path, photometry) -> None:
@@ -148,8 +147,19 @@ def photometry_for(photometry, materials: list[str]):
 # cube: flat little-endian float64 binary (column-major bands x pixels)
 # plus a JSON sidecar with dimensions, axis and the names of sibling files:
 # <stem>.geom.bin, the pixels x 3 angles (theta0, theta, phi columns, in
-# degrees) laid out like the cube; ground truth; reference endmembers
+# degrees) of the cube's Geometry, laid out like the cube; ground truth;
+# reference endmembers.  Every file is named <stem><suffix>.
 # ---------------------------------------------------------------------------
+
+def _output_path(stem: str | Path, suffix: str) -> Path:
+    """<stem><suffix>, where a trailing .json is removed from stem and any other dot kept.
+
+    Cube and unmixing-result files are all named this way, so an output
+    stem such as "scene.v2" keeps its dotted part in every file name.
+    """
+    stem = Path(stem)
+    return stem.parent / (stem.name.removesuffix(".json") + suffix)
+
 
 def _write_matrix(path: Path, matrix: np.ndarray) -> None:
     path.write_bytes(np.asfortranarray(matrix, dtype="<f8").tobytes(order="F"))
@@ -169,9 +179,8 @@ def write_cube(stem: str | Path, cube: HyperCube, meta: dict[str, Any] | None = 
     reference endmember matrix, when present, go to sibling files
     referenced from the sidecar by relative path.
     """
-    stem = Path(stem)
-    stem.parent.mkdir(parents=True, exist_ok=True)
-    data_path = stem.with_suffix(".bin")
+    Path(stem).parent.mkdir(parents=True, exist_ok=True)
+    data_path = _output_path(stem, ".bin")
     _write_matrix(data_path, cube.values)
     sidecar: dict[str, Any] = {
         "bands": cube.n_bands,
@@ -188,12 +197,12 @@ def write_cube(stem: str | Path, cube: HyperCube, meta: dict[str, Any] | None = 
         sidecar.update(meta)
     geoms = cube.geometries
     if geoms is not None:
-        geom_path = stem.parent / (stem.name + ".geom.bin")
+        geom_path = _output_path(stem, ".geom.bin")
         _write_matrix(geom_path, np.column_stack((geoms.theta0, geoms.theta, geoms.phi)))
         sidecar["geometries"] = geom_path.name
     gt = cube.ground_truth
     if gt is not None:
-        a_path = stem.parent / (stem.name + ".gt_a.bin")
+        a_path = _output_path(stem, ".gt_a.bin")
         _write_matrix(a_path, gt.abundances)
         gt_entry: dict[str, Any] = {
             "materials": int(gt.abundances.shape[0]),
@@ -201,15 +210,15 @@ def write_cube(stem: str | Path, cube: HyperCube, meta: dict[str, Any] | None = 
             "scales": None,
         }
         if gt.scales is not None:
-            psi_path = stem.parent / (stem.name + ".gt_psi.bin")
+            psi_path = _output_path(stem, ".gt_psi.bin")
             _write_matrix(psi_path, gt.scales)
             gt_entry["scales"] = psi_path.name
         sidecar["ground_truth"] = gt_entry
         if gt.endmembers is not None:
-            em_path = stem.parent / (stem.name + ".endmembers.csv")
+            em_path = _output_path(stem, ".endmembers.csv")
             write_endmembers(em_path, cube.axis, gt.endmembers)
             sidecar["endmembers"] = em_path.name
-    sidecar_path = stem.with_suffix(".json")
+    sidecar_path = _output_path(stem, ".json")
     sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n")
     return sidecar_path
 
@@ -239,7 +248,7 @@ def read_cube(sidecar_path: str | Path) -> HyperCube:
         geom_path = base / geom_name
         angles = _read_matrix(geom_path, pixels, 3)
         try:
-            geometries = Geometries(theta0=angles[:, 0], theta=angles[:, 1], phi=angles[:, 2])
+            geometries = Geometry(theta0=angles[:, 0], theta=angles[:, 1], phi=angles[:, 2])
         except ValueError as exc:
             raise ValueError(f"{geom_path}: {exc}") from None
     ground_truth = None
@@ -275,6 +284,11 @@ def cube_files(sidecar_path: str | Path) -> list[Path]:
 # unmixing result: binary matrices + JSON summary
 # ---------------------------------------------------------------------------
 
+def unmix_files(stem: str | Path) -> list[Path]:
+    """The binary files of the unmixing result written for stem: abundances, scales, RMSE."""
+    return [_output_path(stem, suffix) for suffix in (".a.bin", ".psi.bin", ".rmse.bin")]
+
+
 def write_unmix_result(
     stem: str | Path, result: UnmixResult, summary: dict[str, Any] | None = None
 ) -> Path:
@@ -286,11 +300,8 @@ def write_unmix_result(
     holds no per-pixel list: each pixel's final objective is L * rmse^2,
     read from .rmse.bin.
     """
-    stem = Path(stem)
-    stem.parent.mkdir(parents=True, exist_ok=True)
-    a_path = stem.parent / (stem.name + ".a.bin")
-    psi_path = stem.parent / (stem.name + ".psi.bin")
-    rmse_path = stem.parent / (stem.name + ".rmse.bin")
+    Path(stem).parent.mkdir(parents=True, exist_ok=True)
+    a_path, psi_path, rmse_path = unmix_files(stem)
     _write_matrix(a_path, result.abundances)
     _write_matrix(psi_path, result.scales)
     _write_matrix(rmse_path, result.residual_rmse.reshape(-1, 1))
@@ -312,7 +323,7 @@ def write_unmix_result(
     }
     if summary:
         payload.update(summary)
-    out = stem.with_suffix(".json")
+    out = _output_path(stem, ".json")
     out.write_text(json.dumps(payload, indent=2) + "\n")
     return out
 

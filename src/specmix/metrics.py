@@ -110,12 +110,10 @@ class SweepGrid:
                 raise ValueError(f"{name} must be finite and lie in [0, 90] degrees")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        reference, approximation = self.model_pair
-        if reference not in SWEEP_MODELS or approximation not in SWEEP_MODELS:
-            raise ValueError(
-                f"model pair {self.model_pair!r} not supported; members must be in {SWEEP_MODELS}"
-            )
-        object.__setattr__(self, "model_pair", (str(reference), str(approximation)))
+        pair = self.model_pair
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(m in SWEEP_MODELS for m in pair)):
+            raise ValueError(f"model pair {pair!r} not supported; expected two of {SWEEP_MODELS}")
+        object.__setattr__(self, "model_pair", (str(pair[0]), str(pair[1])))
 
 
 @dataclass(frozen=True)

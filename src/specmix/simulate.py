@@ -22,12 +22,12 @@ from .core import (
     AlbedoSpectrum,
     EndmemberMatrix,
     FloatArray,
-    Geometries,
     Geometry,
     GroundTruth,
     HyperCube,
     PhotometricParams,
     check_config_keys,
+    config_value,
 )
 from .hapke import MODELS, endmember_variant, reflectance, scaling_factor
 
@@ -57,7 +57,7 @@ class AbundanceSampler:
         if self.kind not in ("uniform", "dirichlet"):
             raise ValueError(f"unknown abundance sampler kind {self.kind!r}")
         if not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"abundances alpha must be finite and > 0, got {self.alpha}")
+            raise ValueError(f"abundances.alpha must be finite and > 0, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,8 @@ class SceneConfig:
             raw.get("abundances", {"kind": "uniform"}), ("kind", "alpha"), "abundances"
         )
         sampler = AbundanceSampler(
-            kind=abund_raw.get("kind", "uniform"), alpha=float(abund_raw.get("alpha", 1.0))
+            kind=abund_raw.get("kind", "uniform"),
+            alpha=config_value(abund_raw.get("alpha", 1.0), "abundances.alpha"),
         )
         geom_raw = raw.get("geometry", {"kind": "fixed"})
         kind = geom_raw.get("kind", "fixed") if isinstance(geom_raw, dict) else None
@@ -145,20 +146,18 @@ class SceneConfig:
             check_config_keys(geom_raw, ("kind", *ranges), "geometry")
             geometry = GeometrySampler(
                 kind=kind,
-                theta0_range=tuple(geom_raw.get("theta0_range", (0.0, 90.0))),
-                theta_range=tuple(geom_raw.get("theta_range", (0.0, 90.0))),
-                phi_range=tuple(geom_raw.get("phi_range", (0.0, 180.0))),
+                **{key: config_value(geom_raw[key], f"geometry.{key}", "pair") for key in ranges if key in geom_raw},
             )
         snr = raw.get("snr_db")
         return cls(
-            n_materials=int(raw["n_materials"]),
-            n_pixels=int(raw["n_pixels"]),
+            n_materials=config_value(raw["n_materials"], "n_materials", "count"),
+            n_pixels=config_value(raw["n_pixels"], "n_pixels", "count"),
             model=raw.get("model", "linear"),
             abundances=sampler,
             geometry=geometry,
             reference=_geometry_from(raw.get("reference", {}), "reference"),
-            snr_db=None if snr is None else float(snr),
-            seed=int(raw.get("seed", 0)),
+            snr_db=None if snr is None else config_value(snr, "snr_db"),
+            seed=config_value(raw.get("seed", 0), "seed", "count"),
         )
 
 
@@ -168,11 +167,7 @@ def _geometry_dict(geom: Geometry) -> dict[str, float]:
 
 def _geometry_from(raw: Any, what: str) -> Geometry:
     check_config_keys(raw, ("theta0", "theta", "phi"), what)
-    return Geometry(
-        theta0=float(raw.get("theta0", 0.0)),
-        theta=float(raw.get("theta", 0.0)),
-        phi=float(raw.get("phi", 0.0)),
-    )
+    return Geometry(**{key: config_value(raw.get(key, 0.0), f"{what}.{key}") for key in ("theta0", "theta", "phi")})
 
 
 def sample_abundances(config: SceneConfig) -> FloatArray:
@@ -192,8 +187,8 @@ def sample_abundances(config: SceneConfig) -> FloatArray:
     return rng.dirichlet(np.full(shape[1], config.abundances.alpha), size=shape[0]).T
 
 
-def sample_geometries(config: SceneConfig) -> Geometries:
-    """Draw one acquisition geometry per pixel, as one Geometries of n_pixels angles.
+def sample_geometries(config: SceneConfig) -> Geometry:
+    """Draw one acquisition geometry per pixel, as one Geometry of n_pixels angles.
 
     The fixed kind repeats its geometry.  Uniform angles come from the
     (seed, geometry) stream in one pixel-major call, so a smaller scene's
@@ -207,7 +202,7 @@ def sample_geometries(config: SceneConfig) -> Geometries:
         rng = np.random.default_rng([int(config.seed), _GEOMETRY_STREAM])
         low, high = np.array([sampler.theta0_range, sampler.theta_range, sampler.phi_range]).T
         angles = rng.uniform(low, high, (config.n_pixels, 3))
-    return Geometries(theta0=angles[:, 0], theta=angles[:, 1], phi=angles[:, 2])
+    return Geometry(theta0=angles[:, 0], theta=angles[:, 1], phi=angles[:, 2])
 
 
 def reference_endmembers(
@@ -236,7 +231,7 @@ def simulate_cube(
     Each pixel mixes that pixel's endmember variants: x_n = S_n a_n, where
     S_n holds the per-material reflectances at the pixel's geometry.  Every
     material in a pixel shares the pixel's single geometry (topography is a
-    per-pixel tangent plane); the cube's geometries are the Geometries of
+    per-pixel tangent plane); the cube's geometries are the Geometry of
     sample_geometries, whose mu, mu0 and g arrays feed the kernel directly,
     sliced per block of pixels.  Ground-truth scaling factors are stored only
     for the linear model, where variant = psi * reference holds exactly;

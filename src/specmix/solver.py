@@ -38,7 +38,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import EndmemberMatrix, FloatArray, HyperCube, UnmixResult, check_config_keys
+from .core import EndmemberMatrix, FloatArray, HyperCube, UnmixResult, check_config_keys, config_value
 
 SOLVER_MODELS = ("lmm", "elmm-global", "elmm-full")
 
@@ -92,8 +92,8 @@ class SolverConfig:
         check_config_keys(raw, (f.name for f in fields(cls)), "solver config")
         return cls(
             model=raw.get("model", "elmm-full"),
-            sum_to_one=bool(raw.get("sum_to_one", True)),
-            psi_bounds=tuple(raw.get("psi_bounds", (1e-2, 1e2))),
+            sum_to_one=config_value(raw.get("sum_to_one", True), "sum_to_one", "flag"),
+            psi_bounds=config_value(raw.get("psi_bounds", (1e-2, 1e2)), "psi_bounds", "pair"),
         )
 
 

@@ -196,6 +196,32 @@ class TestSimulateAndVerify:
         ]
         assert all((tmp_path / name).exists() for name in manifest["outputs"])
 
+    def test_dotted_stem_keeps_its_dot_in_every_file_name(self, tmp_path, albedo_csv):
+        out = tmp_path / "out"
+        simulate = ["simulate", "--config", str(scene_config(tmp_path, n_pixels=4)), "--albedo", str(albedo_csv)]
+        assert main([*simulate, "--out", str(out / "scene")]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert main([*simulate, "--out", str(out / "scene.v2"), "--seed", "6"]) == 0
+        assert {path.name: path.read_bytes() for path in out.iterdir() if path.name in before} == before
+        manifest = json.loads((out / "scene.v2.manifest.json").read_text())
+        assert manifest["outputs"] == [
+            "scene.v2.json", "scene.v2.bin", "scene.v2.geom.bin", "scene.v2.gt_a.bin", "scene.v2.gt_psi.bin",
+            "scene.v2.endmembers.csv",
+        ]
+        written = sorted([*before, *manifest["outputs"], "scene.v2.manifest.json"])
+        assert sorted(path.name for path in out.iterdir()) == written
+
+    def test_json_out_is_the_sidecar_and_names_the_stem(self, tmp_path, albedo_csv):
+        assert main([
+            "simulate", "--config", str(scene_config(tmp_path, n_pixels=4)), "--albedo", str(albedo_csv),
+            "--out", str(tmp_path / "cube.json"),
+        ]) == 0
+        manifest = json.loads((tmp_path / "cube.manifest.json").read_text())
+        assert manifest["outputs"] == [
+            "cube.json", "cube.bin", "cube.geom.bin", "cube.gt_a.bin", "cube.gt_psi.bin", "cube.endmembers.csv",
+        ]
+        assert main(["verify", "--cube", str(tmp_path / "cube.json")]) == 0
+
 
 class TestUnmix:
     def simulate(self, tmp_path, albedo_csv, **overrides):
@@ -226,6 +252,16 @@ class TestUnmix:
             return False
 
         assert not has_pixel_list(summary)
+
+    @pytest.mark.parametrize("out, stem", [("fit.v2", "fit.v2"), ("fit.json", "fit")])
+    def test_every_result_file_is_named_by_the_whole_stem(self, tmp_path, albedo_csv, out, stem):
+        cube, endmembers = self.simulate(tmp_path, albedo_csv, n_pixels=4)
+        assert main(["unmix", "--cube", str(cube), "--endmembers", str(endmembers), "--out", str(tmp_path / out)]) == 0
+        manifest = json.loads((tmp_path / f"{stem}.manifest.json").read_text())
+        assert manifest["outputs"] == [f"{stem}{suffix}" for suffix in (".json", ".a.bin", ".psi.bin", ".rmse.bin")]
+        written = sorted([*manifest["outputs"], f"{stem}.manifest.json"])
+        assert sorted(path.name for path in tmp_path.glob("fit*")) == written
+        assert json.loads((tmp_path / f"{stem}.json").read_text())["abundances"] == f"{stem}.a.bin"
 
     def test_scaled_model_beats_plain_on_scaled_data(self, tmp_path, albedo_csv):
         cube, endmembers = self.simulate(tmp_path, albedo_csv, model="relative", n_pixels=60)
@@ -444,7 +480,8 @@ class TestSweep:
 
 class TestAngleSweepFlags:
     @pytest.mark.parametrize(
-        "flag, value", [("--model", "full"), ("--theta0", "10"), ("--theta", "20"), ("--photometry", None)]
+        "flag, value",
+        [("--model", "full"), ("--theta0", "10"), ("--theta", "20"), ("--phi", "30"), ("--photometry", None)],
     )
     def test_curve_only_flag_on_angle_sweep_exits_1_naming_it(
         self, tmp_path, albedo_csv, photometry_json, capsys, flag, value
@@ -589,3 +626,46 @@ class TestManifestStages:
         # each entry and the duration are rounded to the microsecond
         rounding = 0.5e-6 * (len(stages) + 1)
         assert sum(manifest["stages"].values()) <= manifest["duration_s"] + rounding
+
+
+class TestConfigValueTypes:
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("unmix", {"psi_bounds": None}, "psi_bounds"),
+            ("unmix", {"psi_bounds": "ab"}, "psi_bounds"),
+            ("unmix", {"psi_bounds": [0.5, "2"]}, "psi_bounds[1]"),
+            ("unmix", {"model": "lmm", "sum_to_one": "false"}, "sum_to_one"),
+            ("simulate", {"geometry": {"kind": "uniform", "theta0_range": 5}}, "geometry.theta0_range"),
+            ("simulate", {"geometry": {"kind": "uniform", "phi_range": [0, 90, 180]}}, "geometry.phi_range"),
+            ("simulate", {"abundances": {"kind": "dirichlet", "alpha": 10**400}}, "abundances.alpha"),
+            ("simulate", {"n_pixels": 5.7}, "n_pixels"),
+            ("simulate", {"n_pixels": "50"}, "n_pixels"),
+            ("simulate", {"seed": True}, "seed"),
+            ("simulate", {"reference": {"theta0": "45"}}, "reference.theta0"),
+            ("sweep", {"kind": "curve", "theta0": 10**400}, "theta0"),
+            ("sweep", {"kind": "curve", "omega": {"start": "0"}}, "omega.start"),
+            ("sweep", {"kind": "curve", "omega": [0.1, None]}, "omega[1]"),
+            ("sweep", {"theta0_values": {"step": 10**400}}, "theta0_values.step"),
+            ("sweep", {"theta_values": ["10"]}, "theta_values[0]"),
+        ],
+    )
+    def test_wrong_json_type_exits_1_naming_key(self, tmp_path, albedo_csv, capsys, command, config, key):
+        if command == "simulate":
+            path = scene_config(tmp_path, **config)
+            argv = ["simulate", "--config", str(path), "--albedo", str(albedo_csv)]
+        else:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = [command, "--config", str(path)]
+            if command == "unmix":
+                assert main(["simulate", "--config", str(scene_config(tmp_path, n_pixels=4)),
+                             "--albedo", str(albedo_csv), "--out", str(tmp_path / "cube")]) == 0
+                argv += ["--cube", str(tmp_path / "cube.json"), "--endmembers", str(tmp_path / "cube.endmembers.csv")]
+            else:
+                argv += ["--albedo", str(albedo_csv)]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "out" / "res")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must") and "Traceback" not in err
+        assert not list(tmp_path.glob("out/res*"))

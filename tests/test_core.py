@@ -4,7 +4,6 @@ import pytest
 from specmix.core import (
     AlbedoSpectrum,
     EndmemberMatrix,
-    Geometries,
     Geometry,
     GroundTruth,
     HyperCube,
@@ -109,8 +108,20 @@ class TestGeometry:
         angles = np.linspace(0.0, 90.0, 91)
         np.testing.assert_allclose(cos_deg(angles), np.cos(np.radians(angles)), atol=1e-15)
 
+    def test_one_pixel_angles_and_derivations_are_floats(self):
+        geom = Geometry(theta0=np.float64(30.0), theta=np.array(20.0), phi=10)
+        for name in ("theta0", "theta", "phi", "mu0", "mu", "g"):
+            assert type(getattr(geom, name)) is float, name
+        assert len(geom) == 1
 
-class TestGeometries:
+    def test_equal_geometries_compare_and_hash_equal(self):
+        a = Geometry(theta0=30.0, theta=20.0, phi=10.0)
+        b = Geometry(theta0=np.float64(30.0), theta=20, phi=np.array(10.0))
+        assert a == b and hash(a) == hash(b)
+        assert a != Geometry(theta0=30.0, theta=20.0, phi=11.0)
+
+
+class TestGeometryArrays:
     def random_angles(self, n=2000, seed=5):
         rng = np.random.default_rng(seed)
         angles = rng.uniform([0.0, 0.0, 0.0], [90.0, 90.0, 180.0], (n, 3))
@@ -120,7 +131,7 @@ class TestGeometries:
 
     def test_every_pixel_equals_its_geometry(self):
         angles = self.random_angles()
-        geoms = Geometries(theta0=angles[:, 0], theta=angles[:, 1], phi=angles[:, 2])
+        geoms = Geometry(theta0=angles[:, 0], theta=angles[:, 1], phi=angles[:, 2])
         assert len(geoms) == angles.shape[0]
         for n, (theta0, theta, phi) in enumerate(angles.tolist()):
             oracle = Geometry(theta0=theta0, theta=theta, phi=phi)
@@ -137,7 +148,7 @@ class TestGeometries:
         assert phase_angle_deg(theta0[:, None], theta[None, :3], 0.0).shape == (504, 3)
 
     def test_arrays_are_read_only(self):
-        geoms = Geometries(theta0=[10.0, 20.0], theta=[5.0, 6.0], phi=[0.0, 1.0])
+        geoms = Geometry(theta0=[10.0, 20.0], theta=[5.0, 6.0], phi=[0.0, 1.0])
         for name in ("theta0", "theta", "phi", "mu0", "mu", "g"):
             with pytest.raises(ValueError):
                 getattr(geoms, name)[0] = 1.0
@@ -155,13 +166,13 @@ class TestGeometries:
         angles = {key: np.full(4, 10.0) for key in ("theta0", "theta", "phi")}
         angles[name][2:] = bad
         with pytest.raises(ValueError, match=message):
-            Geometries(**angles)
+            Geometry(**angles)
 
     def test_shapes_validated(self):
         with pytest.raises(ValueError, match="lengths differ: 3, 2, 3"):
-            Geometries(theta0=[1.0, 2.0, 3.0], theta=[1.0, 2.0], phi=[0.0, 0.0, 0.0])
+            Geometry(theta0=[1.0, 2.0, 3.0], theta=[1.0, 2.0], phi=[0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="theta must be 1-D"):
-            Geometries(theta0=[1.0], theta=[[1.0]], phi=[0.0])
+            Geometry(theta0=[1.0], theta=[[1.0]], phi=[0.0])
 
 
 class TestValidateCube:
@@ -170,7 +181,7 @@ class TestValidateCube:
         geometries = None
         if n_geoms is not None:
             k = np.arange(n_geoms)
-            geometries = Geometries(theta0=10.0 * k % 90, theta=np.full(n_geoms, 5.0), phi=np.zeros(n_geoms))
+            geometries = Geometry(theta0=10.0 * k % 90, theta=np.full(n_geoms, 5.0), phi=np.zeros(n_geoms))
         return HyperCube(values=values, axis=axis, geometries=geometries)
 
     def test_well_formed_cube_is_clean(self):

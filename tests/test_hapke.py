@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from specmix.core import AlbedoSpectrum, Geometries, Geometry, PhotometricParams, WavelengthAxis, cos_deg
+from specmix.core import AlbedoSpectrum, Geometry, PhotometricParams, WavelengthAxis, cos_deg
 from specmix.hapke import (
     angle_divisor,
     cell_factors,
@@ -287,7 +287,7 @@ class TestScalingFactor:
         rng = np.random.default_rng(13)
         angles = rng.uniform(0.0, 90.0, (3, 500))
         angles[:, :2] = [[0.0, 90.0], [90.0, 0.0], [0.0, 180.0]]
-        geometries = Geometries(theta0=angles[0], theta=angles[1], phi=angles[2])
+        geometries = Geometry(theta0=angles[0], theta=angles[1], phi=angles[2])
         reference = Geometry(theta0=30.0, theta=0.0, phi=0.0)
         forward, backward = scaling_factor(reference, geometries), scaling_factor(geometries, reference)
         assert forward.shape == backward.shape == (500,)

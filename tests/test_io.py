@@ -8,7 +8,6 @@ from specmix import io
 from specmix.core import (
     AlbedoSpectrum,
     EndmemberMatrix,
-    Geometries,
     Geometry,
     GroundTruth,
     HyperCube,
@@ -92,6 +91,21 @@ class TestPhotometryJson:
             io.photometry_for({"x": single}, ["x", "y"])
         assert io.photometry_for(None, ["x"]) == [None]
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("b", "0.1", r"photo.json\[basalt\]: b must be a number, got '0.1'"),
+            ("h", None, r"photo.json\[basalt\]: h must be a number, got None"),
+            ("c", 10**400, "photometric parameter c must be finite"),
+        ],
+        ids=["string", "null", "int-1e400"],
+    )
+    def test_value_of_wrong_json_type_named(self, tmp_path, key, value, message):
+        path = tmp_path / "photo.json"
+        path.write_text(json.dumps({"basalt": {"b": 0.1, "c": 0.5, "B0": 0.0, "h": 0.1, key: value}}))
+        with pytest.raises(ValueError, match=message):
+            io.read_photometry(path)
+
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "photo.json"
         path.write_text(json.dumps({"b": 0.1, "c": 0.5, "B0": 0.0}))
@@ -107,7 +121,7 @@ class TestCubeFiles:
         angles = np.array(
             [[rng.uniform(0, 90), rng.uniform(0, 90), rng.uniform(0, 180)] for _ in range(n_pixels)]
         )
-        geometries = Geometries(theta0=angles[:, 0], theta=angles[:, 1], phi=angles[:, 2])
+        geometries = Geometry(theta0=angles[:, 0], theta=angles[:, 1], phi=angles[:, 2])
         ground_truth = None
         if with_gt:
             abundances = rng.dirichlet(np.ones(2), n_pixels).T
@@ -170,7 +184,7 @@ class TestCubeFiles:
         cube = HyperCube(
             values=rng.uniform(0.0, 0.8, (len(axis), n_pixels)),
             axis=axis,
-            geometries=Geometries(theta0=angles[:, 0], theta=angles[:, 1], phi=angles[:, 2]),
+            geometries=Geometry(theta0=angles[:, 0], theta=angles[:, 1], phi=angles[:, 2]),
             ground_truth=GroundTruth(abundances=rng.dirichlet(np.ones(2), n_pixels).T),
         )
         sidecar = json.loads(io.write_cube(tmp_path / "big", cube).read_text())

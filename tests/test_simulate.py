@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from specmix.core import AlbedoSpectrum, Geometries, Geometry, HyperCube, PhotometricParams, WavelengthAxis
+from specmix.core import AlbedoSpectrum, Geometry, HyperCube, PhotometricParams, WavelengthAxis
 from specmix.hapke import endmember_variant, scaling_factor
 from specmix import simulate
 from specmix.simulate import (
@@ -28,7 +29,7 @@ def make_albedos(n_materials=3, n_bands=12, seed=1):
 
 
 def pixel_geometry(geometries, n):
-    """Pixel n of a Geometries as the per-pixel Geometry oracle, built from its angles."""
+    """Pixel n of an N-pixel Geometry as the per-pixel Geometry oracle, built from its angles."""
     return Geometry(theta0=geometries.theta0[n], theta=geometries.theta[n], phi=geometries.phi[n])
 
 
@@ -117,6 +118,36 @@ class TestSceneConfig:
         )
         assert SceneConfig.from_dict(config.to_dict()) == config
 
+    @pytest.mark.parametrize(
+        "config, text",
+        [
+            (
+                SceneConfig(
+                    n_materials=3, n_pixels=10, model="full", abundances=AbundanceSampler(kind="dirichlet", alpha=0.3),
+                    geometry=GeometrySampler(kind="fixed", fixed=Geometry(theta0=30.0, theta=12.5, phi=100.0)),
+                    reference=Geometry(theta0=45.0, theta=45.0), snr_db=40.0, seed=7,
+                ),
+                '{"n_materials": 3, "n_pixels": 10, "model": "full", "abundances": {"kind": "dirichlet", '
+                '"alpha": 0.3}, "reference": {"theta0": 45.0, "theta": 45.0, "phi": 0.0}, "snr_db": 40.0, '
+                '"seed": 7, "geometry": {"kind": "fixed", "angles": {"theta0": 30.0, "theta": 12.5, "phi": 100.0}}}',
+            ),
+            (
+                SceneConfig(
+                    n_materials=4, n_pixels=1024,
+                    geometry=GeometrySampler(kind="uniform", theta0_range=(0.0, 70.0), theta_range=(0, 70)),
+                    reference=Geometry(theta0=np.float64(45), theta=45, phi=0), seed=3,
+                ),
+                '{"n_materials": 4, "n_pixels": 1024, "model": "linear", "abundances": {"kind": "uniform", '
+                '"alpha": 1.0}, "reference": {"theta0": 45.0, "theta": 45.0, "phi": 0.0}, "snr_db": null, '
+                '"seed": 3, "geometry": {"kind": "uniform", "theta0_range": [0.0, 70.0], '
+                '"theta_range": [0.0, 70.0], "phi_range": [0.0, 180.0]}}',
+            ),
+        ],
+        ids=["fixed", "uniform"],
+    )
+    def test_dict_json_text_is_stable(self, config, text):
+        assert json.dumps(config.to_dict()) == text
+
 
 class TestAbundanceSampler:
     @pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -1.0])
@@ -165,7 +196,7 @@ class TestSampleGeometries:
     def test_fixed_kind_repeats_its_geometry(self):
         fixed = Geometry(theta0=30.0, theta=20.0, phi=10.0)
         geoms = sample_geometries(base_config(n_pixels=5, geometry=GeometrySampler(kind="fixed", fixed=fixed)))
-        assert isinstance(geoms, Geometries) and len(geoms) == 5
+        assert isinstance(geoms, Geometry) and len(geoms) == 5
         for name in ("theta0", "theta", "phi", "mu0", "mu", "g"):
             np.testing.assert_array_equal(getattr(geoms, name), np.full(5, getattr(fixed, name)), err_msg=name)
 
@@ -268,7 +299,7 @@ class TestSimulateCube:
         large_prefix = large.geometries
         assert_same_geometries(
             small.geometries,
-            Geometries(large_prefix.theta0[:17], large_prefix.theta[:17], large_prefix.phi[:17]),
+            Geometry(large_prefix.theta0[:17], large_prefix.theta[:17], large_prefix.phi[:17]),
         )
         np.testing.assert_array_equal(small.values, large.values[:, :17])
         # the noise's standard normal draws are a prefix too; sigma follows
