@@ -256,8 +256,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for flag in ("model", "theta0", "theta", "phi", "photometry"):
             if getattr(args, flag) is not None:
                 raise ValueError(f"--{flag} applies to curve sweeps only, not to an angle sweep")
-    out_base = _out_base(args.out)
-    outputs: list[Path] = []
     if kind == "curve":
         model = args.model or raw.get("model", "relative")
         theta0 = args.theta0 if args.theta0 is not None else config_value(raw.get("theta0", 0.0), "theta0")
@@ -275,17 +273,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 config_value(omega_spec.get(name, default), f"omega.{name}")
                 for name, default in (("start", 0.0), ("stop", 1.0))
             )
-            omega = np.linspace(start, stop, int(num))
+            omega = np.linspace(start, stop, config_value(num, "omega.num", "count"))
         else:
             omega = np.array(config_value(omega_spec, "omega", "numbers"))
         photometry = clock.timed("read", io.read_photometry, args.photometry) if args.photometry else None
         params_list = io.photometry_for(photometry, [a.material for a in albedos])
         geom = Geometry(theta0=theta0, theta=theta, phi=phi)
-        for albedo, params in zip(albedos, params_list):
-            rho = clock.timed("model", albedo_curve, geom.mu, geom.mu0, model, omega, params=params, phi=phi)
-            path = out_base.parent / f"{out_base.name}.{albedo.material}.csv"
-            clock.timed("write", io.write_curve_csv, path, omega, rho)
-            outputs.append(path)
+        curves = [
+            clock.timed("model", albedo_curve, geom.mu, geom.mu0, model, omega, params=params, phi=phi)
+            for params in params_list
+        ]
         config_echo: dict[str, Any] = {
             "kind": "curve",
             "model": model,
@@ -300,11 +297,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             theta_values=theta_values,
             model_pair=raw.get("model_pair", ("relative", "linear")),
         )
-        for albedo in albedos:
-            result = clock.timed("model", angle_sweep, albedo, grid)
-            path = out_base.parent / f"{out_base.name}.{albedo.material}.csv"
-            clock.timed("write", io.write_sweep_csv, path, result)
-            outputs.append(path)
         config_echo = {
             "kind": "angle",
             "model_pair": list(grid.model_pair),
@@ -313,6 +305,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "albedo_source": str(args.albedo),
             "materials": [a.material for a in albedos],
         }
+    # the output directory is made only once the whole config has been read and checked
+    out_base = _out_base(args.out)
+    outputs = [out_base.parent / f"{out_base.name}.{albedo.material}.csv" for albedo in albedos]
+    if kind == "curve":
+        for path, rho in zip(outputs, curves):
+            clock.timed("write", io.write_curve_csv, path, omega, rho)
+    else:
+        for path, albedo in zip(outputs, albedos):
+            result = clock.timed("model", angle_sweep, albedo, grid)
+            clock.timed("write", io.write_sweep_csv, path, result)
     _manifest(
         out_base,
         "sweep",

@@ -19,6 +19,8 @@ FloatArray = NDArray[np.float64]
 
 #: Absolute slack allowed on abundance column sums when sum-to-one is enforced.
 SUM_TO_ONE_TOL = 1e-9
+#: Pixels per block of the band-major to pixel-major copy in pixel_major.
+_COPY_BLOCK_PIXELS = 256
 
 
 def _readonly(values, dtype=np.float64, ndim: int | None = None, name: str = "array") -> np.ndarray:
@@ -27,6 +29,31 @@ def _readonly(values, dtype=np.float64, ndim: int | None = None, name: str = "ar
         raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def pixel_major(values, copy: bool = True) -> FloatArray:
+    """values as a float64 (bands, pixels) matrix stored pixel-major (Fortran order).
+
+    A pixel-major float64 input is returned as is unless copy is set.  Any
+    other input is copied exactly, once, a block of pixels at a time through
+    a staging block whose rows are padded by one cache line: a plain strided
+    transpose is several times slower at a power-of-two pixel count (a
+    64 x 64 tile), where every band's row maps to the same cache sets.
+    """
+    arr = np.asarray(values)
+    if arr.ndim != 2:
+        raise ValueError(f"cube values must be 2-D, got shape {arr.shape}")
+    if arr.flags.f_contiguous:
+        return np.array(arr, dtype=np.float64, order="F") if copy else arr.astype(np.float64, copy=False)
+    n_bands, n_pixels = arr.shape
+    out = np.empty(arr.shape, order="F")
+    staging = np.empty((n_bands, min(n_pixels, _COPY_BLOCK_PIXELS) + 8))
+    for start in range(0, n_pixels, _COPY_BLOCK_PIXELS):
+        px = slice(start, min(start + _COPY_BLOCK_PIXELS, n_pixels))
+        block = staging[:, : px.stop - px.start]
+        block[...] = arr[:, px]
+        out[:, px] = block
+    return out
 
 
 def check_config_keys(raw: Any, known: Iterable[str], what: str) -> dict[str, Any]:
@@ -280,6 +307,9 @@ class GroundTruth:
 class HyperCube:
     """Reflectance image: bands x pixels matrix plus its wavelength axis.
 
+    values is always stored pixel-major (Fortran order), so each pixel's
+    spectrum is contiguous, as in the .bin file and the solver's rows; any
+    other input layout or dtype is converted once, here, by pixel_major.
     geometries, when known, holds every pixel's acquisition angles as one
     Geometry of (N,) arrays (pixel n at index n).  Construction only enforces
     structural shape; value-level invariants (non-negative reflectance,
@@ -293,7 +323,8 @@ class HyperCube:
     ground_truth: GroundTruth | None = None
 
     def __post_init__(self) -> None:
-        arr = _readonly(self.values, ndim=2, name="cube values")
+        arr = pixel_major(self.values)
+        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @property

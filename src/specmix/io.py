@@ -144,8 +144,10 @@ def photometry_for(photometry, materials: list[str]):
 
 
 # ---------------------------------------------------------------------------
-# cube: flat little-endian float64 binary (column-major bands x pixels)
-# plus a JSON sidecar with dimensions, axis and the names of sibling files:
+# cube: flat little-endian float64 binary (column-major bands x pixels, so
+# each pixel's spectrum is contiguous: HyperCube's own pixel-major layout,
+# written and read with no transposed copy) plus a JSON sidecar with
+# dimensions, axis and the names of sibling files:
 # <stem>.geom.bin, the pixels x 3 angles (theta0, theta, phi columns, in
 # degrees) of the cube's Geometry, laid out like the cube; ground truth;
 # reference endmembers.  Every file is named <stem><suffix>.
@@ -162,7 +164,8 @@ def _output_path(stem: str | Path, suffix: str) -> Path:
 
 
 def _write_matrix(path: Path, matrix: np.ndarray) -> None:
-    path.write_bytes(np.asfortranarray(matrix, dtype="<f8").tobytes(order="F"))
+    # a column-major matrix's transpose is C-contiguous: its buffer is written with no copy
+    path.write_bytes(np.asfortranarray(matrix, dtype="<f8").T.data)
 
 
 def _read_matrix(path: Path, rows: int, cols: int) -> np.ndarray:

@@ -40,6 +40,10 @@ _ABUNDANCE_STREAM = 1
 _GEOMETRY_STREAM = 2
 _NOISE_STREAM = 3
 
+#: Most pixels a scene may have, checked before anything is allocated: a
+#: 3162 x 3162 image, whose cube alone takes 16 GB at 200 bands.
+_MAX_PIXELS = 10**7
+
 
 @dataclass(frozen=True)
 class AbundanceSampler:
@@ -98,6 +102,8 @@ class SceneConfig:
             raise ValueError(f"material count must be >= 1, got {self.n_materials}")
         if self.n_pixels < 1:
             raise ValueError(f"pixel count must be >= 1, got {self.n_pixels}")
+        if self.n_pixels > _MAX_PIXELS:
+            raise ValueError(f"n_pixels must be at most {_MAX_PIXELS}, got {self.n_pixels}")
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.snr_db is not None and not self.snr_db > 0.0:
@@ -254,15 +260,15 @@ def simulate_cube(
     # pixel geometry as (pixels, 1) columns, the layout of the variant blocks
     mu, mu0, g = geometries.mu[:, None], geometries.mu0[:, None], geometries.g[:, None]
     n_bands, n_pixels = len(axis), config.n_pixels
-    values = np.empty((n_bands, n_pixels))
+    values = np.empty((n_bands, n_pixels), order="F")  # pixel-major, the layout HyperCube keeps
     for start in range(0, n_pixels, _CHUNK_PIXELS):
         px = slice(start, min(start + _CHUNK_PIXELS, n_pixels))
         # block[n] is pixel n's S_n, C-contiguous like a column-stacked matrix
         block = np.empty((px.stop - px.start, n_bands, config.n_materials))
         for k, (albedo, params) in enumerate(zip(albedos, photometry)):
             block[:, :, k] = reflectance(config.model, albedo.omega, mu[px], mu0[px], g[px], params)
-        # one matrix-vector product per pixel, S_n @ a_n
-        values[:, px] = np.matmul(block, abundances.T[px, :, None])[:, :, 0].T
+        # one matrix-vector product per pixel, S_n @ a_n, written as that pixel's contiguous spectrum
+        values.T[px] = np.matmul(block, abundances.T[px, :, None])[:, :, 0]
     scales: FloatArray | None = None
     if config.model == "linear":
         pixel_psi = scaling_factor(config.reference, geometries)
@@ -293,9 +299,11 @@ def inject_noise(cube: HyperCube, snr_db: float, seed: int) -> HyperCube:
         raise ValueError(f"snr_db must be > 0, got {snr_db}")
     if math.isinf(snr_db):
         return cube
-    signal_power = float(np.mean(cube.values**2))
+    # np.mean sums in memory order: the squares are laid out band-major, the order that fixes sigma's bits
+    signal_power = float(np.mean(np.square(cube.values, order="C")))
     sigma = math.sqrt(signal_power / 10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng([int(seed), _NOISE_STREAM])
+    # the pixel-major draws, transposed, have the cube's pixel-major layout
     noisy = cube.values + rng.normal(0.0, sigma, (cube.n_pixels, cube.n_bands)).T
     return HyperCube(
         values=noisy,

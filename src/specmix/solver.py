@@ -38,7 +38,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import EndmemberMatrix, FloatArray, HyperCube, UnmixResult, check_config_keys, config_value
+from .core import EndmemberMatrix, FloatArray, HyperCube, UnmixResult, check_config_keys, config_value, pixel_major
 
 SOLVER_MODELS = ("lmm", "elmm-global", "elmm-full")
 
@@ -322,14 +322,14 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
 
     Pixels are solved in lockstep batches of _CHUNK_PIXELS, with no loop
     over pixels; every output of a pixel is bit-identical to unmixing that
-    pixel alone, or in any other batch.
+    pixel alone, or in any other batch.  A batch's rows are views of the
+    pixel-major cube values; a cube given as a plain (bands, pixels) array
+    is brought to that layout once per call, by core.pixel_major.
     """
-    X = cube.values if isinstance(cube, HyperCube) else np.asarray(cube, dtype=float)
+    X = cube.values if isinstance(cube, HyperCube) else pixel_major(cube, copy=False)
     S = _endmember_array(S0)
-    if X.ndim != 2 or X.shape[0] != S.shape[0]:
-        raise ValueError(
-            f"cube has {X.shape[0] if X.ndim == 2 else '?'} bands, endmembers have {S.shape[0]}"
-        )
+    if X.shape[0] != S.shape[0]:
+        raise ValueError(f"cube has {X.shape[0]} bands, endmembers have {S.shape[0]}")
     if not np.all(np.isfinite(X)):
         band, pixel = np.unravel_index(int(np.argmax(~np.isfinite(X))), X.shape)
         raise ValueError(f"non-finite cube value {X[band, pixel]} at band {band}, pixel {pixel}")
@@ -344,7 +344,7 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     residual_rmse = np.empty(n_pixels)
     for start in range(0, n_pixels, _CHUNK_PIXELS):
         chunk = slice(start, start + _CHUNK_PIXELS)
-        rows = np.ascontiguousarray(X[:, chunk].T)  # one pixel per row
+        rows = X[:, chunk].T  # one pixel per row: a C-contiguous view of the pixel-major cube
         a, scales, degenerate[chunk] = _unmix_rows(config, G, _rowwise(rows, S))
         A[:, chunk], psi[:, chunk] = a.T, scales.T
         residual = _rowwise(scales * a, S.T)

@@ -123,6 +123,14 @@ class TestSimulateAndVerify:
         ])
         assert code == 1
 
+    def test_oversized_scene_exits_1_naming_key(self, tmp_path, albedo_csv, capsys):
+        config = scene_config(tmp_path, n_pixels=10**13)
+        assert main(["simulate", "--config", str(config), "--albedo", str(albedo_csv),
+                     "--out", str(tmp_path / "out" / "cube")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_pixels must be at most 10000000, got 10000000000000")
+        assert not (tmp_path / "out").exists()
+
     def test_typoed_config_key_exits_1_naming_it(self, tmp_path, albedo_csv, capsys):
         config = scene_config(
             tmp_path, geometry={"kind": "uniform", "theta_rnage": [0.0, 10.0]}
@@ -648,6 +656,8 @@ class TestConfigValueTypes:
             ("sweep", {"kind": "curve", "omega": [0.1, None]}, "omega[1]"),
             ("sweep", {"theta0_values": {"step": 10**400}}, "theta0_values.step"),
             ("sweep", {"theta_values": ["10"]}, "theta_values[0]"),
+            ("sweep", {"kind": "curve", "theta0": "5"}, "theta0"),
+            ("sweep", {"kind": "curve", "omega": {"num": 5.7}}, "omega.num"),
         ],
     )
     def test_wrong_json_type_exits_1_naming_key(self, tmp_path, albedo_csv, capsys, command, config, key):
@@ -668,4 +678,4 @@ class TestConfigValueTypes:
         assert main([*argv, "--out", str(tmp_path / "out" / "res")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must") and "Traceback" not in err
-        assert not list(tmp_path.glob("out/res*"))
+        assert not (tmp_path / "out").exists()

@@ -12,6 +12,7 @@ from specmix.core import (
     WavelengthAxis,
     cos_deg,
     phase_angle_deg,
+    pixel_major,
     validate_cube,
 )
 
@@ -173,6 +174,38 @@ class TestGeometryArrays:
             Geometry(theta0=[1.0, 2.0, 3.0], theta=[1.0, 2.0], phi=[0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="theta must be 1-D"):
             Geometry(theta0=[1.0], theta=[[1.0]], phi=[0.0])
+
+
+class TestHyperCube:
+    # 517 pixels: two whole copy blocks of pixel_major and a partial one
+    VALUES = np.random.default_rng(9).uniform(0.0, 0.8, (5, 517))
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            pytest.param(VALUES, id="c-order"),
+            pytest.param(np.asfortranarray(VALUES), id="f-order"),
+            pytest.param(VALUES.astype(np.float32), id="float32"),
+            pytest.param(VALUES.tolist(), id="list"),
+            pytest.param(np.repeat(VALUES, 2, axis=1)[:, ::2], id="strided"),
+        ],
+    )
+    def test_values_stored_pixel_major_and_bit_equal(self, source):
+        cube = HyperCube(values=source, axis=make_axis(5))
+        assert cube.values.flags.f_contiguous and not cube.values.flags.writeable
+        assert cube.values.dtype == np.float64
+        expected = np.asarray(source, dtype=np.float64)
+        assert cube.values.tobytes(order="C") == expected.tobytes(order="C")
+        assert not np.shares_memory(cube.values, source)
+
+    def test_pixel_major_input_kept_without_copy(self):
+        values = np.asfortranarray(self.VALUES)
+        assert pixel_major(values, copy=False) is values
+        assert pixel_major(self.VALUES, copy=False).flags.f_contiguous
+
+    def test_values_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="cube values must be 2-D"):
+            HyperCube(values=np.zeros(3), axis=make_axis(3))
 
 
 class TestValidateCube:

@@ -168,6 +168,10 @@ class TestCubeFiles:
         raw = np.frombuffer((tmp_path / "order.bin").read_bytes(), dtype="<f8")
         # first pixel's spectrum is contiguous
         np.testing.assert_array_equal(raw[: len(axis)], cube.values[:, 0])
+        # a cube built band-major (C order) is written column-major all the same
+        values = np.random.default_rng(4).uniform(0.0, 0.8, (len(axis), 300))
+        io.write_cube(tmp_path / "band_major", HyperCube(values=values, axis=axis))
+        assert (tmp_path / "band_major.bin").read_bytes() == values.tobytes(order="F")
 
     def test_geometries_side_file_is_column_major_angles(self, tmp_path, axis):
         cube = self.make_cube(axis, with_gt=False)

@@ -116,6 +116,9 @@ def test_bit_identical_across_batches(model, monkeypatch):
     S, X = problem(41, 5, n_pixels=37)
     config = SolverConfig(model=name, sum_to_one=sum_to_one, psi_bounds=(0.5, 2.0))
     whole = unmix_cube(cube_of(X), S, config)
+    assert X.flags.c_contiguous
+    for plain in (X, np.asfortranarray(X)):
+        assert_identical(whole, [unmix_cube(plain, S, config)])
     singles = [unmix_cube(cube_of(X[:, n:n + 1]), S, config) for n in range(X.shape[1])]
     assert_identical(whole, singles)
     edges = (0, 5, 6, 20, 37)

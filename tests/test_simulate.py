@@ -60,6 +60,8 @@ class TestSceneConfig:
             base_config(n_pixels=0)
         with pytest.raises(ValueError):
             base_config(n_materials=0)
+        with pytest.raises(ValueError, match="n_pixels must be at most 10000000"):
+            base_config(n_pixels=10**7 + 1)
 
     def test_snr_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -281,6 +283,7 @@ class TestSimulateCube:
         monkeypatch.setattr(simulate, "_CHUNK_PIXELS", 7)
         chunked = simulate_cube(albedos, params, config)
         np.testing.assert_array_equal(chunked.values, whole.values)
+        assert whole.values.flags.f_contiguous and chunked.values.flags.f_contiguous
         if model == "linear":
             np.testing.assert_array_equal(chunked.ground_truth.scales, whole.ground_truth.scales)
 
