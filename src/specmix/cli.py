@@ -4,28 +4,28 @@ unmixing, metric sweeps and cube verification.
 Exit codes are a stable scripting contract: 0 success, 1 invalid input or
 failed validation, 2 model-domain error (the message names the violated
 precondition).  Every file-producing run writes a JSON manifest next to its
-outputs recording the command, configuration echo, paths, seed, tool
-version, wall-clock duration and the wall seconds of its read, model, solve
-and write stages; outputs are byte-deterministic given the same inputs and seed.
+outputs recording the command, configuration, paths, seed, tool version,
+wall-clock duration and the wall seconds of its read, model, solve and write
+stages; outputs are byte-deterministic given the same inputs and seed.  For
+simulate, unmix and sweep the manifest's "config" is the config type's
+to_dict(): fed back as --config with the same inputs, it reproduces the outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
-from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from . import __version__, io
-from .core import Geometry, HyperCube, check_config_keys, config_value, validate_cube
+from .core import Geometry, HyperCube, validate_cube
 from .hapke import MODELS, ModelDomainError, endmember_variant
-from .metrics import SweepGrid, albedo_curve, angle_sweep
+from .metrics import AlbedoCurve, SweepGrid, angle_sweep
 from .simulate import SceneConfig, simulate_cube
 from .solver import SOLVER_MODELS, SolverConfig, unmix_cube
 
@@ -101,20 +101,9 @@ def _cmd_forward(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     clock.timed("write", io.write_spectra_table, out, albedos[0].axis, [a.material for a in albedos], np.column_stack(columns))
-    _manifest(
-        _out_base(args.out),
-        "forward",
-        {
-            "model": args.model,
-            "theta0": args.theta0,
-            "theta": args.theta,
-            "phi": args.phi,
-        },
-        {"albedo": args.albedo, "photometry": args.photometry or ""},
-        [out],
-        None,
-        clock,
-    )
+    config = {"model": args.model, "theta0": args.theta0, "theta": args.theta, "phi": args.phi}
+    inputs = {"albedo": args.albedo, "photometry": args.photometry or ""}
+    _manifest(_out_base(args.out), "forward", config, inputs, [out], None, clock)
     return EXIT_OK
 
 
@@ -138,26 +127,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     photometry = clock.timed("read", io.read_photometry, args.photometry) if args.photometry else None
     params_list = io.photometry_for(photometry, [a.material for a in albedos])
     cube = clock.timed("model", simulate_cube, albedos, params_list, config)
-    meta = {
-        "model": config.model,
-        "seed": config.seed,
-        "snr_db": config.snr_db,
-        "reference_geometry": {
-            "theta0": config.reference.theta0,
-            "theta": config.reference.theta,
-            "phi": config.reference.phi,
-        },
-    }
+    echo = config.to_dict()
+    meta = {"model": config.model, "seed": config.seed, "snr_db": config.snr_db, "reference_geometry": echo["reference"]}
     sidecar = clock.timed("write", io.write_cube, args.out, cube, meta=meta)
-    _manifest(
-        _out_base(args.out),
-        "simulate",
-        config.to_dict(),
-        {"config": args.config, "albedo": args.albedo, "photometry": args.photometry or ""},
-        [sidecar, *io.cube_files(sidecar)],
-        config.seed,
-        clock,
-    )
+    inputs = {"config": args.config, "albedo": args.albedo, "photometry": args.photometry or ""}
+    _manifest(_out_base(args.out), "simulate", echo, inputs, [sidecar, *io.cube_files(sidecar)], config.seed, clock)
     return EXIT_OK
 
 
@@ -185,15 +159,8 @@ def _cmd_unmix(args: argparse.Namespace) -> int:
         if gt.scales is not None:
             summary["psi_rmse"] = float(np.sqrt(np.mean((result.scales - gt.scales) ** 2)))
     out_json = clock.timed("write", io.write_unmix_result, args.out, result, summary=summary)
-    _manifest(
-        _out_base(args.out),
-        "unmix",
-        config.to_dict(),
-        {"cube": args.cube, "endmembers": args.endmembers, "config": args.config or ""},
-        [out_json, *io.unmix_files(args.out)],
-        None,
-        clock,
-    )
+    inputs = {"cube": args.cube, "endmembers": args.endmembers, "config": args.config or ""}
+    _manifest(_out_base(args.out), "unmix", config.to_dict(), inputs, [out_json, *io.unmix_files(args.out)], None, clock)
     return EXIT_OK
 
 
@@ -201,129 +168,34 @@ def _cmd_unmix(args: argparse.Namespace) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-_SWEEP_KEYS = {
-    "angle": ("kind", "model_pair", "theta0_values", "theta_values"),
-    "curve": ("kind", "model", "theta0", "theta", "omega"),
-}
-
-#: Most cells an angle sweep grid, or points an albedo curve, may have: room
-#: for the whole 0.1-degree grid (901 x 901), 120 times the default one.
-_MAX_SWEEP_CELLS = 10**6
-
-
-def _angle_list(raw: dict[str, Any], key: str) -> tuple[int, Callable[[], np.ndarray]]:
-    """One sweep axis as (angle count, builder of its angles), validated, with nothing built yet."""
-    spec = raw.get(key)
-    if spec is None:
-        return 91, partial(np.arange, 91, dtype=float)
-    if isinstance(spec, dict):
-        check_config_keys(spec, ("start", "stop", "step"), key)
-        start, stop, step = (
-            config_value(spec.get(name, default), f"{key}.{name}")
-            for name, default in (("start", 0.0), ("stop", 90.0), ("step", 1.0))
-        )
-        for name, value in (("start", start), ("stop", stop)):
-            if not 0.0 <= value <= 90.0:
-                raise ValueError(f"{key}.{name} must be finite and in [0, 90] degrees, got {value:g}")
-        if not 0.0 < step < np.inf:
-            raise ValueError(f"{key}.step must be > 0 and finite, got {step:g}")
-        stop += 0.5 * step
-        return max(0, math.ceil((stop - start) / step)), partial(np.arange, start, stop, step)
-    values = np.array(config_value(spec, key, "numbers"))
-    return values.size, partial(np.asarray, values)
-
-
-def _angle_grid(raw: dict[str, Any]) -> tuple[np.ndarray, np.ndarray]:
-    """theta0 and theta angles of a sweep config, refused by key before building if too many cells."""
-    (n_theta0, theta0), (n_theta, theta) = (_angle_list(raw, key) for key in ("theta0_values", "theta_values"))
-    if n_theta0 * n_theta > _MAX_SWEEP_CELLS:
-        raise ValueError(
-            f"theta0_values ({n_theta0} angles) x theta_values ({n_theta} angles) make "
-            f"{n_theta0 * n_theta} sweep cells; at most {_MAX_SWEEP_CELLS} are allowed"
-        )
-    return theta0(), theta()
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     clock = _StageClock()
     raw = clock.timed("read", _load_json, args.config) if args.config else {}
-    albedos = clock.timed("read", io.read_albedos, args.albedo)
     kind = raw.get("kind", "angle")
-    if kind not in tuple(_SWEEP_KEYS):
+    if kind not in ("angle", "curve"):
         raise ValueError(f"unknown sweep kind {kind!r}; expected 'angle' or 'curve'")
-    check_config_keys(raw, _SWEEP_KEYS[kind], f"{kind} sweep config")
-    if kind == "angle":
-        for flag in ("model", "theta0", "theta", "phi", "photometry"):
-            if getattr(args, flag) is not None:
-                raise ValueError(f"--{flag} applies to curve sweeps only, not to an angle sweep")
+    flags = {flag: getattr(args, flag) for flag in ("model", "theta0", "theta", "phi")}
+    overrides = {flag: value for flag, value in flags.items() if value is not None}
+    if kind == "angle" and (overrides or args.photometry):
+        raise ValueError(f"--{next(iter(overrides), 'photometry')} applies to curve sweeps only, not to an angle sweep")
+    config = (SweepGrid if kind == "angle" else AlbedoCurve).from_dict({**raw, **overrides})
+    albedos = clock.timed("read", io.read_albedos, args.albedo)
     if kind == "curve":
-        model = args.model or raw.get("model", "relative")
-        theta0 = args.theta0 if args.theta0 is not None else config_value(raw.get("theta0", 0.0), "theta0")
-        theta = args.theta if args.theta is not None else config_value(raw.get("theta", 0.0), "theta")
-        phi = 0.0 if args.phi is None else args.phi
-        omega_spec = raw.get("omega", {"start": 0.0, "stop": 1.0, "num": 101})
-        if isinstance(omega_spec, dict):
-            check_config_keys(omega_spec, ("start", "stop", "num"), "omega")
-            num = config_value(omega_spec.get("num", 101), "omega.num")
-            if not num >= 1:
-                raise ValueError(f"omega.num must be >= 1, got {num}")
-            if num > _MAX_SWEEP_CELLS:
-                raise ValueError(f"omega.num must be at most {_MAX_SWEEP_CELLS}, got {num}")
-            start, stop = (
-                config_value(omega_spec.get(name, default), f"omega.{name}")
-                for name, default in (("start", 0.0), ("stop", 1.0))
-            )
-            omega = np.linspace(start, stop, config_value(num, "omega.num", "count"))
-        else:
-            omega = np.array(config_value(omega_spec, "omega", "numbers"))
         photometry = clock.timed("read", io.read_photometry, args.photometry) if args.photometry else None
         params_list = io.photometry_for(photometry, [a.material for a in albedos])
-        geom = Geometry(theta0=theta0, theta=theta, phi=phi)
-        curves = [
-            clock.timed("model", albedo_curve, geom.mu, geom.mu0, model, omega, params=params, phi=phi)
-            for params in params_list
-        ]
-        config_echo: dict[str, Any] = {
-            "kind": "curve",
-            "model": model,
-            "theta0": theta0,
-            "theta": theta,
-            "omega_points": int(omega.size),
-        }
-    else:
-        theta0_values, theta_values = _angle_grid(raw)
-        grid = SweepGrid(
-            theta0_values=theta0_values,
-            theta_values=theta_values,
-            model_pair=raw.get("model_pair", ("relative", "linear")),
-        )
-        config_echo = {
-            "kind": "angle",
-            "model_pair": list(grid.model_pair),
-            "theta0_cells": int(grid.theta0_values.size),
-            "theta_cells": int(grid.theta_values.size),
-            "albedo_source": str(args.albedo),
-            "materials": [a.material for a in albedos],
-        }
+        curves = [clock.timed("model", config.reflectance, params) for params in params_list]
     # the output directory is made only once the whole config has been read and checked
     out_base = _out_base(args.out)
     outputs = [out_base.parent / f"{out_base.name}.{albedo.material}.csv" for albedo in albedos]
     if kind == "curve":
         for path, rho in zip(outputs, curves):
-            clock.timed("write", io.write_curve_csv, path, omega, rho)
+            clock.timed("write", io.write_curve_csv, path, config.omega, rho)
     else:
         for path, albedo in zip(outputs, albedos):
-            result = clock.timed("model", angle_sweep, albedo, grid)
+            result = clock.timed("model", angle_sweep, albedo, config)
             clock.timed("write", io.write_sweep_csv, path, result)
-    _manifest(
-        out_base,
-        "sweep",
-        config_echo,
-        {"albedo": args.albedo, "config": args.config or ""},
-        outputs,
-        None,
-        clock,
-    )
+    inputs = {"albedo": args.albedo, "config": args.config or ""}
+    _manifest(out_base, "sweep", config.to_dict(), inputs, outputs, None, clock)
     return EXIT_OK
 
 
@@ -366,6 +238,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+_SWEEP_CONFIG_HELP = """sweep configuration JSON (default: an angle sweep with every default).
+An angle sweep, {"kind": "angle"}, writes SAM and RMSE per (theta0, theta)
+cell: "model_pair" (two of lambertian, relative, linear; default
+["relative", "linear"]), "theta0_values" and "theta_values" (each a list of
+degrees in [0, 90] or {"start": 0, "stop": 90, "step": 1}, those defaults).
+A curve, {"kind": "curve"}, writes reflectance against albedo: "model"
+(default "relative"), "theta0", "theta", "phi" (degrees, default 0) and
+"omega" (a list of albedos in [0, 1] or {"start": 0, "stop": 1, "num": 101},
+those defaults).  A grid may have at most 10^6 cells, a curve 10^6 points."""
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specmix",
@@ -404,11 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="angle sweeps and albedo curves")
     sweep.add_argument("--albedo", required=True, help="spectra CSV of albedos")
     sweep.add_argument("--photometry", help="photometric parameters JSON (full-model curves)")
-    sweep.add_argument("--config", help="sweep configuration JSON")
+    sweep.add_argument("--config", help=_SWEEP_CONFIG_HELP)
     sweep.add_argument("--model", choices=MODELS, help="curve model override")
     sweep.add_argument("--theta0", type=float, help="curve incidence angle override")
     sweep.add_argument("--theta", type=float, help="curve emergence angle override")
-    sweep.add_argument("--phi", type=float, help="curve azimuth, degrees (default 0; full model only)")
+    sweep.add_argument("--phi", type=float, help="curve azimuth override (matters for the full model only)")
     sweep.add_argument("--out", required=True, help="output stem (one CSV per material)")
     sweep.set_defaults(func=_cmd_sweep)
 

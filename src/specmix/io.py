@@ -48,6 +48,9 @@ def _read_spectra_table(path: str | Path) -> tuple[WavelengthAxis, list[str], Fl
         if len(header) < 2 or header[0].strip().lower() != "wavelength":
             raise ValueError(f"{path}: expected header 'wavelength,<material>...'")
         materials = [name.strip() for name in header[1:]]
+        for column, name in enumerate(materials, start=2):  # each name becomes part of an output file name
+            if not name or "/" in name or "\\" in name or name in materials[: column - 2]:
+                raise ValueError(f"{path}: column {column}: material name {name!r} is empty, repeated or holds / or \\")
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:

@@ -13,12 +13,15 @@ relative.  No value depends on the block size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
-from .core import AlbedoSpectrum, FloatArray, Geometry, PhotometricParams, cos_deg
-from .hapke import _check_mu, _check_omega, angle_divisor, cell_factors, defined_at, reflectance
+from .core import AlbedoSpectrum, FloatArray, Geometry, PhotometricParams, _readonly, check_config_keys, config_value, cos_deg
+from .hapke import MODELS, _check_omega, angle_divisor, cell_factors, defined_at, reflectance
 
 #: Models an angle sweep may pair: the ones fully determined by (mu, mu0).
 SWEEP_MODELS = ("lambertian", "relative", "linear")
@@ -67,38 +70,45 @@ def _sum_sq(rows):
     return np.einsum("...i,...i->...", rows, rows)  # one pass over the last axis, no temporary
 
 
-def albedo_curve(
-    mu: float,
-    mu0: float,
-    model: str,
-    omega_grid,
-    params: PhotometricParams | None = None,
-    phi: float = 0.0,
-) -> FloatArray:
-    """Reflectance of the selected model sampled over an albedo grid.
-
-    Geometry is fixed through the cosines mu and mu0 (phi only matters for
-    the full model, which also needs photometric parameters).  Returns the
-    reflectance for each omega in the grid; model-domain errors propagate.
-    """
-    omega = _check_omega(omega_grid)
-    mu, mu0 = float(_check_mu(mu, "mu")), float(_check_mu(mu0, "mu0"))
-    g = Geometry(
-        theta0=float(np.degrees(np.arccos(mu0))), theta=float(np.degrees(np.arccos(mu))), phi=phi
-    ).g
-    return reflectance(model, omega, mu, mu0, g, params)
+#: Most cells an angle sweep grid, or points an albedo curve, may have: room
+#: for the whole 0.1-degree grid (901 x 901), 120 times the default one.
+_MAX_SWEEP_CELLS = 10**6
+#: The Geometry angles an albedo curve's config names, in degrees.
+_CURVE_ANGLES = ("theta0", "theta", "phi")
 
 
-def _default_grid() -> FloatArray:
-    return np.arange(91, dtype=float)
+def _sweep_keys(raw: Any, kind: str, keys: tuple[str, ...]) -> None:
+    check_config_keys(raw, ("kind", *keys), f"{kind} sweep config")
+    if raw.get("kind", kind) != kind:
+        raise ValueError(f"a {kind} sweep config has kind {kind!r}, got {raw['kind']!r}")
+
+
+def _angle_axis(raw: dict[str, Any], key: str) -> tuple[int, Callable[[], np.ndarray]]:
+    """One sweep axis as (angle count, builder of its angles), validated, with nothing built yet."""
+    spec = raw.get(key, {})
+    if isinstance(spec, dict):
+        check_config_keys(spec, ("start", "stop", "step"), key)
+        start, stop, step = (
+            config_value(spec.get(name, default), f"{key}.{name}")
+            for name, default in (("start", 0.0), ("stop", 90.0), ("step", 1.0))
+        )
+        for name, value in (("start", start), ("stop", stop)):
+            if not 0.0 <= value <= 90.0:
+                raise ValueError(f"{key}.{name} must be finite and in [0, 90] degrees, got {value:g}")
+        if not 0.0 < step < np.inf:
+            raise ValueError(f"{key}.step must be > 0 and finite, got {step:g}")
+        stop += 0.5 * step
+        return max(0, math.ceil((stop - start) / step)), partial(np.arange, start, stop, step)
+    values = np.array(config_value(spec, key, "numbers"))
+    return values.size, partial(np.asarray, values)
 
 
 @dataclass(frozen=True)
 class SweepGrid:
     """Angle grid and model pair for one sweep experiment."""
 
-    theta0_values: FloatArray = field(default_factory=_default_grid)
-    theta_values: FloatArray = field(default_factory=_default_grid)
+    theta0_values: FloatArray = field(default_factory=partial(np.arange, 91.0))
+    theta_values: FloatArray = field(default_factory=partial(np.arange, 91.0))
     model_pair: tuple[str, str] = ("relative", "linear")
 
     def __post_init__(self) -> None:
@@ -114,6 +124,82 @@ class SweepGrid:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(m in SWEEP_MODELS for m in pair)):
             raise ValueError(f"model pair {pair!r} not supported; expected two of {SWEEP_MODELS}")
         object.__setattr__(self, "model_pair", (str(pair[0]), str(pair[1])))
+
+    def to_dict(self) -> dict[str, Any]:
+        axes = {name: getattr(self, name).tolist() for name in ("theta0_values", "theta_values")}
+        return {"kind": "angle", "model_pair": list(self.model_pair), **axes}
+
+    @classmethod
+    def from_dict(cls, raw: dict[str, Any]) -> "SweepGrid":
+        """Inverse of to_dict; an unknown key is rejected by name.
+
+        Keys: "kind" ("angle"); "model_pair" (two of SWEEP_MODELS, default
+        ["relative", "linear"]); "theta0_values" and "theta_values", each a
+        list of degrees in [0, 90] or a range {"start": 0, "stop": 90,
+        "step": 1} (those defaults; stop is included when it lies on the
+        step), 0..90 in 1-degree steps when absent.  The grid may have at
+        most 10^6 cells, which is checked before any axis is built.
+        """
+        _sweep_keys(raw, "angle", ("model_pair", "theta0_values", "theta_values"))
+        (n_theta0, theta0), (n_theta, theta) = (_angle_axis(raw, key) for key in ("theta0_values", "theta_values"))
+        if n_theta0 * n_theta > _MAX_SWEEP_CELLS:
+            raise ValueError(
+                f"theta0_values ({n_theta0} angles) x theta_values ({n_theta} angles) make "
+                f"{n_theta0 * n_theta} sweep cells; at most {_MAX_SWEEP_CELLS} are allowed"
+            )
+        return cls(theta0_values=theta0(), theta_values=theta(), model_pair=raw.get("model_pair", ("relative", "linear")))
+
+
+@dataclass(frozen=True)
+class AlbedoCurve:
+    """One reflectance model sampled over a 1-D grid of albedos omega at one geometry."""
+
+    model: str
+    geometry: Geometry
+    omega: FloatArray
+
+    def __post_init__(self) -> None:
+        if self.model not in MODELS:
+            raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
+        object.__setattr__(self, "omega", _check_omega(_readonly(self.omega, ndim=1, name="omega")))
+
+    def reflectance(self, params: PhotometricParams | None = None) -> FloatArray:
+        """hapke.reflectance at each omega (the full model needs params); model-domain errors propagate."""
+        geom = self.geometry
+        return reflectance(self.model, self.omega, geom.mu, geom.mu0, geom.g, params)
+
+    def to_dict(self) -> dict[str, Any]:
+        angles = {key: getattr(self.geometry, key) for key in _CURVE_ANGLES}
+        return {"kind": "curve", "model": self.model, **angles, "omega": self.omega.tolist()}
+
+    @classmethod
+    def from_dict(cls, raw: dict[str, Any]) -> "AlbedoCurve":
+        """Inverse of to_dict; an unknown key is rejected by name.
+
+        Keys: "kind" ("curve"); "model" (one of hapke.MODELS, default
+        "relative"); "theta0", "theta" and "phi" (degrees, default 0; phi
+        matters for the full model only); "omega", a list of albedos in
+        [0, 1] or a range {"start": 0, "stop": 1, "num": 101} (those
+        defaults, both ends included), that range when absent.  num may be
+        at most 10^6, which is checked before the grid is built.
+        """
+        _sweep_keys(raw, "curve", ("model", *_CURVE_ANGLES, "omega"))
+        geometry = Geometry(**{key: config_value(raw.get(key, 0.0), key) for key in _CURVE_ANGLES})
+        omega = raw.get("omega", {})
+        if isinstance(omega, dict):
+            check_config_keys(omega, ("start", "stop", "num"), "omega")
+            num = config_value(omega.get("num", 101), "omega.num")
+            if not num >= 1:
+                raise ValueError(f"omega.num must be >= 1, got {num}")
+            if num > _MAX_SWEEP_CELLS:
+                raise ValueError(f"omega.num must be at most {_MAX_SWEEP_CELLS}, got {num}")
+            start, stop = (
+                config_value(omega.get(end, default), f"omega.{end}") for end, default in (("start", 0.0), ("stop", 1.0))
+            )
+            omega = np.linspace(start, stop, config_value(num, "omega.num", "count"))
+        else:
+            omega = config_value(omega, "omega", "numbers")
+        return cls(model=raw.get("model", "relative"), geometry=geometry, omega=omega)
 
 
 @dataclass(frozen=True)

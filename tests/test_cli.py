@@ -404,7 +404,7 @@ class TestSweep:
         main(["sweep", "--albedo", str(albedo_csv), "--config", str(config), "--out", str(tmp_path / "s")])
         manifest = json.loads((tmp_path / "s.manifest.json").read_text())
         assert manifest["config"]["model_pair"] == ["relative", "linear"]
-        assert manifest["config"]["albedo_source"] == str(albedo_csv)
+        assert manifest["inputs"]["albedo"] == str(albedo_csv)
         assert len(manifest["outputs"]) == 3
 
     def test_curve_kind_identity_at_double_grazing(self, tmp_path, albedo_csv):
@@ -679,3 +679,74 @@ class TestConfigValueTypes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+class TestMaterialNames:
+    @pytest.mark.parametrize(
+        "header, column, name",
+        [("wavelength,a,a", 3, "'a'"), ("wavelength,../x", 2, "'../x'"), ("wavelength,a\\b", 2, "'a\\\\b'"),
+         ("wavelength,a,", 3, "''")],
+    )
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    def test_unusable_name_exits_1_naming_column_before_any_output(
+        self, tmp_path, capsys, command, header, column, name
+    ):
+        albedo = tmp_path / "albedos.csv"
+        n_columns = header.count(",")
+        albedo.write_text(header + "\n" + "".join(f"{0.4 + 0.1 * k}" + ",0.5" * n_columns + "\n" for k in range(3)))
+        argv = [command, "--albedo", str(albedo), "--out", str(tmp_path / "out" / "s")]
+        if command == "simulate":
+            argv += ["--config", str(scene_config(tmp_path, n_materials=n_columns))]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {albedo}: column {column}: material name {name} is empty, repeated")
+        assert not (tmp_path / "out").exists()
+
+
+def sweep_argv(albedo_csv, config, out, *flags):
+    return ["sweep", "--albedo", str(albedo_csv), "--config", str(config), "--out", str(out), *flags]
+
+
+class TestSweepConfigRoundTrip:
+    def test_full_model_curve_equals_forward_bit_for_bit(self, tmp_path, albedo_csv, photometry_json):
+        header, data = read_csv_columns(albedo_csv)
+        config = tmp_path / "curve.json"
+        config.write_text(json.dumps({"kind": "curve", "model": "full", "theta0": 9.0, "theta": 21.0,
+                                      "phi": 30.0, "omega": data[:, 1].tolist()}))
+        assert main(sweep_argv(albedo_csv, config, tmp_path / "c", "--photometry", str(photometry_json))) == 0
+        assert main([
+            "forward", "--albedo", str(albedo_csv), "--photometry", str(photometry_json), "--model", "full",
+            "--theta0", "9", "--theta", "21", "--phi", "30", "--out", str(tmp_path / "f.csv"),
+        ]) == 0
+        with open(tmp_path / "f.csv", newline="") as fh:
+            forward = [row[1] for row in csv.reader(fh)][1:]
+        with open(tmp_path / f"c.{header[1]}.csv", newline="") as fh:
+            curve = [row[1] for row in csv.reader(fh)][1:]
+        assert curve == forward
+
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            ({"kind": "angle", "model_pair": ["lambertian", "relative"],
+              "theta0_values": {"start": 0.5, "stop": 90, "step": 7.3}, "theta_values": [90.0, 0.0, 33.3]}, []),
+            ({"kind": "curve", "model": "full", "theta": 12.5, "omega": {"start": 0.05, "stop": 0.95, "num": 37}},
+             ["--theta0", "21.7", "--phi", "33.3"]),
+        ],
+    )
+    def test_manifest_config_reproduces_the_csvs(self, tmp_path, albedo_csv, photometry_json, config, flags):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config))
+        if config["kind"] == "curve":
+            flags = [*flags, "--photometry", str(photometry_json)]
+        assert main(sweep_argv(albedo_csv, path, tmp_path / "a" / "s", *flags)) == 0
+        echo = json.loads((tmp_path / "a" / "s.manifest.json").read_text())["config"]
+        if flags:
+            assert (echo["theta0"], echo["theta"], echo["phi"]) == (21.7, 12.5, 33.3)
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps(echo))
+        photometry = ["--photometry", str(photometry_json)] if config["kind"] == "curve" else []
+        assert main(sweep_argv(albedo_csv, replay, tmp_path / "b" / "s", *photometry)) == 0
+        for material in ("basalt", "palagonite", "tephra"):
+            first = (tmp_path / "a" / f"s.{material}.csv").read_bytes()
+            assert first == (tmp_path / "b" / f"s.{material}.csv").read_bytes()
+        assert json.loads((tmp_path / "b" / "s.manifest.json").read_text())["config"] == echo

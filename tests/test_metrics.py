@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specmix.core import AlbedoSpectrum, PhotometricParams, WavelengthAxis, cos_deg
+from specmix.core import AlbedoSpectrum, Geometry, PhotometricParams, WavelengthAxis, cos_deg
 from specmix.hapke import (
     ModelDomainError,
     lambertian_reflectance,
@@ -10,7 +10,7 @@ from specmix.hapke import (
     relative_reflectance,
 )
 from specmix import metrics
-from specmix.metrics import SweepGrid, albedo_curve, angle_sweep, rmse, spectral_angle
+from specmix.metrics import AlbedoCurve, SweepGrid, angle_sweep, rmse, spectral_angle
 
 RMSE_OFFSET_CASE = 2.8284271247461901  # sqrt(16/2), hand-checkable
 CURVE_REL_45 = {  # relative model at theta0 = theta = 45, frozen oracle values
@@ -99,41 +99,39 @@ class TestRmse:
             rmse([1.0], [1.0, 2.0])
 
 
+def curve(model, theta0, theta, omega):
+    return AlbedoCurve(model, Geometry(theta0=theta0, theta=theta), omega)
+
+
 class TestAlbedoCurve:
     def test_relative_model_identity_line_at_double_grazing(self):
         omega = np.linspace(0.0, 1.0, 11)
-        mu = float(cos_deg(90.0))
-        np.testing.assert_array_equal(albedo_curve(mu, mu, "relative", omega), omega)
+        np.testing.assert_array_equal(curve("relative", 90.0, 90.0, omega).reflectance(), omega)
 
     def test_linear_model_slope_one_ninth_at_nadir(self):
         omega = np.linspace(0.0, 0.9, 10)
-        curve = albedo_curve(1.0, 1.0, "linear", omega)
-        np.testing.assert_allclose(curve, omega / 9.0, rtol=1e-15)
+        np.testing.assert_allclose(curve("linear", 0.0, 0.0, omega).reflectance(), omega / 9.0, rtol=1e-15)
 
     def test_relative_model_frozen_values(self):
         omegas = np.array(sorted(CURVE_REL_45))
         expected = np.array([CURVE_REL_45[w] for w in sorted(CURVE_REL_45)])
-        mu = float(cos_deg(45.0))
-        np.testing.assert_allclose(albedo_curve(mu, mu, "relative", omegas), expected, rtol=1e-13)
+        np.testing.assert_allclose(curve("relative", 45.0, 45.0, omegas).reflectance(), expected, rtol=1e-13)
 
     def test_model_domain_error_propagates(self):
         with pytest.raises(ModelDomainError):
-            albedo_curve(0.0, 0.0, "lambertian", [0.5])
+            curve("lambertian", 90.0, 90.0, [0.5]).reflectance()
 
-    def test_raw_albedo_and_cosines_validated(self):
+    def test_raw_albedo_validated(self):
         with pytest.raises(ValueError, match="albedo must be finite and in \\[0, 1\\], got 1.5"):
-            albedo_curve(1.0, 1.0, "linear", [0.2, 1.5])
+            curve("linear", 0.0, 0.0, [0.2, 1.5])
         with pytest.raises(ValueError, match="albedo"):
-            albedo_curve(1.0, 1.0, "relative", [np.nan])
-        with pytest.raises(ValueError, match="mu0 must be a cosine in \\[0, 1\\], got -0.5"):
-            albedo_curve(1.0, -0.5, "linear", [0.5])
+            curve("relative", 0.0, 0.0, [np.nan])
 
     def test_full_model_needs_params(self):
         with pytest.raises(ValueError, match="photometric"):
-            albedo_curve(1.0, 1.0, "full", [0.5])
+            curve("full", 0.0, 0.0, [0.5]).reflectance()
         params = PhotometricParams(b=0.0, c=0.5, B0=0.0, h=0.1)
-        curve = albedo_curve(1.0, 1.0, "full", [0.5], params=params)
-        assert curve.shape == (1,)
+        assert curve("full", 0.0, 0.0, [0.5]).reflectance(params).shape == (1,)
 
 
 class TestSweepGrid:
@@ -358,3 +356,45 @@ class TestFactoredSweepAccuracy:
             result = angle_sweep(albedo, grid)
             assert result.sam[-1, -1] == 0.0 and result.rmse[-1, -1] == 0.0
             assert np.all(result.sam[:-1, :] > 0.0)
+
+
+class TestSweepConfigs:
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            SweepGrid(),
+            SweepGrid(theta0_values=[90.0, 0.0, 1e-300], theta_values=np.arange(0.0, 90.0, 0.7),
+                      model_pair=("lambertian", "linear")),
+        ],
+    )
+    def test_sweep_grid_round_trip(self, grid):
+        again = SweepGrid.from_dict(grid.to_dict())
+        assert again.model_pair == grid.model_pair
+        assert np.array_equal(again.theta0_values, grid.theta0_values)
+        assert np.array_equal(again.theta_values, grid.theta_values)
+
+    def test_albedo_curve_round_trip(self):
+        curve = AlbedoCurve("full", Geometry(theta0=9.0, theta=21.0, phi=30.0), np.linspace(0.0, 1.0, 7) ** 2)
+        again = AlbedoCurve.from_dict(curve.to_dict())
+        assert again.model == curve.model and again.geometry == curve.geometry
+        assert np.array_equal(again.omega, curve.omega)
+
+    def test_defaults(self):
+        grid = SweepGrid.from_dict({})
+        assert np.array_equal(grid.theta0_values, SweepGrid().theta0_values)
+        curve = AlbedoCurve.from_dict({"kind": "curve"})
+        assert curve.model == "relative" and curve.geometry == Geometry(theta0=0.0, theta=0.0, phi=0.0)
+        assert np.array_equal(curve.omega, np.linspace(0.0, 1.0, 101))
+
+    def test_curve_type_checks_its_inputs(self):
+        geom = Geometry(theta0=0.0, theta=0.0)
+        with pytest.raises(ValueError, match="unknown model 'hapke'"):
+            AlbedoCurve("hapke", geom, [0.5])
+        with pytest.raises(ValueError, match="omega must be 1-D"):
+            AlbedoCurve("linear", geom, [[0.5]])
+        assert not AlbedoCurve("linear", geom, [0.5]).omega.flags.writeable
+
+    @pytest.mark.parametrize("cls, kind", [(SweepGrid, "curve"), (AlbedoCurve, "angle")])
+    def test_other_kind_refused(self, cls, kind):
+        with pytest.raises(ValueError, match=f"has kind .*, got '{kind}'"):
+            cls.from_dict({"kind": kind})
