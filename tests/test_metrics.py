@@ -374,17 +374,19 @@ class TestSweepConfigs:
         assert np.array_equal(again.theta_values, grid.theta_values)
 
     def test_albedo_curve_round_trip(self):
-        curve = AlbedoCurve("full", Geometry(theta0=9.0, theta=21.0, phi=30.0), np.linspace(0.0, 1.0, 7) ** 2)
-        again = AlbedoCurve.from_dict(curve.to_dict())
-        assert again.model == curve.model and again.geometry == curve.geometry
-        assert np.array_equal(again.omega, curve.omega)
+        original = AlbedoCurve("full", Geometry(theta0=9.0, theta=21.0, phi=30.0), np.linspace(0.0, 1.0, 7) ** 2)
+        again = AlbedoCurve.from_dict(original.to_dict())
+        assert again.model == original.model and again.geometry == original.geometry
+        assert np.array_equal(again.omega, original.omega)
 
     def test_defaults(self):
-        grid = SweepGrid.from_dict({})
-        assert np.array_equal(grid.theta0_values, SweepGrid().theta0_values)
-        curve = AlbedoCurve.from_dict({"kind": "curve"})
-        assert curve.model == "relative" and curve.geometry == Geometry(theta0=0.0, theta=0.0, phi=0.0)
-        assert np.array_equal(curve.omega, np.linspace(0.0, 1.0, 101))
+        grid, default = SweepGrid.from_dict({}), SweepGrid()
+        assert grid.model_pair == default.model_pair
+        assert np.array_equal(grid.theta0_values, default.theta0_values)
+        assert np.array_equal(grid.theta_values, default.theta_values)
+        defaults = AlbedoCurve.from_dict({"kind": "curve"})
+        assert defaults.model == "relative" and defaults.geometry == Geometry(theta0=0.0, theta=0.0, phi=0.0)
+        assert np.array_equal(defaults.omega, np.linspace(0.0, 1.0, 101))
 
     def test_curve_type_checks_its_inputs(self):
         geom = Geometry(theta0=0.0, theta=0.0)
