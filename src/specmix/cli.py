@@ -183,13 +183,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if kind == "curve":
         photometry = clock.timed("read", io.read_photometry, args.photometry) if args.photometry else None
         params_list = io.photometry_for(photometry, [a.material for a in albedos])
-        curves = [clock.timed("model", config.reflectance, params) for params in params_list]
+        # a curve reads no albedo, only its material's params: one curve per distinct params
+        curves = {params: clock.timed("model", config.reflectance, params) for params in dict.fromkeys(params_list)}
     # the output directory is made only once the whole config has been read and checked
     out_base = _out_base(args.out)
     outputs = [out_base.parent / f"{out_base.name}.{albedo.material}.csv" for albedo in albedos]
     if kind == "curve":
-        for path, rho in zip(outputs, curves):
-            clock.timed("write", io.write_curve_csv, path, config.omega, rho)
+        for params, rho in curves.items():
+            paths = [path for path, own in zip(outputs, params_list) if own == params]
+            clock.timed("write", io.write_curve_csv, paths, config.omega, rho)
     else:
         for path, albedo in zip(outputs, albedos):
             result = clock.timed("model", angle_sweep, albedo, config)

@@ -56,6 +56,14 @@ def pixel_major(values, copy: bool = True) -> FloatArray:
     return out
 
 
+def _views_bytes(values) -> bool:
+    """Whether values is an array whose chain of bases ends in an immutable bytes object."""
+    base = values
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, bytes)
+
+
 def check_config_keys(raw: Any, known: Iterable[str], what: str) -> dict[str, Any]:
     """Return raw if it is a dict holding only known keys; else name what is wrong."""
     if not isinstance(raw, dict):
@@ -310,6 +318,9 @@ class HyperCube:
     values is always stored pixel-major (Fortran order), so each pixel's
     spectrum is contiguous, as in the .bin file and the solver's rows; any
     other input layout or dtype is converted once, here, by pixel_major.
+    A pixel-major float64 array over an immutable bytes object, which no one
+    can write (a file read by io.read_cube), is kept as is; any other array
+    is copied, so the cube never shares memory a caller can change.
     geometries, when known, holds every pixel's acquisition angles as one
     Geometry of (N,) arrays (pixel n at index n).  Construction only enforces
     structural shape; value-level invariants (non-negative reflectance,
@@ -323,7 +334,7 @@ class HyperCube:
     ground_truth: GroundTruth | None = None
 
     def __post_init__(self) -> None:
-        arr = pixel_major(self.values)
+        arr = pixel_major(self.values, copy=not _views_bytes(self.values))
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

@@ -338,9 +338,11 @@ def write_unmix_result(
 # sweep and curve CSV outputs
 # ---------------------------------------------------------------------------
 
-def _write_rows(path: str | Path, header: str, rows: Iterable[str]) -> None:
-    """Header and rows written as one string, each line ended in CRLF as csv.writer ends it."""
-    Path(path).write_text("\r\n".join([header, *rows, ""]), newline="")
+def _write_rows(paths: list[str | Path], header: str, rows: Iterable[str]) -> None:
+    """Header and rows formatted once, each line ended in CRLF as csv.writer ends it, and written to each path."""
+    text = "\r\n".join([header, *rows, ""])
+    for path in paths:
+        Path(path).write_text(text, newline="")
 
 
 def write_sweep_csv(path: str | Path, result: SweepResult) -> None:
@@ -350,10 +352,11 @@ def write_sweep_csv(path: str | Path, result: SweepResult) -> None:
     angles = product(map(repr, grid.theta0_values.tolist()), map(repr, grid.theta_values.tolist()))
     cells = zip(angles, result.sam.ravel().tolist(), result.rmse.ravel().tolist())
     rows = (f"{theta0},{theta},{sam!r},{err!r}" for (theta0, theta), sam, err in cells)
-    _write_rows(path, "theta0,theta,sam_rad,rmse", rows)
+    _write_rows([path], "theta0,theta,sam_rad,rmse", rows)
 
 
-def write_curve_csv(path: str | Path, omega_grid, reflectance) -> None:
-    """Albedo-to-reflectance curve rows 'omega,reflectance'."""
+def write_curve_csv(path: str | Path | list[str | Path], omega_grid, reflectance) -> None:
+    """Albedo-to-reflectance curve rows 'omega,reflectance'; a list of paths each get the same text, formatted once."""
     omega, rho = (np.asarray(values, dtype=float).ravel().tolist() for values in (omega_grid, reflectance))
-    _write_rows(path, "omega,reflectance", (f"{w!r},{r!r}" for w, r in zip(omega, rho)))
+    rows = (f"{w!r},{r!r}" for w, r in zip(omega, rho))
+    _write_rows(path if isinstance(path, list) else [path], "omega,reflectance", rows)

@@ -3,12 +3,23 @@
 The angle sweep compares a reference reflectance model against its
 approximation over a grid of incidence/emergence angles and reports the
 spectral angle and RMSE per grid cell.  Each model is split as
-N omega / (D(mu, mu0) A(omega, mu) A(omega, mu0)) (hapke.cell_factors); A is tabled
-per grid angle and gathered by the valid cells, in grid order and consecutive
-blocks.  RMSE is rmse of the reflectances, bit for bit those of hapke.reflectance.
-SAM is spectral_angle of the shape spectra omega / (A(mu) A(mu0)), free of N / D:
-within 2 eps of that of the reflectances, and exactly 0 between lambertian and
-relative.  No value depends on the block size.
+N omega / (D(mu, mu0) A(omega, mu) A(omega, mu0)) (hapke.cell_factors); A is
+tabled per grid angle.  The grid is swept one theta0 row at a time: row i is
+one (theta, bands) block of the row's valid cells against the single
+A(omega, mu0_i) row, computed into buffers allocated once per sweep (table
+rows are gathered only in a row with an undefined cell, the lambertian
+doubly grazing one).  RMSE is rmse of the reflectances, bit for bit those of
+hapke.reflectance.  SAM is spectral_angle of the shape spectra
+omega / (A(mu) A(mu0)), free of N / D: within 2 eps of that of the
+reflectances, and exactly 0 between lambertian and relative.
+
+On a square grid (the same angles on both axes) the two A tables are one,
+and a product of two of its rows is the same in either order, so
+shape[i, j] == shape[j, i] bit for bit, and so is SAM: it is computed on the
+cells with theta >= theta0 and mirrored to the others.  RMSE is not
+symmetric (the D of the linear and lambertian models round differently) and
+is computed on every cell.  No value depends on the row blocks or on the
+mirror.
 """
 
 from __future__ import annotations
@@ -26,9 +37,6 @@ from .hapke import MODELS, _check_omega, angle_divisor, cell_factors, defined_at
 #: Models an angle sweep may pair: the ones fully determined by (mu, mu0).
 SWEEP_MODELS = ("lambertian", "relative", "linear")
 
-#: Valid cells per (cells, bands) block of an angle sweep: cache-sized at L ~ 200.
-_CHUNK_CELLS = 128
-
 
 def spectral_angle(u, v):
     """Angle in radians between two spectra (or stacks of spectra).
@@ -40,18 +48,8 @@ def spectral_angle(u, v):
 
     Raises ValueError on zero vectors or mismatched lengths.
     """
-    u_arr = np.asarray(u, dtype=float)
-    v_arr = np.asarray(v, dtype=float)
-    if u_arr.shape[-1] != v_arr.shape[-1]:
-        raise ValueError(f"spectra lengths differ: {u_arr.shape[-1]} vs {v_arr.shape[-1]}")
-    norm_u = np.sqrt(_sum_sq(u_arr))[..., None]
-    norm_v = np.sqrt(_sum_sq(v_arr))[..., None]
-    if np.any(norm_u == 0.0) or np.any(norm_v == 0.0):
-        raise ValueError("spectral angle undefined for a zero spectrum")
-    scaled_u, scaled_v = u_arr * norm_v, v_arr * norm_u  # both of the broadcast shape
-    across = np.sqrt(_sum_sq(scaled_u - scaled_v))
-    along = np.sqrt(_sum_sq(np.add(scaled_u, scaled_v, out=scaled_u)))
-    return 2.0 * np.arctan2(across, along)
+    u_arr, v_arr = _spectra(u, v)
+    return _angle(u_arr, v_arr, np.empty((3, *np.broadcast_shapes(u_arr.shape, v_arr.shape))))
 
 
 def rmse(u, v):
@@ -59,11 +57,33 @@ def rmse(u, v):
 
     Reduction is over the last axis, so stacks of spectra broadcast.
     """
+    u_arr, v_arr = _spectra(u, v)
+    return _rmse(u_arr, v_arr, np.empty(np.broadcast_shapes(u_arr.shape, v_arr.shape)))
+
+
+def _spectra(u, v) -> tuple[np.ndarray, np.ndarray]:
     u_arr = np.asarray(u, dtype=float)
     v_arr = np.asarray(v, dtype=float)
     if u_arr.shape[-1] != v_arr.shape[-1]:
         raise ValueError(f"spectra lengths differ: {u_arr.shape[-1]} vs {v_arr.shape[-1]}")
-    return np.sqrt(_sum_sq(u_arr - v_arr) / u_arr.shape[-1])
+    return u_arr, v_arr
+
+
+def _angle(u, v, work):
+    """spectral_angle of float arrays; its full-size temporaries go to work[0], work[1], work[2]."""
+    norm_u = np.sqrt(_sum_sq(u))[..., None]
+    norm_v = np.sqrt(_sum_sq(v))[..., None]
+    if np.any(norm_u == 0.0) or np.any(norm_v == 0.0):
+        raise ValueError("spectral angle undefined for a zero spectrum")
+    scaled_u, scaled_v = np.multiply(u, norm_v, out=work[0]), np.multiply(v, norm_u, out=work[1])
+    across = np.sqrt(_sum_sq(np.subtract(scaled_u, scaled_v, out=work[2])))
+    along = np.sqrt(_sum_sq(np.add(scaled_u, scaled_v, out=scaled_u)))
+    return 2.0 * np.arctan2(across, along)
+
+
+def _rmse(u, v, diff):
+    """rmse of float arrays; their difference goes to diff."""
+    return np.sqrt(_sum_sq(np.subtract(u, v, out=diff)) / u.shape[-1])
 
 
 def _sum_sq(rows):
@@ -227,26 +247,67 @@ def angle_sweep(albedo: AlbedoSpectrum, grid: SweepGrid) -> SweepResult:
     For each (theta0, theta) cell both models' reflectance spectra are
     built from the albedo and compared by spectral angle and RMSE.  Cells
     where either model is undefined are skipped and flagged.  The angle is
-    that of the shape spectra (see the module docstring).
+    that of the shape spectra.  The grid is swept one theta0 row at a time,
+    every temporary in one (5, theta, bands) buffer stack; on a square grid
+    SAM is computed for theta >= theta0 and mirrored, which is exact (see
+    the module docstring).
     """
     omega = albedo.omega
     if np.all(omega == 0.0):
         raise ValueError("albedo spectrum is identically zero; spectral angle undefined")
     mu0, mu = cos_deg(grid.theta0_values), cos_deg(grid.theta_values)
     valid = np.logical_and(*(defined_at(m, mu[None, :], mu0[:, None]) for m in grid.model_pair))
-    cells = np.flatnonzero(valid)  # valid cells in grid order
     tables = {m: (angle_divisor(m, omega, mu0[:, None]), angle_divisor(m, omega, mu[:, None]))
               for m in grid.model_pair if m != "linear"}
+    factors = {m: cell_factors(m, mu[None, :, None], mu0[:, None, None]) for m in grid.model_pair}
+    square = np.array_equal(mu0, mu)  # one A table on both axes: shape and SAM symmetric
     sam, err = np.full(valid.shape, np.nan), np.full(valid.shape, np.nan)
-    for start in range(0, cells.size, _CHUNK_CELLS):
-        i, j = np.divmod(cells[start:start + _CHUNK_CELLS], mu.size)
-        shapes = [omega if m == "linear" else omega / (tables[m][1][j] * tables[m][0][i]) for m in grid.model_pair]
-        sam[i, j] = spectral_angle(*shapes)
-        rhos = []  # rounded as in hapke.reflectance; relative's is its shape (N = D = 1), linear's omega / D
-        for m, shape in zip(grid.model_pair, shapes):
-            numerator, divisor = cell_factors(m, mu[j, None], mu0[i, None])
-            if m == "lambertian":
-                shape = numerator * omega / (divisor * tables[m][1][j] * tables[m][0][i])
-            rhos.append(omega / divisor if m == "linear" else shape)
-        err[i, j] = rmse(*rhos)
+    work = np.empty((5, mu.size, omega.size))  # each model's row, then three temporaries
+    for i in range(mu0.size):
+        cols = np.flatnonzero(valid[i])  # the row's valid theta columns
+        take = cols if cols.size < mu.size else slice(None)  # all valid: table rows are views, not gathers
+        first = int(np.searchsorted(cols, i)) if square else 0  # SAM left of the diagonal is its mirror's
+        row = work[:, :cols.size]
+        rhos = [_reflectance_row(m, omega, tables.get(m), factors[m], i, take, out, row[2])
+                for m, out in zip(grid.model_pair, row)]
+        err[i, cols] = _rmse(*rhos, row[2])
+        shapes = [_shape_row(m, omega, tables.get(m), i, take, first, rho) for m, rho in zip(grid.model_pair, rhos)]
+        sam[i, cols[first:]] = _angle(*shapes, row[2:, first:])
+        if square:
+            sam[i, :i] = sam[:i, i]
     return SweepResult(grid=grid, sam=sam, rmse=err, valid=valid)
+
+
+def _over_divisors(out, omega, a_mu, a_mu0):
+    """omega / (A(omega, mu) A(omega, mu0)) of one row into out."""
+    return np.divide(omega, np.multiply(a_mu, a_mu0, out=out), out=out)
+
+
+def _reflectance_row(model, omega, table, factors, i, take, out, scratch):
+    """Row i of the model's reflectance on the columns take into out, rounded as in hapke.reflectance.
+
+    table holds the model's A rows per theta0 and per theta, factors its N
+    and D per cell; relative's is its shape (N = D = 1) and linear's
+    omega / D.  scratch holds the lambertian's denominator.
+    """
+    if model == "relative":
+        return _over_divisors(out, omega, table[1][take], table[0][i])
+    numerator, divisor = factors
+    if model == "linear":
+        return np.divide(omega, divisor[i][take], out=out)
+    np.multiply(numerator[i][take], omega, out=out)
+    np.multiply(np.multiply(divisor[i][take], table[1][take], out=scratch), table[0][i], out=scratch)
+    return np.divide(out, scratch, out=out)
+
+
+def _shape_row(model, omega, table, i, take, first, rho):
+    """Row i's shape spectra omega / (A(omega, mu) A(omega, mu0)) on the columns take, from the first on.
+
+    linear's is omega and relative's its reflectance rho; the lambertian's
+    is formed in rho's buffer, which the RMSE is done with.
+    """
+    if model == "linear":
+        return omega
+    if model == "relative":
+        return rho[first:]
+    return _over_divisors(rho[first:], omega, table[1][take][first:], table[0][i])

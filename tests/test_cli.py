@@ -8,6 +8,7 @@ import pytest
 from specmix import io
 from specmix.cli import main
 from specmix.core import AlbedoSpectrum, HyperCube, PhotometricParams, WavelengthAxis
+from specmix.metrics import AlbedoCurve
 
 
 @pytest.fixture
@@ -705,6 +706,46 @@ class TestMaterialNames:
 
 def sweep_argv(albedo_csv, config, out, *flags):
     return ["sweep", "--albedo", str(albedo_csv), "--config", str(config), "--out", str(out), *flags]
+
+
+class TestCurveEvaluatedOncePerParams:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made, reflectance = [], AlbedoCurve.reflectance
+
+        def counted(curve, params=None):
+            made.append(params)
+            return reflectance(curve, params)
+
+        monkeypatch.setattr(AlbedoCurve, "reflectance", counted)
+        return made
+
+    @staticmethod
+    def reference_bytes(tmp_path, config, params=None):
+        """A curve CSV written alone for one material, by the same writer."""
+        curve = AlbedoCurve.from_dict(config)
+        io.write_curve_csv(tmp_path / "ref.csv", curve.omega, curve.reflectance(params))
+        return (tmp_path / "ref.csv").read_bytes()
+
+    def test_one_curve_for_every_material(self, tmp_path, albedo_csv, calls):
+        config = {"kind": "curve", "model": "lambertian", "theta0": 30.0, "theta": 60.0, "omega": {"num": 33}}
+        (tmp_path / "curve.json").write_text(json.dumps(config))
+        assert main(sweep_argv(albedo_csv, tmp_path / "curve.json", tmp_path / "c")) == 0
+        assert calls == [None]
+        expected = self.reference_bytes(tmp_path, config)
+        for name in ("basalt", "palagonite", "tephra"):
+            assert (tmp_path / f"c.{name}.csv").read_bytes() == expected
+
+    def test_one_curve_per_distinct_params(self, tmp_path, albedo_csv, calls):
+        shared, own = PhotometricParams(b=0.3, c=0.6, B0=0.5, h=0.1), PhotometricParams(b=0.1, c=0.4, B0=0.0, h=0.2)
+        io.write_photometry(tmp_path / "p.json", {"basalt": shared, "palagonite": own, "tephra": shared})
+        config = {"kind": "curve", "model": "full", "theta0": 9.0, "theta": 21.0, "phi": 30.0}
+        (tmp_path / "curve.json").write_text(json.dumps(config))
+        argv = sweep_argv(albedo_csv, tmp_path / "curve.json", tmp_path / "c", "--photometry", str(tmp_path / "p.json"))
+        assert main(argv) == 0
+        assert calls == [shared, own]
+        for name, params in (("basalt", shared), ("palagonite", own), ("tephra", shared)):
+            assert (tmp_path / f"c.{name}.csv").read_bytes() == self.reference_bytes(tmp_path, config, params)
 
 
 class TestSweepConfigRoundTrip:

@@ -203,6 +203,22 @@ class TestHyperCube:
         assert pixel_major(values, copy=False) is values
         assert pixel_major(self.VALUES, copy=False).flags.f_contiguous
 
+    def test_pixel_major_array_over_bytes_kept_without_copy(self):
+        data = self.VALUES.tobytes(order="F")
+        over_bytes = np.frombuffer(data).reshape(self.VALUES.shape, order="F")
+        cube = HyperCube(values=over_bytes, axis=make_axis(5))
+        assert cube.values is over_bytes and not cube.values.flags.writeable
+        # writable, band-major or float32 arrays are copied, even over bytes
+        for source in (
+            np.frombuffer(bytearray(data)).reshape(self.VALUES.shape, order="F"),
+            np.frombuffer(self.VALUES.tobytes()).reshape(self.VALUES.shape),
+            np.frombuffer(self.VALUES.astype(np.float32).tobytes(order="F"), dtype=np.float32).reshape(
+                self.VALUES.shape, order="F"),
+        ):
+            cube = HyperCube(values=source, axis=make_axis(5))
+            assert not np.shares_memory(cube.values, source)
+            assert np.array_equal(cube.values, source) and cube.values.flags.f_contiguous
+
     def test_values_must_be_a_matrix(self):
         with pytest.raises(ValueError, match="cube values must be 2-D"):
             HyperCube(values=np.zeros(3), axis=make_axis(3))

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +233,20 @@ class TestCubeFiles:
         path.write_bytes(angles.tobytes(order="F"))
         with pytest.raises(ValueError, match=rf"bad\.geom\.bin: {name} must be in .* got {value} at pixel 3"):
             io.read_cube(sidecar)
+
+    def test_read_cube_holds_the_values_once(self, tmp_path):
+        bands, pixels = 200, 50_000  # 80 MB of values
+        cube = HyperCube(values=np.random.default_rng(5).uniform(0.0, 0.8, (bands, pixels)),
+                         axis=WavelengthAxis(np.linspace(0.4, 2.5, bands)))
+        sidecar = io.write_cube(tmp_path / "big", cube)
+        tracemalloc.start()
+        try:
+            loaded = io.read_cube(sidecar)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * cube.values.nbytes  # the file's bytes are the cube's memory, not copied again
+        assert np.array_equal(loaded.values, cube.values) and not loaded.values.flags.writeable
 
     def test_size_mismatch_detected(self, tmp_path, axis):
         cube = self.make_cube(axis, with_gt=False)

@@ -9,7 +9,6 @@ from specmix.hapke import (
     reflectance,
     relative_reflectance,
 )
-from specmix import metrics
 from specmix.metrics import AlbedoCurve, SweepGrid, angle_sweep, rmse, spectral_angle
 
 RMSE_OFFSET_CASE = 2.8284271247461901  # sqrt(16/2), hand-checkable
@@ -273,24 +272,42 @@ class TestAngleSweep:
         np.testing.assert_array_equal(result.rmse, rmse(ref, approx))
 
     @pytest.mark.parametrize("pair", [("relative", "linear"), ("lambertian", "linear")])
-    @pytest.mark.parametrize("cells", [1, 7])
-    def test_cell_blocks_do_not_change_values(self, pair, cells, monkeypatch):
-        # 8 x 6 cells; the lambertian pair skips the doubly grazing cells 0
-        # and 5 in grid order, so its first block of 7 valid cells spans one
+    @pytest.mark.parametrize(
+        "theta0_values, theta_values",
+        [
+            ([90.0, 0.0, 5.0, 20.0, 45.0, 60.0, 75.0, 89.0], [90.0, 0.0, 30.0, 60.0, 85.0, 90.0]),
+            ([90.0, 0.0, 30.0, 60.0, 85.0, 90.0], [90.0, 0.0, 30.0, 60.0, 85.0, 90.0]),  # square: SAM mirrored
+        ],
+    )
+    def test_row_blocks_and_mirror_do_not_change_values(self, pair, theta0_values, theta_values):
+        # each theta0 row swept alone is a 1 x n grid: one block, nothing mirrored
         rng = np.random.default_rng(7)
         albedo = make_albedo(rng.uniform(0.05, 0.95, 33))
-        grid = SweepGrid(
-            theta0_values=[90.0, 0.0, 5.0, 20.0, 45.0, 60.0, 75.0, 89.0],
-            theta_values=[90.0, 0.0, 30.0, 60.0, 85.0, 90.0],
-            model_pair=pair,
-        )
-        whole = angle_sweep(albedo, grid)
-        monkeypatch.setattr(metrics, "_CHUNK_CELLS", cells)
-        blocked = angle_sweep(albedo, grid)
-        np.testing.assert_array_equal(blocked.valid, whole.valid)
-        np.testing.assert_array_equal(blocked.sam, whole.sam)
-        np.testing.assert_array_equal(blocked.rmse, whole.rmse)
-        assert whole.n_skipped == (2 if pair[0] == "lambertian" else 0)
+        whole = angle_sweep(albedo, SweepGrid(theta0_values=theta0_values, theta_values=theta_values, model_pair=pair))
+        for i, theta0 in enumerate(theta0_values):
+            row = angle_sweep(albedo, SweepGrid(theta0_values=[theta0], theta_values=theta_values, model_pair=pair))
+            np.testing.assert_array_equal(row.valid[0], whole.valid[i])
+            np.testing.assert_array_equal(row.sam[0], whole.sam[i])
+            np.testing.assert_array_equal(row.rmse[0], whole.rmse[i])
+        grazing = theta0_values.count(90.0) * theta_values.count(90.0)
+        assert whole.n_skipped == (grazing if pair[0] == "lambertian" else 0)
+
+    @pytest.mark.parametrize("pair", [("relative", "linear"), ("lambertian", "linear"), ("lambertian", "relative"),
+                                      ("linear", "relative"), ("linear", "lambertian"), ("relative", "lambertian")])
+    def test_square_grid_sam_is_symmetric_and_equals_the_unmirrored_grid(self, pair):
+        rng = np.random.default_rng(17)
+        albedo = make_albedo(rng.uniform(0.05, 0.95, 29))
+        angles = [0.0, 90.0, 12.5, 37.0, 60.0, 88.0, 1e-300]
+        square = angle_sweep(albedo, SweepGrid(theta0_values=angles, theta_values=angles, model_pair=pair))
+        np.testing.assert_array_equal(square.sam, square.sam.T)
+        # one more theta angle makes the grid non-square, so nothing is mirrored
+        wider = angle_sweep(albedo, SweepGrid(theta0_values=angles, theta_values=[*angles, 45.0], model_pair=pair))
+        assert np.array_equal(wider.sam[:, :-1], square.sam, equal_nan=True)
+        assert np.array_equal(wider.rmse[:, :-1], square.rmse, equal_nan=True)
+        nan = np.zeros(square.sam.shape, dtype=bool)
+        nan[1, 1] = "lambertian" in pair  # (90, 90), the doubly grazing cell
+        np.testing.assert_array_equal(np.isnan(square.sam), nan)
+        np.testing.assert_array_equal(np.isnan(square.rmse), nan)
 
 
 def long_double_sweep(pair, omega, angles):
