@@ -18,10 +18,9 @@ With a checkout of the commit to compare against (for example
 `--parent .` compares the tree with itself, which shows the timing noise.
 
 Cases: unmix_cube under lmm, lmm without sum-to-one, elmm-global and
-elmm-full, and the single-pixel entry points fcls (both modes) and
-unmix_elmm_global per call, averaged over 200 pixels.  Both trees are
-imported into one process under different module names.  Each case runs
-once per tree untimed, and those outputs (abundances, scales, residual RMSE
+elmm-full, and the single-pixel entry point fcls (both modes) per call,
+averaged over 200 pixels.  Both trees are imported into one process under
+different module names.  Each case runs once per tree untimed, and those outputs (abundances, scales, residual RMSE
 and degenerate flags) are compared; it then runs ROUNDS times per tree,
 alternating which tree goes first, so both see the same machine state.  The
 record holds, per case and tree, the median and IQR of those times, and on
@@ -49,6 +48,8 @@ N_BANDS = 200
 #: unmix_cube cases: (case label, model, sum_to_one)
 TREE_MODELS = (("lmm", "lmm", True), ("lmm-nnls", "lmm", False),
                ("elmm-global", "elmm-global", True), ("elmm-full", "elmm-full", True))
+#: single-pixel cases: fcls with and without sum-to-one
+SINGLE_PIXEL_LABELS = ("fcls", "fcls-nnls")
 SINGLE_PIXEL_CALLS = 200
 #: alternating calls per tree and case in the two-tree comparison
 ROUNDS = 40
@@ -136,16 +137,8 @@ def cube_outputs(solver, S, X, model: str, sum_to_one: bool) -> np.ndarray:
 
 
 def pixel_outputs(solver, S, X, label: str) -> np.ndarray:
-    """One single-pixel entry point called on every column of X, its outputs concatenated."""
-    shared = solver.SolverConfig(model="elmm-global")
-    rows = []
-    for x in X.T:
-        if label == "unmix_elmm_global":
-            fit = solver.unmix_elmm_global(x, S, shared)
-            rows.append(np.append(fit.abundances, [fit.scale, fit.degenerate]))
-        else:
-            rows.append(solver.fcls(x, S, sum_to_one=label == "fcls"))
-    return np.concatenate(rows)
+    """The single-pixel case `label` called on every column of X, its outputs concatenated."""
+    return np.concatenate([solver.fcls(x, S, sum_to_one=label == "fcls") for x in X.T])
 
 
 def tree_calls(solvers: dict, pixels: list[int], materials: list[int]):
@@ -159,7 +152,7 @@ def tree_calls(solvers: dict, pixels: list[int], materials: list[int]):
                          for side, solver in solvers.items()}
                 yield f"unmix_cube/{label}/P={n_materials}/N={n_pixels}", params, calls
         S, X = problem(n_materials, SINGLE_PIXEL_CALLS)
-        for label in ("fcls", "fcls-nnls", "unmix_elmm_global"):
+        for label in SINGLE_PIXEL_LABELS:
             params = {"P": n_materials, "L": N_BANDS, "calls": SINGLE_PIXEL_CALLS, "per": "call"}
             yield (f"{label}/P={n_materials}", params,
                    {side: partial(pixel_outputs, solver, S, X, label) for side, solver in solvers.items()})

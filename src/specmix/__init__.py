@@ -16,14 +16,10 @@ from .hapke import (
     MODELS,
     ModelDomainError,
     endmember_variant,
-    full_reflectance,
-    lambertian_reflectance,
-    linear_reflectance,
     multiple_scattering,
     opposition_effect,
     phase_function,
     reflectance,
-    relative_reflectance,
     scaling_factor,
 )
 from .metrics import AlbedoCurve, SweepGrid, SweepResult, angle_sweep, rmse, spectral_angle
@@ -35,14 +31,7 @@ from .simulate import (
     sample_abundances,
     simulate_cube,
 )
-from .solver import (
-    SOLVER_MODELS,
-    GlobalScalingFit,
-    SolverConfig,
-    fcls,
-    unmix_cube,
-    unmix_elmm_global,
-)
+from .solver import SOLVER_MODELS, SolverConfig, fcls, unmix_cube
 
 __version__ = "0.1.0"
 
@@ -53,7 +42,6 @@ __all__ = [
     "EndmemberMatrix",
     "Geometry",
     "GeometrySampler",
-    "GlobalScalingFit",
     "GroundTruth",
     "HyperCube",
     "MODELS",
@@ -69,22 +57,17 @@ __all__ = [
     "angle_sweep",
     "endmember_variant",
     "fcls",
-    "full_reflectance",
     "inject_noise",
-    "lambertian_reflectance",
-    "linear_reflectance",
     "multiple_scattering",
     "opposition_effect",
     "phase_function",
     "reflectance",
-    "relative_reflectance",
     "rmse",
     "sample_abundances",
     "scaling_factor",
     "simulate_cube",
     "spectral_angle",
     "unmix_cube",
-    "unmix_elmm_global",
     "validate_cube",
     "__version__",
 ]

@@ -79,9 +79,9 @@ def _load_json(path: str) -> dict[str, Any]:
 
 
 def _out_base(out: str) -> Path:
-    path = Path(out)
+    path = io._output_path(out, "")
     path.parent.mkdir(parents=True, exist_ok=True)
-    return path.parent / path.name.removesuffix(".csv").removesuffix(".json")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +101,7 @@ def _cmd_forward(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     clock.timed("write", io.write_spectra_table, out, albedos[0].axis, [a.material for a in albedos], np.column_stack(columns))
-    config = {"model": args.model, "theta0": args.theta0, "theta": args.theta, "phi": args.phi}
+    config = {"model": args.model, **geom.to_dict()}
     inputs = {"albedo": args.albedo, "photometry": args.photometry or ""}
     _manifest(_out_base(args.out), "forward", config, inputs, [out], None, clock)
     return EXIT_OK
@@ -147,6 +147,8 @@ def _cmd_unmix(args: argparse.Namespace) -> int:
     config = SolverConfig.from_dict(raw)
     cube = clock.timed("read", io.read_cube, args.cube)
     axis, endmembers = clock.timed("read", io.read_endmembers, args.endmembers)
+    if len(axis) != len(cube.axis):
+        raise ValueError(f"{args.endmembers} has {len(axis)} bands, cube {args.cube} has {len(cube.axis)}")
     if not np.allclose(axis.values, cube.axis.values, rtol=0.0, atol=1e-12):
         raise ValueError("endmember wavelength axis does not match the cube")
     result = clock.timed("solve", unmix_cube, cube, endmembers, config)

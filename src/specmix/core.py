@@ -24,7 +24,13 @@ _COPY_BLOCK_PIXELS = 256
 
 
 def _readonly(values, dtype=np.float64, ndim: int | None = None, name: str = "array") -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    """values as a read-only array of dtype that no one else can write.
+
+    An array over an immutable bytes object (_views_bytes), such as a file
+    read by io.read_cube, is kept as is when it already has dtype; anything
+    else is copied, so the result never shares memory a caller can change.
+    """
+    arr = np.asarray(values, dtype=dtype) if _views_bytes(values) else np.array(values, dtype=dtype)
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -135,8 +141,9 @@ def phase_angle_deg(theta0, theta, phi):
     return 2.0 * np.degrees(np.arcsin(half_chord))
 
 
-#: Each acquisition angle's name and upper bound in degrees (all start at 0).
-_ANGLE_LIMITS = (("theta0", 90.0), ("theta", 90.0), ("phi", 180.0))
+#: Each acquisition angle's name and upper bound in degrees (all start at 0);
+#: the names are the keys of Geometry's config form.
+_ANGLE_LIMITS = {"theta0": 90.0, "theta": 90.0, "phi": 180.0}
 
 
 @dataclass(frozen=True)
@@ -242,9 +249,9 @@ class Geometry:
     g: float | FloatArray = field(init=False)
 
     def __post_init__(self) -> None:
-        one_pixel = all(np.ndim(getattr(self, name)) == 0 for name, _ in _ANGLE_LIMITS)
-        angles = [_readonly(getattr(self, name), ndim=0 if one_pixel else 1, name=name) for name, _ in _ANGLE_LIMITS]
-        for (name, hi), arr in zip(_ANGLE_LIMITS, angles):
+        one_pixel = all(np.ndim(getattr(self, name)) == 0 for name in _ANGLE_LIMITS)
+        angles = [_readonly(getattr(self, name), ndim=0 if one_pixel else 1, name=name) for name in _ANGLE_LIMITS]
+        for (name, hi), arr in zip(_ANGLE_LIMITS.items(), angles):
             in_range = (arr >= 0.0) & (arr <= hi)  # False at NaN too
             if not in_range.all():
                 pixel = int(np.argmin(in_range))
@@ -262,6 +269,21 @@ class Geometry:
     def __len__(self) -> int:
         """Pixel count: 1 for scalar angles."""
         return int(np.size(self.theta0))
+
+    def to_dict(self) -> dict[str, float]:
+        """One pixel's config form {"theta0": ..., "theta": ..., "phi": ...}, in degrees."""
+        return {name: getattr(self, name) for name in _ANGLE_LIMITS}
+
+    @classmethod
+    def from_dict(cls, raw: Any, where: str = "") -> "Geometry":
+        """Inverse of to_dict, an absent angle read as 0.
+
+        An unknown key, or a value of the wrong JSON type, is refused by its
+        key path: "<where>.<key>", or the bare key when where is empty.
+        """
+        check_config_keys(raw, _ANGLE_LIMITS, where)
+        prefix = f"{where}." if where else ""
+        return cls(**{name: config_value(raw.get(name, 0.0), prefix + name) for name in _ANGLE_LIMITS})
 
 
 @dataclass(frozen=True)
@@ -318,9 +340,8 @@ class HyperCube:
     values is always stored pixel-major (Fortran order), so each pixel's
     spectrum is contiguous, as in the .bin file and the solver's rows; any
     other input layout or dtype is converted once, here, by pixel_major.
-    A pixel-major float64 array over an immutable bytes object, which no one
-    can write (a file read by io.read_cube), is kept as is; any other array
-    is copied, so the cube never shares memory a caller can change.
+    A pixel-major float64 array over an immutable bytes object is kept as is,
+    and any other array copied, by _readonly's rule.
     geometries, when known, holds every pixel's acquisition angles as one
     Geometry of (N,) arrays (pixel n at index n).  Construction only enforces
     structural shape; value-level invariants (non-negative reflectance,

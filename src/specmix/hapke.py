@@ -8,7 +8,7 @@ kernel, reflectance(), whose arguments combine by numpy broadcasting: the
 caller picks the layout, so one call evaluates a spectrum, an albedo
 curve, a grid of angle cells or a whole block of pixels.  The kernel trusts
 its albedos and cosines; they are validated once, where they enter the
-program (AlbedoSpectrum, Geometry, or the raw-array functions below).
+program (AlbedoSpectrum, Geometry).
 All arithmetic is in 64-bit floats; all angles are degrees.
 
 Pure functions of immutable inputs: safe to call concurrently.
@@ -179,26 +179,6 @@ def multiple_scattering(omega, mu):
     """
     w = _check_omega(omega)
     return _h(_check_mu(mu, "mu"), np.sqrt(1.0 - w))
-
-
-def full_reflectance(omega, geom: Geometry, params: PhotometricParams):
-    """Full photometric model (see reflectance) at one geometry; singular at mu + mu0 = 0."""
-    return reflectance("full", _check_omega(omega), geom.mu, geom.mu0, geom.g, params)
-
-
-def lambertian_reflectance(omega, mu, mu0):
-    """Reflectance under isotropic scattering and no opposition surge; singular at mu + mu0 = 0."""
-    return reflectance("lambertian", _check_omega(omega), _check_mu(mu, "mu"), _check_mu(mu0, "mu0"))
-
-
-def relative_reflectance(omega, mu, mu0):
-    """Reflectance normalized by its own omega = 1 value; equals omega at mu = mu0 = 0."""
-    return reflectance("relative", _check_omega(omega), _check_mu(mu, "mu"), _check_mu(mu0, "mu0"))
-
-
-def linear_reflectance(omega, mu, mu0):
-    """First-order expansion of the relative reflectance around omega = 0; defined everywhere."""
-    return reflectance("linear", _check_omega(omega), _check_mu(mu, "mu"), _check_mu(mu0, "mu0"))
 
 
 def scaling_factor(local: Geometry, reference: Geometry) -> float | FloatArray:

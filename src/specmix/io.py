@@ -157,13 +157,16 @@ def photometry_for(photometry, materials: list[str]):
 # ---------------------------------------------------------------------------
 
 def _output_path(stem: str | Path, suffix: str) -> Path:
-    """<stem><suffix>, where a trailing .json is removed from stem and any other dot kept.
+    """<stem><suffix>, where one trailing .json or .csv is removed from stem and any other dot kept.
 
-    Cube and unmixing-result files are all named this way, so an output
-    stem such as "scene.v2" keeps its dotted part in every file name.
+    Cube and unmixing-result files and the CLI's manifests are all named
+    this way, so an output stem such as "scene.v2" keeps its dotted part in
+    every file name, and "scene.csv" names them all "scene.*".
     """
     stem = Path(stem)
-    return stem.parent / (stem.name.removesuffix(".json") + suffix)
+    if stem.suffix in (".json", ".csv"):
+        stem = stem.with_suffix("")
+    return stem.parent / (stem.name + suffix)
 
 
 def _write_matrix(path: Path, matrix: np.ndarray) -> None:

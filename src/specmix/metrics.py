@@ -31,7 +31,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import AlbedoSpectrum, FloatArray, Geometry, PhotometricParams, _readonly, check_config_keys, config_value, cos_deg
+from .core import _ANGLE_LIMITS, AlbedoSpectrum, FloatArray, Geometry, PhotometricParams, _readonly, check_config_keys, config_value, cos_deg
 from .hapke import MODELS, _check_omega, angle_divisor, cell_factors, defined_at, reflectance
 
 #: Models an angle sweep may pair: the ones fully determined by (mu, mu0).
@@ -93,8 +93,9 @@ def _sum_sq(rows):
 #: Most cells an angle sweep grid, or points an albedo curve, may have: room
 #: for the whole 0.1-degree grid (901 x 901), 120 times the default one.
 _MAX_SWEEP_CELLS = 10**6
-#: The Geometry angles an albedo curve's config names, in degrees.
-_CURVE_ANGLES = ("theta0", "theta", "phi")
+#: Most angles on one sweep axis, a 0.01-degree axis: angle_sweep's row
+#: buffers grow with the theta axis times the band count, not with the cells.
+_MAX_AXIS_ANGLES = 9001
 
 
 def _sweep_keys(raw: Any, kind: str, keys: tuple[str, ...]) -> None:
@@ -136,6 +137,8 @@ class SweepGrid:
             arr = np.array(getattr(self, name), dtype=float)
             if arr.ndim != 1 or arr.size == 0:
                 raise ValueError(f"{name} must be a non-empty 1-D list of degrees")
+            if arr.size > _MAX_AXIS_ANGLES:
+                raise ValueError(f"{name} has {arr.size} angles; at most {_MAX_AXIS_ANGLES} are allowed")
             if not np.all((arr >= 0.0) & (arr <= 90.0)):
                 raise ValueError(f"{name} must be finite and lie in [0, 90] degrees")
             arr.setflags(write=False)
@@ -158,7 +161,8 @@ class SweepGrid:
         list of degrees in [0, 90] or a range {"start": 0, "stop": 90,
         "step": 1} (those defaults; stop is included when it lies on the
         step), 0..90 in 1-degree steps when absent.  The grid may have at
-        most 10^6 cells, which is checked before any axis is built.
+        most 10^6 cells, which is checked before any axis is built, and
+        each axis at most 9001 angles.
         """
         _sweep_keys(raw, "angle", ("model_pair", "theta0_values", "theta_values"))
         (n_theta0, theta0), (n_theta, theta) = (_angle_axis(raw, key) for key in ("theta0_values", "theta_values"))
@@ -189,8 +193,7 @@ class AlbedoCurve:
         return reflectance(self.model, self.omega, geom.mu, geom.mu0, geom.g, params)
 
     def to_dict(self) -> dict[str, Any]:
-        angles = {key: getattr(self.geometry, key) for key in _CURVE_ANGLES}
-        return {"kind": "curve", "model": self.model, **angles, "omega": self.omega.tolist()}
+        return {"kind": "curve", "model": self.model, **self.geometry.to_dict(), "omega": self.omega.tolist()}
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "AlbedoCurve":
@@ -203,8 +206,8 @@ class AlbedoCurve:
         defaults, both ends included), that range when absent.  num may be
         at most 10^6, which is checked before the grid is built.
         """
-        _sweep_keys(raw, "curve", ("model", *_CURVE_ANGLES, "omega"))
-        geometry = Geometry(**{key: config_value(raw.get(key, 0.0), key) for key in _CURVE_ANGLES})
+        _sweep_keys(raw, "curve", ("model", *_ANGLE_LIMITS, "omega"))
+        geometry = Geometry.from_dict({key: raw[key] for key in _ANGLE_LIMITS if key in raw})
         omega = raw.get("omega", {})
         if isinstance(omega, dict):
             check_config_keys(omega, ("start", "stop", "num"), "omega")

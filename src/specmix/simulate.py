@@ -115,12 +115,12 @@ class SceneConfig:
             "n_pixels": self.n_pixels,
             "model": self.model,
             "abundances": {"kind": self.abundances.kind, "alpha": self.abundances.alpha},
-            "reference": _geometry_dict(self.reference),
+            "reference": self.reference.to_dict(),
             "snr_db": None if self.snr_db is None or math.isinf(self.snr_db) else self.snr_db,
             "seed": self.seed,
         }
         if self.geometry.kind == "fixed":
-            cfg["geometry"] = {"kind": "fixed", "angles": _geometry_dict(self.geometry.fixed)}
+            cfg["geometry"] = {"kind": "fixed", "angles": self.geometry.fixed.to_dict()}
         else:
             cfg["geometry"] = {
                 "kind": "uniform",
@@ -145,7 +145,7 @@ class SceneConfig:
         kind = geom_raw.get("kind", "fixed") if isinstance(geom_raw, dict) else None
         if kind == "fixed":
             check_config_keys(geom_raw, ("kind", "angles"), "geometry")
-            fixed = _geometry_from(geom_raw.get("angles", {}), "geometry.angles")
+            fixed = Geometry.from_dict(geom_raw.get("angles", {}), "geometry.angles")
             geometry = GeometrySampler(kind="fixed", fixed=fixed)
         else:
             ranges = ("theta0_range", "theta_range", "phi_range")
@@ -161,19 +161,10 @@ class SceneConfig:
             model=raw.get("model", "linear"),
             abundances=sampler,
             geometry=geometry,
-            reference=_geometry_from(raw.get("reference", {}), "reference"),
+            reference=Geometry.from_dict(raw.get("reference", {}), "reference"),
             snr_db=None if snr is None else config_value(snr, "snr_db"),
             seed=config_value(raw.get("seed", 0), "seed", "count"),
         )
-
-
-def _geometry_dict(geom: Geometry) -> dict[str, float]:
-    return {"theta0": geom.theta0, "theta": geom.theta, "phi": geom.phi}
-
-
-def _geometry_from(raw: Any, what: str) -> Geometry:
-    check_config_keys(raw, ("theta0", "theta", "phi"), what)
-    return Geometry(**{key: config_value(raw.get(key, 0.0), f"{what}.{key}") for key in ("theta0", "theta", "phi")})
 
 
 def sample_abundances(config: SceneConfig) -> FloatArray:

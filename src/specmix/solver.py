@@ -27,8 +27,7 @@ which other pixels share the batch.  Every product whose length varies
 with the batch is computed one pixel at a time (``_rowwise``).  A pixel's
 result is therefore bit-identical whether it is solved alone, in a chunk
 or in the whole cube.  Cubes are processed in chunks of ``_CHUNK_PIXELS``
-so temporaries stay O(chunk * P^2).  fcls and unmix_elmm_global unmix one
-pixel as a one-column cube.
+so temporaries stay O(chunk * P^2).
 """
 
 from __future__ import annotations
@@ -281,33 +280,6 @@ def fcls(x, S0, sum_to_one: bool = True) -> FloatArray:
         raise ValueError(f"pixel spectrum length {x_arr.shape} does not match {n_bands} bands")
     config = SolverConfig(model="lmm", sum_to_one=sum_to_one)
     return unmix_cube(x_arr[:, None], S0, config).abundances[:, 0]
-
-
-@dataclass(frozen=True)
-class GlobalScalingFit:
-    """Per-pixel result of the globally scaled mixing model."""
-
-    abundances: FloatArray
-    scale: float
-    degenerate: bool = False
-
-
-def unmix_elmm_global(x, S0, config: SolverConfig) -> GlobalScalingFit:
-    """Fit one pixel as a single positive scale times a simplex mixture.
-
-    Solves non-negative least squares for the scaled abundances z, then
-    splits z into scale = sum(z) and abundances z / sum(z).  When the sum
-    falls outside psi_bounds the fit is re-solved on that bound, which is
-    the exact constrained optimum.  A pixel with no component in the
-    endmember cone (z = 0) is degenerate: uniform abundances are returned
-    with the scale clamped to the lower bound and the flag set.  Only
-    config.psi_bounds is used.  The pixel is unmixed as a one-column cube
-    by unmix_cube, with its input checks.
-    """
-    global_config = SolverConfig(model="elmm-global", psi_bounds=config.psi_bounds)
-    result = unmix_cube(np.asarray(x, dtype=float)[:, None], S0, global_config)
-    return GlobalScalingFit(abundances=result.abundances[:, 0], scale=float(result.scales[0, 0]),
-                            degenerate=bool(result.degenerate[0]))
 
 
 def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:

@@ -220,16 +220,18 @@ class TestSimulateAndVerify:
         written = sorted([*before, *manifest["outputs"], "scene.v2.manifest.json"])
         assert sorted(path.name for path in out.iterdir()) == written
 
-    def test_json_out_is_the_sidecar_and_names_the_stem(self, tmp_path, albedo_csv):
+    @pytest.mark.parametrize("out", ["cube.json", "cube.csv"])
+    def test_json_out_is_the_sidecar_and_names_the_stem(self, tmp_path, albedo_csv, out):
         assert main([
             "simulate", "--config", str(scene_config(tmp_path, n_pixels=4)), "--albedo", str(albedo_csv),
-            "--out", str(tmp_path / "cube.json"),
+            "--out", str(tmp_path / "o" / out),
         ]) == 0
-        manifest = json.loads((tmp_path / "cube.manifest.json").read_text())
+        manifest = json.loads((tmp_path / "o" / "cube.manifest.json").read_text())
         assert manifest["outputs"] == [
             "cube.json", "cube.bin", "cube.geom.bin", "cube.gt_a.bin", "cube.gt_psi.bin", "cube.endmembers.csv",
         ]
-        assert main(["verify", "--cube", str(tmp_path / "cube.json")]) == 0
+        assert sorted(path.name for path in (tmp_path / "o").iterdir()) == sorted([*manifest["outputs"], "cube.manifest.json"])
+        assert main(["verify", "--cube", str(tmp_path / "o" / "cube.json")]) == 0
 
 
 class TestUnmix:
@@ -262,7 +264,7 @@ class TestUnmix:
 
         assert not has_pixel_list(summary)
 
-    @pytest.mark.parametrize("out, stem", [("fit.v2", "fit.v2"), ("fit.json", "fit")])
+    @pytest.mark.parametrize("out, stem", [("fit.v2", "fit.v2"), ("fit.json", "fit"), ("fit.csv", "fit")])
     def test_every_result_file_is_named_by_the_whole_stem(self, tmp_path, albedo_csv, out, stem):
         cube, endmembers = self.simulate(tmp_path, albedo_csv, n_pixels=4)
         assert main(["unmix", "--cube", str(cube), "--endmembers", str(endmembers), "--out", str(tmp_path / out)]) == 0
@@ -355,6 +357,19 @@ class TestUnmix:
         assert err.startswith("error: ") and "geometries must name a .geom.bin file, got a list" in err
         assert "Traceback" not in err
         assert not list(tmp_path.glob("fit*")) and not (tmp_path / "report.json").exists()
+
+    def test_band_count_mismatch_exits_1_naming_both_counts(self, tmp_path, albedo_csv, capsys):
+        cube, endmembers = self.simulate(tmp_path, albedo_csv, n_pixels=4)
+        axis, full = io.read_endmembers(endmembers)
+        short = tmp_path / "short_endmembers.csv"
+        io.write_spectra_table(short, WavelengthAxis(axis.values[:12]), list(full.materials), full.values[:12])
+        assert main([
+            "unmix", "--cube", str(cube), "--endmembers", str(short), "--model", "lmm", "--out", str(tmp_path / "fit"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {short} has 12 bands, cube {cube} has 16")
+        assert "broadcast" not in err
+        assert not list(tmp_path.glob("fit*"))
 
     def test_axis_mismatch_exits_1(self, tmp_path, albedo_csv):
         cube, _ = self.simulate(tmp_path, albedo_csv, n_pixels=4)
@@ -552,6 +567,17 @@ class TestSweepRangeBounds:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "at most 1000000" in err
         assert not list(tmp_path.glob("s.*"))
+
+    def test_overlong_axis_exits_1_naming_key(self, tmp_path, capsys):
+        axis = WavelengthAxis([0.5, 1.0, 1.5])
+        albedo = tmp_path / "albedo3.csv"
+        io.write_albedos(albedo, [AlbedoSpectrum(material="m", omega=[0.2, 0.4, 0.6], axis=axis)])
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"theta0_values": [0], "theta_values": {"step": 1e-4}}))
+        assert main(["sweep", "--albedo", str(albedo), "--config", str(path), "--out", str(tmp_path / "out" / "s")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: theta_values has 900001 angles; at most 9001 are allowed")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("num", [1e10, 10**6 + 1, float("inf"), pytest.param(10**400, id="int-1e400")])
     def test_oversized_curve_exits_1_naming_key_before_linspace(

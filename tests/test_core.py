@@ -121,6 +121,24 @@ class TestGeometry:
         assert a == b and hash(a) == hash(b)
         assert a != Geometry(theta0=30.0, theta=20.0, phi=11.0)
 
+    def test_config_form_round_trips(self):
+        geom = Geometry(theta0=30.0, theta=20.5, phi=10.0)
+        assert geom.to_dict() == {"theta0": 30.0, "theta": 20.5, "phi": 10.0}
+        assert Geometry.from_dict(geom.to_dict(), "reference") == geom
+        assert Geometry.from_dict({"theta": 20.5}) == Geometry(theta0=0.0, theta=20.5, phi=0.0)
+
+    @pytest.mark.parametrize("raw, where, message", [
+        ({"theta": "5"}, "reference", "reference.theta must be a number, got '5'"),
+        ({"theta": "5"}, "", "theta must be a number, got '5'"),
+        ({"psi": 1.0}, "reference", "unknown reference keys: psi; expected theta0, theta, phi"),
+        ([30.0], "geometry.angles", "geometry.angles must be a JSON object"),
+        ({"phi": 200.0}, "reference", "phi must be in [0, 180] degrees, got 200.0"),
+    ])
+    def test_config_form_refused_by_key_path(self, raw, where, message):
+        with pytest.raises(ValueError) as err:
+            Geometry.from_dict(raw, where)
+        assert str(err.value).startswith(message)
+
 
 class TestGeometryArrays:
     def random_angles(self, n=2000, seed=5):

@@ -9,14 +9,10 @@ from specmix.hapke import (
     cell_factors,
     ModelDomainError,
     endmember_variant,
-    full_reflectance,
-    lambertian_reflectance,
-    linear_reflectance,
     multiple_scattering,
     opposition_effect,
     phase_function,
     reflectance,
-    relative_reflectance,
     scaling_factor,
 )
 
@@ -119,17 +115,17 @@ class TestFullReflectance:
     def test_black_surface_reflects_nothing(self):
         geom = Geometry(theta0=30.0, theta=50.0, phi=120.0)
         params = PhotometricParams(b=0.4, c=0.3, B0=0.9, h=0.07)
-        assert full_reflectance(0.0, geom, params) == 0.0
+        assert reflectance("full", 0.0, geom.mu, geom.mu0, geom.g, params) == 0.0
 
     def test_reference_value(self):
         geom = Geometry(theta0=45.0, theta=45.0, phi=0.0)
         params = PhotometricParams(b=0.3, c=0.6, B0=0.5, h=0.1)
-        assert full_reflectance(0.5, geom, params) == pytest.approx(FULL_W05_45_45, rel=1e-13)
+        assert reflectance("full", 0.5, geom.mu, geom.mu0, geom.g, params) == pytest.approx(FULL_W05_45_45, rel=1e-13)
 
     def test_doubly_grazing_rejected(self):
         geom = Geometry(theta0=90.0, theta=90.0, phi=0.0)
         with pytest.raises(ModelDomainError, match="mu \\+ mu0"):
-            full_reflectance(0.5, geom, LAMBERTIAN_PARAMS)
+            reflectance("full", 0.5, geom.mu, geom.mu0, geom.g, LAMBERTIAN_PARAMS)
 
     def test_collapses_to_lambertian_model(self):
         # isotropic scattering and no surge: identical to the reduced model
@@ -141,8 +137,8 @@ class TestFullReflectance:
                 if theta0 == 90.0 and theta == 90.0:
                     continue
                 geom = Geometry(theta0=theta0, theta=theta, phi=numpy_phi(theta0, theta))
-                full = full_reflectance(omegas, geom, LAMBERTIAN_PARAMS)
-                reduced = lambertian_reflectance(omegas, geom.mu, geom.mu0)
+                full = reflectance("full", omegas, geom.mu, geom.mu0, geom.g, LAMBERTIAN_PARAMS)
+                reduced = reflectance("lambertian", omegas, geom.mu, geom.mu0)
                 worst = max(worst, float(np.max(np.abs(full - reduced))))
         assert worst < 1e-12
 
@@ -153,7 +149,7 @@ class TestFullReflectance:
             params = PhotometricParams(
                 b=rng.uniform(0, 0.95), c=rng.uniform(0, 1), B0=rng.uniform(0, 1), h=rng.uniform(0.01, 0.5)
             )
-            assert full_reflectance(rng.uniform(0, 1), geom, params) >= 0.0
+            assert reflectance("full", rng.uniform(0, 1), geom.mu, geom.mu0, geom.g, params) >= 0.0
 
 
 def numpy_phi(theta0, theta):
@@ -163,31 +159,31 @@ def numpy_phi(theta0, theta):
 
 class TestLambertianReflectance:
     def test_bright_surface_at_nadir(self):
-        assert lambertian_reflectance(1.0, 1.0, 1.0) == pytest.approx(9.0 / 8.0, rel=1e-15)
+        assert reflectance("lambertian", 1.0, 1.0, 1.0) == pytest.approx(9.0 / 8.0, rel=1e-15)
 
     def test_black_surface(self):
-        assert lambertian_reflectance(0.0, 0.7, 0.4) == 0.0
+        assert reflectance("lambertian", 0.0, 0.7, 0.4) == 0.0
 
     def test_reference_value(self):
-        assert lambertian_reflectance(0.5, MU45, MU45) == pytest.approx(LAMB_W05_MU45, rel=1e-14)
+        assert reflectance("lambertian", 0.5, MU45, MU45) == pytest.approx(LAMB_W05_MU45, rel=1e-14)
 
     def test_doubly_grazing_rejected(self):
         with pytest.raises(ModelDomainError):
-            lambertian_reflectance(0.5, 0.0, 0.0)
+            reflectance("lambertian", 0.5, 0.0, 0.0)
 
 
 class TestRelativeReflectance:
     def test_grazing_identity(self):
         rng = np.random.default_rng(5)
         omegas = rng.uniform(0.0, 1.0, 1000)
-        np.testing.assert_array_equal(relative_reflectance(omegas, 0.0, 0.0), omegas)
+        np.testing.assert_array_equal(reflectance("relative", omegas, 0.0, 0.0), omegas)
 
     def test_unit_albedo_normalized_to_one(self):
         for mu, mu0 in ((0.0, 0.0), (0.3, 0.8), (1.0, 1.0)):
-            assert relative_reflectance(1.0, mu, mu0) == 1.0
+            assert reflectance("relative", 1.0, mu, mu0) == 1.0
 
     def test_reference_value(self):
-        assert relative_reflectance(0.5, 1.0, 1.0) == pytest.approx(REL_W05_MU1, rel=1e-14)
+        assert reflectance("relative", 0.5, 1.0, 1.0) == pytest.approx(REL_W05_MU1, rel=1e-14)
 
     def test_normalization_identity(self):
         # relative * (brightness of omega=1) = absolute, away from grazing
@@ -195,9 +191,9 @@ class TestRelativeReflectance:
         for _ in range(300):
             omega = rng.uniform(0, 1)
             mu, mu0 = rng.uniform(0.05, 1.0, 2)
-            normalizer = lambertian_reflectance(1.0, mu, mu0)
-            left = relative_reflectance(omega, mu, mu0) * normalizer
-            right = lambertian_reflectance(omega, mu, mu0)
+            normalizer = reflectance("lambertian", 1.0, mu, mu0)
+            left = reflectance("relative", omega, mu, mu0) * normalizer
+            right = reflectance("lambertian", omega, mu, mu0)
             assert left == pytest.approx(right, abs=1e-12)
 
     def test_symmetric_in_mu_and_mu0(self):
@@ -206,13 +202,13 @@ class TestRelativeReflectance:
         mu = rng.uniform(0, 1, 50)
         mu0 = rng.uniform(0, 1, 50)
         np.testing.assert_allclose(
-            relative_reflectance(omega, mu, mu0), relative_reflectance(omega, mu0, mu), rtol=1e-15
+            reflectance("relative", omega, mu, mu0), reflectance("relative", omega, mu0, mu), rtol=1e-15
         )
 
     def test_strictly_increasing_in_albedo(self):
         omegas = np.linspace(0.001, 0.999, 400)
         for mu, mu0 in ((0.0, 0.0), (0.2, 0.9), (1.0, 1.0)):
-            values = relative_reflectance(omegas, mu, mu0)
+            values = reflectance("relative", omegas, mu, mu0)
             assert np.all(np.diff(values) > 0)
 
 
@@ -220,23 +216,23 @@ class TestLinearReflectance:
     def test_grazing_identity(self):
         rng = np.random.default_rng(9)
         omegas = rng.uniform(0.0, 1.0, 1000)
-        np.testing.assert_array_equal(linear_reflectance(omegas, 0.0, 0.0), omegas)
+        np.testing.assert_array_equal(reflectance("linear", omegas, 0.0, 0.0), omegas)
 
     def test_nadir_slope_one_ninth(self):
-        assert linear_reflectance(0.9, 1.0, 1.0) == pytest.approx(0.1, rel=1e-15)
+        assert reflectance("linear", 0.9, 1.0, 1.0) == pytest.approx(0.1, rel=1e-15)
 
     def test_reference_value(self):
-        assert linear_reflectance(0.5, MU45, MU45) == pytest.approx(LIN_W05_MU45, rel=1e-14)
+        assert reflectance("linear", 0.5, MU45, MU45) == pytest.approx(LIN_W05_MU45, rel=1e-14)
 
     def test_strictly_increasing_in_albedo(self):
         omegas = np.linspace(0.001, 0.999, 400)
-        values = linear_reflectance(omegas, 0.3, 0.6)
+        values = reflectance("linear", omegas, 0.3, 0.6)
         assert np.all(np.diff(values) > 0)
 
     def test_grazing_agreement_with_relative_is_exact(self):
         omegas = np.linspace(0.0, 1.0, 101)
         np.testing.assert_array_equal(
-            linear_reflectance(omegas, 0.0, 0.0), relative_reflectance(omegas, 0.0, 0.0)
+            reflectance("linear", omegas, 0.0, 0.0), reflectance("relative", omegas, 0.0, 0.0)
         )
 
 
@@ -246,7 +242,7 @@ class TestTaylorOrder:
         mu = float(cos_deg(theta))
         mu0 = float(cos_deg(theta0))
         omegas = np.logspace(-4, -2, 15)
-        err = np.abs(relative_reflectance(omegas, mu, mu0) - linear_reflectance(omegas, mu, mu0))
+        err = np.abs(reflectance("relative", omegas, mu, mu0) - reflectance("linear", omegas, mu, mu0))
         slope = np.polyfit(np.log(omegas), np.log(err), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
 

@@ -248,6 +248,30 @@ class TestCubeFiles:
         assert peak < 1.1 * cube.values.nbytes  # the file's bytes are the cube's memory, not copied again
         assert np.array_equal(loaded.values, cube.values) and not loaded.values.flags.writeable
 
+    def test_read_cube_holds_ground_truth_and_angles_once(self, tmp_path):
+        rng = np.random.default_rng(7)
+        materials, pixels, bands = 8, 50_000, 10
+        angles = (rng.uniform(0.0, 80.0, pixels), rng.uniform(0.0, 80.0, pixels), rng.uniform(0.0, 180.0, pixels))
+        cube = HyperCube(values=rng.uniform(0.0, 0.8, (bands, pixels)),
+                         axis=WavelengthAxis(np.linspace(0.4, 2.5, bands)),
+                         geometries=Geometry(*angles),
+                         ground_truth=GroundTruth(abundances=rng.dirichlet(np.ones(materials), pixels).T,
+                                                  scales=rng.uniform(0.5, 2.0, (materials, pixels))))
+        sidecar = io.write_cube(tmp_path / "big", cube)
+        file_bytes = sum(path.stat().st_size for path in io.cube_files(sidecar))
+        tracemalloc.start()
+        try:
+            loaded = io.read_cube(sidecar)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        derived = 3 * 8 * pixels  # mu0, mu and g, computed from the angles
+        assert peak < 1.05 * (file_bytes + derived)  # each file's bytes held once, none copied again
+        gt, geoms = loaded.ground_truth, loaded.geometries
+        for got, want in ((gt.abundances, cube.ground_truth.abundances), (gt.scales, cube.ground_truth.scales),
+                          *zip((geoms.theta0, geoms.theta, geoms.phi), angles)):
+            assert np.array_equal(got, want) and not got.flags.writeable
+
     def test_size_mismatch_detected(self, tmp_path, axis):
         cube = self.make_cube(axis, with_gt=False)
         sidecar = io.write_cube(tmp_path / "broken", cube)

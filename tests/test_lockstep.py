@@ -9,7 +9,7 @@ from bruteforce import kkt_violation
 import serial_reference
 from specmix import solver
 from specmix.core import HyperCube, WavelengthAxis
-from specmix.solver import SolverConfig, fcls, unmix_cube, unmix_elmm_global
+from specmix.solver import SolverConfig, fcls, unmix_cube
 
 MODELS = (
     ("lmm", True),
@@ -136,10 +136,11 @@ def test_single_pixel_entry_points_equal_cube_columns():
     for n in range(X.shape[1]):
         assert np.array_equal(fcls(X[:, n], S), lmm.abundances[:, n])
         assert np.array_equal(fcls(X[:, n], S, sum_to_one=False), nnls.abundances[:, n])
-        fit = unmix_elmm_global(X[:, n], S, SolverConfig(model="elmm-full"))
-        assert np.array_equal(fit.abundances, shared.abundances[:, n])
-        assert fit.scale == shared.scales[0, n]
-        assert fit.degenerate == shared.degenerate[n]
+        fit = unmix_cube(X[:, n][:, None], S, SolverConfig(model="elmm-global",
+                                                           psi_bounds=SolverConfig(model="elmm-full").psi_bounds))
+        assert np.array_equal(fit.abundances[:, 0], shared.abundances[:, n])
+        assert fit.scales[0, 0] == shared.scales[0, n]
+        assert fit.degenerate[0] == shared.degenerate[n]
 
 
 def test_global_scaling_is_magnitude_free():
@@ -168,7 +169,7 @@ def test_single_pixel_entry_points_refuse_what_unmix_cube_refuses():
     with pytest.raises(ValueError, match="abundance columns must sum to 1"):
         fcls(x, S)
     with pytest.raises(ValueError, match="abundance columns must sum to 1"):
-        unmix_elmm_global(1e12 * X[:, 3], S, SolverConfig(model="elmm-global"))
+        unmix_cube((1e12 * X[:, 3])[:, None], S, SolverConfig(model="elmm-global"))
     assert np.array_equal(fcls(x, S, sum_to_one=False),
                           unmix_cube(cube_of(x[:, None]), S, SolverConfig(model="lmm", sum_to_one=False))
                           .abundances[:, 0])

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from specmix.core import AlbedoSpectrum, Geometry, PhotometricParams, WavelengthAxis, cos_deg
-from specmix.hapke import (
-    ModelDomainError,
-    lambertian_reflectance,
-    linear_reflectance,
-    reflectance,
-    relative_reflectance,
-)
+from specmix.hapke import ModelDomainError, reflectance
 from specmix.metrics import AlbedoCurve, SweepGrid, angle_sweep, rmse, spectral_angle
 
 RMSE_OFFSET_CASE = 2.8284271247461901  # sqrt(16/2), hand-checkable
@@ -234,7 +228,7 @@ class TestAngleSweep:
         mu = float(cos_deg(60.0))
         mu0 = float(cos_deg(45.0))
         expected = spectral_angle(
-            relative_reflectance(albedo.omega, mu, mu0),
+            reflectance("relative", albedo.omega, mu, mu0),
             albedo.omega / (4.0 * mu * mu0 + 2.0 * mu + 2.0 * mu0 + 1.0),
         )
         assert result.sam[1, 1] == pytest.approx(float(expected), rel=1e-12, abs=1e-15)
@@ -250,11 +244,11 @@ class TestAngleSweep:
             for j, mu in enumerate(cosines):
                 if i == j == angles.size - 1:
                     continue
-                ref = lambertian_reflectance(albedo.omega, mu, mu0)[None, :]
-                approx = linear_reflectance(albedo.omega, mu, mu0)[None, :]
+                ref = reflectance("lambertian", albedo.omega, mu, mu0)[None, :]
+                approx = reflectance("linear", albedo.omega, mu, mu0)[None, :]
                 # the angle is taken between the shape spectra: relative (the
                 # lambertian one without its wavelength-free factor) and the albedo
-                shape = relative_reflectance(albedo.omega, mu, mu0)[None, :]
+                shape = reflectance("relative", albedo.omega, mu, mu0)[None, :]
                 assert result.sam[i, j] == spectral_angle(shape, albedo.omega[None, :])[0]
                 assert result.rmse[i, j] == rmse(ref, approx)[0]
         assert not result.valid[-1, -1] and result.n_skipped == 1

@@ -4,13 +4,7 @@ import pytest
 from bruteforce import elmm_full_oracle_two_materials, fcls_oracle_two_materials, kkt_violation
 from specmix.core import AlbedoSpectrum, Geometry, HyperCube, WavelengthAxis
 from specmix.simulate import GeometrySampler, SceneConfig, simulate_cube
-from specmix.solver import (
-    GlobalScalingFit,
-    SolverConfig,
-    fcls,
-    unmix_cube,
-    unmix_elmm_global,
-)
+from specmix.solver import SolverConfig, fcls, unmix_cube
 
 
 def random_endmembers(n_bands, n_materials, rng, low=0.05, high=1.0):
@@ -106,59 +100,60 @@ class TestFcls:
 
 
 class TestGlobalScaling:
-    def config(self, **kw):
-        return SolverConfig(model="elmm-global", **kw)
+    def fit(self, x, S, **kw):
+        """One pixel unmixed as a one-column cube under elmm-global."""
+        return unmix_cube(x[:, None], S, SolverConfig(model="elmm-global", **kw))
 
     def test_doubled_mixture_recovers_scale_two(self):
         rng = np.random.default_rng(7)
         S = random_endmembers(20, 3, rng)
         a_true = np.array([0.2, 0.5, 0.3])
-        fit = unmix_elmm_global(2.0 * (S @ a_true), S, self.config())
-        assert fit.scale == pytest.approx(2.0, abs=1e-8)
-        np.testing.assert_allclose(fit.abundances, a_true, atol=1e-8)
-        assert not fit.degenerate
+        fit = self.fit(2.0 * (S @ a_true), S)
+        assert fit.scales[0, 0] == pytest.approx(2.0, abs=1e-8)
+        np.testing.assert_allclose(fit.abundances[:, 0], a_true, atol=1e-8)
+        assert not fit.degenerate[0]
 
     def test_unit_scale_matches_fcls(self):
         rng = np.random.default_rng(8)
         S = random_endmembers(15, 3, rng)
         x = S @ np.array([0.6, 0.1, 0.3])
-        fit = unmix_elmm_global(x, S, self.config())
-        np.testing.assert_allclose(fit.abundances, fcls(x, S), atol=1e-8)
-        assert fit.scale == pytest.approx(1.0, abs=1e-8)
+        fit = self.fit(x, S)
+        np.testing.assert_allclose(fit.abundances[:, 0], fcls(x, S), atol=1e-8)
+        assert fit.scales[0, 0] == pytest.approx(1.0, abs=1e-8)
 
     def test_generate_and_recover(self):
         rng = np.random.default_rng(9)
         S = random_endmembers(50, 3, rng)
         a_true = rng.dirichlet(np.ones(3))
         psi_true = 0.7
-        fit = unmix_elmm_global(psi_true * (S @ a_true), S, self.config())
-        assert fit.scale == pytest.approx(psi_true, abs=1e-6)
-        np.testing.assert_allclose(fit.abundances, a_true, atol=1e-6)
+        fit = self.fit(psi_true * (S @ a_true), S)
+        assert fit.scales[0, 0] == pytest.approx(psi_true, abs=1e-6)
+        np.testing.assert_allclose(fit.abundances[:, 0], a_true, atol=1e-6)
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(10)
         S = random_endmembers(25, 3, rng)
         x = S @ rng.dirichlet(np.ones(3)) + rng.normal(0, 0.01, 25)
-        first = unmix_elmm_global(x, S, self.config())
-        second = unmix_elmm_global(1.7 * x, S, self.config())
-        np.testing.assert_allclose(second.abundances, first.abundances, atol=1e-8)
-        assert second.scale == pytest.approx(1.7 * first.scale, rel=1e-8)
+        first = self.fit(x, S)
+        second = self.fit(1.7 * x, S)
+        np.testing.assert_allclose(second.abundances[:, 0], first.abundances[:, 0], atol=1e-8)
+        assert second.scales[0, 0] == pytest.approx(1.7 * first.scales[0, 0], rel=1e-8)
 
     def test_degenerate_pixel_flagged(self):
         rng = np.random.default_rng(11)
         S = random_endmembers(10, 3, rng)
-        fit = unmix_elmm_global(-np.ones(10), S, self.config(psi_bounds=(0.05, 20.0)))
-        assert fit.degenerate
-        assert fit.scale == 0.05
-        np.testing.assert_allclose(fit.abundances, np.full(3, 1.0 / 3.0))
+        fit = self.fit(-np.ones(10), S, psi_bounds=(0.05, 20.0))
+        assert fit.degenerate[0]
+        assert fit.scales[0, 0] == 0.05
+        np.testing.assert_allclose(fit.abundances[:, 0], np.full(3, 1.0 / 3.0))
 
     def test_scale_outside_bounds_lands_on_bound(self):
         rng = np.random.default_rng(12)
         S = random_endmembers(20, 2, rng)
         x = 9.0 * (S @ np.array([0.5, 0.5]))
-        fit = unmix_elmm_global(x, S, self.config(psi_bounds=(0.5, 2.0)))
-        assert fit.scale == 2.0
-        assert np.sum(fit.abundances) == pytest.approx(1.0, abs=1e-9)
+        fit = self.fit(x, S, psi_bounds=(0.5, 2.0))
+        assert fit.scales[0, 0] == 2.0
+        assert np.sum(fit.abundances[:, 0]) == pytest.approx(1.0, abs=1e-9)
 
 
 def linear_scene(n_pixels, seed, theta_hi=69.0, n_bands=30):
@@ -337,4 +332,4 @@ class TestCubeInput:
             with pytest.raises(ValueError, match=message):
                 fcls(x, S, sum_to_one=sum_to_one)
         with pytest.raises(ValueError, match=message):
-            unmix_elmm_global(x, S, SolverConfig(model="elmm-global"))
+            unmix_cube(x[:, None], S, SolverConfig(model="elmm-global"))
