@@ -120,10 +120,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raw["model"] = args.model
     config = SceneConfig.from_dict(raw)
     albedos = clock.timed("read", io.read_albedos, args.albedo)
-    if len(albedos) != config.n_materials:
-        raise ValueError(
-            f"config expects {config.n_materials} materials, albedo file has {len(albedos)}"
-        )
     photometry = clock.timed("read", io.read_photometry, args.photometry) if args.photometry else None
     params_list = io.photometry_for(photometry, [a.material for a in albedos])
     cube = clock.timed("model", simulate_cube, albedos, params_list, config)

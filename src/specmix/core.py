@@ -407,13 +407,17 @@ def validate_cube(cube: HyperCube) -> list[str]:
 
 @dataclass(frozen=True)
 class UnmixResult:
-    """Abundances, scaling factors and diagnostics of one unmixing run."""
+    """Abundances, scaling factors and diagnostics of one unmixing run.
+
+    degenerate flags, under every model, the pixels whose non-negative fit
+    is 0: no component in the endmember cone.
+    """
 
     abundances: FloatArray  # materials x pixels
     scales: FloatArray  # materials x pixels
     residual_rmse: FloatArray  # per pixel
+    degenerate: NDArray[np.bool_]  # per pixel
     sum_to_one: bool = True
-    degenerate: NDArray[np.bool_] | None = None
 
     def __post_init__(self) -> None:
         A = _readonly(self.abundances, ndim=2, name="abundances")
@@ -432,6 +436,7 @@ class UnmixResult:
         object.__setattr__(self, "abundances", A)
         object.__setattr__(self, "scales", psi)
         object.__setattr__(self, "residual_rmse", _readonly(self.residual_rmse, ndim=1, name="residual_rmse"))
+        object.__setattr__(self, "degenerate", _readonly(self.degenerate, dtype=bool, ndim=1, name="degenerate"))
 
     @property
     def n_pixels(self) -> int:

@@ -305,7 +305,8 @@ def write_unmix_result(
 
     The summary holds the matrix sizes, the three binary file names, the
     sum_to_one flag, residual_stats (mean, median and max of the per-pixel
-    RMSE) and degenerate_pixels (a count), plus any extra summary keys.  It
+    RMSE) and degenerate_pixels (the count of pixels whose non-negative fit
+    is 0, by one rule for every model), plus any extra summary keys.  It
     holds no per-pixel list: each pixel's final objective is L * rmse^2,
     read from .rmse.bin.
     """
@@ -326,9 +327,7 @@ def write_unmix_result(
             "median": float(np.median(result.residual_rmse)),
             "max": float(np.max(result.residual_rmse)),
         },
-        "degenerate_pixels": int(np.count_nonzero(result.degenerate))
-        if result.degenerate is not None
-        else 0,
+        "degenerate_pixels": int(np.count_nonzero(result.degenerate)),
     }
     if summary:
         payload.update(summary)
@@ -358,8 +357,8 @@ def write_sweep_csv(path: str | Path, result: SweepResult) -> None:
     _write_rows([path], "theta0,theta,sam_rad,rmse", rows)
 
 
-def write_curve_csv(path: str | Path | list[str | Path], omega_grid, reflectance) -> None:
-    """Albedo-to-reflectance curve rows 'omega,reflectance'; a list of paths each get the same text, formatted once."""
+def write_curve_csv(paths: list[str | Path], omega_grid, reflectance) -> None:
+    """Albedo-to-reflectance curve rows 'omega,reflectance'; every path gets the same text, formatted once."""
     omega, rho = (np.asarray(values, dtype=float).ravel().tolist() for values in (omega_grid, reflectance))
     rows = (f"{w!r},{r!r}" for w, r in zip(omega, rho))
-    _write_rows(path if isinstance(path, list) else [path], "omega,reflectance", rows)
+    _write_rows(paths, "omega,reflectance", rows)

@@ -7,15 +7,16 @@ squares, or with the equality row sum(z) = total the fully constrained
 least squares of Heinz & Chang (IEEE TGRS 2001).
 
 - "lmm": classic (fully) constrained least squares per pixel.
-- "elmm-global": one positive scale per pixel on top of the simplex.
-- "elmm-full": per-material scales psi, x ~ S0 (psi * a).  Per pixel the
-  data pin down only the product z = psi * a, and the scaled simplex maps
-  onto exactly {z >= 0, lo <= sum(z) <= hi}.  That set is convex, so one
-  exact active-set solve gives the optimum; no iteration is needed.  The
-  optimum is split as a = z / sum(z) with psi = sum(z) on present materials
-  and psi = 1 on absent ones.  Telling per-material scales apart needs a
-  spatial prior, such as the regularized ADMM of Drumetz et al. (IEEE TIP
-  2016), which would also need an image shape on HyperCube.
+- "elmm-global" (one scale per pixel) and "elmm-full" (per-material scales
+  psi, x ~ S0 (psi * a)): per pixel the data pin down only z = psi * a, and
+  either scaled simplex maps onto exactly {z >= 0, lo <= sum(z) <= hi}.
+  That set is convex, so both are one program, one exact active-set solve
+  split as a = z / sum(z) and psi = sum(z); elmm-full alone reports psi = 1
+  on absent materials.  Telling per-material scales apart needs a spatial
+  prior, such as the regularized ADMM of Drumetz et al. (IEEE TIP 2016),
+  which would also need an image shape on HyperCube.
+
+A pixel is degenerate, under every model, when its non-negative fit is 0.
 
 The core runs every pixel of a batch in lockstep: each step takes one
 action per unfinished pixel (pick an entering material, or solve its
@@ -33,6 +34,7 @@ so temporaries stay O(chunk * P^2).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import reduce
 from typing import Any
 
 import numpy as np
@@ -59,9 +61,10 @@ class SolverConfig:
     Scaled models keep sum-to-one on: without it the product of scale and
     abundance is unidentifiable.  psi_bounds must bracket 1 so the plain
     mixing model stays inside the feasible set.  Every model is one exact
-    solve per pixel, so there is no iteration budget.  For elmm-full, psi
-    is the pixel's shared scale on every present material and exactly 1 on
-    every absent one.
+    solve per pixel, so there is no iteration budget.  elmm-global and
+    elmm-full solve one program; elmm-global reports the pixel's scale on
+    every material, elmm-full on every present one and exactly 1 on every
+    absent one.
     """
 
     model: str = "elmm-full"
@@ -212,34 +215,29 @@ def _active_set(G: FloatArray, C: FloatArray, total: FloatArray | None = None) -
 def _unmix_rows(config: SolverConfig, G: FloatArray, C: FloatArray):
     """Abundances, scales and degenerate flags for the pixels c in the rows of C.
 
-    elmm-global and elmm-full start from the non-negative fit z and re-solve
-    the pixels whose sum(z) leaves psi_bounds on the nearer bound: the exact
-    optimum over {z >= 0, lo <= sum(z) <= hi}, the image of the scaled
-    simplex.  For elmm-global a pixel with z = 0 has no component in the
-    endmember cone and is degenerate instead: uniform abundances, scale lo.
+    Degenerate: no entry of c passes the non-negative active set's entering
+    test at z = 0, so the non-negative fit is 0.  The ELMM models start from
+    that fit z and re-solve the pixels whose sum(z) leaves psi_bounds, a
+    degenerate one included, on the nearer bound: the exact optimum over
+    {z >= 0, lo <= sum(z) <= hi}, the image of the scaled simplex.
     """
     n, p = C.shape
-    psi = np.ones((n, p))
-    degenerate = np.zeros(n, dtype=bool)
+    # max(c) and max|c| column by column: a row-wise max over the short material axis is several times slower
+    c_max = reduce(np.maximum, C.T)
+    degenerate = ~(c_max > _KKT_RTOL * np.maximum(c_max, -reduce(np.minimum, C.T)))
     if config.model == "lmm":
-        return _active_set(G, C, np.ones(n) if config.sum_to_one else None), psi, degenerate
+        return _active_set(G, C, np.ones(n) if config.sum_to_one else None), np.ones((n, p)), degenerate
     lo, hi = config.psi_bounds
     Z = _active_set(G, C)
     s = Z.sum(axis=1)
     bound = np.minimum(np.maximum(s, lo), hi)
-    if config.model == "elmm-global":
-        degenerate = s <= 0.0
-    resolve = (bound != s) & ~degenerate
+    resolve = bound != s
     Z[resolve] = _active_set(G, C[resolve], bound[resolve])
-    if config.model == "elmm-global":
-        A = Z / bound[:, None]
-        A[degenerate] = 1.0 / p
-        return A, psi * bound[:, None], degenerate
     total = Z.sum(axis=1)  # >= lo > 0
     A = Z / total[:, None]
     # a sum-constrained solve meets its bound only to rounding
     clamped = np.minimum(np.maximum(total, lo), hi)[:, None]
-    return A, np.where(A > 0.0, clamped, 1.0), degenerate
+    return A, np.where((A > 0.0) | (config.model == "elmm-global"), clamped, 1.0), degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +284,11 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     """Unmix every pixel of a cube under the configured model.
 
     Returns abundances, scaling factors (all ones for the plain mixing
-    model), per-pixel reconstruction RMSE and the degenerate-pixel flags.
-    Each pixel is one exact solve.  elmm-full solves the convex program in
-    z = psi * a and reports psi = sum(z) on present materials, 1 on absent
-    ones.  A non-finite cube value is rejected before any solve, naming its
-    band and pixel.
+    model), per-pixel reconstruction RMSE and the degenerate-pixel flags
+    (non-negative fit 0, under every model).  Each pixel is one exact solve.
+    Both ELMM models solve the convex program in z = psi * a and report
+    psi = sum(z); elmm-full reports 1 on absent materials.  A non-finite
+    cube value is rejected before any solve, naming its band and pixel.
 
     Pixels are solved in lockstep batches of _CHUNK_PIXELS, with no loop
     over pixels; every output of a pixel is bit-identical to unmixing that

@@ -3,8 +3,8 @@
 _nnls_gram and _sum_constrained_gram are the one-pixel-at-a-time solvers
 specmix used before its solver ran all pixels in lockstep, kept unchanged,
 including their KKT tolerance floor of max(1, max|c|) and their absolute
-drop tolerance.  unmix_gram composes them per model exactly as the serial
-unmix_cube's loop body did; unmix_cube runs that loop.
+drop tolerance.  unmix_gram composes them per model as unmix_cube's
+per-pixel tail does; unmix_cube runs it one pixel at a time.
 """
 
 import numpy as np
@@ -113,29 +113,30 @@ def unmix_pixel(S, x, model, sum_to_one=True, psi_bounds=(1e-2, 1e2)):
 
 
 def unmix_gram(G, c, model, sum_to_one=True, psi_bounds=(1e-2, 1e2)):
-    """unmix_pixel from the Gram matrix G = S'S and the pixel's cross terms c = S'x."""
+    """unmix_pixel from the Gram matrix G = S'S and the pixel's cross terms c = S'x.
+
+    Both ELMM models take one tail: the non-negative fit z, re-solved at the
+    nearer psi bound when sum(z) leaves psi_bounds, split as a = z / sum(z).
+    They differ only in psi on absent materials (elmm-full reports 1 there).
+    Every model flags the pixel degenerate when no entry of c passes the
+    entering test at z = 0, i.e. its non-negative fit is 0.
+    """
     n = c.size
     lo, hi = psi_bounds
+    degenerate = not np.any(c > _KKT_RTOL * np.max(np.abs(c)))
     if model == "lmm":
         if sum_to_one:
-            return _sum_constrained_gram(G, c, 1.0), np.ones(n), False
-        return _nnls_gram(G, c), np.ones(n), False
+            return _sum_constrained_gram(G, c, 1.0), np.ones(n), degenerate
+        return _nnls_gram(G, c), np.ones(n), degenerate
     z = _nnls_gram(G, c)
     s = float(z.sum())
-    if model == "elmm-global":
-        if s <= 0.0:
-            return np.full(n, 1.0 / n), np.full(n, lo), True
-        if lo <= s <= hi:
-            return z / s, np.full(n, s), False
-        bound = lo if s < lo else hi
-        return _sum_constrained_gram(G, c, bound) / bound, np.full(n, bound), False
     if s < lo:
         z = _sum_constrained_gram(G, c, lo)
     elif s > hi:
         z = _sum_constrained_gram(G, c, hi)
     total = float(z.sum())
     a = z / total
-    return a, np.where(a > 0.0, min(max(total, lo), hi), 1.0), False
+    return a, np.where((a > 0.0) | (model == "elmm-global"), min(max(total, lo), hi), 1.0), degenerate
 
 
 def unmix_cube(X, S, model, sum_to_one=True, psi_bounds=(1e-2, 1e2)):

@@ -132,6 +132,17 @@ class TestSimulateAndVerify:
         assert err.startswith("error: n_pixels must be at most 10000000, got 10000000000000")
         assert not (tmp_path / "out").exists()
 
+    def test_material_count_mismatch_exits_1_naming_both_counts(self, tmp_path, capsys):
+        axis = WavelengthAxis(np.linspace(0.4, 2.5, 16))
+        albedo_csv = tmp_path / "two.csv"
+        io.write_albedos(albedo_csv, [AlbedoSpectrum(material=name, omega=np.full(16, 0.5), axis=axis)
+                                      for name in ("basalt", "tephra")])
+        assert main(["simulate", "--config", str(scene_config(tmp_path)), "--albedo", str(albedo_csv),
+                     "--out", str(tmp_path / "out" / "cube")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: expected 3 albedos") and "got 2 and 2" in err
+        assert not (tmp_path / "out").exists()
+
     def test_typoed_config_key_exits_1_naming_it(self, tmp_path, albedo_csv, capsys):
         config = scene_config(
             tmp_path, geometry={"kind": "uniform", "theta_rnage": [0.0, 10.0]}
@@ -750,7 +761,7 @@ class TestCurveEvaluatedOncePerParams:
     def reference_bytes(tmp_path, config, params=None):
         """A curve CSV written alone for one material, by the same writer."""
         curve = AlbedoCurve.from_dict(config)
-        io.write_curve_csv(tmp_path / "ref.csv", curve.omega, curve.reflectance(params))
+        io.write_curve_csv([tmp_path / "ref.csv"], curve.omega, curve.reflectance(params))
         return (tmp_path / "ref.csv").read_bytes()
 
     def test_one_curve_for_every_material(self, tmp_path, albedo_csv, calls):

@@ -292,6 +292,7 @@ class TestUnmixResult:
             abundances=A,
             scales=psi,
             residual_rmse=np.zeros(n),
+            degenerate=np.zeros(n, dtype=bool),
             sum_to_one=sum_to_one,
         )
 

@@ -321,7 +321,7 @@ class TestNumericCsvBytes:
     def test_curve_csv_matches_reference(self, tmp_path, points):
         omega = np.linspace(0.0, 1.0, points) if points > 1 else np.array([0.3])
         rho = omega / (1.0 + 2.0 * np.sqrt(1.0 - omega)) ** 2
-        io.write_curve_csv(tmp_path / "curve.csv", omega, rho)
+        io.write_curve_csv([tmp_path / "curve.csv"], omega, rho)
         expected = reference_csv(tmp_path / "ref.csv", ["omega", "reflectance"], zip(omega, rho))
         assert (tmp_path / "curve.csv").read_bytes() == expected
 

@@ -46,15 +46,15 @@ def problem(seed, n_materials, n_pixels=24):
     return S, X
 
 
-def assert_kkt(S, x, a, psi, degenerate, model, sum_to_one, bounds):
+def assert_kkt(S, x, a, psi, model, sum_to_one, bounds):
     """The result meets the KKT conditions of its own optimization problem."""
-    z = np.zeros_like(a) if degenerate else psi * a
+    z = psi * a
     if model == "lmm":
         constrained = sum_to_one
     else:
         total = float(z.sum())
-        constrained = not degenerate and (np.isclose(total, bounds[0], rtol=1e-12, atol=0.0)
-                                          or np.isclose(total, bounds[1], rtol=1e-12, atol=0.0))
+        constrained = (np.isclose(total, bounds[0], rtol=1e-12, atol=0.0)
+                       or np.isclose(total, bounds[1], rtol=1e-12, atol=0.0))
     scale = max(1.0, float(np.max(np.abs(S.T @ x))))
     violation, stationarity = kkt_violation(S, x, z, constrained)
     assert violation >= -1e-8 * scale
@@ -98,7 +98,7 @@ def test_matches_serial_reference(seed, n_materials, model, bounds):
         np.testing.assert_array_equal(a > tol, a_ref > tol)
         np.testing.assert_allclose(a, a_ref, rtol=0.0, atol=tol)
         np.testing.assert_allclose(psi, psi_ref, rtol=1e-12, atol=0.0)
-        assert_kkt(S, X[:, n], a, psi, degenerate_ref, name, sum_to_one, bounds)
+        assert_kkt(S, X[:, n], a, psi, name, sum_to_one, bounds)
 
 
 def all_outputs(result):
@@ -158,6 +158,20 @@ def test_global_scaling_is_magnitude_free():
         np.testing.assert_allclose(scaled.scales, k * unit.scales, rtol=1e-9)
 
 
+@pytest.mark.parametrize("k", [1e-12, 1e9, 1e12])
+def test_elmm_models_share_abundances_and_keep_psi_in_bounds_at_any_magnitude(k):
+    # with the default psi_bounds every pixel here is re-solved on a bound
+    rng = np.random.default_rng(46)
+    S = rng.uniform(0.05, 1.0, (50, 4))
+    X = k * (S @ (rng.dirichlet(np.ones(4), 200).T * rng.uniform(0.5, 2.0, 200)) + rng.normal(0.0, 0.005, (50, 200)))
+    full = unmix_cube(cube_of(X), S, SolverConfig(model="elmm-full"))
+    shared = unmix_cube(cube_of(X), S, SolverConfig(model="elmm-global"))
+    assert np.array_equal(shared.abundances, full.abundances)
+    assert not shared.degenerate.any() and not full.degenerate.any()
+    assert np.all((shared.scales >= 1e-2) & (shared.scales <= 1e2))
+    assert np.all((full.scales >= 1e-2) & (full.scales <= 1e2))
+
+
 def test_single_pixel_entry_points_refuse_what_unmix_cube_refuses():
     # At radiance scale (cube x1e12, endmembers at reflectance scale) the
     # sum-constrained solve misses the simplex by up to 3e-4 here.  The
@@ -168,8 +182,13 @@ def test_single_pixel_entry_points_refuse_what_unmix_cube_refuses():
         unmix_cube(cube_of(x[:, None]), S, SolverConfig(model="lmm"))
     with pytest.raises(ValueError, match="abundance columns must sum to 1"):
         fcls(x, S)
-    with pytest.raises(ValueError, match="abundance columns must sum to 1"):
-        unmix_cube((1e12 * X[:, 3])[:, None], S, SolverConfig(model="elmm-global"))
+    # The ELMM models divide z by its own sum, so a pure pixel far above the
+    # psi bound keeps its exact indicator abundances; its scale stays inside
+    # psi_bounds, off the bound only by that sum's rounding.
+    j = int(np.flatnonzero(np.all(S == X[:, [3]], axis=0))[0])
+    fit = unmix_cube((1e12 * X[:, 3])[:, None], S, SolverConfig(model="elmm-global"))
+    assert np.array_equal(fit.abundances[:, 0], np.eye(2)[j])
+    assert np.all(fit.scales == fit.scales[0, 0]) and 1e2 * (1.0 - 1e-6) <= fit.scales[0, 0] <= 1e2
     assert np.array_equal(fcls(x, S, sum_to_one=False),
                           unmix_cube(cube_of(x[:, None]), S, SolverConfig(model="lmm", sum_to_one=False))
                           .abundances[:, 0])

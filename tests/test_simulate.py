@@ -361,6 +361,12 @@ class TestSimulateCube:
         with pytest.raises(ValueError, match="axis"):
             simulate_cube(albedos, [None] * 3, base_config(n_pixels=2))
 
+    @pytest.mark.parametrize("n_albedos, n_params", [(3, 2), (3, 4), (2, 2)])
+    def test_material_counts_checked_against_config(self, n_albedos, n_params):
+        message = f"expected 3 albedos and photometric parameter sets, got {n_albedos} and {n_params}"
+        with pytest.raises(ValueError, match=message):
+            simulate_cube(make_albedos(n_albedos), [None] * n_params, base_config(n_pixels=2))
+
 
 class TestInjectNoise:
     def make_cube(self, n_bands=200, n_pixels=10_000):

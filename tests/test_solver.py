@@ -140,12 +140,20 @@ class TestGlobalScaling:
         assert second.scales[0, 0] == pytest.approx(1.7 * first.scales[0, 0], rel=1e-8)
 
     def test_degenerate_pixel_flagged(self):
+        # the non-negative fit is 0, so the optimum lies on sum(z) = lo
         rng = np.random.default_rng(11)
         S = random_endmembers(10, 3, rng)
-        fit = self.fit(-np.ones(10), S, psi_bounds=(0.05, 20.0))
-        assert fit.degenerate[0]
-        assert fit.scales[0, 0] == 0.05
-        np.testing.assert_allclose(fit.abundances[:, 0], np.full(3, 1.0 / 3.0))
+        x = -np.ones(10)
+        fit = self.fit(x, S, psi_bounds=(0.05, 20.0))
+        full = unmix_cube(x[:, None], S, SolverConfig(model="elmm-full", psi_bounds=(0.05, 20.0)))
+        assert fit.degenerate[0] and full.degenerate[0]
+        np.testing.assert_allclose(fit.scales[:, 0], 0.05, rtol=0.0, atol=1e-12)
+        assert np.array_equal(fit.abundances, full.abundances)
+        z = fit.scales[:, 0] * fit.abundances[:, 0]
+        assert z.sum() == pytest.approx(0.05, rel=1e-12)
+        violation, stationarity = kkt_violation(S, x, z, sum_to_one=True)
+        scale = float(np.max(np.abs(S.T @ x)))
+        assert violation >= -1e-8 * scale and stationarity <= 1e-8 * scale
 
     def test_scale_outside_bounds_lands_on_bound(self):
         rng = np.random.default_rng(12)
@@ -243,6 +251,7 @@ class TestElmmFull:
         assert np.all(result.scales >= 0.5) and np.all(result.scales <= 2.0)
 
     def test_equals_global_scaling_with_unit_psi_off_support(self):
+        # columns: a mixture, a zero pixel and a negative pixel (both degenerate)
         rng = np.random.default_rng(33)
         n_bands = 20
         axis = WavelengthAxis(np.linspace(0.4, 2.5, n_bands))
@@ -253,16 +262,16 @@ class TestElmmFull:
             S = random_endmembers(n_bands, n_materials, rng)
             z_true = rng.uniform(0.2, 5.0, n_materials) * rng.dirichlet(np.full(n_materials, 0.5))
             x = np.abs(S @ z_true + rng.normal(0.0, 0.01, n_bands))
-            cube = HyperCube(values=x[:, None], axis=axis)
+            cube = HyperCube(values=np.column_stack([x, np.zeros(n_bands), -x]), axis=axis)
             full = unmix_cube(cube, S, SolverConfig(model="elmm-full", psi_bounds=(lo, hi)))
             shared = unmix_cube(cube, S, SolverConfig(model="elmm-global", psi_bounds=(lo, hi)))
-            assert not shared.degenerate.any()
-            np.testing.assert_allclose(full.abundances, shared.abundances, rtol=0.0, atol=1e-12)
-            support = full.abundances[:, 0] > 0.0
-            psi = full.scales[:, 0]
-            np.testing.assert_allclose(psi[support], shared.scales[support, 0], rtol=1e-12)
-            assert np.all(psi[~support] == 1.0)
-            assert np.all((psi >= lo) & (psi <= hi))
+            assert shared.degenerate.tolist() == full.degenerate.tolist() == [False, True, True]
+            assert np.array_equal(full.abundances, shared.abundances)
+            support = full.abundances > 0.0
+            assert np.array_equal(full.scales[support], shared.scales[support])
+            assert np.all(full.scales[~support] == 1.0)
+            assert np.all(shared.scales == shared.scales[0])
+            assert np.all((shared.scales >= lo) & (shared.scales <= hi))
             clamped += shared.scales[0, 0] in (lo, hi)
         assert clamped > 0
 
@@ -299,7 +308,7 @@ class TestModelComparison:
         cube = relative_scene(n_pixels=50, seed=31)
         S = cube.ground_truth.endmembers
         result = unmix_cube(cube, S, SolverConfig(model="elmm-global"))
-        assert result.degenerate is not None and not result.degenerate.any()
+        assert not result.degenerate.any()
         assert np.all(result.scales == result.scales[0])
 
     def test_lmm_without_sum_constraint(self):
