@@ -9,6 +9,11 @@ caller picks the layout, so one call evaluates a spectrum, an albedo
 curve, a grid of angle cells or a whole block of pixels.  The kernel trusts
 its albedos and cosines; they are validated once, where they enter the
 program (AlbedoSpectrum, Geometry).
+The three reduced forms share one split, shape / Q: the shape
+omega / (A(omega, mu) A(omega, mu0)) carries the albedo (angle_divisor), the
+factor Q(mu, mu0) the geometry alone (cell_factor).  Every model is
+reciprocal bit for bit: swapping mu and mu0 only swaps the operands of
+sums and products, which round the same either way.
 All arithmetic is in 64-bit floats; all angles are degrees.
 
 Pure functions of immutable inputs: safe to call concurrently.
@@ -87,7 +92,7 @@ def _chandrasekhar_divisor(mu, root):
 
 
 def _linear_gain(mu, mu0):
-    return 4.0 * mu * mu0 + 2.0 * mu + 2.0 * mu0 + 1.0
+    return (1.0 + 2.0 * mu) * (1.0 + 2.0 * mu0)
 
 
 def defined_at(model: str, mu, mu0) -> np.ndarray:
@@ -113,11 +118,11 @@ def reflectance(model: str, omega, mu, mu0, g=None, params: PhotometricParams | 
     (N, L) block.  From the full model to its simplest form:
 
     full        omega / (4 (mu + mu0)) ((1 + B(g)) P(g) + H(omega, mu) H(omega, mu0) - 1)
-    lambertian  (1 + 2 mu)(1 + 2 mu0) omega /
-                (4 (mu + mu0) (1 + 2 mu sqrt(1-omega)) (1 + 2 mu0 sqrt(1-omega)))
+    lambertian  omega / ((1 + 2 mu sqrt(1-omega)) (1 + 2 mu0 sqrt(1-omega))) /
+                (4 (mu + mu0) / ((1 + 2 mu)(1 + 2 mu0)))
     relative    omega / ((1 + 2 mu sqrt(1-omega)) (1 + 2 mu0 sqrt(1-omega)))
-    linear      omega / (4 mu mu0 + 2 mu + 2 mu0 + 1)
-    (the last three evaluated, with these roundings, through their split: cell_factors)
+    linear      omega / ((1 + 2 mu)(1 + 2 mu0))
+    (the last three evaluated, with these roundings, as shape / cell_factor)
 
     The full model is taken in its smooth-surface regime (no shadowing
     term, unmodified angles); with isotropic scattering and no surge it
@@ -141,31 +146,31 @@ def reflectance(model: str, omega, mu, mu0, g=None, params: PhotometricParams | 
             "theta0 = theta = 90 degrees (doubly grazing) is singular"
         )
     if model != "full":
-        numerator, divisor = cell_factors(model, mu, mu0)
-        return numerator * omega / (divisor * angle_divisor(model, omega, mu) * angle_divisor(model, omega, mu0))
+        shape = omega / (angle_divisor(model, omega, mu) * angle_divisor(model, omega, mu0))
+        return shape / cell_factor(model, mu, mu0)
     surge = opposition_effect(g, params)
     p = phase_function(g, params)
     root = np.sqrt(1.0 - omega)
     return omega / (4.0 * (mu + mu0)) * ((1.0 + surge) * p + _h(mu, root) * _h(mu0, root) - 1.0)
 
 
-def cell_factors(model: str, mu, mu0):
-    """Wavelength-free N and D of the split N omega / (D A(omega, mu) A(omega, mu0)), A = angle_divisor.
+def cell_factor(model: str, mu, mu0):
+    """Wavelength-free Q of the split shape / Q, shape = omega / (A(omega, mu) A(omega, mu0)), A = angle_divisor.
 
-    Lambertian N = (1 + 2 mu)(1 + 2 mu0), D = 4 (mu + mu0); relative N = D = 1;
-    linear N = 1, D = 4 mu mu0 + 2 mu + 2 mu0 + 1.
+    Lambertian Q = 4 (mu + mu0) / ((1 + 2 mu)(1 + 2 mu0)); relative Q = 1;
+    linear Q = (1 + 2 mu)(1 + 2 mu0).  Symmetric in (mu, mu0) bit for bit.
     """
     if model not in MODELS[1:]:
         raise ValueError(f"the {model!r} model does not split per angle")
     if model == "linear":
-        return 1.0, _linear_gain(mu, mu0)
+        return _linear_gain(mu, mu0)
     if model == "relative":
-        return 1.0, 1.0
-    return (1.0 + 2.0 * mu) * (1.0 + 2.0 * mu0), 4.0 * (mu + mu0)
+        return 1.0
+    return 4.0 * (mu + mu0) / _linear_gain(mu, mu0)
 
 
 def angle_divisor(model: str, omega, mu):
-    """A(omega, mu) of cell_factors' split: H's denominator 1 + 2 mu sqrt(1-omega), or 1 for linear."""
+    """A(omega, mu) of cell_factor's split: H's denominator 1 + 2 mu sqrt(1-omega), or 1 for linear."""
     if model not in MODELS[1:]:
         raise ValueError(f"the {model!r} model does not split per angle")
     return 1.0 if model == "linear" else _chandrasekhar_divisor(mu, np.sqrt(1.0 - omega))
@@ -184,7 +189,7 @@ def multiple_scattering(omega, mu):
 def scaling_factor(local: Geometry, reference: Geometry) -> float | FloatArray:
     """Geometry ratio linking linear-model reflectances at two geometries.
 
-    psi = (4 mu_l mu0_l + 2 mu_l + 2 mu0_l + 1) / (4 mu_r mu0_r + 2 mu_r + 2 mu0_r + 1)
+    psi = (1 + 2 mu_l)(1 + 2 mu0_l) / ((1 + 2 mu_r)(1 + 2 mu0_r))
 
     Either side may hold one pixel or N pixels: the factor is a float for
     two one-pixel geometries and one value per pixel, an (N,) array,

@@ -2,24 +2,23 @@
 
 The angle sweep compares a reference reflectance model against its
 approximation over a grid of incidence/emergence angles and reports the
-spectral angle and RMSE per grid cell.  Each model is split as
-N omega / (D(mu, mu0) A(omega, mu) A(omega, mu0)) (hapke.cell_factors); A is
-tabled per grid angle.  The grid is swept one theta0 row at a time: row i is
-one (theta, bands) block of the row's valid cells against the single
-A(omega, mu0_i) row, computed into buffers allocated once per sweep (table
-rows are gathered only in a row with an undefined cell, the lambertian
-doubly grazing one).  RMSE is rmse of the reflectances, bit for bit those of
-hapke.reflectance.  SAM is spectral_angle of the shape spectra
-omega / (A(mu) A(mu0)), free of N / D: within 2 eps of that of the
-reflectances, and exactly 0 between lambertian and relative.
+spectral angle and RMSE per grid cell.  Each model is split as shape / Q
+(hapke.cell_factor): the shape omega / (A(omega, mu) A(omega, mu0)) from A
+tabled per grid angle, Q tabled per cell.  The grid is swept one theta0 row
+at a time: row i is one (theta, bands) block of shapes against the single
+A(omega, mu0_i) row, divided once by the row's Q into the reflectances,
+every temporary in buffers allocated once per sweep.  RMSE is rmse of the
+reflectances, bit for bit those of hapke.reflectance.  SAM is
+spectral_angle of the shapes, free of Q: within 2 eps of that of the
+reflectances, and exactly 0 between lambertian and relative.  A cell where a
+model is undefined (the lambertian doubly grazing one) is computed with
+Q = NaN and then set to NaN.
 
 On a square grid (the same angles on both axes) the two A tables are one,
-and a product of two of its rows is the same in either order, so
-shape[i, j] == shape[j, i] bit for bit, and so is SAM: it is computed on the
-cells with theta >= theta0 and mirrored to the others.  RMSE is not
-symmetric (the D of the linear and lambertian models round differently) and
-is computed on every cell.  No value depends on the row blocks or on the
-mirror.
+a product or sum of two of its entries is the same in either order, and so
+shape[i, j] == shape[j, i] and Q[i, j] == Q[j, i] bit for bit: every row is
+computed on the columns j >= i only, and SAM and RMSE are mirrored to the
+others.  No value depends on the row blocks or on the mirror.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .core import _ANGLE_LIMITS, AlbedoSpectrum, FloatArray, Geometry, PhotometricParams, _readonly, check_config_keys, config_value, cos_deg
-from .hapke import MODELS, _check_omega, angle_divisor, cell_factors, defined_at, reflectance
+from .hapke import MODELS, _check_omega, angle_divisor, cell_factor, defined_at, reflectance
 
 #: Models an angle sweep may pair: the ones fully determined by (mu, mu0).
 SWEEP_MODELS = ("lambertian", "relative", "linear")
@@ -249,68 +248,41 @@ def angle_sweep(albedo: AlbedoSpectrum, grid: SweepGrid) -> SweepResult:
 
     For each (theta0, theta) cell both models' reflectance spectra are
     built from the albedo and compared by spectral angle and RMSE.  Cells
-    where either model is undefined are skipped and flagged.  The angle is
+    where either model is undefined are flagged and hold NaN.  The angle is
     that of the shape spectra.  The grid is swept one theta0 row at a time,
     every temporary in one (5, theta, bands) buffer stack; on a square grid
-    SAM is computed for theta >= theta0 and mirrored, which is exact (see
-    the module docstring).
+    row i is computed for theta >= theta0 (columns j >= i) and mirrored,
+    which is exact (see the module docstring).
     """
     omega = albedo.omega
     if np.all(omega == 0.0):
         raise ValueError("albedo spectrum is identically zero; spectral angle undefined")
+    pair = grid.model_pair
     mu0, mu = cos_deg(grid.theta0_values), cos_deg(grid.theta_values)
-    valid = np.logical_and(*(defined_at(m, mu[None, :], mu0[:, None]) for m in grid.model_pair))
+    valid = np.logical_and(*(defined_at(m, mu[None, :], mu0[:, None]) for m in pair))
     tables = {m: (angle_divisor(m, omega, mu0[:, None]), angle_divisor(m, omega, mu[:, None]))
-              for m in grid.model_pair if m != "linear"}
-    factors = {m: cell_factors(m, mu[None, :, None], mu0[:, None, None]) for m in grid.model_pair}
-    square = np.array_equal(mu0, mu)  # one A table on both axes: shape and SAM symmetric
-    sam, err = np.full(valid.shape, np.nan), np.full(valid.shape, np.nan)
-    work = np.empty((5, mu.size, omega.size))  # each model's row, then three temporaries
+              for m in pair if m != "linear"}
+    factors = {m: np.where(valid, cell_factor(m, mu[None, :], mu0[:, None]), np.nan)[..., None]
+               for m in pair if m != "relative"}  # relative's Q is 1: its reflectance is its shape
+    square = np.array_equal(mu0, mu)
+    sam, err = np.empty(valid.shape), np.empty(valid.shape)
+    work = np.empty((5, mu.size, omega.size))  # the two shapes, then the reflectances and the temporaries
     for i in range(mu0.size):
-        cols = np.flatnonzero(valid[i])  # the row's valid theta columns
-        take = cols if cols.size < mu.size else slice(None)  # all valid: table rows are views, not gathers
-        first = int(np.searchsorted(cols, i)) if square else 0  # SAM left of the diagonal is its mirror's
-        row = work[:, :cols.size]
-        rhos = [_reflectance_row(m, omega, tables.get(m), factors[m], i, take, out, row[2])
-                for m, out in zip(grid.model_pair, row)]
-        err[i, cols] = _rmse(*rhos, row[2])
-        shapes = [_shape_row(m, omega, tables.get(m), i, take, first, rho) for m, rho in zip(grid.model_pair, rhos)]
-        sam[i, cols[first:]] = _angle(*shapes, row[2:, first:])
-        if square:
-            sam[i, :i] = sam[:i, i]
+        cols = slice(i if square else 0, None)
+        row = work[:, :mu.size - cols.start]
+        shapes = [omega if m == "linear" else _over_divisors(out, omega, tables[m][1][cols], tables[m][0][i])
+                  for m, out in zip(pair, row)]
+        rhos = [shape if m == "relative" else np.divide(shape, factors[m][i, cols], out=out)
+                for m, shape, out in zip(pair, shapes, row[2:])]
+        err[i, cols] = _rmse(*rhos, row[4])
+        sam[i, cols] = _angle(*shapes, row[2:])
+    if square:
+        lower = np.tril_indices(mu.size, -1)
+        sam[lower], err[lower] = sam.T[lower], err.T[lower]
+    sam[~valid] = np.nan  # err is NaN there already, through Q
     return SweepResult(grid=grid, sam=sam, rmse=err, valid=valid)
 
 
 def _over_divisors(out, omega, a_mu, a_mu0):
     """omega / (A(omega, mu) A(omega, mu0)) of one row into out."""
     return np.divide(omega, np.multiply(a_mu, a_mu0, out=out), out=out)
-
-
-def _reflectance_row(model, omega, table, factors, i, take, out, scratch):
-    """Row i of the model's reflectance on the columns take into out, rounded as in hapke.reflectance.
-
-    table holds the model's A rows per theta0 and per theta, factors its N
-    and D per cell; relative's is its shape (N = D = 1) and linear's
-    omega / D.  scratch holds the lambertian's denominator.
-    """
-    if model == "relative":
-        return _over_divisors(out, omega, table[1][take], table[0][i])
-    numerator, divisor = factors
-    if model == "linear":
-        return np.divide(omega, divisor[i][take], out=out)
-    np.multiply(numerator[i][take], omega, out=out)
-    np.multiply(np.multiply(divisor[i][take], table[1][take], out=scratch), table[0][i], out=scratch)
-    return np.divide(out, scratch, out=out)
-
-
-def _shape_row(model, omega, table, i, take, first, rho):
-    """Row i's shape spectra omega / (A(omega, mu) A(omega, mu0)) on the columns take, from the first on.
-
-    linear's is omega and relative's its reflectance rho; the lambertian's
-    is formed in rho's buffer, which the RMSE is done with.
-    """
-    if model == "linear":
-        return omega
-    if model == "relative":
-        return rho[first:]
-    return _over_divisors(rho[first:], omega, table[1][take][first:], table[0][i])

@@ -130,13 +130,15 @@ def _ratio_step(current: FloatArray, target: FloatArray, free: np.ndarray, sink:
     return np.where(free, current + alpha * (target - current), 0.0)
 
 
-def _active_set(G: FloatArray, C: FloatArray, total: FloatArray | None = None) -> FloatArray:
+def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, total: FloatArray | None = None) -> FloatArray:
     """min 0.5 z'Gz - c'z over z >= 0 for every row c of C, and sum(z) = total if given.
 
-    total holds one positive sum per row.  Only the setup depends on it.
-    Without it the start is z = 0 and goes straight to the multiplier check
-    (Lawson-Hanson); with it the start is the uniform point, and the systems
-    carry the equality row as a border whose multiplier the check subtracts.
+    scale holds max|c| per row, which the caller already has from its
+    column-wise reductions.  total holds one positive sum per row; only the
+    setup depends on it.  Without it the start is z = 0 and goes straight to
+    the multiplier check (Lawson-Hanson); with it the start is the uniform
+    point, and the systems carry the equality row as a border whose
+    multiplier the check subtracts.
     The entering variable is the active index with the most negative
     multiplier (lowest index on ties).  A free entry whose target is at or
     below the floor, +drop_tol without a total and -drop_tol with one, is a
@@ -150,7 +152,6 @@ def _active_set(G: FloatArray, C: FloatArray, total: FloatArray | None = None) -
     n, p = C.shape
     cap = _MAX_OUTER_FACTOR * p + 30
     g_max = np.max(np.diag(G))
-    scale = np.max(np.abs(C), axis=1, initial=0.0)
     if total is None:
         name = "non-negative least squares"
         kkt_tol = _KKT_RTOL * scale
@@ -224,15 +225,16 @@ def _unmix_rows(config: SolverConfig, G: FloatArray, C: FloatArray):
     n, p = C.shape
     # max(c) and max|c| column by column: a row-wise max over the short material axis is several times slower
     c_max = reduce(np.maximum, C.T)
-    degenerate = ~(c_max > _KKT_RTOL * np.maximum(c_max, -reduce(np.minimum, C.T)))
+    scale = np.maximum(c_max, -reduce(np.minimum, C.T))
+    degenerate = ~(c_max > _KKT_RTOL * scale)
     if config.model == "lmm":
-        return _active_set(G, C, np.ones(n) if config.sum_to_one else None), np.ones((n, p)), degenerate
+        return _active_set(G, C, scale, np.ones(n) if config.sum_to_one else None), np.ones((n, p)), degenerate
     lo, hi = config.psi_bounds
-    Z = _active_set(G, C)
+    Z = _active_set(G, C, scale)
     s = Z.sum(axis=1)
     bound = np.minimum(np.maximum(s, lo), hi)
     resolve = bound != s
-    Z[resolve] = _active_set(G, C[resolve], bound[resolve])
+    Z[resolve] = _active_set(G, C[resolve], scale[resolve], bound[resolve])
     total = Z.sum(axis=1)  # >= lo > 0
     A = Z / total[:, None]
     # a sum-constrained solve meets its bound only to rounding

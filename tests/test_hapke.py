@@ -5,8 +5,9 @@ import pytest
 
 from specmix.core import AlbedoSpectrum, Geometry, PhotometricParams, WavelengthAxis, cos_deg
 from specmix.hapke import (
+    MODELS,
     angle_divisor,
-    cell_factors,
+    cell_factor,
     ModelDomainError,
     endmember_variant,
     multiple_scattering,
@@ -336,12 +337,12 @@ def restated(model, omega, mu, mu0, g, params):
     """One pixel's spectrum, written out from the model's docstring formula."""
     root = np.sqrt(1.0 - omega)
     if model == "linear":
-        return omega / (4.0 * mu * mu0 + 2.0 * mu + 2.0 * mu0 + 1.0)
+        return omega / ((1.0 + 2.0 * mu) * (1.0 + 2.0 * mu0))
     if model == "relative":
         return omega / ((1.0 + 2.0 * mu * root) * (1.0 + 2.0 * mu0 * root))
     if model == "lambertian":
-        return (1.0 + 2.0 * mu) * (1.0 + 2.0 * mu0) * omega / (
-            4.0 * (mu + mu0) * (1.0 + 2.0 * mu * root) * (1.0 + 2.0 * mu0 * root)
+        return omega / ((1.0 + 2.0 * mu * root) * (1.0 + 2.0 * mu0 * root)) / (
+            4.0 * (mu + mu0) / ((1.0 + 2.0 * mu) * (1.0 + 2.0 * mu0))
         )
     b, c = params.b, params.c
     cos_g = math.cos(math.radians(g))
@@ -383,6 +384,30 @@ class TestReflectanceKernel:
         else:
             np.testing.assert_array_equal(rho, expected)
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_reciprocal_bit_for_bit(self, model):
+        # swapping mu and mu0 swaps the operands of sums and products only
+        omega, geoms = self.grid(with_double_grazing=model in ("relative", "linear"))
+        rng = np.random.default_rng(15)
+        mu, mu0, g = (np.concatenate([[getattr(geom, name) for geom in geoms], rng.uniform(0.0, high, 300)])
+                      for name, high in (("mu", 1.0), ("mu0", 1.0), ("g", 179.0)))
+        forward = reflectance(model, omega[:, None], mu, mu0, g, self.PARAMS)
+        np.testing.assert_array_equal(forward, reflectance(model, omega[:, None], mu0, mu, g, self.PARAMS))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double")
+    @pytest.mark.parametrize("model", ["lambertian", "relative", "linear"])
+    def test_reduced_forms_match_long_double_oracle(self, model):
+        rng = np.random.default_rng(16)
+        omega, mu, mu0 = rng.uniform(0.0, 1.0, (3, 200_000))
+        rho = reflectance(model, omega, mu, mu0)
+        w, m, m0 = (x.astype(np.longdouble) for x in (omega, mu, mu0))
+        root = np.sqrt(1 - w)
+        exact = {"linear": w / (4 * m * m0 + 2 * m + 2 * m0 + 1),
+                 "relative": w / ((1 + 2 * m * root) * (1 + 2 * m0 * root)),
+                 "lambertian": (1 + 2 * m) * (1 + 2 * m0) * w
+                 / (4 * (m + m0) * (1 + 2 * m * root) * (1 + 2 * m0 * root))}[model]
+        assert np.all(np.abs(rho - exact) <= 4 * np.finfo(float).eps * exact)
+
     @pytest.mark.parametrize("model", ["full", "lambertian"])
     def test_double_grazing_column_rejected(self, model):
         omega, geoms = self.grid(with_double_grazing=True)
@@ -400,22 +425,22 @@ class TestReflectanceKernel:
 class TestSeparableSplit:
     @pytest.mark.parametrize("model", ["lambertian", "relative", "linear"])
     def test_split_is_wavelength_free_factor_times_shape(self, model):
-        # N / D is the reflectance over the shape omega / (A(mu) A(mu0)), at every albedo
+        # the reflectance is the shape omega / (A(mu) A(mu0)) over Q, bit for bit, at every albedo
         omega, geoms = TestReflectanceKernel.grid(with_double_grazing=model != "lambertian")
         mu, mu0 = (np.array([getattr(geom, name) for geom in geoms]) for name in ("mu", "mu0"))
         rho = reflectance(model, omega[:, None], mu, mu0)
         shape = omega[:, None] / (angle_divisor(model, omega[:, None], mu) * angle_divisor(model, omega[:, None], mu0))
-        numerator, divisor = cell_factors(model, mu, mu0)
-        np.testing.assert_allclose(rho, numerator / divisor * shape, rtol=8 * np.finfo(float).eps, atol=0.0)
+        np.testing.assert_array_equal(rho, shape / cell_factor(model, mu, mu0))
 
     def test_lambertian_and_relative_share_the_angle_divisor(self):
         omega = np.array([0.0, 0.19, 0.75, 1.0])
         np.testing.assert_array_equal(angle_divisor("lambertian", omega, 0.5), angle_divisor("relative", omega, 0.5))
         np.testing.assert_array_equal(angle_divisor("relative", omega, 0.5), [2.0, 1.9, 1.5, 1.0])
         assert angle_divisor("linear", omega, 0.5) == 1.0
-        assert cell_factors("relative", 0.3, 0.6) == (1.0, 1.0)
+        assert cell_factor("relative", 0.3, 0.6) == 1.0
+        assert cell_factor("linear", 1.0, 1.0) == 9.0 and cell_factor("lambertian", 1.0, 1.0) == 8.0 / 9.0
 
-    @pytest.mark.parametrize("split", [lambda model: cell_factors(model, 0.5, 0.5),
+    @pytest.mark.parametrize("split", [lambda model: cell_factor(model, 0.5, 0.5),
                                        lambda model: angle_divisor(model, 0.5, 0.5)])
     @pytest.mark.parametrize("model", ["full", "hapke"])
     def test_only_the_three_reduced_forms_split(self, split, model):

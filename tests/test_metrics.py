@@ -270,7 +270,7 @@ class TestAngleSweep:
         "theta0_values, theta_values",
         [
             ([90.0, 0.0, 5.0, 20.0, 45.0, 60.0, 75.0, 89.0], [90.0, 0.0, 30.0, 60.0, 85.0, 90.0]),
-            ([90.0, 0.0, 30.0, 60.0, 85.0, 90.0], [90.0, 0.0, 30.0, 60.0, 85.0, 90.0]),  # square: SAM mirrored
+            ([90.0, 0.0, 30.0, 60.0, 85.0, 90.0], [90.0, 0.0, 30.0, 60.0, 85.0, 90.0]),  # square: SAM and RMSE mirrored
         ],
     )
     def test_row_blocks_and_mirror_do_not_change_values(self, pair, theta0_values, theta_values):
@@ -288,12 +288,13 @@ class TestAngleSweep:
 
     @pytest.mark.parametrize("pair", [("relative", "linear"), ("lambertian", "linear"), ("lambertian", "relative"),
                                       ("linear", "relative"), ("linear", "lambertian"), ("relative", "lambertian")])
-    def test_square_grid_sam_is_symmetric_and_equals_the_unmirrored_grid(self, pair):
+    def test_square_grid_sam_and_rmse_are_symmetric_and_equal_the_unmirrored_grid(self, pair):
         rng = np.random.default_rng(17)
         albedo = make_albedo(rng.uniform(0.05, 0.95, 29))
         angles = [0.0, 90.0, 12.5, 37.0, 60.0, 88.0, 1e-300]
         square = angle_sweep(albedo, SweepGrid(theta0_values=angles, theta_values=angles, model_pair=pair))
         np.testing.assert_array_equal(square.sam, square.sam.T)
+        np.testing.assert_array_equal(square.rmse, square.rmse.T)
         # one more theta angle makes the grid non-square, so nothing is mirrored
         wider = angle_sweep(albedo, SweepGrid(theta0_values=angles, theta_values=[*angles, 45.0], model_pair=pair))
         assert np.array_equal(wider.sam[:, :-1], square.sam, equal_nan=True)
