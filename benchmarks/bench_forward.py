@@ -13,15 +13,16 @@ at N in {1e3, 1e4}; write_cube and read_cube of that linear P = 4 cube
 (with geometries and ground truth) at N in {1e3, 1e4}; and angle_sweep
 over a 181 x 181 grid for the
 relative/linear and lambertian/linear pairs and over the default 91 x 91
-relative/linear grid; write_sweep_csv of one fixed 91 x 91 SweepResult; and
-the CLI's default sweep command (8 albedos, 91 x 91 relative/linear, compute
-plus CSV files).  Each round times every case once in a fresh process
-per tree, alternating which tree runs first.  The record holds, per case
-and tree, the median and IQR of the wall times in seconds, plus the largest
-difference between the two trees' outputs: for write_sweep_csv, between the
-file bytes (0 means byte-identical); for the CLI sweep, between the SAM and
-RMSE read back from its CSV files; for write_cube, between the cube's .bin
-files; for read_cube, between the cube, angles and ground truth read back
+relative/linear grid; write_sweep_csv of one random, asymmetric 91 x 91
+SweepResult (what its symmetry check costs) and of the mirrored default
+91 x 91 angle_sweep result; and the CLI's default sweep command (8 albedos,
+91 x 91 relative/linear, compute plus CSV files).  Each round times every
+case once in a fresh process per tree, alternating which tree runs first.
+The record holds, per case and tree, the median and IQR of the wall times
+in seconds, plus the largest difference between the two trees' outputs: for
+write_sweep_csv and the CLI sweep, between the CSV file bytes (0 means
+byte-identical, inf that the files differ in length); for write_cube,
+between the cube's .bin files; for read_cube, between the cube, angles and ground truth read back
 (the sidecar formats may differ).  A case that draws random
 numbers records that difference only where both trees drew the same
 numbers (same abundances, angles and noise); where the random stream
@@ -51,7 +52,7 @@ IO_CASES = [(stage, n) for n in (1000, 10_000) for stage in ("write_cube", "read
 SWEEP_PAIRS = [("relative", "linear"), ("lambertian", "linear")]
 SWEEP_GRID = np.arange(0.0, 90.25, 0.5)
 DEFAULT_SWEEP = "angle_sweep/relative/linear/91x91"
-WRITE_SWEEP = "write_sweep_csv/91x91"
+WRITE_SWEEPS = ["write_sweep_csv/asymmetric/91x91", "write_sweep_csv/mirrored/91x91"]
 CLI_SWEEP = "cli_sweep/relative/linear/8x91x91"
 
 
@@ -65,7 +66,8 @@ def case_params() -> dict[str, dict]:
         cases[f"angle_sweep/{'/'.join(pair)}"] = {"pair": "/".join(pair), "cells": SWEEP_GRID.size ** 2,
                                                   "L": N_BANDS}
     cases[DEFAULT_SWEEP] = {"pair": "relative/linear", "cells": 91 ** 2, "L": N_BANDS}
-    cases[WRITE_SWEEP] = {"cells": 91 ** 2}
+    for key in WRITE_SWEEPS:
+        cases[key] = {"cells": 91 ** 2}
     cases[CLI_SWEEP] = {"pair": "relative/linear", "albedos": 8, "cells": 91 ** 2, "L": N_BANDS}
     return cases
 
@@ -142,24 +144,37 @@ def run_cases(dump: Path | None) -> dict[str, float]:
     sweeps = [(f"angle_sweep/{'/'.join(pair)}",
                metrics.SweepGrid(theta0_values=SWEEP_GRID, theta_values=SWEEP_GRID, model_pair=pair))
               for pair in SWEEP_PAIRS]
+    results = {}
     for key, sweep_grid in sweeps + [(DEFAULT_SWEEP, metrics.SweepGrid())]:
-        result, times[key] = timed(metrics.angle_sweep, albedos[0], sweep_grid)
-        outputs[key] = np.stack([result.sam, result.rmse, result.valid])
-    fixed = metrics.SweepResult(grid=metrics.SweepGrid(), sam=rng.uniform(0.0, 0.1, (91, 91)),
-                                rmse=rng.uniform(0.0, 0.01, (91, 91)), valid=np.ones((91, 91), dtype=bool))
+        results[key], times[key] = timed(metrics.angle_sweep, albedos[0], sweep_grid)
+        outputs[key] = np.stack([results[key].sam, results[key].rmse, results[key].valid])
+    asymmetric = metrics.SweepResult(grid=metrics.SweepGrid(), sam=rng.uniform(0.0, 0.1, (91, 91)),
+                                     rmse=rng.uniform(0.0, 0.01, (91, 91)), valid=np.ones((91, 91), dtype=bool))
     with tempfile.TemporaryDirectory() as workdir:
         csv_path = Path(workdir) / "sweep.csv"
-        _, times[WRITE_SWEEP] = timed(io.write_sweep_csv, csv_path, fixed)
-        outputs[WRITE_SWEEP] = np.frombuffer(csv_path.read_bytes(), dtype=np.uint8).astype(float)
+        for key, written in zip(WRITE_SWEEPS, (asymmetric, results[DEFAULT_SWEEP])):
+            _, times[key] = timed(io.write_sweep_csv, csv_path, written)
+            outputs[key] = file_bytes(csv_path)
         io.write_albedos(Path(workdir) / "albedos.csv", albedos)
         argv = ["sweep", "--albedo", str(Path(workdir) / "albedos.csv"), "--out", str(Path(workdir) / "cli")]
         code, times[CLI_SWEEP] = timed(cli.main, argv)
         assert code == 0, f"sweep command exited {code}"
-        outputs[CLI_SWEEP] = np.stack([np.loadtxt(Path(workdir) / f"cli.m{k}.csv", delimiter=",", skiprows=1)
-                                       for k in range(8)])
+        outputs[CLI_SWEEP] = np.concatenate([file_bytes(Path(workdir) / f"cli.m{k}.csv") for k in range(8)])
     if dump is not None:
         np.savez(dump, **{key.replace("/", "|"): value for key, value in outputs.items()})
     return times
+
+
+def file_bytes(path: Path) -> np.ndarray:
+    """A file's bytes as floats, so that two trees' files diff like any other output."""
+    return np.frombuffer(path.read_bytes(), dtype=np.uint8).astype(float)
+
+
+def max_abs_diff(parent: np.ndarray, change: np.ndarray) -> float:
+    """Largest absolute difference; inf when the shapes differ, such as files of different length."""
+    if parent.shape != change.shape:
+        return float("inf")
+    return float(np.nanmax(np.abs(parent - change)))
 
 
 def worker(src: Path, dump: Path | None) -> dict[str, float]:
@@ -207,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
             if draws in parent_out.files and not np.array_equal(parent_out[draws], change_out[draws]):
                 diffs[key.replace("|", "/")] = None
             elif not key.startswith("draws|"):
-                diffs[key.replace("|", "/")] = float(np.nanmax(np.abs(parent_out[key] - change_out[key])))
+                diffs[key.replace("|", "/")] = max_abs_diff(parent_out[key], change_out[key])
 
     cases = []
     for key, params in case_params().items():

@@ -3,7 +3,10 @@ unmixing result files, and sweep/curve CSV outputs.
 
 Reals are written at full round-trip precision (shortest decimal form that
 recovers the 64-bit value), so write/read cycles are bit-exact for binary
-matrices and within one representation of exact for text formats.
+matrices and within one representation of exact for text formats.  A sweep
+CSV formats each distinct source cell once (write_sweep_csv): a mirrored
+cell of a square grid reuses the text of its bit-identical twin, so the
+bytes equal those of a per-cell repr writer.
 """
 
 from __future__ import annotations
@@ -348,12 +351,28 @@ def _write_rows(paths: list[str | Path], header: str, rows: Iterable[str]) -> No
 
 
 def write_sweep_csv(path: str | Path, result: SweepResult) -> None:
-    """Long-form rows 'theta0,theta,sam_rad,rmse' in grid order."""
+    """Long-form rows 'theta0,theta,sam_rad,rmse' in grid order.
+
+    Each cell's 'sam_rad,rmse' text is formatted once per distinct source
+    cell: when the grid is square and sam and rmse both equal their
+    transposes bit for bit, cell (j, i) takes the text of cell (i, j), else
+    every cell is its own source.  Equal bits have equal repr, so the bytes
+    equal those of a per-cell repr writer.  The check is on bits, not
+    values: 0.0 == -0.0 although their text differs, and a mirrored NaN is
+    not equal to itself.
+    """
     grid = result.grid
+    sam, err = (np.asarray(values, dtype=float) for values in (result.sam, result.rmse))
+    source = np.arange(sam.size).reshape(sam.shape)
+    if all(np.array_equal(bits, bits.T) for bits in (sam.view(np.int64), err.view(np.int64))):  # False unless square
+        source = np.minimum(source, source.T)  # (j, i) below the diagonal reads (i, j) above it
+    source = source.ravel()
+    own = source == np.arange(source.size)
+    text = np.empty(source.size, dtype=object)
+    text[own] = [f"{s!r},{e!r}" for s, e in zip(sam.ravel()[own].tolist(), err.ravel()[own].tolist())]
     # product keeps the text of each grid angle, formatted once
     angles = product(map(repr, grid.theta0_values.tolist()), map(repr, grid.theta_values.tolist()))
-    cells = zip(angles, result.sam.ravel().tolist(), result.rmse.ravel().tolist())
-    rows = (f"{theta0},{theta},{sam!r},{err!r}" for (theta0, theta), sam, err in cells)
+    rows = (f"{theta0},{theta},{cell}" for (theta0, theta), cell in zip(angles, text[source].tolist()))
     _write_rows([path], "theta0,theta,sam_rad,rmse", rows)
 
 

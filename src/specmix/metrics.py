@@ -18,7 +18,9 @@ On a square grid (the same angles on both axes) the two A tables are one,
 a product or sum of two of its entries is the same in either order, and so
 shape[i, j] == shape[j, i] and Q[i, j] == Q[j, i] bit for bit: every row is
 computed on the columns j >= i only, and SAM and RMSE are mirrored to the
-others.  No value depends on the row blocks or on the mirror.
+others.  No value depends on the row blocks or on the mirror.  The mirror
+is bit for bit, so io.write_sweep_csv formats each mirrored pair of cells
+once; it checks the bits itself and assumes no mirror.
 """
 
 from __future__ import annotations
@@ -192,7 +194,14 @@ class AlbedoCurve:
         return reflectance(self.model, self.omega, geom.mu, geom.mu0, geom.g, params)
 
     def to_dict(self) -> dict[str, Any]:
-        return {"kind": "curve", "model": self.model, **self.geometry.to_dict(), "omega": self.omega.tolist()}
+        """The config from_dict reads back: omega as a {"start", "stop", "num"} range when
+        np.linspace rebuilds it bit for bit, else as the list of its values."""
+        w = self.omega
+        if w.size and np.array_equal(np.linspace(w[0], w[-1], w.size).view(np.int64), w.view(np.int64)):
+            omega: Any = {"start": float(w[0]), "stop": float(w[-1]), "num": w.size}
+        else:
+            omega = w.tolist()
+        return {"kind": "curve", "model": self.model, **self.geometry.to_dict(), "omega": omega}
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "AlbedoCurve":

@@ -292,6 +292,19 @@ def reference_csv(path, header, rows):
     return path.read_bytes()
 
 
+def assert_sweep_csv_matches_reference(tmp_path, result):
+    io.write_sweep_csv(tmp_path / "sweep.csv", result)
+    grid = result.grid
+    rows = [(t0, t, result.sam[i, j], result.rmse[i, j])
+            for i, t0 in enumerate(grid.theta0_values) for j, t in enumerate(grid.theta_values)]
+    expected = reference_csv(tmp_path / "ref.csv", ["theta0", "theta", "sam_rad", "rmse"], rows)
+    assert (tmp_path / "sweep.csv").read_bytes() == expected
+
+
+def bit_symmetric(values):
+    return np.array_equal(values.view(np.int64), values.view(np.int64).T)
+
+
 class TestNumericCsvBytes:
     @pytest.mark.parametrize("step", [0.5, 1.0 / 3.0])
     def test_sweep_csv_matches_reference(self, tmp_path, albedos, step):
@@ -300,22 +313,54 @@ class TestNumericCsvBytes:
         grid = SweepGrid(theta0_values=angles, theta_values=angles[::-1], model_pair=("lambertian", "linear"))
         result = angle_sweep(albedos[0], grid)
         assert result.n_skipped == 1 and np.isnan(result.sam[-1, 0])
-        io.write_sweep_csv(tmp_path / "sweep.csv", result)
-        rows = [(t0, t, result.sam[i, j], result.rmse[i, j])
-                for i, t0 in enumerate(grid.theta0_values) for j, t in enumerate(grid.theta_values)]
-        expected = reference_csv(tmp_path / "ref.csv", ["theta0", "theta", "sam_rad", "rmse"], rows)
-        assert (tmp_path / "sweep.csv").read_bytes() == expected
+        assert_sweep_csv_matches_reference(tmp_path, result)
 
     def test_sweep_csv_of_hand_built_result(self, tmp_path):
         grid = SweepGrid(theta0_values=[0.1, 89.99999999999999], theta_values=[1e-300, 45.0, 90.0])
         sam = np.array([[0.0, 5e-324, np.nan], [1.5707963267948966, 1e-17, 0.30000000000000004]])
         err = np.array([[2.0, np.nan, 1e300], [0.1, 123456.789, 7e-310]])
-        result = SweepResult(grid=grid, sam=sam, rmse=err, valid=~np.isnan(sam))
-        io.write_sweep_csv(tmp_path / "sweep.csv", result)
-        rows = [(t0, t, sam[i, j], err[i, j])
-                for i, t0 in enumerate(grid.theta0_values) for j, t in enumerate(grid.theta_values)]
-        expected = reference_csv(tmp_path / "ref.csv", ["theta0", "theta", "sam_rad", "rmse"], rows)
-        assert (tmp_path / "sweep.csv").read_bytes() == expected
+        assert_sweep_csv_matches_reference(tmp_path, SweepResult(grid=grid, sam=sam, rmse=err, valid=~np.isnan(sam)))
+
+    def test_sweep_csv_of_default_square_grid(self, tmp_path, albedos):
+        result = angle_sweep(albedos[0], SweepGrid())
+        assert result.sam.shape == (91, 91) and bit_symmetric(result.sam) and bit_symmetric(result.rmse)
+        assert_sweep_csv_matches_reference(tmp_path, result)
+
+    def test_sweep_csv_of_square_lambertian_grid_with_grazing_cell(self, tmp_path, albedos):
+        angles = np.arange(0.0, 90.25, 7.5)  # ends at 90: the doubly grazing diagonal cell is NaN
+        grid = SweepGrid(theta0_values=angles, theta_values=angles, model_pair=("lambertian", "linear"))
+        result = angle_sweep(albedos[1], grid)
+        assert result.n_skipped == 1 and np.isnan(result.sam[-1, -1]) and np.isnan(result.rmse[-1, -1])
+        assert bit_symmetric(result.sam) and bit_symmetric(result.rmse)
+        assert_sweep_csv_matches_reference(tmp_path, result)
+
+    def test_sweep_csv_of_asymmetric_square_result(self, tmp_path):
+        rng = np.random.default_rng(16)
+        sam, err = rng.uniform(0.0, 0.1, (6, 6)), rng.uniform(0.0, 0.01, (6, 6))
+        result = SweepResult(grid=SweepGrid(theta0_values=np.arange(6.0), theta_values=np.arange(6.0)),
+                             sam=sam, rmse=err, valid=np.ones((6, 6), dtype=bool))
+        assert not bit_symmetric(sam) and not bit_symmetric(err)
+        assert_sweep_csv_matches_reference(tmp_path, result)
+
+    @pytest.mark.parametrize(
+        "array, upper, lower",
+        [
+            ("sam", 0.0, -0.0),
+            ("rmse", -0.0, 0.0),
+            ("sam", np.nan, 0.25),
+            ("rmse", 0.125, np.nan),
+            ("sam", -0.0, -0.0),  # mirrored: the text of the upper cell is reused
+            ("rmse", np.nan, np.nan),
+        ],
+    )
+    def test_sweep_csv_of_square_result_whose_mirror_differs_only_in_text(self, tmp_path, array, upper, lower):
+        base = np.array([[0.0, 0.5, 1e-17], [0.5, -0.0, 3.0], [1e-17, 3.0, np.nan]])
+        arrays = {"sam": base.copy(), "rmse": 2.0 * base}
+        arrays[array][0, 2], arrays[array][2, 0] = upper, lower
+        grid = SweepGrid(theta0_values=[0.0, 30.0, 60.0], theta_values=[0.0, 30.0, 60.0])
+        result = SweepResult(grid=grid, sam=arrays["sam"], rmse=arrays["rmse"], valid=~np.isnan(arrays["sam"]))
+        assert bit_symmetric(arrays[array]) == (np.array(upper).view(np.int64) == np.array(lower).view(np.int64))
+        assert_sweep_csv_matches_reference(tmp_path, result)
 
     @pytest.mark.parametrize("points", [1, 21])
     def test_curve_csv_matches_reference(self, tmp_path, points):

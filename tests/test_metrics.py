@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -385,11 +387,31 @@ class TestSweepConfigs:
         assert np.array_equal(again.theta0_values, grid.theta0_values)
         assert np.array_equal(again.theta_values, grid.theta_values)
 
-    def test_albedo_curve_round_trip(self):
-        original = AlbedoCurve("full", Geometry(theta0=9.0, theta=21.0, phi=30.0), np.linspace(0.0, 1.0, 7) ** 2)
-        again = AlbedoCurve.from_dict(original.to_dict())
+    @pytest.mark.parametrize(
+        "omega, form",
+        [
+            (np.linspace(0.0, 1.0, 7) ** 2, list),
+            (np.linspace(0.05, 0.95, 37), dict),
+            (np.linspace(0.0, 1.0, 5) * np.array([-1.0, 1.0, 1.0, 1.0, 1.0]), list),  # -0.0 first, 0.0 rebuilt
+            (np.linspace(1.0, 0.0, 3), dict),
+            (np.array([0.3]), dict),
+            (np.array([]), list),
+        ],
+    )
+    def test_albedo_curve_round_trip(self, omega, form):
+        original = AlbedoCurve("full", Geometry(theta0=9.0, theta=21.0, phi=30.0), omega)
+        echo = original.to_dict()
+        assert isinstance(echo["omega"], form)
+        again = AlbedoCurve.from_dict(json.loads(json.dumps(echo)))
         assert again.model == original.model and again.geometry == original.geometry
-        assert np.array_equal(again.omega, original.omega)
+        assert again.omega.shape == omega.shape
+        assert np.array_equal(again.omega.view(np.int64), original.omega.view(np.int64))
+
+    def test_albedo_curve_echoes_a_linspace_grid_as_its_range(self):
+        curve = AlbedoCurve.from_dict({"kind": "curve", "omega": {"start": 0.0, "stop": 1.0, "num": 10**5}})
+        echo = curve.to_dict()
+        assert echo["omega"] == {"start": 0.0, "stop": 1.0, "num": 10**5}
+        assert len(json.dumps(echo)) < 200
 
     def test_defaults(self):
         grid, default = SweepGrid.from_dict({}), SweepGrid()
