@@ -247,6 +247,13 @@ class SweepResult:
     rmse: FloatArray
     valid: np.ndarray
 
+    def __post_init__(self) -> None:
+        expected = (self.grid.theta0_values.size, self.grid.theta_values.size)
+        for name in ("sam", "rmse", "valid"):
+            shape = np.shape(getattr(self, name))
+            if shape != expected:
+                raise ValueError(f"{name} has shape {shape}; the grid's is {expected} (theta0 x theta)")
+
     @property
     def n_skipped(self) -> int:
         return int(np.size(self.valid) - np.count_nonzero(self.valid))

@@ -1,0 +1,45 @@
+"""The output diff of benchmarks/harness.py, which both benchmark scripts report per named output."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+HARNESS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "harness.py"
+INF = math.inf
+
+
+@pytest.fixture(scope="module")
+def harness():
+    spec = importlib.util.spec_from_file_location("harness", HARNESS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "parent, change, expected",
+    [
+        ([1.0, -4.0, np.nan, np.inf], [1.0, -4.0, np.nan, np.inf], {"max_abs": 0.0, "max_rel": 0.0}),
+        ([1.0, -4.0, 2.0], [1.0, -3.0, 2.0], {"max_abs": 1.0, "max_rel": 0.25}),
+        ([1.0, np.nan], [1.0, 0.5], {"max_abs": INF, "max_rel": INF}),
+        ([1.0, 0.5], [1.0, np.nan], {"max_abs": INF, "max_rel": INF}),
+        ([0.0, 0.0], [0.0, 1e-300], {"max_abs": 1e-300, "max_rel": INF}),
+        ([1.0, 2.0], [1.0, 2.0, 3.0], {"max_abs": INF, "max_rel": INF}),
+        ([True, False], [True, True], {"max_abs": 1.0, "max_rel": 1.0}),
+        (b"1.5,2\n", b"1.5,2\n", {"max_abs": 0.0}),
+        (b"1.5,2\n", b"1.5,3\n", {"max_abs": 1.0}),
+        (b"1.5,2\n", b"1.5,20\n", {"max_abs": INF}),
+    ],
+)
+def test_diff_per_output(harness, parent, change, expected):
+    assert harness.diff(parent, change) == expected
+
+
+def test_outputs_of_other_draws_are_not_diffed(harness):
+    same = harness.diff_outputs({"a": np.ones(2), "draws": np.zeros(3)}, {"a": np.ones(2), "draws": np.zeros(3)})
+    assert same == {"a": {"max_abs": 0.0, "max_rel": 0.0}}
+    assert harness.diff_outputs({"a": np.ones(2), "draws": np.zeros(3)}, {"a": np.ones(2), "draws": np.ones(3)}) is None
+    assert harness.diff_outputs({"a": np.ones(2)}, {"b": np.ones(2)}) == {"a": {"max_abs": INF}, "b": {"max_abs": INF}}

@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from specmix.core import AlbedoSpectrum, Geometry, PhotometricParams, WavelengthAxis, cos_deg
 from specmix.hapke import ModelDomainError, reflectance
-from specmix.metrics import AlbedoCurve, SweepGrid, angle_sweep, rmse, spectral_angle
+from specmix.metrics import AlbedoCurve, SweepGrid, SweepResult, angle_sweep, rmse, spectral_angle
 
 RMSE_OFFSET_CASE = 2.8284271247461901  # sqrt(16/2), hand-checkable
 CURVE_REL_45 = {  # relative model at theta0 = theta = 45, frozen oracle values
@@ -155,6 +156,19 @@ class TestSweepGrid:
         assert grid.theta0_values.size == 91
         assert grid.theta_values.size == 91
         assert grid.model_pair == ("relative", "linear")
+
+
+class TestSweepResult:
+    @pytest.mark.parametrize("name", ["sam", "rmse", "valid"])
+    @pytest.mark.parametrize("grid_shape, shape", [((3, 3), (2, 2)), ((3, 2), (2, 3))])
+    def test_array_not_shaped_like_grid_rejected_by_name(self, name, grid_shape, shape):
+        # a 2x2 result on a 3x3 grid used to write 4 CSV rows without an error
+        grid = SweepGrid(theta0_values=np.arange(grid_shape[0], dtype=float),
+                         theta_values=np.arange(grid_shape[1], dtype=float))
+        arrays = {"sam": np.zeros(grid_shape), "rmse": np.zeros(grid_shape), "valid": np.ones(grid_shape, dtype=bool)}
+        arrays[name] = np.zeros(shape, dtype=arrays[name].dtype)
+        with pytest.raises(ValueError, match=re.escape(f"{name} has shape {shape}; the grid's is {grid_shape}")):
+            SweepResult(grid=grid, **arrays)
 
 
 class TestAngleSweep:
