@@ -24,8 +24,9 @@ diffed only where both trees drew the same abundances, angles and noise.
 Record, schema 2: the machine (numpy, cores, OPENBLAS_NUM_THREADS,
 MALLOC_MMAP_THRESHOLD_, machine, python, min_round_s) and, per case and
 tree, the median and IQR in seconds of its round times.  The change's entry
-adds the change/parent ratio of the medians, the rounds it was faster, and
-diff_vs_parent: per named output max_abs and max_rel (max_abs over the
+adds the change/parent ratio of the medians, the median over rounds of the
+round's change/parent ratio (paired_ratio_p50), the rounds it was faster,
+and diff_vs_parent: per named output max_abs and max_rel (max_abs over the
 parent output's largest finite |value|; a NaN against a number is inf).
 File bytes give max_abs alone, inf for another length; 0 is byte-identical.
 """

@@ -15,7 +15,7 @@ Cases, L = 200 bands, seeded linear mixtures with noise:
   path: per-pixel scales log-uniform in [1e-3, 1e3], so about a third of the
   ELMM pixels land on a psi bound, and 10 all-zero and 10 negated pixels,
   which are degenerate; and that problem times 1e9, a radiance scale, under
-  every model but lmm;
+  all four;
 - fcls, with and without sum-to-one, per call, over 200 pixels.
 An unmix_cube case's named outputs are its abundances, scales,
 residual_rmse and degenerate flags; fcls's, its abundances.
@@ -23,9 +23,11 @@ residual_rmse and degenerate flags; fcls's, its abundances.
 Record, schema 2: the machine (numpy, cores, OPENBLAS_NUM_THREADS,
 MALLOC_MMAP_THRESHOLD_, machine, python, min_round_s) and, per case and
 tree, the median and IQR in seconds of its round times.  The change's entry
-adds the change/parent ratio of the medians, the rounds it was faster, and
-diff_vs_parent: per named output max_abs and max_rel (max_abs over the
+adds the change/parent ratio of the medians, the median over rounds of the
+round's change/parent ratio (paired_ratio_p50), the rounds it was faster,
+and diff_vs_parent: per named output max_abs and max_rel (max_abs over the
 parent output's largest finite |value|; a NaN against a number is inf).
+A case that one tree refuses records that tree's error and is not timed.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from harness import N_BANDS, Case  # noqa: E402
 #: unmix_cube cases: (case label, model, sum_to_one)
 TREE_MODELS = (("lmm", "lmm", True), ("lmm-nnls", "lmm", False),
                ("elmm-global", "elmm-global", True), ("elmm-full", "elmm-full", True))
-#: the radiance-scale edge cases: lmm with sum-to-one refuses that scale (ROADMAP item 2)
-RADIANCE_MODELS = TREE_MODELS[1:]
+#: the radiance-scale edge cases
+RADIANCE_MODELS = TREE_MODELS
 RADIANCE = 1e9
 EDGE_PIXELS = 1000
 #: single-pixel cases: fcls with and without sum-to-one

@@ -4,6 +4,11 @@ A script gives its cases as `Case`s.  `compare` makes one untimed call per
 tree and diffs the named outputs, then times ROUNDS rounds, alternating which
 tree goes first.  Within a round a case repeats until it has run for
 MIN_ROUND_S, so millisecond cases are resolved; a round's time is per call.
+Besides the ratio of the two trees' medians, each case reports
+paired_ratio_p50, the median over rounds of that round's change/parent
+ratio, which cancels load that both trees see within one round.  A case
+whose untimed call raises ValueError or RuntimeError in either tree is not
+timed; both its entries hold "error", the message or null.
 """
 
 from __future__ import annotations
@@ -126,7 +131,18 @@ def compare(cases: Iterable[Case]) -> list[dict]:
     """
     entries = []
     for case in cases:
-        outputs = {side: case.outputs(case.calls[side]()) for side in SIDES}
+        outputs, errors = {}, {}
+        for side in SIDES:
+            try:
+                outputs[side] = case.outputs(case.calls[side]())
+            except (ValueError, RuntimeError) as error:  # a tree that refuses the input or does not converge
+                errors[side] = f"{type(error).__name__}: {error}"
+        if errors:
+            entries += [{"case": f"{case.key}/{side}", "params": case.params, "error": errors.get(side)}
+                        for side in SIDES]
+            print(f"{case.key:40s} not timed: " + "; ".join(f"{side} raised {error}" for side, error in errors.items()),
+                  flush=True)
+            continue
         diffs = diff_outputs(outputs["parent"], outputs["change"])
         times: dict[str, list[float]] = {side: [] for side in SIDES}
         for r in range(ROUNDS):
@@ -136,14 +152,19 @@ def compare(cases: Iterable[Case]) -> list[dict]:
         parent, change = ({"case": f"{case.key}/{side}", "params": params, **summary(times[side])}
                           for side in SIDES)
         ratio = change["median_s"] / parent["median_s"]
-        faster = int(np.sum(np.array(times["change"]) < np.array(times["parent"])))
-        change.update(median_ratio_vs_parent=ratio, faster_rounds=faster, diff_vs_parent=diffs)
+        change_s, parent_s = np.array(times["change"]), np.array(times["parent"])
+        # the median of per-round ratios: load that both trees see within a round cancels
+        paired = float(np.median(change_s / parent_s))
+        faster = int(np.sum(change_s < parent_s))
+        change.update(median_ratio_vs_parent=ratio, paired_ratio_p50=paired, faster_rounds=faster,
+                      diff_vs_parent=diffs)
         if diffs is None:
             change["diff_note"] = "not comparable: the two trees draw different random numbers"
         worst = "n/c" if diffs is None else f"{max(gap for d in diffs.values() for gap in d.values()):.1e}"
         entries += [parent, change]
         print(f"{case.key:40s} parent {parent['median_s']:9.5f} s  change {change['median_s']:9.5f} s"
-              f"  change/parent {ratio:5.3f}  faster in {faster:2d}/{ROUNDS}  diff {worst}", flush=True)
+              f"  change/parent {ratio:5.3f} (paired {paired:5.3f})  faster in {faster:2d}/{ROUNDS}  diff {worst}",
+              flush=True)
     return entries
 
 

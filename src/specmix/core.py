@@ -410,7 +410,8 @@ class UnmixResult:
     """Abundances, scaling factors and diagnostics of one unmixing run.
 
     degenerate flags, under every model, the pixels whose non-negative fit
-    is 0: no component in the endmember cone.
+    is 0: no component in the endmember cone.  Abundances, scales and
+    residuals must be finite; a refusal names the field and its first pixel.
     """
 
     abundances: FloatArray  # materials x pixels
@@ -424,6 +425,12 @@ class UnmixResult:
         psi = _readonly(self.scales, ndim=2, name="scales")
         if psi.shape != A.shape:
             raise ValueError(f"scales shape {psi.shape} does not match abundances {A.shape}")
+        rmse = _readonly(self.residual_rmse, ndim=1, name="residual_rmse")
+        # NaN passes every comparison below, so non-finite values are refused first
+        for name, values in (("abundances", A), ("scales", psi), ("residual_rmse", rmse)):
+            bad = np.atleast_2d(~np.isfinite(values)).any(axis=0)
+            if bad.any():
+                raise ValueError(f"{name} must be finite; pixel {int(np.argmax(bad))} is not")
         if np.any(A < 0.0):
             raise ValueError("abundances must be non-negative")
         if self.sum_to_one:
@@ -435,7 +442,7 @@ class UnmixResult:
             raise ValueError("scaling factors must be strictly positive")
         object.__setattr__(self, "abundances", A)
         object.__setattr__(self, "scales", psi)
-        object.__setattr__(self, "residual_rmse", _readonly(self.residual_rmse, ndim=1, name="residual_rmse"))
+        object.__setattr__(self, "residual_rmse", rmse)
         object.__setattr__(self, "degenerate", _readonly(self.degenerate, dtype=bool, ndim=1, name="degenerate"))
 
     @property

@@ -20,15 +20,21 @@ A pixel is degenerate, under every model, when its non-negative fit is 0.
 
 The core runs every pixel of a batch in lockstep: each step takes one
 action per unfinished pixel (pick an entering material, or solve its
-system on the free materials and take the ratio step) and solves all those
-systems in one stacked ``np.linalg.solve``.  A pixel's system keeps the
-rows and columns of its free materials and replaces the others by the
-identity with a zero right-hand side, so its arithmetic never depends on
-which other pixels share the batch.  Every product whose length varies
-with the batch is computed one pixel at a time (``_rowwise``).  A pixel's
-result is therefore bit-identical whether it is solved alone, in a chunk
-or in the whole cube.  Cubes are processed in chunks of ``_CHUNK_PIXELS``
-so temporaries stay O(chunk * P^2).
+system on the free materials and take the ratio step).  All pixels share
+G = S'S, so a pixel's system depends only on its free set, an integer
+support mask.  A step builds the system of each distinct mask once, keeping
+the rows and columns of the free materials and replacing the others by the
+identity, inverts them in one stacked ``np.linalg.inv`` and gives every
+pixel its mask's inverse by a gather and one batched ``np.matmul``; with a
+sum constraint the lowest free material then takes exactly what the others
+leave of the total.  Each final result takes one step of iterative
+refinement, so its KKT residual is a solve's, not rounding times cond(G).
+A pixel's arithmetic thus never depends on which other pixels share the
+batch.  Every product whose length varies with the
+batch is computed one pixel at a time (``_rowwise``).  A pixel's result is
+therefore bit-identical whether it is solved alone, in a chunk or in the
+whole cube.  Cubes are processed in chunks of ``_CHUNK_PIXELS`` so
+temporaries stay O(chunk * P^2).
 """
 
 from __future__ import annotations
@@ -112,14 +118,40 @@ def _rowwise(M: FloatArray, B: FloatArray) -> FloatArray:
     return np.matmul(np.ascontiguousarray(M)[:, None, :], B)[:, 0, :]
 
 
-def _solve_free(K: FloatArray, rhs: FloatArray, free: np.ndarray) -> FloatArray:
-    """Solve K restricted to each row's free indices, zero elsewhere.
+def _solve_free(K: FloatArray, rhs: FloatArray, mask: np.ndarray, free: np.ndarray,
+                start: FloatArray | None = None) -> FloatArray:
+    """Solve K restricted to each row's free indices, from one inverse per distinct free set.
 
-    Rows and columns outside a pixel's free set become the identity with a
-    zero right-hand side: the kept block is solved as if alone.
+    Row n's free set is free[n], or its integer support mask mask[n]; the
+    indices past free's width (the sum border) are always free.  Rows and
+    columns outside a free set become the identity, whose inverse keeps the
+    free block exactly apart: the kept block is solved as if alone, and
+    entries outside it are never read.  Each distinct mask's system is built
+    and inverted once (one stacked ``np.linalg.inv``), then every row takes
+    its inverse by a gather and one batched ``np.matmul``.  Given start, a
+    point that is 0 outside the free sets, the result is start plus the
+    solution for the residual rhs - K start: one step of iterative
+    refinement.  With the border, whose row is sum(z) = rhs[:, -1], the
+    lowest free index takes what the other free entries leave of that
+    total, so the sum holds to their rounding: the inverse alone would leak
+    rounding times |c|, which at radiance scale or on a bound far below the
+    fit can empty a support.
     """
-    system = np.where(free[:, :, None] & free[:, None, :], K, np.eye(K.shape[0]))
-    return np.linalg.solve(system, np.where(free, rhs, 0.0)[:, :, None])[:, :, 0]
+    n, p = free.shape
+    _, first, which = np.unique(mask, return_index=True, return_inverse=True)
+    kept = np.ones((first.size, K.shape[0]), dtype=bool)
+    kept[:, :p] = free[first]
+    inverse = np.linalg.inv(np.where(kept[:, :, None] & kept[:, None, :], K, np.eye(K.shape[0])))
+    residual = rhs if start is None else rhs - _rowwise(start, K)
+    solution = np.matmul(inverse[which], residual[:, :, None])[:, :, 0]
+    if start is not None:
+        solution += start
+    if K.shape[0] > p:
+        rows, lowest = np.arange(n), np.argmax(kept[:, :p], axis=1)[which]
+        others = np.where(free, solution[:, :p], 0.0)
+        others[rows, lowest] = 0.0
+        solution[rows, lowest] = rhs[:, p] - reduce(np.add, others.T)
+    return solution
 
 
 def _ratio_step(current: FloatArray, target: FloatArray, free: np.ndarray, sink: np.ndarray) -> FloatArray:
@@ -139,6 +171,11 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, total: FloatArr
     the multiplier check (Lawson-Hanson); with it the start is the uniform
     point, and the systems carry the equality row as a border whose
     multiplier the check subtracts.
+    Each pixel's free set is an integer support mask, bit k for material k
+    (Python integers past 63 materials, so any P fits); a step solves its
+    pixels from one inverse per distinct mask (``_solve_free``), at most
+    min(2^P, pixels in the step) of them, and the result takes one
+    refinement step on its final free set.
     The entering variable is the active index with the most negative
     multiplier (lowest index on ties).  A free entry whose target is at or
     below the floor, +drop_tol without a total and -drop_tol with one, is a
@@ -152,11 +189,13 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, total: FloatArr
     n, p = C.shape
     cap = _MAX_OUTER_FACTOR * p + 30
     g_max = np.max(np.diag(G))
+    bits = np.array([1 << k for k in range(p)], dtype=np.int64 if p < 64 else object)
     if total is None:
         name = "non-negative least squares"
+        K, rhs = G, C
         kkt_tol = _KKT_RTOL * scale
         floor = drop_tol = (_DROP_TOL * scale / g_max)[:, None]
-        Z, free = np.zeros((n, p)), np.zeros((n, p), dtype=bool)
+        Z, mask = np.zeros((n, p)), np.zeros(n, dtype=bits.dtype)
         checking, solving = np.arange(n), np.arange(0)
     else:
         name = "sum-constrained least squares"
@@ -166,7 +205,7 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, total: FloatArr
         kkt_tol = _KKT_RTOL * np.maximum(scale, total * g_max)
         drop_tol = (_DROP_TOL * total)[:, None]
         floor = -drop_tol
-        Z, free = np.repeat((total / p)[:, None], p, axis=1), np.ones((n, p), dtype=bool)
+        Z, mask = np.repeat((total / p)[:, None], p, axis=1), np.full(n, (1 << p) - 1, dtype=bits.dtype)
         checking, solving = np.arange(0), np.arange(n)
         lam = np.zeros(n)
     outer = np.ones(n, dtype=int)
@@ -176,14 +215,13 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, total: FloatArr
         inner[solving] += 1
         failed[solving[inner[solving] > cap]] = True
         s = solving[inner[solving] <= cap]
-        f = free[s]
-        if total is None:
-            target = _solve_free(G, C[s], f)
-        else:
-            solution = _solve_free(K, rhs[s], np.hstack([f, np.ones((s.size, 1), dtype=bool)]))
-            target, lam[s] = solution[:, :p], -solution[:, p]
+        f = (mask[s, None] & bits) != 0
+        solution = _solve_free(K, rhs[s], mask[s], f)
+        target = solution[:, :p]
+        if total is not None:
+            lam[s] = -solution[:, p]
         sink = f & (target <= floor[s])
-        done = ~sink.any(axis=1)
+        done = (sink @ bits) == 0
         Z[s[done]] = np.where(f[done], np.maximum(target[done], 0.0), 0.0)
 
         stepping = ~done
@@ -191,26 +229,30 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, total: FloatArr
         step = _ratio_step(Z[b], target[stepping], f, sink[stepping])
         f &= step > drop_tol[b]
         Z[b] = np.where(f, step, 0.0)
-        free[b] = f
-        emptied = ~f.any(axis=1)
+        mask[b] = f @ bits
+        emptied = mask[b] == 0
         # multiplier check: the z = 0 start, finished solves and emptied supports
         m = np.concatenate([checking, s[done], b[emptied]])
 
         multipliers = _rowwise(Z[m], G) - C[m]
         if total is not None:
             multipliers -= lam[m, None]
-        multipliers[free[m]] = np.inf
+        multipliers[(mask[m, None] & bits) != 0] = np.inf
         j = np.argmin(multipliers, axis=1)
         go = multipliers[np.arange(m.size), j] < -kkt_tol[m]
         e, j = m[go], j[go]
-        free[e, j] = True
+        mask[e] |= bits[j]
         inner[e] = 0
         outer[e] += 1
         failed[e[outer[e] > cap]] = True
         checking, solving = np.arange(0), np.concatenate([b[~emptied], e[outer[e] <= cap]])
     if failed.any():
         raise RuntimeError(f"{name} did not converge on {int(failed.sum())} of {n} pixels")
-    return Z
+    # An inverse gives a solve's forward error, but leaves a residual of rounding times cond(G) where a
+    # solve leaves rounding: one refinement step from each result brings the KKT residual back to rounding.
+    free = (mask[:, None] & bits) != 0
+    solution = _solve_free(K, rhs, mask, free, Z if total is None else np.column_stack([Z, -lam]))
+    return np.where(free, np.maximum(solution[:, :p], 0.0), 0.0)
 
 
 def _unmix_rows(config: SolverConfig, G: FloatArray, C: FloatArray):
@@ -309,6 +351,8 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     n_pixels = X.shape[1]
     n_materials = S.shape[1]
     G = S.T @ S
+    # each product reads its right operand along contiguous memory: S by columns, S' by rows
+    S_cols, S_rows = np.asfortranarray(S), np.ascontiguousarray(S.T)
 
     A = np.empty((n_materials, n_pixels))
     psi = np.empty((n_materials, n_pixels))
@@ -317,9 +361,9 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     for start in range(0, n_pixels, _CHUNK_PIXELS):
         chunk = slice(start, start + _CHUNK_PIXELS)
         rows = X[:, chunk].T  # one pixel per row: a C-contiguous view of the pixel-major cube
-        a, scales, degenerate[chunk] = _unmix_rows(config, G, _rowwise(rows, S))
+        a, scales, degenerate[chunk] = _unmix_rows(config, G, _rowwise(rows, S_cols))
         A[:, chunk], psi[:, chunk] = a.T, scales.T
-        residual = _rowwise(scales * a, S.T)
+        residual = _rowwise(scales * a, S_rows)
         residual -= rows
         residual *= residual
         residual_rmse[chunk] = np.sqrt(np.mean(residual, axis=1))

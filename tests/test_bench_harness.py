@@ -43,3 +43,28 @@ def test_outputs_of_other_draws_are_not_diffed(harness):
     assert same == {"a": {"max_abs": 0.0, "max_rel": 0.0}}
     assert harness.diff_outputs({"a": np.ones(2), "draws": np.zeros(3)}, {"a": np.ones(2), "draws": np.ones(3)}) is None
     assert harness.diff_outputs({"a": np.ones(2)}, {"b": np.ones(2)}) == {"a": {"max_abs": INF}, "b": {"max_abs": INF}}
+
+
+def test_compare_reports_the_median_of_per_round_ratios(harness, monkeypatch):
+    # the change takes 0.9 of the parent's time in every round, but load slows the parent's last three rounds
+    rounds = {"parent": iter([1.0, 10.0, 10.0, 10.0]), "change": iter([0.9, 0.9, 9.0, 9.0])}
+    monkeypatch.setattr(harness, "ROUNDS", 4)
+    monkeypatch.setattr(harness, "time_round", lambda call: next(rounds[call()]))
+    case = harness.Case("case", {}, {side: (lambda side=side: side) for side in harness.SIDES},
+                        lambda result: {"out": np.zeros(1)})
+    parent, change = harness.compare([case])
+    assert parent["median_s"] == 10.0 and change["median_s"] == 4.95
+    assert change["median_ratio_vs_parent"] == 0.495
+    assert change["paired_ratio_p50"] == pytest.approx(0.9, rel=1e-15)
+    assert change["faster_rounds"] == 4
+
+
+def test_compare_records_a_tree_that_refuses_a_case_and_times_neither(harness, monkeypatch):
+    def refuse():
+        raise ValueError("abundance columns must sum to 1")
+
+    monkeypatch.setattr(harness, "time_round", lambda call: pytest.fail("a refused case was timed"))
+    case = harness.Case("case", {"P": 4}, {"parent": refuse, "change": lambda: 1.0}, lambda result: {"out": result})
+    parent, change = harness.compare([case])
+    assert parent == {"case": "case/parent", "params": {"P": 4}, "error": "ValueError: abundance columns must sum to 1"}
+    assert change == {"case": "case/change", "params": {"P": 4}, "error": None}

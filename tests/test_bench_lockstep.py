@@ -54,6 +54,21 @@ def test_self_comparison_times_every_case_and_reads_no_diff(bench, monkeypatch, 
         assert all(gap == 0.0 for diff in diffs.values() for gap in diff.values()), (key, diffs)
 
 
+def test_self_comparison_pairs_its_rounds_and_runs_lmm_at_radiance_scale(bench, monkeypatch, tmp_path):
+    monkeypatch.setattr(bench.harness, "ROUNDS", 2)
+    monkeypatch.setattr(bench.harness, "MIN_ROUND_S", 0.002)
+    out = tmp_path / "self.json"
+    assert bench.main(["--parent", str(ROOT), "--pixels", "3", "--materials", "4", "--out", str(out)]) == 0
+
+    changes = [entry for entry in json.loads(out.read_text())["cases"] if entry["case"].endswith("/change")]
+    assert changes and all("error" not in entry for entry in changes)
+    for entry in changes:
+        assert math.isfinite(entry["paired_ratio_p50"]) and entry["paired_ratio_p50"] > 0.0, entry["case"]
+    lmm = {entry["case"]: entry for entry in changes}[f"unmix_cube/lmm/edge-x1e9/P=4/N={bench.EDGE_PIXELS}/change"]
+    assert set(lmm["diff_vs_parent"]) == CUBE_OUTPUTS
+    assert all(gap == 0.0 for diff in lmm["diff_vs_parent"].values() for gap in diff.values())
+
+
 def test_every_case_output_is_finite_and_fcls_equals_unmix_cube(bench):
     S, X = bench.problem(4, bench.SINGLE_PIXEL_CALLS)
     for case in bench.cases({"change": specmix}, [3], [4]):
@@ -76,3 +91,13 @@ def test_edge_problem_reaches_degenerate_pixels_and_psi_bounds(bench):
             on_bound = np.isclose(result.scales, config.psi_bounds[0], rtol=1e-6, atol=0.0)
             on_bound |= np.isclose(result.scales, config.psi_bounds[1], rtol=1e-6, atol=0.0)
             assert on_bound.any(), (label, scale)
+
+
+@pytest.mark.parametrize("n_materials", [4, 8])
+def test_edge_problem_at_1e12_gives_finite_outputs_under_every_model(bench, n_materials):
+    # a sum-constrained re-solve that emptied its support once gave NaN abundances here, unrefused
+    S, X = bench.problem(n_materials, bench.EDGE_PIXELS, edge=True)
+    for _, model, sum_to_one in bench.TREE_MODELS:
+        result = solver.unmix_cube(X * 1e12, S, solver.SolverConfig(model=model, sum_to_one=sum_to_one))
+        for name, values in bench.cube_outputs(result).items():
+            assert np.all(np.isfinite(values)), (model, sum_to_one, name)

@@ -311,6 +311,16 @@ class TestUnmixResult:
         with pytest.raises(ValueError, match="positive"):
             self.make(A, np.zeros_like(A))
 
+    @pytest.mark.parametrize("field", ["abundances", "scales", "residual_rmse"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_by_field_and_first_pixel(self, field, bad):
+        # NaN passes the sign and sum checks, so only a finiteness check stops it
+        outputs = {"abundances": np.full((2, 4), 0.5), "scales": np.ones((2, 4)), "residual_rmse": np.zeros(4)}
+        outputs[field][..., 2] = bad
+        outputs[field][..., 3] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite; pixel 2 is not"):
+            UnmixResult(**outputs, degenerate=np.zeros(4, dtype=bool))
+
     def test_sum_free_mode_skips_sum_check(self):
         A = np.array([[0.6], [0.9]])
         result = self.make(A, np.ones_like(A), sum_to_one=False)

@@ -18,6 +18,8 @@ MODELS = (
     ("elmm-full", True),
 )
 BOUNDS = ((1e-2, 1e2), (0.5, 2.0), (1.0, 1.0))
+#: psi_bounds beyond the serial reference's absolute tolerances
+WIDE_BOUNDS = (1e-30, 1e30)
 
 
 def cube_of(X):
@@ -128,6 +130,22 @@ def test_bit_identical_across_batches(model, monkeypatch):
     assert_identical(whole, [unmix_cube(cube_of(X), S, config)])
 
 
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m[0]}-{m[1]}")
+def test_support_masks_of_any_width(model):
+    # 64 materials: support masks past 63 bits are Python integers, on the same code path
+    name, sum_to_one = model
+    S, X = problem(5, 64, n_pixels=8)
+    config = SolverConfig(model=name, sum_to_one=sum_to_one, psi_bounds=(0.5, 2.0))
+    result = unmix_cube(cube_of(X), S, config)
+    for n in range(X.shape[1]):
+        a_ref, _, degenerate_ref = reference(S, X[:, n], name, sum_to_one, (0.5, 2.0))
+        tol = 1e-12 * np.max(np.abs(a_ref))
+        assert result.degenerate[n] == degenerate_ref
+        np.testing.assert_array_equal(result.abundances[:, n] > tol, a_ref > tol)
+        np.testing.assert_allclose(result.abundances[:, n], a_ref, rtol=0.0, atol=tol)
+    assert_identical(result, [unmix_cube(cube_of(X[:, n:n + 1]), S, config) for n in range(X.shape[1])])
+
+
 def test_single_pixel_entry_points_equal_cube_columns():
     S, X = problem(43, 4)
     lmm = unmix_cube(cube_of(X), S, SolverConfig(model="lmm"))
@@ -172,26 +190,112 @@ def test_elmm_models_share_abundances_and_keep_psi_in_bounds_at_any_magnitude(k)
     assert np.all((full.scales >= 1e-2) & (full.scales <= 1e2))
 
 
-def test_single_pixel_entry_points_refuse_what_unmix_cube_refuses():
-    # At radiance scale (cube x1e12, endmembers at reflectance scale) the
-    # sum-constrained solve misses the simplex by up to 3e-4 here.  The
-    # single-pixel entry points raise like unmix_cube rather than return it.
+@pytest.mark.parametrize("k", [1e6, 1e9, 1e12])
+def test_single_pixel_entry_points_meet_the_simplex_at_radiance_scale(k):
+    # At radiance scale (cube x k, endmembers at reflectance scale) the
+    # sum-constrained solve meets sum(a) = 1 to rounding and its KKT
+    # conditions, and the single-pixel entry points return unmix_cube's column.
     S, X = problem(0, 2)
-    x = 1e12 * X[:, 1]
-    with pytest.raises(ValueError, match="abundance columns must sum to 1"):
-        unmix_cube(cube_of(x[:, None]), S, SolverConfig(model="lmm"))
-    with pytest.raises(ValueError, match="abundance columns must sum to 1"):
-        fcls(x, S)
+    x = k * X[:, 1]
+    a = unmix_cube(cube_of(x[:, None]), S, SolverConfig(model="lmm")).abundances[:, 0]
+    assert abs(a.sum() - 1.0) <= 4 * np.finfo(float).eps
+    scale = float(np.max(np.abs(S.T @ x)))
+    violation, stationarity = kkt_violation(S, x, a, True)
+    assert violation >= -1e-8 * scale and stationarity <= 1e-8 * scale
+    assert np.array_equal(fcls(x, S), a)
     # The ELMM models divide z by its own sum, so a pure pixel far above the
-    # psi bound keeps its exact indicator abundances; its scale stays inside
-    # psi_bounds, off the bound only by that sum's rounding.
+    # psi bound keeps its exact indicator abundances, and its scale is the bound.
     j = int(np.flatnonzero(np.all(S == X[:, [3]], axis=0))[0])
-    fit = unmix_cube((1e12 * X[:, 3])[:, None], S, SolverConfig(model="elmm-global"))
+    fit = unmix_cube((k * X[:, 3])[:, None], S, SolverConfig(model="elmm-global"))
     assert np.array_equal(fit.abundances[:, 0], np.eye(2)[j])
-    assert np.all(fit.scales == fit.scales[0, 0]) and 1e2 * (1.0 - 1e-6) <= fit.scales[0, 0] <= 1e2
+    assert np.all(fit.scales == 1e2)
     assert np.array_equal(fcls(x, S, sum_to_one=False),
                           unmix_cube(cube_of(x[:, None]), S, SolverConfig(model="lmm", sum_to_one=False))
                           .abundances[:, 0])
+
+
+def relative_kkt(S, x, z, model, bounds):
+    """kkt_violation of z = psi * a in its own units, relative to max|S'x| (max|S'Sz| for a zero pixel).
+
+    kkt_violation's free threshold is absolute, so z is scaled to a unit maximum first.
+    """
+    name, sum_to_one = model
+    lo, hi = bounds
+    total = float(z.sum())
+    constrained = sum_to_one if name == "lmm" else not lo * (1 + 1e-12) < total < hi * (1 - 1e-12)
+    unit = float(np.max(z)) or 1.0
+    violation, stationarity = kkt_violation(S, x / unit, z / unit, constrained)
+    scale = max(float(np.max(np.abs(S.T @ x))), float(np.max(np.abs(S.T @ (S @ z))))) / unit or 1.0
+    return violation / scale, stationarity / scale
+
+
+def scaling_law(z_ref, k, model, bounds, with_endmembers):
+    """The z = psi * a that the unit-scale z_ref implies for the cube times k, or None where no law holds."""
+    if with_endmembers:
+        return z_ref
+    name, sum_to_one = model
+    lo, hi = bounds
+    s = float(z_ref.sum())
+    inside = lo * (1 + 1e-6) < min(s, k * s) and max(s, k * s) < hi * (1 - 1e-6)
+    return k * z_ref if (name == "lmm" and not sum_to_one) or (name != "lmm" and inside) else None
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_materials=st.integers(1, 8),
+    model=st.sampled_from(MODELS),
+    bounds=st.sampled_from(BOUNDS + (WIDE_BOUNDS,)),
+    exponent=st.floats(-12.0, 12.0),
+    with_endmembers=st.booleans(),
+)
+def test_any_magnitude_keeps_each_models_scaling_law_psi_bounds_and_kkt(seed, n_materials, model, bounds, exponent,
+                                                                       with_endmembers):
+    """The cube times k in [1e-12, 1e12], alone or with the endmembers, against the serial reference at k = 1.
+
+    Scaling both leaves every model's z = psi * a unchanged.  Scaling the
+    cube alone scales z by k under plain NNLS, and under the ELMM models for
+    a pixel whose sum(z) stays strictly inside psi_bounds at both scales;
+    sum-constrained lmm has no law there.  The laws are checked on BOUNDS,
+    where the serial reference holds; WIDE_BOUNDS, whose re-solves sit 30
+    orders below the fit, only on the checks that follow.  Every result keeps
+    psi inside psi_bounds and meets its KKT conditions relative to max|S'x|
+    (max|S'Sz| for a zero pixel).
+    """
+    name, sum_to_one = model
+    lo, hi = bounds
+    k = 10.0 ** exponent
+    S, X = problem(seed, n_materials)
+    S_k = k * S if with_endmembers else S
+    result = unmix_cube(cube_of(k * X), S_k, SolverConfig(model=name, sum_to_one=sum_to_one, psi_bounds=bounds))
+    if name != "lmm":
+        assert np.all((result.scales >= lo) & (result.scales <= hi))
+    for n in range(X.shape[1]):
+        z = result.scales[:, n] * result.abundances[:, n]
+        if bounds != WIDE_BOUNDS:
+            a_ref, psi_ref, degenerate_ref = reference(S, X[:, n], name, sum_to_one, bounds)
+            law = scaling_law(psi_ref * a_ref, k, model, bounds, with_endmembers)
+            if law is not None:
+                assert result.degenerate[n] == degenerate_ref
+                np.testing.assert_allclose(z, law, rtol=0.0, atol=1e-9 * np.max(np.abs(law)))
+        violation, stationarity = relative_kkt(S_k, k * X[:, n], z, model, bounds)
+        assert violation >= -1e-8 and stationarity <= 1e-8
+
+
+def test_kkt_residual_stays_at_rounding_on_ill_conditioned_endmembers():
+    # two nearly equal endmembers: cond(S) ~ 3e3, so cond(G) ~ 1e7 (an inverse alone leaves ~1e-9 here)
+    rng = np.random.default_rng(1)
+    S = rng.uniform(0.05, 1.0, (100, 6))
+    S[:, 1] = S[:, 0] + rng.uniform(-1.0, 1.0, 100) * 1e-3
+    X = S @ (rng.dirichlet(np.full(6, 0.5), 200).T * rng.uniform(0.5, 1.5, 200)) + rng.normal(0.0, 0.002, (100, 200))
+    for model in MODELS:
+        name, sum_to_one = model
+        result = unmix_cube(cube_of(X), S, SolverConfig(model=name, sum_to_one=sum_to_one))
+        for n in range(X.shape[1]):
+            z = result.scales[:, n] * result.abundances[:, n]
+            violation, stationarity = relative_kkt(S, X[:, n], z, model, SolverConfig().psi_bounds)
+            assert violation >= -1e-10 and stationarity <= 1e-12, (model, n)
 
 
 def serial_failures(S, X, sum_to_one):
