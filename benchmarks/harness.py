@@ -127,6 +127,9 @@ def summary(times: list[float]) -> dict[str, float]:
 def compare(cases: Iterable[Case]) -> list[dict]:
     """Record entries of every case, parent then change, and one printed line per case.
 
+    The printed diff is the worst max_rel over the case's outputs, so outputs of any magnitude read
+    alike; file bytes, which have max_abs alone, count with it.  Records keep both numbers.
+
     A case whose params hold "calls" makes that many calls per timed call; its times are per one of them.
     """
     entries = []
@@ -160,7 +163,7 @@ def compare(cases: Iterable[Case]) -> list[dict]:
                       diff_vs_parent=diffs)
         if diffs is None:
             change["diff_note"] = "not comparable: the two trees draw different random numbers"
-        worst = "n/c" if diffs is None else f"{max(gap for d in diffs.values() for gap in d.values()):.1e}"
+        worst = "n/c" if diffs is None else f"{max(d.get('max_rel', d['max_abs']) for d in diffs.values()):.1e}"
         entries += [parent, change]
         print(f"{case.key:40s} parent {parent['median_s']:9.5f} s  change {change['median_s']:9.5f} s"
               f"  change/parent {ratio:5.3f} (paired {paired:5.3f})  faster in {faster:2d}/{ROUNDS}  diff {worst}",

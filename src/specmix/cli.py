@@ -23,10 +23,10 @@ from typing import Any
 import numpy as np
 
 from . import __version__, io
-from .core import Geometry, HyperCube, validate_cube
-from .hapke import MODELS, ModelDomainError, endmember_variant
+from .core import AlbedoSpectrum, Geometry, HyperCube, PhotometricParams, validate_cube
+from .hapke import MODELS, ModelDomainError
 from .metrics import AlbedoCurve, SweepGrid, angle_sweep
-from .simulate import SceneConfig, simulate_cube
+from .simulate import SceneConfig, reference_endmembers, simulate_cube
 from .solver import SOLVER_MODELS, SolverConfig, unmix_cube
 
 EXIT_OK = 0
@@ -78,6 +78,16 @@ def _load_json(path: str) -> dict[str, Any]:
     return raw
 
 
+def _read_materials(
+    args: argparse.Namespace, clock: _StageClock
+) -> tuple[list[AlbedoSpectrum], list[PhotometricParams | None]]:
+    """The --albedo spectra and one photometric parameter set per material: all None without --photometry."""
+    albedos = clock.timed("read", io.read_albedos, args.albedo)
+    if not args.photometry:
+        return albedos, [None] * len(albedos)
+    return albedos, clock.timed("read", io.read_photometry, args.photometry, [a.material for a in albedos])
+
+
 def _out_base(out: str) -> Path:
     path = io._output_path(out, "")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -90,17 +100,12 @@ def _out_base(out: str) -> Path:
 
 def _cmd_forward(args: argparse.Namespace) -> int:
     clock = _StageClock()
-    albedos = clock.timed("read", io.read_albedos, args.albedo)
-    photometry = clock.timed("read", io.read_photometry, args.photometry) if args.photometry else None
-    params_list = io.photometry_for(photometry, [a.material for a in albedos])
+    albedos, photometry = _read_materials(args, clock)
     geom = Geometry(theta0=args.theta0, theta=args.theta, phi=args.phi)
-    columns = [
-        clock.timed("model", endmember_variant, albedo, geom, args.model, params)
-        for albedo, params in zip(albedos, params_list)
-    ]
+    endmembers = clock.timed("model", reference_endmembers, albedos, photometry, args.model, geom)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    clock.timed("write", io.write_spectra_table, out, albedos[0].axis, [a.material for a in albedos], np.column_stack(columns))
+    clock.timed("write", io.write_endmembers, out, albedos[0].axis, endmembers)
     config = {"model": args.model, **geom.to_dict()}
     inputs = {"albedo": args.albedo, "photometry": args.photometry or ""}
     _manifest(_out_base(args.out), "forward", config, inputs, [out], None, clock)
@@ -119,10 +124,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.model is not None:
         raw["model"] = args.model
     config = SceneConfig.from_dict(raw)
-    albedos = clock.timed("read", io.read_albedos, args.albedo)
-    photometry = clock.timed("read", io.read_photometry, args.photometry) if args.photometry else None
-    params_list = io.photometry_for(photometry, [a.material for a in albedos])
-    cube = clock.timed("model", simulate_cube, albedos, params_list, config)
+    albedos, photometry = _read_materials(args, clock)
+    cube = clock.timed("model", simulate_cube, albedos, photometry, config)
     echo = config.to_dict()
     meta = {"model": config.model, "seed": config.seed, "snr_db": config.snr_db, "reference_geometry": echo["reference"]}
     sidecar = clock.timed("write", io.write_cube, args.out, cube, meta=meta)
@@ -177,18 +180,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if kind == "angle" and (overrides or args.photometry):
         raise ValueError(f"--{next(iter(overrides), 'photometry')} applies to curve sweeps only, not to an angle sweep")
     config = (SweepGrid if kind == "angle" else AlbedoCurve).from_dict({**raw, **overrides})
-    albedos = clock.timed("read", io.read_albedos, args.albedo)
+    albedos, photometry = _read_materials(args, clock)
     if kind == "curve":
-        photometry = clock.timed("read", io.read_photometry, args.photometry) if args.photometry else None
-        params_list = io.photometry_for(photometry, [a.material for a in albedos])
         # a curve reads no albedo, only its material's params: one curve per distinct params
-        curves = {params: clock.timed("model", config.reflectance, params) for params in dict.fromkeys(params_list)}
+        curves = {params: clock.timed("model", config.reflectance, params) for params in dict.fromkeys(photometry)}
     # the output directory is made only once the whole config has been read and checked
     out_base = _out_base(args.out)
     outputs = [out_base.parent / f"{out_base.name}.{albedo.material}.csv" for albedo in albedos]
     if kind == "curve":
         for params, rho in curves.items():
-            paths = [path for path, own in zip(outputs, params_list) if own == params]
+            paths = [path for path, own in zip(outputs, photometry) if own == params]
             clock.timed("write", io.write_curve_csv, paths, config.omega, rho)
     else:
         for path, albedo in zip(outputs, albedos):
@@ -248,6 +249,11 @@ A curve, {"kind": "curve"}, writes reflectance against albedo: "model"
 "omega" (a list of albedos in [0, 1] or {"start": 0, "stop": 1, "num": 101},
 those defaults).  A grid may have at most 10^6 cells, a curve 10^6 points."""
 
+_PHOTOMETRY_HELP = """photometric parameters JSON, which the full model needs: one
+{"b": ..., "c": ..., "B0": ..., "h": ...} object shared by every material, or
+a mapping from material name to such an object, which must name every
+material of --albedo (other names are ignored)."""
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -259,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     forward = sub.add_parser("forward", help="evaluate a reflectance model on albedo spectra")
     forward.add_argument("--albedo", required=True, help="spectra CSV of albedos")
-    forward.add_argument("--photometry", help="photometric parameters JSON (full model)")
+    forward.add_argument("--photometry", help=_PHOTOMETRY_HELP)
     forward.add_argument("--model", required=True, choices=MODELS)
     forward.add_argument("--theta0", type=float, required=True, help="incidence angle, degrees")
     forward.add_argument("--theta", type=float, required=True, help="emergence angle, degrees")
@@ -270,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="generate a synthetic scene cube")
     simulate.add_argument("--config", required=True, help="scene configuration JSON")
     simulate.add_argument("--albedo", required=True, help="spectra CSV of albedos")
-    simulate.add_argument("--photometry", help="photometric parameters JSON")
+    simulate.add_argument("--photometry", help=_PHOTOMETRY_HELP)
     simulate.add_argument("--model", choices=MODELS, help="override the configured model")
     simulate.add_argument("--seed", type=int, help="override the configured seed")
     simulate.add_argument("--out", required=True, help="output cube stem (writes .bin/.json)")
@@ -286,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="angle sweeps and albedo curves")
     sweep.add_argument("--albedo", required=True, help="spectra CSV of albedos")
-    sweep.add_argument("--photometry", help="photometric parameters JSON (full-model curves)")
+    sweep.add_argument("--photometry", help=_PHOTOMETRY_HELP + "  Curve sweeps only.")
     sweep.add_argument("--config", help=_SWEEP_CONFIG_HELP)
     sweep.add_argument("--model", choices=MODELS, help="curve model override")
     sweep.add_argument("--theta0", type=float, help="curve incidence angle override")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict, fields
 from itertools import product
 from pathlib import Path
 from typing import Any, Iterable
@@ -29,12 +30,10 @@ from .core import (
     PhotometricParams,
     UnmixResult,
     WavelengthAxis,
+    check_config_keys,
     config_value,
 )
 from .metrics import SweepResult
-
-_PARAM_KEYS = {"b", "c", "B0", "h"}
-
 
 # ---------------------------------------------------------------------------
 # spectra CSV: header "wavelength,<material>...", one row per band
@@ -104,49 +103,56 @@ def write_spectra_table(
 
 
 # ---------------------------------------------------------------------------
-# photometry JSON: one {"b","c","B0","h"} object, or a mapping per material
+# photometry JSON: one {"b","c","B0","h"} object shared by all materials, or
+# a mapping material -> such object (when every value is an object), read as
+# one PhotometricParams per material: a material the mapping lacks is refused
+# by name, other names are ignored
 # ---------------------------------------------------------------------------
 
-def read_photometry(path: str | Path):
-    """Read photometric parameters.
+def read_photometry(path: str | Path, materials: list[str]) -> list[PhotometricParams]:
+    """Read photometric parameters as one PhotometricParams per material, in materials' order.
 
-    Returns a single PhotometricParams when the file holds one parameter
-    object, else a dict keyed by material name.
+    An unknown, missing or non-numeric key is refused by its key path,
+    "<path>: <key>" or "<path>[<material>]: <key>".
     """
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    if set(raw) <= _PARAM_KEYS:
-        return _params_from(raw, str(path))
-    return {name: _params_from(entry, f"{path}[{name}]") for name, entry in raw.items()}
-
-
-def _params_from(raw: Any, where: str) -> PhotometricParams:
-    if not isinstance(raw, dict) or not _PARAM_KEYS <= set(raw):
-        raise ValueError(f"{where}: expected keys b, c, B0, h")
-    return PhotometricParams(**{key: config_value(raw[key], f"{where}: {key}") for key in ("b", "c", "B0", "h")})
-
-
-def write_photometry(path: str | Path, photometry) -> None:
-    if hasattr(photometry, "b"):
-        payload: Any = {"b": photometry.b, "c": photometry.c, "B0": photometry.B0, "h": photometry.h}
-    else:
-        payload = {
-            name: {"b": p.b, "c": p.c, "B0": p.B0, "h": p.h} for name, p in photometry.items()
-        }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def photometry_for(photometry, materials: list[str]):
-    """Resolve per-material parameter list from a single object or mapping."""
-    if photometry is None:
-        return [None] * len(materials)
-    if hasattr(photometry, "b"):
-        return [photometry] * len(materials)
-    missing = [name for name in materials if name not in photometry]
+    if not all(isinstance(entry, dict) for entry in raw.values()):
+        return [_params_from(raw, str(path))] * len(materials)
+    missing = [name for name in materials if name not in raw]
     if missing:
-        raise ValueError(f"photometry missing for materials: {', '.join(missing)}")
-    return [photometry[name] for name in materials]
+        raise ValueError(f"{path}: photometry missing for materials: {', '.join(missing)}")
+    return [_params_from(raw[name], f"{path}[{name}]") for name in materials]
+
+
+def _required_keys(raw: Any, keys: list[str], where: str) -> dict[str, Any]:
+    """raw, when it is a JSON object that holds every key; else refused by where and the missing keys."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object, got {raw!r}")
+    missing = [key for key in keys if key not in raw]
+    if missing:
+        raise ValueError(f"{where}: missing keys {', '.join(missing)}; expected keys {', '.join(keys)}")
+    return raw
+
+
+def _params_from(raw: dict[str, Any], where: str) -> PhotometricParams:
+    keys = [f.name for f in fields(PhotometricParams)]
+    _required_keys(check_config_keys(raw, keys, where), keys, where)
+    values = {key: config_value(raw[key], f"{where}: {key}") for key in keys}
+    try:
+        return PhotometricParams(**values)
+    except ValueError as exc:  # a value out of its range
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def write_photometry(path: str | Path, photometry: PhotometricParams | dict[str, PhotometricParams]) -> None:
+    """Write one shared parameter object, or a mapping material -> parameters."""
+    if isinstance(photometry, PhotometricParams):
+        payload: Any = asdict(photometry)
+    else:
+        payload = {name: asdict(params) for name, params in photometry.items()}
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +241,36 @@ def write_cube(stem: str | Path, cube: HyperCube, meta: dict[str, Any] | None = 
     return sidecar_path
 
 
+def _sidecar_count(value: Any, where: str) -> int:
+    count = config_value(value, where, "count")
+    if count < 0:
+        raise ValueError(f"{where} must be >= 0, got {count}")
+    return count
+
+
 def read_cube(sidecar_path: str | Path) -> HyperCube:
     """Read a cube from its JSON sidecar (paths resolved relative to it).
 
-    A sidecar whose "geometries" is not a file name (such as the per-pixel
+    Before any data is read, the sidecar is refused by key when a required
+    key is missing, a size is not a whole number >= 0, or dtype and order
+    differ from the "<f8" and "column-major" that write_cube writes.  A
+    sidecar whose "geometries" is not a file name (such as the per-pixel
     list of an older format) is rejected by that key, as are a .geom.bin of
     the wrong size (by its path) and an angle outside its range (by angle
     name and first bad pixel).
     """
     sidecar_path = Path(sidecar_path)
-    raw = json.loads(sidecar_path.read_text())
+    raw = _required_keys(json.loads(sidecar_path.read_text()),
+                         ["bands", "pixels", "dtype", "order", "data", "wavelengths_um"], str(sidecar_path))
+    for key, written in (("dtype", "<f8"), ("order", "column-major")):
+        if raw[key] != written:
+            raise ValueError(f"{sidecar_path}: {key} must be {written!r}, got {raw[key]!r}")
+    bands, pixels = (_sidecar_count(raw[key], f"{sidecar_path}: {key}") for key in ("bands", "pixels"))
+    gt_raw = raw.get("ground_truth")
+    if gt_raw is not None:
+        _required_keys(gt_raw, ["materials", "abundances"], f"{sidecar_path}: ground_truth")
+        n_materials = _sidecar_count(gt_raw["materials"], f"{sidecar_path}: ground_truth.materials")
     base = sidecar_path.parent
-    bands, pixels = int(raw["bands"]), int(raw["pixels"])
     values = _read_matrix(base / raw["data"], bands, pixels)
     axis = WavelengthAxis(np.asarray(raw["wavelengths_um"], dtype=float))
     geometries = None
@@ -264,9 +288,7 @@ def read_cube(sidecar_path: str | Path) -> HyperCube:
         except ValueError as exc:
             raise ValueError(f"{geom_path}: {exc}") from None
     ground_truth = None
-    gt_raw = raw.get("ground_truth")
     if gt_raw is not None:
-        n_materials = int(gt_raw["materials"])
         abundances = _read_matrix(base / gt_raw["abundances"], n_materials, pixels)
         scales = None
         if gt_raw.get("scales") is not None:

@@ -108,6 +108,10 @@ class SceneConfig:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.snr_db is not None and not self.snr_db > 0.0:
             raise ValueError(f"snr_db must be > 0 when given, got {self.snr_db}")
+        if self.snr_db == math.inf:  # no noise has one value, None, so the sidecar holds JSON null
+            object.__setattr__(self, "snr_db", None)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict[str, Any]:
         cfg: dict[str, Any] = {
@@ -116,7 +120,7 @@ class SceneConfig:
             "model": self.model,
             "abundances": {"kind": self.abundances.kind, "alpha": self.abundances.alpha},
             "reference": self.reference.to_dict(),
-            "snr_db": None if self.snr_db is None or math.isinf(self.snr_db) else self.snr_db,
+            "snr_db": self.snr_db,
             "seed": self.seed,
         }
         if self.geometry.kind == "fixed":
@@ -205,13 +209,11 @@ def sample_geometries(config: SceneConfig) -> Geometry:
 def reference_endmembers(
     albedos: list[AlbedoSpectrum],
     photometry: list[PhotometricParams | None],
-    config: SceneConfig,
+    model: str,
+    geometry: Geometry,
 ) -> EndmemberMatrix:
-    """Endmember matrix at the scene's reference geometry."""
-    columns = [
-        endmember_variant(albedo, config.reference, config.model, params)
-        for albedo, params in zip(albedos, photometry)
-    ]
+    """Endmember matrix of model at one geometry: each material's reflectance, one per column."""
+    columns = [endmember_variant(albedo, geometry, model, params) for albedo, params in zip(albedos, photometry)]
     return EndmemberMatrix(
         values=np.column_stack(columns),
         materials=tuple(albedo.material for albedo in albedos),
@@ -246,7 +248,7 @@ def simulate_cube(
 
     abundances = sample_abundances(config)
     geometries = sample_geometries(config)
-    endmembers = reference_endmembers(albedos, photometry, config)
+    endmembers = reference_endmembers(albedos, photometry, config.model, config.reference)
 
     # pixel geometry as (pixels, 1) columns, the layout of the variant blocks
     mu, mu0, g = geometries.mu[:, None], geometries.mu0[:, None], geometries.g[:, None]
@@ -271,7 +273,7 @@ def simulate_cube(
         geometries=geometries,
         ground_truth=GroundTruth(abundances=abundances, scales=scales, endmembers=endmembers),
     )
-    if config.snr_db is not None and not math.isinf(config.snr_db):
+    if config.snr_db is not None:
         cube = inject_noise(cube, config.snr_db, config.seed)
     return cube
 

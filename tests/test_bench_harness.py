@@ -68,3 +68,19 @@ def test_compare_records_a_tree_that_refuses_a_case_and_times_neither(harness, m
     parent, change = harness.compare([case])
     assert parent == {"case": "case/parent", "params": {"P": 4}, "error": "ValueError: abundance columns must sum to 1"}
     assert change == {"case": "case/change", "params": {"P": 4}, "error": None}
+
+
+def test_compare_prints_the_worst_relative_gap_and_records_both(harness, monkeypatch, capsys):
+    # radiance-scale outputs of order 1e11 that differ in their last bits, and an identical file
+    parent = np.array([1e11, 3e10])
+    change = parent * (1.0 + np.array([1e-15, 0.0]))
+    monkeypatch.setattr(harness, "ROUNDS", 2)
+    monkeypatch.setattr(harness, "time_round", lambda call: 1.0)
+    outputs = {"parent": {"values": parent, "csv": b"1.5,2\n"}, "change": {"values": change, "csv": b"1.5,2\n"}}
+    case = harness.Case("case", {}, {side: (lambda side=side: side) for side in harness.SIDES},
+                        lambda side: outputs[side])
+    _, entry = harness.compare([case])
+    printed = float(capsys.readouterr().out.split("diff ")[-1])
+    gap = entry["diff_vs_parent"]["values"]
+    assert printed == float(f"{gap['max_rel']:.1e}") and 1e-16 < printed < 2e-15
+    assert gap["max_abs"] > 1e-5 and entry["diff_vs_parent"]["csv"] == {"max_abs": 0.0}

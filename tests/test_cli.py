@@ -105,6 +105,20 @@ class TestForward:
         assert manifest["config"]["model"] == "relative"
         assert (tmp_path / manifest["outputs"][0]).exists()
 
+    @pytest.mark.parametrize("model", ["full", "lambertian", "relative", "linear"])
+    def test_csv_equals_the_simulated_reference_endmembers_byte_for_byte(self, tmp_path, albedo_csv, model):
+        shared, own = PhotometricParams(b=0.3, c=0.6, B0=0.5, h=0.1), PhotometricParams(b=0.2, c=0.7, B0=1.0, h=0.05)
+        photometry = tmp_path / "p.json"
+        io.write_photometry(photometry, {"basalt": shared, "palagonite": own, "tephra": shared})
+        reference = {"theta0": 30.0, "theta": 20.0, "phi": 40.0}
+        config = scene_config(tmp_path, model=model, n_pixels=4, reference=reference)
+        assert main(["simulate", "--config", str(config), "--albedo", str(albedo_csv), "--photometry", str(photometry),
+                     "--out", str(tmp_path / "cube")]) == 0
+        assert main(["forward", "--albedo", str(albedo_csv), "--photometry", str(photometry), "--model", model,
+                     *(arg for key, value in reference.items() for arg in (f"--{key}", str(value))),
+                     "--out", str(tmp_path / "refl.csv")]) == 0
+        assert (tmp_path / "refl.csv").read_bytes() == (tmp_path / "cube.endmembers.csv").read_bytes()
+
 
 class TestSimulateAndVerify:
     def test_pipeline_roundtrip_and_verify(self, tmp_path, albedo_csv):
@@ -182,6 +196,22 @@ class TestSimulateAndVerify:
         (tmp_path / "cube.bin").write_bytes(bytes(data))
         assert main(["verify", "--cube", str(tmp_path / "cube.json")]) == 1
         assert "negative reflectance" in capsys.readouterr().err
+
+    def test_infinite_snr_writes_null_and_verify_checks_the_identity(self, tmp_path, albedo_csv, capsys):
+        for name, snr in (("inf", float("inf")), ("null", None)):  # json writes inf as the non-standard Infinity
+            (tmp_path / name).mkdir()
+            config = scene_config(tmp_path / name, snr_db=snr)
+            assert main(["simulate", "--config", str(config), "--albedo", str(albedo_csv),
+                         "--out", str(tmp_path / name / "cube")]) == 0
+        sidecar = (tmp_path / "inf" / "cube.json").read_text()
+        assert '"snr_db": null' in sidecar and "Infinity" not in sidecar
+        for name in ("cube.json", "cube.bin", "cube.gt_a.bin", "cube.gt_psi.bin", "cube.endmembers.csv"):
+            assert (tmp_path / "inf" / name).read_bytes() == (tmp_path / "null" / name).read_bytes()
+        data = bytearray((tmp_path / "inf" / "cube.bin").read_bytes())
+        data[:8] = (np.frombuffer(data[:8], "<f8") + 0.01).tobytes()  # a positive reflectance, still plausible
+        (tmp_path / "inf" / "cube.bin").write_bytes(bytes(data))
+        assert main(["verify", "--cube", str(tmp_path / "inf" / "cube.json")]) == 1
+        assert "conservation violated" in capsys.readouterr().err
 
     def test_same_seed_is_byte_identical(self, tmp_path, albedo_csv):
         config = scene_config(tmp_path, n_pixels=20)

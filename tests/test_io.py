@@ -71,9 +71,9 @@ class TestPhotometryJson:
         params = PhotometricParams(b=0.23456789012345678, c=0.5, B0=1.75, h=0.061)
         path = tmp_path / "photo.json"
         io.write_photometry(path, params)
-        loaded = io.read_photometry(path)
-        assert isinstance(loaded, PhotometricParams)
-        assert loaded == params
+        loaded = io.read_photometry(path, ["basalt"])
+        assert isinstance(loaded[0], PhotometricParams)
+        assert loaded == [params]
 
     def test_mapping_round_trip(self, tmp_path):
         mapping = {
@@ -82,22 +82,25 @@ class TestPhotometryJson:
         }
         path = tmp_path / "photo.json"
         io.write_photometry(path, mapping)
-        loaded = io.read_photometry(path)
-        assert loaded == mapping
+        loaded = io.read_photometry(path, list(mapping))
+        assert loaded == list(mapping.values())
 
-    def test_photometry_for_resolves_mapping_and_single(self):
-        single = PhotometricParams(b=0.1, c=0.5, B0=0.0, h=0.1)
-        assert io.photometry_for(single, ["x", "y"]) == [single, single]
-        with pytest.raises(ValueError, match="missing"):
-            io.photometry_for({"x": single}, ["x", "y"])
-        assert io.photometry_for(None, ["x"]) == [None]
+    def test_resolves_one_params_per_material_in_material_order(self, tmp_path):
+        single, other = PhotometricParams(b=0.1, c=0.5, B0=0.0, h=0.1), PhotometricParams(b=0.3, c=0.6, B0=0.5, h=0.2)
+        path = tmp_path / "photo.json"
+        io.write_photometry(path, single)
+        assert io.read_photometry(path, ["x", "y"]) == [single, single]
+        io.write_photometry(path, {"x": single, "y": other, "unused": other})
+        assert io.read_photometry(path, ["y", "x"]) == [other, single]
+        with pytest.raises(ValueError, match=r"photo.json: photometry missing for materials: z$"):
+            io.read_photometry(path, ["x", "z"])
 
     @pytest.mark.parametrize(
         "key, value, message",
         [
             ("b", "0.1", r"photo.json\[basalt\]: b must be a number, got '0.1'"),
             ("h", None, r"photo.json\[basalt\]: h must be a number, got None"),
-            ("c", 10**400, "photometric parameter c must be finite"),
+            ("c", 10**400, r"photo.json\[basalt\]: photometric parameter c must be finite"),
         ],
         ids=["string", "null", "int-1e400"],
     )
@@ -105,13 +108,26 @@ class TestPhotometryJson:
         path = tmp_path / "photo.json"
         path.write_text(json.dumps({"basalt": {"b": 0.1, "c": 0.5, "B0": 0.0, "h": 0.1, key: value}}))
         with pytest.raises(ValueError, match=message):
-            io.read_photometry(path)
+            io.read_photometry(path, ["basalt"])
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "photo.json"
         path.write_text(json.dumps({"b": 0.1, "c": 0.5, "B0": 0.0}))
         with pytest.raises(ValueError, match="expected keys"):
-            io.read_photometry(path)
+            io.read_photometry(path, ["basalt"])
+
+    def test_unknown_key_of_a_material_named_with_its_material(self, tmp_path):
+        path = tmp_path / "photo.json"
+        path.write_text(json.dumps({"basalt": {"b": 0.1, "c": 0.5, "B0": 0.0, "h": 0.1, "hh": 0.2}}))
+        with pytest.raises(ValueError, match=r"unknown .*photo.json\[basalt\] keys: hh; expected b, c, B0, h"):
+            io.read_photometry(path, ["basalt"])
+
+    def test_typo_in_a_shared_object_names_the_key_not_a_material(self, tmp_path):
+        path = tmp_path / "photo.json"
+        path.write_text(json.dumps({"b": 0.1, "c": 0.5, "B0": 0.0, "hh": 0.1}))
+        with pytest.raises(ValueError, match=r"unknown .*photo.json keys: hh; expected b, c, B0, h") as raised:
+            io.read_photometry(path, ["basalt"])
+        assert "[" not in str(raised.value)
 
 
 class TestCubeFiles:
@@ -279,6 +295,31 @@ class TestCubeFiles:
         meta["pixels"] = 99
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="expected"):
+            io.read_cube(sidecar)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"dtype": "<f4"}, r"dtype must be '<f8', got '<f4'"),
+            ({"order": "row-major"}, r"order must be 'column-major', got 'row-major'"),
+            ({"bands": None}, r": missing keys bands; expected keys bands, pixels,"),
+            ({"bands": -1}, r": bands must be >= 0, got -1$"),
+            ({"pixels": -3}, r": pixels must be >= 0, got -3$"),
+            ({"pixels": 2.5}, r": pixels must be a whole number, got 2.5$"),
+            ({"ground_truth": {"abundances": "x.gt_a.bin"}}, r": ground_truth: missing keys materials; expected keys materials, abundances$"),
+            ({"ground_truth": {"materials": -2, "abundances": "x.gt_a.bin"}},
+             r": ground_truth.materials must be >= 0, got -2$"),
+        ],
+        ids=["dtype", "order", "no-bands", "negative-bands", "negative-pixels", "fractional-pixels",
+             "no-materials", "negative-materials"],
+    )
+    def test_unreadable_sidecar_refused_by_key_before_any_data_is_read(self, tmp_path, axis, edit, message):
+        sidecar = io.write_cube(tmp_path / "cube", self.make_cube(axis))
+        for path in io.cube_files(sidecar):
+            path.unlink()  # a read of any data file would fail by its path
+        meta = {**json.loads(sidecar.read_text()), **edit}
+        sidecar.write_text(json.dumps({key: value for key, value in meta.items() if value is not None}))
+        with pytest.raises(ValueError, match=message):
             io.read_cube(sidecar)
 
 

@@ -62,10 +62,17 @@ class TestSceneConfig:
             base_config(n_materials=0)
         with pytest.raises(ValueError, match="n_pixels must be at most 10000000"):
             base_config(n_pixels=10**7 + 1)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            SceneConfig.from_dict({**base_config().to_dict(), "seed": -1})
 
     def test_snr_must_be_positive(self):
         with pytest.raises(ValueError):
             base_config(snr_db=-3.0)
+
+    def test_infinite_snr_is_stored_as_no_noise(self):
+        config = base_config(snr_db=math.inf)
+        assert config == base_config(snr_db=None)
+        assert json.dumps(config.to_dict()) == json.dumps(base_config().to_dict())
 
     def test_dict_round_trip(self):
         config = base_config(snr_db=25.0, seed=123)
