@@ -71,13 +71,6 @@ def _manifest(
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _load_json(path: str) -> dict[str, Any]:
-    raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    return raw
-
-
 def _read_materials(
     args: argparse.Namespace, clock: _StageClock
 ) -> tuple[list[AlbedoSpectrum], list[PhotometricParams | None]]:
@@ -118,7 +111,7 @@ def _cmd_forward(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     clock = _StageClock()
-    raw = clock.timed("read", _load_json, args.config)
+    raw = clock.timed("read", io.read_json, args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.model is not None:
@@ -140,7 +133,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_unmix(args: argparse.Namespace) -> int:
     clock = _StageClock()
-    raw = clock.timed("read", _load_json, args.config) if args.config else {}
+    raw = clock.timed("read", io.read_json, args.config) if args.config else {}
     if args.model is not None:
         raw["model"] = args.model
     config = SolverConfig.from_dict(raw)
@@ -171,7 +164,7 @@ def _cmd_unmix(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     clock = _StageClock()
-    raw = clock.timed("read", _load_json, args.config) if args.config else {}
+    raw = clock.timed("read", io.read_json, args.config) if args.config else {}
     kind = raw.get("kind", "angle")
     if kind not in ("angle", "curve"):
         raise ValueError(f"unknown sweep kind {kind!r}; expected 'angle' or 'curve'")
@@ -219,7 +212,7 @@ def _conservation_violations(cube: HyperCube, meta: dict[str, Any]) -> list[str]
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cube = io.read_cube(args.cube)
-    meta = io.cube_meta(args.cube)
+    meta = io.read_json(args.cube)
     violations = validate_cube(cube)
     violations.extend(_conservation_violations(cube, meta))
     report = {"cube": str(args.cube), "violations": violations, "ok": not violations}
@@ -286,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     unmix.add_argument("--cube", required=True, help="cube sidecar JSON")
     unmix.add_argument("--endmembers", required=True, help="reference endmember CSV")
     unmix.add_argument("--config", help="solver configuration JSON")
-    unmix.add_argument("--model", choices=SOLVER_MODELS, help="override the configured model")
+    unmix.add_argument("--model", choices=SOLVER_MODELS, help="override the configured model; elmm-global and "
+                       "elmm-full solve one convex program, and elmm-full reports psi = 1 on absent materials")
     unmix.add_argument("--out", required=True, help="output stem (writes .a.bin/.psi.bin/.json)")
     unmix.set_defaults(func=_cmd_unmix)
 
@@ -316,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     except ModelDomainError as exc:
         print(f"model-domain error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (ValueError, OSError, KeyError, json.JSONDecodeError, RuntimeError) as exc:
+    except (ValueError, OSError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

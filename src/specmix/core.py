@@ -10,7 +10,7 @@ helpers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -81,14 +81,31 @@ def check_config_keys(raw: Any, known: Iterable[str], what: str) -> dict[str, An
     return raw
 
 
+def require_config_keys(raw: Any, keys: Sequence[str], where: str) -> dict[str, Any]:
+    """Return raw if it is a dict holding every key; else refused by where and the missing keys."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object, got {raw!r}")
+    missing = [key for key in keys if key not in raw]
+    if missing:
+        raise ValueError(f"{where}: missing keys {', '.join(missing)}; expected keys {', '.join(keys)}")
+    return raw
+
+
 def config_value(value: Any, where: str, kind: str = "number") -> Any:
     """A config value read as a JSON value of kind; else refused by its key path where.
 
     "number": an int or float, not a bool, as a float (an integer beyond
     float range as infinity, as json reads the literal 1e400); "count": a
-    whole number, as an int; "flag": true or false; "pair" and "numbers": a
-    list of two numbers or of any count, as a tuple of floats.
+    whole number >= 0, as an int; "flag": true or false; "pair" and
+    "numbers": a list of two numbers or of any count, as a tuple of floats;
+    "name": a non-empty string, such as a file name, refused by the JSON
+    type it got rather than its value (a per-pixel list can be long).
     """
+    if kind == "name":
+        if isinstance(value, str) and value:
+            return value
+        types = {bool: "boolean", int: "number", float: "number", str: "empty string", list: "array", dict: "object"}
+        raise ValueError(f"{where} must be a non-empty file name, got a JSON {types.get(type(value), 'null')}")
     if kind == "flag":
         if not isinstance(value, bool):
             raise ValueError(f"{where} must be true or false, got {value!r}")
@@ -102,6 +119,8 @@ def config_value(value: Any, where: str, kind: str = "number") -> Any:
     if kind == "count":
         if isinstance(value, float) and not value.is_integer():
             raise ValueError(f"{where} must be a whole number, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{where} must be >= 0, got {int(value)}")
         return int(value)
     try:
         return float(value)
@@ -185,10 +204,9 @@ class AlbedoSpectrum:
             raise ValueError(
                 f"albedo length {arr.size} does not match wavelength axis length {len(self.axis)}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("albedo values must be finite")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            bad = int(np.argmax((arr < 0.0) | (arr > 1.0)))
+        in_range = (arr >= 0.0) & (arr <= 1.0)  # False at NaN too
+        if not in_range.all():
+            bad = int(np.argmin(in_range))
             raise ValueError(
                 f"albedo of {self.material!r} outside [0, 1] at band {bad} (value={arr[bad]})"
             )
@@ -299,12 +317,13 @@ class EndmemberMatrix:
             raise ValueError(
                 f"{len(self.materials)} material labels for {arr.shape[1]} columns"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("endmember reflectances must be finite")
-        if np.any(arr < 0.0):
-            raise ValueError("endmember reflectances must be non-negative")
+        materials = tuple(str(m) for m in self.materials)
+        for what, bad in (("is not finite", ~np.isfinite(arr)), ("is negative", arr < 0.0)):  # NaN is not negative
+            if bad.any():
+                band, k = np.unravel_index(int(np.argmax(bad)), arr.shape)
+                raise ValueError(f"endmember {materials[k]!r} {what} at band {band} (value={arr[band, k]})")
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "materials", tuple(str(m) for m in self.materials))
+        object.__setattr__(self, "materials", materials)
 
     @property
     def n_bands(self) -> int:
@@ -320,7 +339,7 @@ class GroundTruth:
     """Generative parameters stored with a simulated cube.
 
     scales is None when the generating model admits no exact per-pixel
-    scaling factor (anything but the linear model).
+    scaling factor (anything but the linear model), else of abundances' shape.
     """
 
     abundances: FloatArray  # materials x pixels
@@ -328,9 +347,13 @@ class GroundTruth:
     endmembers: EndmemberMatrix | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "abundances", _readonly(self.abundances, ndim=2, name="abundances"))
+        A = _readonly(self.abundances, ndim=2, name="abundances")
+        object.__setattr__(self, "abundances", A)
         if self.scales is not None:
-            object.__setattr__(self, "scales", _readonly(self.scales, ndim=2, name="scales"))
+            psi = _readonly(self.scales, ndim=2, name="scales")
+            if psi.shape != A.shape:
+                raise ValueError(f"ground-truth scales shape {psi.shape} does not match abundances {A.shape}")
+            object.__setattr__(self, "scales", psi)
 
 
 @dataclass(frozen=True)
@@ -343,10 +366,11 @@ class HyperCube:
     A pixel-major float64 array over an immutable bytes object is kept as is,
     and any other array copied, by _readonly's rule.
     geometries, when known, holds every pixel's acquisition angles as one
-    Geometry of (N,) arrays (pixel n at index n).  Construction only enforces
-    structural shape; value-level invariants (non-negative reflectance,
-    geometry count) are reported by validate_cube so that malformed files
-    can be loaded and diagnosed.
+    Geometry of (N,) arrays (pixel n at index n).  Construction refuses a
+    wavelength axis, geometry count or ground-truth column count that does
+    not match the bands or pixels; the values themselves (finite,
+    non-negative) are checked by validate_cube, so a cube file holding bad
+    values can still be loaded and diagnosed.
     """
 
     values: FloatArray  # bands x pixels
@@ -356,6 +380,14 @@ class HyperCube:
 
     def __post_init__(self) -> None:
         arr = pixel_major(self.values, copy=not _views_bytes(self.values))
+        n_bands, n_pixels = arr.shape
+        if n_bands != len(self.axis):
+            raise ValueError(f"band count {n_bands} does not match wavelength axis length {len(self.axis)}")
+        if self.geometries is not None and len(self.geometries) != n_pixels:
+            raise ValueError(f"geometry count {len(self.geometries)} does not match pixel count {n_pixels}")
+        gt = self.ground_truth
+        if gt is not None and gt.abundances.shape[1] != n_pixels:
+            raise ValueError(f"ground-truth abundances have {gt.abundances.shape[1]} pixels, cube has {n_pixels}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -369,17 +401,14 @@ class HyperCube:
 
 
 def validate_cube(cube: HyperCube) -> list[str]:
-    """Check cube invariants and return human-readable violations.
+    """Check a cube's reflectance values and return human-readable violations.
 
-    Returns an empty list iff the cube is well formed.  Reports rather than
-    raises so a verification pass can list every problem at once.
+    The first non-finite value, else the first negative one, is reported by
+    band and pixel; HyperCube itself refuses a mismatched axis, geometry or
+    ground truth.
     """
     violations: list[str] = []
     X = cube.values
-    if X.shape[0] != len(cube.axis):
-        violations.append(
-            f"band count {X.shape[0]} does not match wavelength axis length {len(cube.axis)}"
-        )
     if not np.all(np.isfinite(X)):
         band, pixel = np.unravel_index(int(np.argmax(~np.isfinite(X))), X.shape)
         violations.append(f"non-finite reflectance at band {band}, pixel {pixel}")
@@ -388,20 +417,6 @@ def validate_cube(cube: HyperCube) -> list[str]:
         violations.append(
             f"negative reflectance at band {band}, pixel {pixel} (value={X[band, pixel]})"
         )
-    if cube.geometries is not None and len(cube.geometries) != cube.n_pixels:
-        violations.append(
-            f"geometry count {len(cube.geometries)} does not match pixel count {cube.n_pixels}"
-        )
-    gt = cube.ground_truth
-    if gt is not None:
-        if gt.abundances.shape[1] != cube.n_pixels:
-            violations.append(
-                f"ground-truth abundances have {gt.abundances.shape[1]} pixels, cube has {cube.n_pixels}"
-            )
-        if gt.scales is not None and gt.scales.shape != gt.abundances.shape:
-            violations.append(
-                f"ground-truth scales shape {gt.scales.shape} does not match abundances {gt.abundances.shape}"
-            )
     return violations
 
 

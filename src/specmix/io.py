@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from itertools import product
 from pathlib import Path
@@ -32,8 +33,28 @@ from .core import (
     WavelengthAxis,
     check_config_keys,
     config_value,
+    require_config_keys,
 )
 from .metrics import SweepResult
+
+
+def read_json(path: str | Path) -> dict[str, Any]:
+    """The JSON object in path, the one parser of every input JSON file; anything else is refused as "<path>: ..."."""
+    with _refused_as(path):  # json's decode error, or text that is not UTF-8
+        raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return raw
+
+
+@contextmanager
+def _refused_as(where: Any):
+    """Prefix where to the message of a ValueError raised in the block: a type's refusal, named by its input."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
 
 # ---------------------------------------------------------------------------
 # spectra CSV: header "wavelength,<material>...", one row per band
@@ -59,21 +80,28 @@ def _read_spectra_table(path: str | Path) -> tuple[WavelengthAxis, list[str], Fl
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            rows.append([float(cell) for cell in row])
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError:
+                for column, (name, cell) in enumerate(zip(["wavelength", *materials], row), start=1):
+                    with _refused_as(f"{path}:{lineno}: column {column} ({name})"):
+                        float(cell)  # refused again, now named by its place
     if not rows:
         raise ValueError(f"{path}: no spectral bands")
     table = np.asarray(rows, dtype=float)
-    axis = WavelengthAxis(table[:, 0])
+    with _refused_as(path):
+        axis = WavelengthAxis(table[:, 0])
     return axis, materials, table[:, 1:]
 
 
 def read_albedos(path: str | Path) -> list[AlbedoSpectrum]:
-    """Read a spectra CSV as albedo spectra (values validated to [0, 1])."""
+    """Read a spectra CSV as albedo spectra (values validated to [0, 1]); a refusal is named "<path>: ..."."""
     axis, materials, columns = _read_spectra_table(path)
-    return [
-        AlbedoSpectrum(material=name, omega=columns[:, k], axis=axis)
-        for k, name in enumerate(materials)
-    ]
+    with _refused_as(path):
+        return [
+            AlbedoSpectrum(material=name, omega=columns[:, k], axis=axis)
+            for k, name in enumerate(materials)
+        ]
 
 
 def write_albedos(path: str | Path, albedos: list[AlbedoSpectrum]) -> None:
@@ -83,9 +111,10 @@ def write_albedos(path: str | Path, albedos: list[AlbedoSpectrum]) -> None:
 
 
 def read_endmembers(path: str | Path) -> tuple[WavelengthAxis, EndmemberMatrix]:
-    """Read a spectra CSV as reference endmember reflectances (>= 0)."""
+    """Read a spectra CSV as reference endmember reflectances (>= 0); a refusal is named "<path>: ..."."""
     axis, materials, columns = _read_spectra_table(path)
-    return axis, EndmemberMatrix(values=columns, materials=tuple(materials))
+    with _refused_as(path):
+        return axis, EndmemberMatrix(values=columns, materials=tuple(materials))
 
 
 def write_endmembers(path: str | Path, axis: WavelengthAxis, endmembers: EndmemberMatrix) -> None:
@@ -115,9 +144,7 @@ def read_photometry(path: str | Path, materials: list[str]) -> list[PhotometricP
     An unknown, missing or non-numeric key is refused by its key path,
     "<path>: <key>" or "<path>[<material>]: <key>".
     """
-    raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: expected a JSON object")
+    raw = read_json(path)
     if not all(isinstance(entry, dict) for entry in raw.values()):
         return [_params_from(raw, str(path))] * len(materials)
     missing = [name for name in materials if name not in raw]
@@ -126,24 +153,12 @@ def read_photometry(path: str | Path, materials: list[str]) -> list[PhotometricP
     return [_params_from(raw[name], f"{path}[{name}]") for name in materials]
 
 
-def _required_keys(raw: Any, keys: list[str], where: str) -> dict[str, Any]:
-    """raw, when it is a JSON object that holds every key; else refused by where and the missing keys."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"{where} must be a JSON object, got {raw!r}")
-    missing = [key for key in keys if key not in raw]
-    if missing:
-        raise ValueError(f"{where}: missing keys {', '.join(missing)}; expected keys {', '.join(keys)}")
-    return raw
-
-
 def _params_from(raw: dict[str, Any], where: str) -> PhotometricParams:
     keys = [f.name for f in fields(PhotometricParams)]
-    _required_keys(check_config_keys(raw, keys, where), keys, where)
+    require_config_keys(check_config_keys(raw, keys, where), keys, where)
     values = {key: config_value(raw[key], f"{where}: {key}") for key in keys}
-    try:
+    with _refused_as(where):  # a value out of its range
         return PhotometricParams(**values)
-    except ValueError as exc:  # a value out of its range
-        raise ValueError(f"{where}: {exc}") from None
 
 
 def write_photometry(path: str | Path, photometry: PhotometricParams | dict[str, PhotometricParams]) -> None:
@@ -241,77 +256,81 @@ def write_cube(stem: str | Path, cube: HyperCube, meta: dict[str, Any] | None = 
     return sidecar_path
 
 
-def _sidecar_count(value: Any, where: str) -> int:
-    count = config_value(value, where, "count")
-    if count < 0:
-        raise ValueError(f"{where} must be >= 0, got {count}")
-    return count
+def _read_sidecar(sidecar_path: Path) -> tuple[dict[str, Any], dict[str, Path]]:
+    """A sidecar's JSON object and its file entries by key, in file order, resolved beside it.
+
+    data, and ground_truth.abundances when ground_truth is given, must name a
+    file; the other entries may be null or absent, and are then left out.
+    """
+    where = str(sidecar_path)
+    keys = ["bands", "pixels", "dtype", "order", "data", "wavelengths_um"]
+    raw = require_config_keys(read_json(sidecar_path), keys, where)
+    required = ["data"]
+    gt = raw.get("ground_truth")
+    if gt is not None:
+        require_config_keys(gt, ["materials", "abundances"], f"{where}: ground_truth")
+        required.append("ground_truth.abundances")
+    gt = gt or {}
+    names = {
+        "data": raw["data"],
+        "geometries": raw.get("geometries"),
+        "ground_truth.abundances": gt.get("abundances"),
+        "ground_truth.scales": gt.get("scales"),
+        "endmembers": raw.get("endmembers"),
+    }
+    return raw, {
+        key: sidecar_path.parent / config_value(name, f"{where}: {key}", "name")
+        for key, name in names.items()
+        if name is not None or key in required
+    }
 
 
 def read_cube(sidecar_path: str | Path) -> HyperCube:
     """Read a cube from its JSON sidecar (paths resolved relative to it).
 
-    Before any data is read, the sidecar is refused by key when a required
-    key is missing, a size is not a whole number >= 0, or dtype and order
-    differ from the "<f8" and "column-major" that write_cube writes.  A
-    sidecar whose "geometries" is not a file name (such as the per-pixel
-    list of an older format) is rejected by that key, as are a .geom.bin of
-    the wrong size (by its path) and an angle outside its range (by angle
-    name and first bad pixel).
+    The sidecar is read like a config, through config_value, and refused by
+    key before any data file is read: a missing key, a size that is not a
+    whole number >= 0, a dtype or order other than write_cube's, a file
+    entry that is not a file name (such as an older format's per-pixel
+    geometry list), wavelengths_um that are not bands numbers.  A data file
+    of the wrong size is refused by its path, a bad angle by its .geom.bin.
     """
-    sidecar_path = Path(sidecar_path)
-    raw = _required_keys(json.loads(sidecar_path.read_text()),
-                         ["bands", "pixels", "dtype", "order", "data", "wavelengths_um"], str(sidecar_path))
+    raw, files = _read_sidecar(Path(sidecar_path))
+    where = str(sidecar_path)
     for key, written in (("dtype", "<f8"), ("order", "column-major")):
         if raw[key] != written:
-            raise ValueError(f"{sidecar_path}: {key} must be {written!r}, got {raw[key]!r}")
-    bands, pixels = (_sidecar_count(raw[key], f"{sidecar_path}: {key}") for key in ("bands", "pixels"))
-    gt_raw = raw.get("ground_truth")
-    if gt_raw is not None:
-        _required_keys(gt_raw, ["materials", "abundances"], f"{sidecar_path}: ground_truth")
-        n_materials = _sidecar_count(gt_raw["materials"], f"{sidecar_path}: ground_truth.materials")
-    base = sidecar_path.parent
-    values = _read_matrix(base / raw["data"], bands, pixels)
-    axis = WavelengthAxis(np.asarray(raw["wavelengths_um"], dtype=float))
+            raise ValueError(f"{where}: {key} must be {written!r}, got {raw[key]!r}")
+    bands, pixels = (config_value(raw[key], f"{where}: {key}", "count") for key in ("bands", "pixels"))
+    wavelengths = config_value(raw["wavelengths_um"], f"{where}: wavelengths_um", "numbers")
+    if len(wavelengths) != bands:
+        raise ValueError(f"{where}: wavelengths_um holds {len(wavelengths)} values, bands is {bands}")
+    with _refused_as(f"{where}: wavelengths_um"):
+        axis = WavelengthAxis(np.array(wavelengths))
+    gt = raw.get("ground_truth")
+    if gt is not None:
+        n_materials = config_value(gt["materials"], f"{where}: ground_truth.materials", "count")
+    values = _read_matrix(files["data"], bands, pixels)
     geometries = None
-    geom_name = raw.get("geometries")
-    if geom_name is not None:
-        if not isinstance(geom_name, str):
-            raise ValueError(
-                f"{sidecar_path}: geometries must name a .geom.bin file, got a {type(geom_name).__name__} "
-                "(per-pixel geometry lists are an older cube format)"
-            )
-        geom_path = base / geom_name
-        angles = _read_matrix(geom_path, pixels, 3)
-        try:
+    if "geometries" in files:
+        angles = _read_matrix(files["geometries"], pixels, 3)
+        with _refused_as(files["geometries"]):
             geometries = Geometry(theta0=angles[:, 0], theta=angles[:, 1], phi=angles[:, 2])
-        except ValueError as exc:
-            raise ValueError(f"{geom_path}: {exc}") from None
     ground_truth = None
-    if gt_raw is not None:
-        abundances = _read_matrix(base / gt_raw["abundances"], n_materials, pixels)
+    if gt is not None:
+        abundances = _read_matrix(files["ground_truth.abundances"], n_materials, pixels)
         scales = None
-        if gt_raw.get("scales") is not None:
-            scales = _read_matrix(base / gt_raw["scales"], n_materials, pixels)
+        if "ground_truth.scales" in files:
+            scales = _read_matrix(files["ground_truth.scales"], n_materials, pixels)
         endmembers = None
-        if raw.get("endmembers") is not None:
-            _, endmembers = read_endmembers(base / raw["endmembers"])
+        if "endmembers" in files:
+            _, endmembers = read_endmembers(files["endmembers"])
         ground_truth = GroundTruth(abundances=abundances, scales=scales, endmembers=endmembers)
     return HyperCube(values=values, axis=axis, geometries=geometries, ground_truth=ground_truth)
 
 
-def cube_meta(sidecar_path: str | Path) -> dict[str, Any]:
-    """Raw sidecar dictionary (generation metadata such as model and seed)."""
-    return json.loads(Path(sidecar_path).read_text())
-
-
 def cube_files(sidecar_path: str | Path) -> list[Path]:
     """The files a cube sidecar names, in its order: data, geometries, ground truth, endmembers."""
-    sidecar_path = Path(sidecar_path)
-    raw = cube_meta(sidecar_path)
-    gt = raw.get("ground_truth") or {}
-    names = (raw["data"], raw.get("geometries"), gt.get("abundances"), gt.get("scales"), raw.get("endmembers"))
-    return [sidecar_path.parent / name for name in names if name is not None]
+    return list(_read_sidecar(Path(sidecar_path))[1].values())
 
 
 # ---------------------------------------------------------------------------

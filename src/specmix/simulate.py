@@ -28,6 +28,7 @@ from .core import (
     PhotometricParams,
     check_config_keys,
     config_value,
+    require_config_keys,
 )
 from .hapke import MODELS, endmember_variant, reflectance, scaling_factor
 
@@ -138,6 +139,7 @@ class SceneConfig:
     def from_dict(cls, raw: dict[str, Any]) -> "SceneConfig":
         """Inverse of to_dict; any unknown key, at any level, is rejected by name."""
         check_config_keys(raw, (f.name for f in fields(cls)), "scene config")
+        require_config_keys(raw, ("n_materials", "n_pixels"), "scene config")
         abund_raw = check_config_keys(
             raw.get("abundances", {"kind": "uniform"}), ("kind", "alpha"), "abundances"
         )

@@ -395,7 +395,7 @@ class TestUnmix:
         }[command]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "geometries must name a .geom.bin file, got a list" in err
+        assert err.startswith("error: ") and "geometries must be a non-empty file name, got a JSON array" in err
         assert "Traceback" not in err
         assert not list(tmp_path.glob("fit*")) and not (tmp_path / "report.json").exists()
 
@@ -746,6 +746,31 @@ class TestConfigValueTypes:
         assert main([*argv, "--out", str(tmp_path / "out" / "res")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("command", ["simulate", "unmix", "sweep", "verify"])
+    def test_malformed_json_exits_1_naming_the_file(self, tmp_path, albedo_csv, capsys, command):
+        assert main(["simulate", "--config", str(scene_config(tmp_path, n_pixels=4)), "--albedo", str(albedo_csv),
+                     "--out", str(tmp_path / "cube")]) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n_pixels": 4,}')
+        curve = tmp_path / "curve.json"
+        curve.write_text('{"kind": "curve"}')
+        out = str(tmp_path / "out" / "res")
+        argv = {
+            "simulate": ["simulate", "--config", str(bad), "--albedo", str(albedo_csv), "--out", out],
+            "unmix": ["unmix", "--config", str(bad), "--cube", str(tmp_path / "cube.json"),
+                      "--endmembers", str(tmp_path / "cube.endmembers.csv"), "--out", out],
+            "sweep": ["sweep", "--config", str(curve), "--photometry", str(bad), "--albedo", str(albedo_csv),
+                      "--out", out],
+            "verify": ["verify", "--cube", str(bad), "--out", out],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: Expecting property name") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
 

@@ -262,17 +262,20 @@ class TestValidateCube:
         assert len(report) == 1
         assert "band 2" in report[0] and "pixel 1" in report[0]
 
-    def test_geometry_count_mismatch_reported(self):
-        cube = self.make_cube(np.full((3, 4), 0.25), n_geoms=5)
-        report = validate_cube(cube)
-        assert len(report) == 1
-        assert "5" in report[0] and "4" in report[0]
+    def test_geometry_count_mismatch_refused_at_construction(self):
+        with pytest.raises(ValueError, match=r"^geometry count 5 does not match pixel count 4$"):
+            self.make_cube(np.full((3, 4), 0.25), n_geoms=5)
 
-    def test_ground_truth_shape_mismatch_reported(self):
-        axis = make_axis(3)
+    def test_ground_truth_shape_mismatch_refused_at_construction(self):
         gt = GroundTruth(abundances=np.full((2, 3), 0.5))
-        cube = HyperCube(values=np.full((3, 4), 0.2), axis=axis, ground_truth=gt)
-        assert any("ground-truth" in line for line in validate_cube(cube))
+        with pytest.raises(ValueError, match=r"^ground-truth abundances have 3 pixels, cube has 4$"):
+            HyperCube(values=np.full((3, 4), 0.2), axis=make_axis(3), ground_truth=gt)
+        with pytest.raises(ValueError, match=r"^ground-truth scales shape \(2, 4\) does not match abundances"):
+            GroundTruth(abundances=np.full((2, 3), 0.5), scales=np.ones((2, 4)))
+
+    def test_band_count_mismatch_refused_at_construction(self):
+        with pytest.raises(ValueError, match=r"^band count 3 does not match wavelength axis length 4$"):
+            HyperCube(values=np.full((3, 2), 0.2), axis=make_axis(4))
 
 
 class TestEndmemberMatrix:

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -64,6 +65,26 @@ class TestSpectraCsv:
         path.write_text("wavelength,m\n0.4,0.1,0.9\n")
         with pytest.raises(ValueError, match="columns"):
             io.read_albedos(path)
+
+    @pytest.mark.parametrize(
+        "reader, rows, message",
+        [
+            ("albedos", ["0.4,0.1,0.2", "0.5,abc,0.2"], ":3: column 2 (basalt): could not convert string to float: 'abc'"),
+            ("endmembers", ["0.4,0.1,", "0.5,0.1,0.2"], ":2: column 3 (tephra): could not convert string to float: ''"),
+            ("albedos", ["0.4,0.1,0.2", "x,0.1,0.2"], ":3: column 1 (wavelength): could not convert string to float: 'x'"),
+            ("albedos", ["0.4,0.1,0.2", "0.5,0.1,nan"], ": albedo of 'tephra' outside [0, 1] at band 1 (value=nan)"),
+            ("endmembers", ["0.4,0.1,0.2", "0.5,0.1,-0.3"], ": endmember 'tephra' is negative at band 1 (value=-0.3)"),
+            ("endmembers", ["0.4,0.1,0.2", "0.5,inf,0.2"], ": endmember 'basalt' is not finite at band 1 (value=inf)"),
+            ("endmembers", ["0.5,0.1,0.2", "0.4,0.1,0.2"], ": wavelengths must be strictly increasing"),
+        ],
+        ids=["text-cell", "empty-cell", "text-wavelength", "nan-albedo", "negative-endmember", "inf-endmember",
+             "decreasing-wavelengths"],
+    )
+    def test_bad_cell_refused_by_file_and_place(self, tmp_path, reader, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["wavelength,basalt,tephra", *rows, ""]))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}$"):
+            getattr(io, f"read_{reader}")(path)
 
 
 class TestPhotometryJson:
@@ -169,7 +190,7 @@ class TestCubeFiles:
         np.testing.assert_array_equal(
             loaded.ground_truth.endmembers.values, cube.ground_truth.endmembers.values
         )
-        assert io.cube_meta(sidecar)["model"] == "linear"
+        assert io.read_json(sidecar)["model"] == "linear"
 
     def test_round_trip_without_optionals(self, tmp_path, axis):
         cube = HyperCube(values=np.full((len(axis), 2), 0.1), axis=axis)
@@ -228,7 +249,7 @@ class TestCubeFiles:
             for t0, t, p in zip(cube.geometries.theta0, cube.geometries.theta, cube.geometries.phi)
         ]
         sidecar.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match="geometries must name a .geom.bin file, got a list"):
+        with pytest.raises(ValueError, match="geometries must be a non-empty file name, got a JSON array"):
             io.read_cube(sidecar)
 
     def test_geometries_file_of_wrong_size_named(self, tmp_path, axis):
@@ -309,9 +330,22 @@ class TestCubeFiles:
             ({"ground_truth": {"abundances": "x.gt_a.bin"}}, r": ground_truth: missing keys materials; expected keys materials, abundances$"),
             ({"ground_truth": {"materials": -2, "abundances": "x.gt_a.bin"}},
              r": ground_truth.materials must be >= 0, got -2$"),
+            ({"data": 5}, r": data must be a non-empty file name, got a JSON number$"),
+            ({"geometries": 5}, r": geometries must be a non-empty file name, got a JSON number$"),
+            ({"ground_truth": {"materials": 2, "abundances": 3, "scales": "cube.gt_psi.bin"}},
+             r": ground_truth.abundances must be a non-empty file name, got a JSON number$"),
+            ({"ground_truth": {"materials": -2, "abundances": None, "scales": "x.bin"}},
+             r": ground_truth.abundances must be a non-empty file name, got a JSON null$"),
+            ({"ground_truth": {"materials": 2, "abundances": "cube.gt_a.bin", "scales": 3}},
+             r": ground_truth.scales must be a non-empty file name, got a JSON number$"),
+            ({"endmembers": 7}, r": endmembers must be a non-empty file name, got a JSON number$"),
+            ({"wavelengths_um": "abc"}, r": wavelengths_um must be a list of numbers, got 'abc'$"),
+            ({"wavelengths_um": np.linspace(0.43, 2.41, 7).tolist()[:-1]},
+             r": wavelengths_um holds 6 values, bands is 7$"),
         ],
         ids=["dtype", "order", "no-bands", "negative-bands", "negative-pixels", "fractional-pixels",
-             "no-materials", "negative-materials"],
+             "no-materials", "negative-materials", "numeric-data", "numeric-geometries", "numeric-abundances",
+             "null-abundances", "numeric-scales", "numeric-endmembers", "text-wavelengths", "short-wavelengths"],
     )
     def test_unreadable_sidecar_refused_by_key_before_any_data_is_read(self, tmp_path, axis, edit, message):
         sidecar = io.write_cube(tmp_path / "cube", self.make_cube(axis))

@@ -64,6 +64,11 @@ class TestSceneConfig:
             base_config(n_pixels=10**7 + 1)
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             SceneConfig.from_dict({**base_config().to_dict(), "seed": -1})
+        for missing in ("n_materials", "n_pixels"):
+            raw = {key: value for key, value in base_config().to_dict().items() if key != missing}
+            message = rf"^scene config: missing keys {missing}; expected keys n_materials, n_pixels$"
+            with pytest.raises(ValueError, match=message):
+                SceneConfig.from_dict(raw)
 
     def test_snr_must_be_positive(self):
         with pytest.raises(ValueError):
