@@ -70,10 +70,18 @@ def _views_bytes(values) -> bool:
     return isinstance(base, bytes)
 
 
+def _json_type(value: Any) -> str:
+    """value described by its JSON type, and a list by its length: a refusal never echoes a value that can be long."""
+    if isinstance(value, (list, tuple)):
+        return f"a JSON array of {len(value)} entries"
+    types = {bool: "boolean", int: "number", float: "number", str: "string", dict: "object"}
+    return f"a JSON {types.get(type(value), 'null')}"
+
+
 def check_config_keys(raw: Any, known: Iterable[str], what: str) -> dict[str, Any]:
     """Return raw if it is a dict holding only known keys; else name what is wrong."""
     if not isinstance(raw, dict):
-        raise ValueError(f"{what} must be a JSON object, got {raw!r}")
+        raise ValueError(f"{what} must be a JSON object, got {_json_type(raw)}")
     known = list(known)
     unknown = sorted(set(raw) - set(known))
     if unknown:
@@ -84,7 +92,7 @@ def check_config_keys(raw: Any, known: Iterable[str], what: str) -> dict[str, An
 def require_config_keys(raw: Any, keys: Sequence[str], where: str) -> dict[str, Any]:
     """Return raw if it is a dict holding every key; else refused by where and the missing keys."""
     if not isinstance(raw, dict):
-        raise ValueError(f"{where} must be a JSON object, got {raw!r}")
+        raise ValueError(f"{where} must be a JSON object, got {_json_type(raw)}")
     missing = [key for key in keys if key not in raw]
     if missing:
         raise ValueError(f"{where}: missing keys {', '.join(missing)}; expected keys {', '.join(keys)}")
@@ -98,24 +106,26 @@ def config_value(value: Any, where: str, kind: str = "number") -> Any:
     float range as infinity, as json reads the literal 1e400); "count": a
     whole number >= 0, as an int; "flag": true or false; "pair" and
     "numbers": a list of two numbers or of any count, as a tuple of floats;
-    "name": a non-empty string, such as a file name, refused by the JSON
-    type it got rather than its value (a per-pixel list can be long).
+    "name": a non-empty string, such as a file name.  A value of the wrong
+    JSON type is refused by that type (_json_type), not echoed: a per-pixel
+    list can be long.
     """
     if kind == "name":
         if isinstance(value, str) and value:
             return value
-        types = {bool: "boolean", int: "number", float: "number", str: "empty string", list: "array", dict: "object"}
-        raise ValueError(f"{where} must be a non-empty file name, got a JSON {types.get(type(value), 'null')}")
+        got = "an empty string" if value == "" else _json_type(value)
+        raise ValueError(f"{where} must be a non-empty file name, got {got}")
     if kind == "flag":
         if not isinstance(value, bool):
-            raise ValueError(f"{where} must be true or false, got {value!r}")
+            raise ValueError(f"{where} must be true or false, got {_json_type(value)}")
         return value
     if kind in ("pair", "numbers"):
         if not isinstance(value, (list, tuple)) or (kind == "pair" and len(value) != 2):
-            raise ValueError(f"{where} must be a list of {'two ' if kind == 'pair' else ''}numbers, got {value!r}")
+            count = "two " if kind == "pair" else ""
+            raise ValueError(f"{where} must be a list of {count}numbers, got {_json_type(value)}")
         return tuple(config_value(item, f"{where}[{i}]") for i, item in enumerate(value))
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where} must be a number, got {value!r}")
+        raise ValueError(f"{where} must be a number, got {_json_type(value)}")
     if kind == "count":
         if isinstance(value, float) and not value.is_integer():
             raise ValueError(f"{where} must be a whole number, got {value!r}")
@@ -340,6 +350,8 @@ class GroundTruth:
 
     scales is None when the generating model admits no exact per-pixel
     scaling factor (anything but the linear model), else of abundances' shape.
+    endmembers, when given, holds one column per abundance row; HyperCube
+    checks its band count.
     """
 
     abundances: FloatArray  # materials x pixels
@@ -354,6 +366,9 @@ class GroundTruth:
             if psi.shape != A.shape:
                 raise ValueError(f"ground-truth scales shape {psi.shape} does not match abundances {A.shape}")
             object.__setattr__(self, "scales", psi)
+        if self.endmembers is not None and self.endmembers.n_materials != A.shape[0]:
+            raise ValueError(f"ground-truth endmembers have {self.endmembers.n_materials} materials, "
+                             f"abundances have {A.shape[0]}")
 
 
 @dataclass(frozen=True)
@@ -367,10 +382,11 @@ class HyperCube:
     and any other array copied, by _readonly's rule.
     geometries, when known, holds every pixel's acquisition angles as one
     Geometry of (N,) arrays (pixel n at index n).  Construction refuses a
-    wavelength axis, geometry count or ground-truth column count that does
-    not match the bands or pixels; the values themselves (finite,
-    non-negative) are checked by validate_cube, so a cube file holding bad
-    values can still be loaded and diagnosed.
+    wavelength axis, geometry count, ground-truth column count or
+    ground-truth endmember band count that does not match the bands or
+    pixels; the values themselves (finite, non-negative) are checked by
+    validate_cube, so a cube file holding bad values can still be loaded
+    and diagnosed.
     """
 
     values: FloatArray  # bands x pixels
@@ -388,6 +404,8 @@ class HyperCube:
         gt = self.ground_truth
         if gt is not None and gt.abundances.shape[1] != n_pixels:
             raise ValueError(f"ground-truth abundances have {gt.abundances.shape[1]} pixels, cube has {n_pixels}")
+        if gt is not None and gt.endmembers is not None and gt.endmembers.n_bands != n_bands:
+            raise ValueError(f"ground-truth endmembers have {gt.endmembers.n_bands} bands, cube has {n_bands}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -400,19 +418,21 @@ class HyperCube:
         return int(self.values.shape[1])
 
 
-def validate_cube(cube: HyperCube) -> list[str]:
+def validate_cube(cube: HyperCube, noisy: bool = False) -> list[str]:
     """Check a cube's reflectance values and return human-readable violations.
 
     The first non-finite value, else the first negative one, is reported by
     band and pixel; HyperCube itself refuses a mismatched axis, geometry or
-    ground truth.
+    ground truth.  A noisy cube (additive noise, such as a simulated scene
+    at finite SNR) can hold negative values, so only non-finite ones are
+    violations there.
     """
     violations: list[str] = []
     X = cube.values
     if not np.all(np.isfinite(X)):
         band, pixel = np.unravel_index(int(np.argmax(~np.isfinite(X))), X.shape)
         violations.append(f"non-finite reflectance at band {band}, pixel {pixel}")
-    elif np.any(X < 0.0):
+    elif not noisy and np.any(X < 0.0):
         band, pixel = np.unravel_index(int(np.argmax(X < 0.0)), X.shape)
         violations.append(
             f"negative reflectance at band {band}, pixel {pixel} (value={X[band, pixel]})"

@@ -324,8 +324,10 @@ def read_cube(sidecar_path: str | Path) -> HyperCube:
         endmembers = None
         if "endmembers" in files:
             _, endmembers = read_endmembers(files["endmembers"])
-        ground_truth = GroundTruth(abundances=abundances, scales=scales, endmembers=endmembers)
-    return HyperCube(values=values, axis=axis, geometries=geometries, ground_truth=ground_truth)
+    with _refused_as(where):  # ground-truth endmembers of another band or material count
+        if gt is not None:
+            ground_truth = GroundTruth(abundances=abundances, scales=scales, endmembers=endmembers)
+        return HyperCube(values=values, axis=axis, geometries=geometries, ground_truth=ground_truth)
 
 
 def cube_files(sidecar_path: str | Path) -> list[Path]:

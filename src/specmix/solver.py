@@ -32,9 +32,15 @@ refinement, so its KKT residual is a solve's, not rounding times cond(G).
 A pixel's arithmetic thus never depends on which other pixels share the
 batch.  Every product whose length varies with the
 batch is computed one pixel at a time (``_rowwise``).  A pixel's result is
-therefore bit-identical whether it is solved alone, in a chunk or in the
-whole cube.  Cubes are processed in chunks of ``_CHUNK_PIXELS`` so
-temporaries stay O(chunk * P^2).
+therefore bit-identical whether it is solved alone, in a batch of any size
+or in the whole cube.
+
+unmix_cube sizes its two kinds of work apart.  A lockstep batch pays a
+fixed cost per step, so it is as large as its biggest per-pixel temporary
+allows: the gathered (P+1) x (P+1) inverses, _BATCH_FLOATS floats per batch
+(2 MB, about 10^4 pixels at P = 4).  The residual, the one temporary of band
+length, is computed _RESIDUAL_ROWS pixels at a time, so peak memory stays a
+small fraction of the cube's.
 """
 
 from __future__ import annotations
@@ -56,8 +62,10 @@ _KKT_RTOL = 1e-10
 #: Coefficients at or below this fraction of the solution scale are zero.
 _DROP_TOL = 1e-12
 _MAX_OUTER_FACTOR = 30
-#: Pixels per lockstep batch in unmix_cube.
-_CHUNK_PIXELS = 1024
+#: Floats of the gathered (P+1) x (P+1) inverses, the largest per-pixel temporary, in one lockstep batch.
+_BATCH_FLOATS = 2**18
+#: Pixels per block of the (pixels x bands) residual in unmix_cube.
+_RESIDUAL_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -334,11 +342,14 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     psi = sum(z); elmm-full reports 1 on absent materials.  A non-finite
     cube value is rejected before any solve, naming its band and pixel.
 
-    Pixels are solved in lockstep batches of _CHUNK_PIXELS, with no loop
-    over pixels; every output of a pixel is bit-identical to unmixing that
-    pixel alone, or in any other batch.  A batch's rows are views of the
-    pixel-major cube values; a cube given as a plain (bands, pixels) array
-    is brought to that layout once per call, by core.pixel_major.
+    Pixels are solved in lockstep batches of _BATCH_FLOATS // (P+1)^2
+    pixels, which bounds the gathered inverses, with no loop over pixels;
+    the reconstruction residual is then formed _RESIDUAL_ROWS pixels at a
+    time, which bounds the one (pixels x bands) temporary.  Every output of
+    a pixel is bit-identical to unmixing that pixel alone, or in any other
+    batch.  A batch's rows are views of the pixel-major cube values; a cube
+    given as a plain (bands, pixels) array is brought to that layout once
+    per call, by core.pixel_major.
     """
     X = cube.values if isinstance(cube, HyperCube) else pixel_major(cube, copy=False)
     S = _endmember_array(S0)
@@ -358,15 +369,18 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     psi = np.empty((n_materials, n_pixels))
     degenerate = np.empty(n_pixels, dtype=bool)
     residual_rmse = np.empty(n_pixels)
-    for start in range(0, n_pixels, _CHUNK_PIXELS):
-        chunk = slice(start, start + _CHUNK_PIXELS)
-        rows = X[:, chunk].T  # one pixel per row: a C-contiguous view of the pixel-major cube
-        a, scales, degenerate[chunk] = _unmix_rows(config, G, _rowwise(rows, S_cols))
-        A[:, chunk], psi[:, chunk] = a.T, scales.T
-        residual = _rowwise(scales * a, S_rows)
-        residual -= rows
+    batch = max(1, _BATCH_FLOATS // (n_materials + 1) ** 2)
+    for start in range(0, n_pixels, batch):
+        px = slice(start, start + batch)
+        # one pixel per row: X[:, px].T is a C-contiguous view of the pixel-major cube
+        a, scales, degenerate[px] = _unmix_rows(config, G, _rowwise(X[:, px].T, S_cols))
+        A[:, px], psi[:, px] = a.T, scales.T
+    for start in range(0, n_pixels, _RESIDUAL_ROWS):
+        px = slice(start, start + _RESIDUAL_ROWS)
+        residual = _rowwise((psi[:, px] * A[:, px]).T, S_rows)
+        residual -= X[:, px].T
         residual *= residual
-        residual_rmse[chunk] = np.sqrt(np.mean(residual, axis=1))
+        residual_rmse[px] = np.sqrt(np.mean(residual, axis=1))
     return UnmixResult(
         abundances=A,
         scales=psi,

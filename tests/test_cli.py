@@ -197,6 +197,47 @@ class TestSimulateAndVerify:
         assert main(["verify", "--cube", str(tmp_path / "cube.json")]) == 1
         assert "negative reflectance" in capsys.readouterr().err
 
+    def test_noisy_cube_passes_verify_unless_a_value_is_not_finite(self, tmp_path, capsys):
+        # the installed-package smoke albedos at 20 dB up to grazing angles: noise makes some reflectances negative
+        albedo_csv = tmp_path / "albedos.csv"
+        albedo_csv.write_text("wavelength,basalt,palagonite,tephra\n0.45,0.12,0.31,0.55\n0.65,0.15,0.36,0.61\n"
+                              "0.85,0.19,0.42,0.66\n1.25,0.22,0.47,0.70\n1.65,0.26,0.50,0.73\n2.2,0.30,0.52,0.75\n")
+        grazing = {"kind": "uniform", "theta0_range": [0.0, 89.0], "theta_range": [0.0, 89.0]}
+        config = scene_config(tmp_path, n_pixels=1000, snr_db=20, geometry=grazing)
+        assert main(["simulate", "--config", str(config), "--albedo", str(albedo_csv),
+                     "--out", str(tmp_path / "cube")]) == 0
+        assert np.any(io.read_cube(tmp_path / "cube.json").values < 0.0)
+        assert main(["verify", "--cube", str(tmp_path / "cube.json")]) == 0
+        data = bytearray((tmp_path / "cube.bin").read_bytes())
+        data[8:16] = np.array([np.nan]).tobytes()
+        (tmp_path / "cube.bin").write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["verify", "--cube", str(tmp_path / "cube.json")]) == 1
+        assert capsys.readouterr().err == "violation: non-finite reflectance at band 1, pixel 0\n"
+
+    def test_endmembers_of_another_band_count_exit_1_naming_the_sidecar(self, tmp_path, albedo_csv, capsys):
+        main(["simulate", "--config", str(scene_config(tmp_path, n_pixels=6)), "--albedo", str(albedo_csv),
+              "--out", str(tmp_path / "cube")])
+        axis, full = io.read_endmembers(tmp_path / "cube.endmembers.csv")
+        io.write_spectra_table(tmp_path / "cube.endmembers.csv", WavelengthAxis(axis.values[:2]),
+                               list(full.materials), full.values[:2])
+        assert main(["verify", "--cube", str(tmp_path / "cube.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'cube.json'}: ground-truth endmembers have 2 bands, cube has 16\n")
+
+    def test_per_pixel_list_in_the_sidecar_exits_1_with_a_short_message(self, tmp_path, albedo_csv, capsys,
+                                                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        main(["simulate", "--config", str(scene_config(tmp_path, n_pixels=6)), "--albedo", str(albedo_csv),
+              "--out", "cube"])
+        meta = json.loads(Path("cube.json").read_text())
+        meta["ground_truth"] = [0.5] * 100_000
+        Path("cube.json").write_text(json.dumps(meta))
+        assert main(["verify", "--cube", "cube.json"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: cube.json: ground_truth must be a JSON object, got a JSON array of 100000 entries\n"
+        assert len(err) < 200
+
     def test_infinite_snr_writes_null_and_verify_checks_the_identity(self, tmp_path, albedo_csv, capsys):
         for name, snr in (("inf", float("inf")), ("null", None)):  # json writes inf as the non-standard Infinity
             (tmp_path / name).mkdir()

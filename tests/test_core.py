@@ -10,6 +10,8 @@ from specmix.core import (
     PhotometricParams,
     UnmixResult,
     WavelengthAxis,
+    check_config_keys,
+    config_value,
     cos_deg,
     phase_angle_deg,
     pixel_major,
@@ -19,6 +21,23 @@ from specmix.core import (
 
 def make_axis(n=3):
     return WavelengthAxis(np.linspace(0.4, 2.5, n))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: config_value([0.5, 1.0, 2.0], "psi_bounds", "pair"),
+     "psi_bounds must be a list of two numbers, got a JSON array of 3 entries"),
+    (lambda: config_value({"start": 0.4}, "wavelengths_um", "numbers"),
+     "wavelengths_um must be a list of numbers, got a JSON object"),
+    (lambda: config_value("true", "sum_to_one", "flag"), "sum_to_one must be true or false, got a JSON string"),
+    (lambda: config_value([1.0] * 100_000, "alpha"), "alpha must be a number, got a JSON array of 100000 entries"),
+    (lambda: config_value("", "data", "name"), "data must be a non-empty file name, got an empty string"),
+    (lambda: check_config_keys([1.0] * 100_000, ["kind"], "geometry"),
+     "geometry must be a JSON object, got a JSON array of 100000 entries"),
+])
+def test_value_of_the_wrong_json_type_is_described_not_echoed(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestWavelengthAxis:
@@ -128,8 +147,8 @@ class TestGeometry:
         assert Geometry.from_dict({"theta": 20.5}) == Geometry(theta0=0.0, theta=20.5, phi=0.0)
 
     @pytest.mark.parametrize("raw, where, message", [
-        ({"theta": "5"}, "reference", "reference.theta must be a number, got '5'"),
-        ({"theta": "5"}, "", "theta must be a number, got '5'"),
+        ({"theta": "5"}, "reference", "reference.theta must be a number, got a JSON string"),
+        ({"theta": "5"}, "", "theta must be a number, got a JSON string"),
         ({"psi": 1.0}, "reference", "unknown reference keys: psi; expected theta0, theta, phi"),
         ([30.0], "geometry.angles", "geometry.angles must be a JSON object"),
         ({"phi": 200.0}, "reference", "phi must be in [0, 180] degrees, got 200.0"),
@@ -272,6 +291,12 @@ class TestValidateCube:
             HyperCube(values=np.full((3, 4), 0.2), axis=make_axis(3), ground_truth=gt)
         with pytest.raises(ValueError, match=r"^ground-truth scales shape \(2, 4\) does not match abundances"):
             GroundTruth(abundances=np.full((2, 3), 0.5), scales=np.ones((2, 4)))
+        three = EndmemberMatrix(values=np.full((3, 3), 0.5), materials=("a", "b", "c"))
+        with pytest.raises(ValueError, match=r"^ground-truth endmembers have 3 materials, abundances have 2$"):
+            GroundTruth(abundances=np.full((2, 4), 0.5), endmembers=three)
+        gt = GroundTruth(abundances=np.full((3, 4), 1 / 3), endmembers=three)
+        with pytest.raises(ValueError, match=r"^ground-truth endmembers have 3 bands, cube has 5$"):
+            HyperCube(values=np.full((5, 4), 0.2), axis=make_axis(5), ground_truth=gt)
 
     def test_band_count_mismatch_refused_at_construction(self):
         with pytest.raises(ValueError, match=r"^band count 3 does not match wavelength axis length 4$"):

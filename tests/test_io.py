@@ -119,8 +119,8 @@ class TestPhotometryJson:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("b", "0.1", r"photo.json\[basalt\]: b must be a number, got '0.1'"),
-            ("h", None, r"photo.json\[basalt\]: h must be a number, got None"),
+            ("b", "0.1", r"photo.json\[basalt\]: b must be a number, got a JSON string"),
+            ("h", None, r"photo.json\[basalt\]: h must be a number, got a JSON null"),
             ("c", 10**400, r"photo.json\[basalt\]: photometric parameter c must be finite"),
         ],
         ids=["string", "null", "int-1e400"],
@@ -199,6 +199,18 @@ class TestCubeFiles:
         assert loaded.geometries is None
         assert loaded.ground_truth is None
         np.testing.assert_array_equal(loaded.values, cube.values)
+
+    @pytest.mark.parametrize("bands, materials, message", [
+        (2, 2, "ground-truth endmembers have 2 bands, cube has 7"),
+        (None, 3, "ground-truth endmembers have 3 materials, abundances have 2"),
+    ])
+    def test_endmembers_of_another_size_refused_naming_the_sidecar(self, tmp_path, axis, bands, materials, message):
+        sidecar = io.write_cube(tmp_path / "cube", self.make_cube(axis))
+        short = WavelengthAxis(axis.values[:bands])
+        io.write_spectra_table(tmp_path / "cube.endmembers.csv", short, list("abc"[:materials]),
+                               np.full((len(short), materials), 0.5))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(sidecar))}: {message}$"):
+            io.read_cube(sidecar)
 
     def test_column_major_layout_on_disk(self, tmp_path, axis):
         cube = self.make_cube(axis, with_gt=False)
@@ -339,13 +351,16 @@ class TestCubeFiles:
             ({"ground_truth": {"materials": 2, "abundances": "cube.gt_a.bin", "scales": 3}},
              r": ground_truth.scales must be a non-empty file name, got a JSON number$"),
             ({"endmembers": 7}, r": endmembers must be a non-empty file name, got a JSON number$"),
-            ({"wavelengths_um": "abc"}, r": wavelengths_um must be a list of numbers, got 'abc'$"),
+            ({"wavelengths_um": "abc"}, r": wavelengths_um must be a list of numbers, got a JSON string$"),
             ({"wavelengths_um": np.linspace(0.43, 2.41, 7).tolist()[:-1]},
              r": wavelengths_um holds 6 values, bands is 7$"),
+            ({"ground_truth": [0.5] * 100_000},
+             r": ground_truth must be a JSON object, got a JSON array of 100000 entries$"),
         ],
         ids=["dtype", "order", "no-bands", "negative-bands", "negative-pixels", "fractional-pixels",
              "no-materials", "negative-materials", "numeric-data", "numeric-geometries", "numeric-abundances",
-             "null-abundances", "numeric-scales", "numeric-endmembers", "text-wavelengths", "short-wavelengths"],
+             "null-abundances", "numeric-scales", "numeric-endmembers", "text-wavelengths", "short-wavelengths",
+             "listed-ground-truth"],
     )
     def test_unreadable_sidecar_refused_by_key_before_any_data_is_read(self, tmp_path, axis, edit, message):
         sidecar = io.write_cube(tmp_path / "cube", self.make_cube(axis))

@@ -1,5 +1,7 @@
 """The lockstep solver against the serial reference, and its batch invariance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -126,8 +128,26 @@ def test_bit_identical_across_batches(model, monkeypatch):
     edges = (0, 5, 6, 20, 37)
     chunks = [unmix_cube(cube_of(X[:, lo:hi]), S, config) for lo, hi in zip(edges, edges[1:])]
     assert_identical(whole, chunks)
-    monkeypatch.setattr(solver, "_CHUNK_PIXELS", 7)
+    # 7-pixel lockstep batches (P = 5) over 3-pixel residual blocks: a batch spans several blocks
+    monkeypatch.setattr(solver, "_BATCH_FLOATS", 7 * (5 + 1) ** 2)
+    monkeypatch.setattr(solver, "_RESIDUAL_ROWS", 3)
     assert_identical(whole, [unmix_cube(cube_of(X), S, config)])
+
+
+def test_unmix_cube_peak_memory_is_a_fraction_of_the_cube():
+    # the lockstep batch at P = 4 holds over 10^4 pixels; only the 1024-row residual blocks are band-length
+    rng = np.random.default_rng(17)
+    n_bands, n_materials, n_pixels = 200, 4, 20_000
+    S = rng.uniform(0.05, 1.0, (n_bands, n_materials))
+    X = S @ rng.dirichlet(np.ones(n_materials), n_pixels).T + rng.normal(0.0, 0.01, (n_bands, n_pixels))
+    cube = cube_of(X)
+    tracemalloc.start()
+    try:
+        unmix_cube(cube, S, SolverConfig(model="elmm-full"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.4 * cube.values.nbytes
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m[0]}-{m[1]}")
