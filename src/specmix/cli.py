@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__, io
-from .core import AlbedoSpectrum, Geometry, HyperCube, PhotometricParams, validate_cube
+from .core import AlbedoSpectrum, Geometry, HyperCube, PhotometricParams, json_name, validate_cube
 from .hapke import MODELS, ModelDomainError
 from .metrics import AlbedoCurve, SweepGrid, angle_sweep
 from .simulate import SceneConfig, reference_endmembers, simulate_cube
@@ -167,7 +167,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     raw = clock.timed("read", io.read_json, args.config) if args.config else {}
     kind = raw.get("kind", "angle")
     if kind not in ("angle", "curve"):
-        raise ValueError(f"unknown sweep kind {kind!r}; expected 'angle' or 'curve'")
+        raise ValueError(f"unknown sweep kind {json_name(kind)}; expected 'angle' or 'curve'")
     flags = {flag: getattr(args, flag) for flag in ("model", "theta0", "theta", "phi")}
     overrides = {flag: value for flag, value in flags.items() if value is not None}
     if kind == "angle" and (overrides or args.photometry):

@@ -78,6 +78,11 @@ def _json_type(value: Any) -> str:
     return f"a JSON {types.get(type(value), 'null')}"
 
 
+def json_name(value: Any) -> str:
+    """A refused name as a message shows it: a string of at most 40 characters by its repr, else by _json_type."""
+    return repr(value) if isinstance(value, str) and len(value) <= 40 else _json_type(value)
+
+
 def check_config_keys(raw: Any, known: Iterable[str], what: str) -> dict[str, Any]:
     """Return raw if it is a dict holding only known keys; else name what is wrong."""
     if not isinstance(raw, dict):

@@ -33,6 +33,7 @@ from .core import (
     WavelengthAxis,
     check_config_keys,
     config_value,
+    json_name,
     require_config_keys,
 )
 from .metrics import SweepResult
@@ -299,7 +300,7 @@ def read_cube(sidecar_path: str | Path) -> HyperCube:
     where = str(sidecar_path)
     for key, written in (("dtype", "<f8"), ("order", "column-major")):
         if raw[key] != written:
-            raise ValueError(f"{where}: {key} must be {written!r}, got {raw[key]!r}")
+            raise ValueError(f"{where}: {key} must be {written!r}, got {json_name(raw[key])}")
     bands, pixels = (config_value(raw[key], f"{where}: {key}", "count") for key in ("bands", "pixels"))
     wavelengths = config_value(raw["wavelengths_um"], f"{where}: wavelengths_um", "numbers")
     if len(wavelengths) != bands:

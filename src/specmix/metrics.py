@@ -32,7 +32,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import _ANGLE_LIMITS, AlbedoSpectrum, FloatArray, Geometry, PhotometricParams, _readonly, check_config_keys, config_value, cos_deg
+from .core import _ANGLE_LIMITS, AlbedoSpectrum, FloatArray, Geometry, PhotometricParams, _readonly, check_config_keys, config_value, cos_deg, json_name
 from .hapke import MODELS, _check_omega, angle_divisor, cell_factor, defined_at, reflectance
 
 #: Models an angle sweep may pair: the ones fully determined by (mu, mu0).
@@ -102,7 +102,7 @@ _MAX_AXIS_ANGLES = 9001
 def _sweep_keys(raw: Any, kind: str, keys: tuple[str, ...]) -> None:
     check_config_keys(raw, ("kind", *keys), f"{kind} sweep config")
     if raw.get("kind", kind) != kind:
-        raise ValueError(f"a {kind} sweep config has kind {kind!r}, got {raw['kind']!r}")
+        raise ValueError(f"a {kind} sweep config has kind {kind!r}, got {json_name(raw['kind'])}")
 
 
 def _angle_axis(raw: dict[str, Any], key: str) -> tuple[int, Callable[[], np.ndarray]]:
@@ -145,8 +145,10 @@ class SweepGrid:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         pair = self.model_pair
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(m in SWEEP_MODELS for m in pair)):
-            raise ValueError(f"model pair {pair!r} not supported; expected two of {SWEEP_MODELS}")
+        two = isinstance(pair, (list, tuple)) and len(pair) == 2
+        if not (two and all(m in SWEEP_MODELS for m in pair)):
+            got = f"({', '.join(map(json_name, pair))})" if two else json_name(pair)
+            raise ValueError(f"model_pair {got} not supported; expected two of {SWEEP_MODELS}")
         object.__setattr__(self, "model_pair", (str(pair[0]), str(pair[1])))
 
     def to_dict(self) -> dict[str, Any]:
@@ -185,7 +187,7 @@ class AlbedoCurve:
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
+            raise ValueError(f"unknown model {json_name(self.model)}; expected one of {MODELS}")
         object.__setattr__(self, "omega", _check_omega(_readonly(self.omega, ndim=1, name="omega")))
 
     def reflectance(self, params: PhotometricParams | None = None) -> FloatArray:

@@ -28,6 +28,7 @@ from .core import (
     PhotometricParams,
     check_config_keys,
     config_value,
+    json_name,
     require_config_keys,
 )
 from .hapke import MODELS, endmember_variant, reflectance, scaling_factor
@@ -60,7 +61,7 @@ class AbundanceSampler:
 
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "dirichlet"):
-            raise ValueError(f"unknown abundance sampler kind {self.kind!r}")
+            raise ValueError(f"unknown abundance sampler kind {json_name(self.kind)}")
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"abundances.alpha must be finite and > 0, got {self.alpha}")
 
@@ -77,7 +78,7 @@ class GeometrySampler:
 
     def __post_init__(self) -> None:
         if self.kind not in ("fixed", "uniform"):
-            raise ValueError(f"unknown geometry sampler kind {self.kind!r}")
+            raise ValueError(f"unknown geometry sampler kind {json_name(self.kind)}")
         for name, hi in (("theta0_range", 90.0), ("theta_range", 90.0), ("phi_range", 180.0)):
             lo, up = getattr(self, name)
             if not (0.0 <= lo <= up <= hi):
@@ -106,7 +107,7 @@ class SceneConfig:
         if self.n_pixels > _MAX_PIXELS:
             raise ValueError(f"n_pixels must be at most {_MAX_PIXELS}, got {self.n_pixels}")
         if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
+            raise ValueError(f"unknown model {json_name(self.model)}; expected one of {MODELS}")
         if self.snr_db is not None and not self.snr_db > 0.0:
             raise ValueError(f"snr_db must be > 0 when given, got {self.snr_db}")
         if self.snr_db == math.inf:  # no noise has one value, None, so the sidecar holds JSON null

@@ -2,9 +2,12 @@
 
 Three models share one deterministic active-set core, ``_active_set``,
 run in Gram space so per-pixel work costs O(P^3) regardless of band count.
-It is the primal active set of Lawson & Hanson (1974): non-negative least
-squares, or with the equality row sum(z) = total the fully constrained
-least squares of Heinz & Chang (IEEE TGRS 2001).
+It is a primal active set for non-negative least squares (Lawson & Hanson
+1974), or with the equality row sum(z) = total for the fully constrained
+least squares of Heinz & Chang (IEEE TGRS 2001).  Both problems start
+alike: on the full support at a uniform interior point, from which ratio
+steps drop materials and the multiplier check adds back any that should
+enter.  A dense pixel thus finishes in one solve, not one per material.
 
 - "lmm": classic (fully) constrained least squares per pixel.
 - "elmm-global" (one scale per pixel) and "elmm-full" (per-material scales
@@ -16,7 +19,8 @@ least squares of Heinz & Chang (IEEE TGRS 2001).
   prior, such as the regularized ADMM of Drumetz et al. (IEEE TIP 2016),
   which would also need an image shape on HyperCube.
 
-A pixel is degenerate, under every model, when its non-negative fit is 0.
+A pixel is degenerate, under every model, when no entry of c = S'x passes
+the entering test at z = 0: its non-negative fit is 0.
 
 The core runs every pixel of a batch in lockstep: each step takes one
 action per unfinished pixel (pick an entering material, or solve its
@@ -51,7 +55,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import EndmemberMatrix, FloatArray, HyperCube, UnmixResult, check_config_keys, config_value, pixel_major
+from .core import EndmemberMatrix, FloatArray, HyperCube, UnmixResult, check_config_keys, config_value, json_name, pixel_major
 
 SOLVER_MODELS = ("lmm", "elmm-global", "elmm-full")
 
@@ -87,7 +91,7 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         if self.model not in SOLVER_MODELS:
-            raise ValueError(f"unknown solver model {self.model!r}; expected one of {SOLVER_MODELS}")
+            raise ValueError(f"unknown solver model {json_name(self.model)}; expected one of {SOLVER_MODELS}")
         lo, hi = self.psi_bounds
         if not (0.0 < lo <= 1.0 <= hi):
             raise ValueError(f"psi_bounds must satisfy 0 < low <= 1 <= high, got {self.psi_bounds}")
@@ -174,11 +178,13 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, total: FloatArr
     """min 0.5 z'Gz - c'z over z >= 0 for every row c of C, and sum(z) = total if given.
 
     scale holds max|c| per row, which the caller already has from its
-    column-wise reductions.  total holds one positive sum per row; only the
-    setup depends on it.  Without it the start is z = 0 and goes straight to
-    the multiplier check (Lawson-Hanson); with it the start is the uniform
-    point, and the systems carry the equality row as a border whose
-    multiplier the check subtracts.
+    column-wise reductions.  total holds one positive sum per row.  Every
+    pixel starts on the full support at the uniform point whose entries sum
+    to its level: total, or scale / max(diag G) without one.  Without a
+    total, a pixel that no material would enter at z = 0 (c = 0 among them)
+    has level 0 and starts at z = 0, in the multiplier check, so its fit
+    stays exactly 0.  With total the systems carry the equality row as a
+    border whose multiplier the check subtracts.
     Each pixel's free set is an integer support mask, bit k for material k
     (Python integers past 63 materials, so any P fits); a step solves its
     pixels from one inverse per distinct mask (``_solve_free``), at most
@@ -202,20 +208,22 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, total: FloatArr
         name = "non-negative least squares"
         K, rhs = G, C
         kkt_tol = _KKT_RTOL * scale
-        floor = drop_tol = (_DROP_TOL * scale / g_max)[:, None]
-        Z, mask = np.zeros((n, p)), np.zeros(n, dtype=bits.dtype)
-        checking, solving = np.arange(n), np.arange(0)
+        level = np.where(reduce(np.maximum, C.T) > kkt_tol, scale / g_max, 0.0)
     else:
         name = "sum-constrained least squares"
         K = np.ones((p + 1, p + 1))
         K[:p, :p], K[p, p] = G, 0.0
         rhs = np.column_stack([C, total])
+        level = total
         kkt_tol = _KKT_RTOL * np.maximum(scale, total * g_max)
-        drop_tol = (_DROP_TOL * total)[:, None]
-        floor = -drop_tol
-        Z, mask = np.repeat((total / p)[:, None], p, axis=1), np.full(n, (1 << p) - 1, dtype=bits.dtype)
-        checking, solving = np.arange(0), np.arange(n)
         lam = np.zeros(n)
+    drop_tol = (_DROP_TOL * level)[:, None]
+    floor = drop_tol if total is None else -drop_tol
+    # the uniform point on the full support; a pixel of level 0 starts at z = 0, in the multiplier check
+    Z = np.repeat((level / p)[:, None], p, axis=1)
+    starts = level > 0
+    mask = starts.astype(bits.dtype) * ((1 << p) - 1)
+    checking, solving = np.flatnonzero(~starts), np.flatnonzero(starts)
     outer = np.ones(n, dtype=int)
     inner = np.zeros(n, dtype=int)
     failed = np.zeros(n, dtype=bool)
@@ -239,7 +247,7 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, total: FloatArr
         Z[b] = np.where(f, step, 0.0)
         mask[b] = f @ bits
         emptied = mask[b] == 0
-        # multiplier check: the z = 0 start, finished solves and emptied supports
+        # multiplier check: pixels of level 0, finished solves and emptied supports
         m = np.concatenate([checking, s[done], b[emptied]])
 
         multipliers = _rowwise(Z[m], G) - C[m]
@@ -284,7 +292,8 @@ def _unmix_rows(config: SolverConfig, G: FloatArray, C: FloatArray):
     s = Z.sum(axis=1)
     bound = np.minimum(np.maximum(s, lo), hi)
     resolve = bound != s
-    Z[resolve] = _active_set(G, C[resolve], scale[resolve], bound[resolve])
+    if resolve.any():
+        Z[resolve] = _active_set(G, C[resolve], scale[resolve], bound[resolve])
     total = Z.sum(axis=1)  # >= lo > 0
     A = Z / total[:, None]
     # a sum-constrained solve meets its bound only to rounding

@@ -3,8 +3,13 @@
 _nnls_gram and _sum_constrained_gram are the one-pixel-at-a-time solvers
 specmix used before its solver ran all pixels in lockstep, kept unchanged,
 including their KKT tolerance floor of max(1, max|c|) and their absolute
-drop tolerance.  unmix_gram composes them per model as unmix_cube's
-per-pixel tail does; unmix_cube runs it one pixel at a time.
+drop tolerance, with two changes that give them the step and failure
+counts of the algorithm the lockstep core runs: _nnls_gram starts on the
+full support, as _sum_constrained_gram and the lockstep core do, where it
+once started at a = 0 (Lawson-Hanson); and _sum_constrained_gram fails when
+its solves since the last entering step pass the cap, where it once went on
+to the multiplier check.  unmix_gram composes them per model as
+unmix_cube's per-pixel tail does; unmix_cube runs it one pixel at a time.
 """
 
 import numpy as np
@@ -17,23 +22,21 @@ _MAX_OUTER_FACTOR = 30
 
 
 def _nnls_gram(G: FloatArray, c: FloatArray) -> FloatArray:
-    """min 0.5 a'Ga - c'a over a >= 0 (Lawson-Hanson on the Gram system).
+    """min 0.5 a'Ga - c'a over a >= 0 (primal active set on the Gram system).
 
-    Entering variable: most negative multiplier, lowest index on ties.
-    Exit guarantees every active multiplier >= -kkt_tol, kkt_tol scaled to the data.
+    Started, as the sum-constrained solve is, on the full support at the
+    uniform point max|c| / (max(diag G) * n) per entry, or at a = 0 when
+    no entry would enter there.  Entering variable: most negative
+    multiplier, lowest index on ties.  Exit guarantees every active
+    multiplier >= -kkt_tol, kkt_tol scaled to the data.
     """
     n = c.size
-    kkt_tol = _KKT_RTOL * max(1.0, float(np.max(np.abs(c))) if n else 1.0)
-    a = np.zeros(n)
-    free = np.zeros(n, dtype=bool)
+    scale = float(np.max(np.abs(c))) if n else 0.0
+    kkt_tol = _KKT_RTOL * max(1.0, scale)
+    a = np.full(n, scale / (float(np.max(np.diag(G))) * n) if n and np.max(c) > kkt_tol else 0.0)
+    free = a > 0.0
     for _ in range(_MAX_OUTER_FACTOR * n + 30):
-        w = c - G @ a  # negative gradient; actives want w <= kkt_tol
-        w[free] = -np.inf
-        j = int(np.argmax(w))
-        if w[j] <= kkt_tol:
-            return a
-        free[j] = True
-        for _ in range(_MAX_OUTER_FACTOR * n + 30):
+        for _ in range(_MAX_OUTER_FACTOR * n + 30 if free.any() else 0):
             idx = np.flatnonzero(free)
             target = np.linalg.solve(G[np.ix_(idx, idx)], c[idx])
             if np.all(target > _DROP_TOL):
@@ -43,16 +46,22 @@ def _nnls_gram(G: FloatArray, c: FloatArray) -> FloatArray:
             current = a[idx]
             sink = target <= _DROP_TOL
             steps = current[sink] / (current[sink] - target[sink])
-            alpha = float(np.min(steps))
+            alpha = min(1.0, float(np.min(steps)))
             a[idx] = current + alpha * (target - current)
             drop = idx[a[idx] <= _DROP_TOL]
             a[drop] = 0.0
             free[drop] = False
             if not free.any():
-                a = np.zeros(n)
                 break
         else:
-            raise RuntimeError("non-negative least squares inner loop did not converge")
+            if free.any():
+                raise RuntimeError("non-negative least squares inner loop did not converge")
+        w = c - G @ a  # negative gradient; actives want w <= kkt_tol
+        w[free] = -np.inf
+        j = int(np.argmax(w))
+        if w[j] <= kkt_tol:
+            return a
+        free[j] = True
     raise RuntimeError("non-negative least squares did not converge")
 
 
@@ -95,6 +104,8 @@ def _sum_constrained_gram(G: FloatArray, c: FloatArray, total: float) -> FloatAr
                 drop = np.delete(drop, int(np.argmax(a[drop])))
             a[drop] = 0.0
             free[drop] = False
+        else:
+            raise RuntimeError("sum-constrained least squares inner loop did not converge")
         active = ~free
         if not active.any():
             return a

@@ -789,6 +789,39 @@ class TestConfigValueTypes:
         assert err.startswith(f"error: {key} must") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, key",
+        [("unmix", "model"), ("simulate", "model"), ("simulate", "abundances"), ("simulate", "geometry"),
+         ("sweep", "kind"), ("sweep", "model_pair"), ("sweep", "curve"), ("verify", "dtype"), ("verify", "order")],
+    )
+    def test_name_of_the_wrong_json_type_is_described_not_echoed(self, tmp_path, albedo_csv, capsys, command, key):
+        long = [0] * 100_000
+        assert main(["simulate", "--config", str(scene_config(tmp_path, n_pixels=4)), "--albedo", str(albedo_csv),
+                     "--out", str(tmp_path / "cube")]) == 0
+        config = tmp_path / "config.json"
+        if command == "simulate":
+            config = scene_config(tmp_path, **{key: long if key == "model" else {"kind": long}})
+            argv = ["simulate", "--config", str(config), "--albedo", str(albedo_csv)]
+        elif command == "unmix":
+            config.write_text(json.dumps({"model": long}))
+            argv = ["unmix", "--config", str(config), "--cube", str(tmp_path / "cube.json"),
+                    "--endmembers", str(tmp_path / "cube.endmembers.csv")]
+        elif command == "sweep":
+            config.write_text(json.dumps({"kind": long} if key == "kind" else
+                                         {"kind": "angle", "model_pair": long} if key == "model_pair" else
+                                         {"kind": "curve", "model": long}))
+            argv = sweep_argv(albedo_csv, config, tmp_path / "out" / "res")[:-2]
+        else:
+            sidecar = tmp_path / "cube.json"
+            sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: long}))
+            argv = ["verify", "--cube", str(sidecar)]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "out" / "res")]) == 1
+        err = capsys.readouterr().err
+        assert len(err) < 300 and "a JSON array of 100000 entries" in err and "Traceback" not in err
+        assert ("kind" if key in ("abundances", "geometry") else "model" if key == "curve" else key) in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestMalformedJson:
     @pytest.mark.parametrize("command", ["simulate", "unmix", "sweep", "verify"])

@@ -3,7 +3,7 @@ import pytest
 
 from bruteforce import elmm_full_oracle_two_materials, fcls_oracle_two_materials, kkt_violation
 from specmix.core import AlbedoSpectrum, Geometry, HyperCube, WavelengthAxis
-from specmix.simulate import GeometrySampler, SceneConfig, simulate_cube
+from specmix.simulate import AbundanceSampler, GeometrySampler, SceneConfig, simulate_cube
 from specmix.solver import SolverConfig, fcls, unmix_cube
 
 
@@ -130,6 +130,14 @@ class TestGlobalScaling:
         assert fit.scales[0, 0] == pytest.approx(psi_true, abs=1e-6)
         np.testing.assert_allclose(fit.abundances[:, 0], a_true, atol=1e-6)
 
+    def test_noise_free_sparse_scene_keeps_every_present_material(self):
+        # a material present at 1e-9 is as much part of the optimum as one at 0.5: none may be dropped
+        cube = linear_scene(n_pixels=1000, seed=0, n_materials=8, abundances=AbundanceSampler(kind="dirichlet", alpha=0.3))
+        result = unmix_cube(cube, cube.ground_truth.endmembers, SolverConfig(model="elmm-global"))
+        truth = cube.ground_truth.abundances
+        assert np.all(result.abundances[truth > 1e-10] > 0.0)
+        assert float(np.max(np.abs(result.abundances - truth))) < 1e-10
+
     def test_scale_equivariance(self):
         rng = np.random.default_rng(10)
         S = random_endmembers(25, 3, rng)
@@ -164,24 +172,25 @@ class TestGlobalScaling:
         assert np.sum(fit.abundances[:, 0]) == pytest.approx(1.0, abs=1e-9)
 
 
-def linear_scene(n_pixels, seed, theta_hi=69.0, n_bands=30):
+def linear_scene(n_pixels, seed, theta_hi=69.0, n_bands=30, n_materials=3, abundances=AbundanceSampler()):
     rng = np.random.default_rng(seed)
     axis = WavelengthAxis(np.linspace(0.4, 2.5, n_bands))
     albedos = [
         AlbedoSpectrum(material=f"m{k}", omega=rng.uniform(0.1, 0.9, n_bands), axis=axis)
-        for k in range(3)
+        for k in range(n_materials)
     ]
     config = SceneConfig(
-        n_materials=3,
+        n_materials=n_materials,
         n_pixels=n_pixels,
         model="linear",
+        abundances=abundances,
         geometry=GeometrySampler(
             kind="uniform", theta0_range=(0.0, theta_hi), theta_range=(0.0, theta_hi)
         ),
         reference=Geometry(theta0=45.0, theta=45.0, phi=0.0),
         seed=seed,
     )
-    return simulate_cube(albedos, [None] * 3, config)
+    return simulate_cube(albedos, [None] * n_materials, config)
 
 
 class TestElmmFull:
@@ -318,6 +327,14 @@ class TestModelComparison:
         assert np.all(result.abundances >= 0.0)
         sums = result.abundances.sum(axis=0)
         assert not np.allclose(sums, 1.0, atol=1e-6)  # scaled data pulls sums off 1
+
+    def test_degenerate_pixel_has_a_non_negative_fit_of_exactly_zero(self):
+        # c = S'x = (-1, -0.5, 5e-11): its one positive entry is inside the entering test's tolerance at z = 0
+        rng = np.random.default_rng(1)
+        S = random_endmembers(20, 3, rng)
+        x = np.linalg.lstsq(S.T, np.array([-1.0, -0.5, 5e-11]), rcond=None)[0]
+        result = unmix_cube(x[:, None], S, SolverConfig(model="lmm", sum_to_one=False))
+        assert result.degenerate[0] and np.all(result.abundances == 0.0)
 
 
 class TestCubeInput:
