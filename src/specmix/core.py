@@ -21,6 +21,8 @@ FloatArray = NDArray[np.float64]
 SUM_TO_ONE_TOL = 1e-9
 #: Pixels per block of the band-major to pixel-major copy in pixel_major.
 _COPY_BLOCK_PIXELS = 256
+#: Smallest normal float64: a sum of squares below it has lost digits to underflow.
+_TINY = np.finfo(np.float64).tiny
 
 
 def _readonly(values, dtype=np.float64, ndim: int | None = None, name: str = "array") -> np.ndarray:
@@ -60,6 +62,42 @@ def pixel_major(values, copy: bool = True) -> FloatArray:
         block[...] = arr[:, px]
         out[:, px] = block
     return out
+
+
+def sum_of_squares(rows) -> tuple[FloatArray, FloatArray | float]:
+    """Sum of squares of each row (the last axis) as (s, scale): the row's sum is scale**2 * s.
+
+    s is one BLAS dot per row, np.matmul(r[..., None, :], r[..., :, None])
+    on rows of contiguous entries (a row of strided entries is copied first),
+    the bits of np.vecdot on any numpy from 1.23 on: a row's value does not
+    depend on the rows stacked with it, its offset in memory or the stride
+    of the view it came from.  Each row keeps scale 1 except one whose s is
+    0, subnormal or infinite while its largest |value| is finite and
+    nonzero: that row is summed again divided by that value, which becomes
+    its scale, so its s lies in [1, L] and no square under- or overflows.
+    An all-zero row keeps s = 0.  scale is the float 1.0 when every row has
+    scale 1 (the common case, free to multiply by), else an array like s.
+    """
+    r = np.asarray(rows, dtype=np.float64)
+    if r.strides[-1] != r.itemsize:
+        r = np.ascontiguousarray(r)
+    s = np.matmul(r[..., None, :], r[..., :, None])[..., 0, 0]
+    if not s.size or (_TINY <= s.min() and s.max() < np.inf):  # a NaN row fails this test too, and is kept as it is
+        return s, 1.0
+    scale = np.ones(s.shape)
+    flat, s_rows, scale_rows = r.reshape(-1, r.shape[-1]), s.reshape(-1), scale.reshape(-1)  # s and scale by view
+    lost = np.flatnonzero((s_rows < _TINY) | (s_rows == np.inf))
+    peak = np.max(np.abs(flat[lost]), axis=1, initial=0.0)
+    keep = (peak > 0.0) & (peak < np.inf)
+    lost, peak = lost[keep], peak[keep]
+    scaled = flat[lost] / peak[:, None]
+    s_rows[lost], scale_rows[lost] = np.matmul(scaled[:, None, :], scaled[:, :, None])[:, 0, 0], peak
+    return s, scale
+
+
+def root_mean_square(s, scale, n: int) -> FloatArray:
+    """Root mean square of rows of n entries from their sum_of_squares (s, scale): finite for any finite row."""
+    return scale * np.sqrt(s / n)
 
 
 def _views_bytes(values) -> bool:

@@ -8,7 +8,10 @@ kernel, reflectance(), whose arguments combine by numpy broadcasting: the
 caller picks the layout, so one call evaluates a spectrum, an albedo
 curve, a grid of angle cells or a whole block of pixels.  The kernel trusts
 its albedos and cosines; they are validated once, where they enter the
-program (AlbedoSpectrum, Geometry).
+program (AlbedoSpectrum, Geometry).  It writes every full-size intermediate
+into one of two buffers per call (out=), with the formulas' operations in
+their order, so a block of pixels costs two allocations, not one per
+operation, and the same bits.
 The three reduced forms share one split, shape / Q: the shape
 omega / (A(omega, mu) A(omega, mu0)) carries the albedo (angle_divisor), the
 factor Q(mu, mu0) the geometry alone (cell_factor).  Every model is
@@ -83,12 +86,22 @@ def opposition_effect(g, params: PhotometricParams):
     return params.B0 / (1.0 + np.tan(np.radians(g_arr) / 2.0) / params.h)
 
 
-def _h(mu, root):
-    return (1.0 + 2.0 * mu) / _chandrasekhar_divisor(mu, root)
+def _h(mu, root, out=None):
+    return np.divide(1.0 + 2.0 * mu, _chandrasekhar_divisor(mu, root, out), out=out)
 
 
-def _chandrasekhar_divisor(mu, root):
-    return 1.0 + 2.0 * mu * root
+def _chandrasekhar_divisor(mu, root, out=None):
+    return np.add(1.0, np.multiply(2.0 * mu, root, out=out), out=out)
+
+
+def _buffers(*operands) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Two arrays of the operands' broadcast shape, or no buffers (fresh scalars) when that shape is ().
+
+    A smaller intermediate written into one is broadcast to its shape: the same values, where the next
+    operation would broadcast it anyway.
+    """
+    shape = np.broadcast(*operands).shape
+    return (np.empty(shape), np.empty(shape)) if shape else (None, None)
 
 
 def _linear_gain(mu, mu0):
@@ -145,13 +158,21 @@ def reflectance(model: str, omega, mu, mu0, g=None, params: PhotometricParams | 
             f"{model} reflectance requires mu + mu0 > 0; "
             "theta0 = theta = 90 degrees (doubly grazing) is singular"
         )
+    if model == "linear":
+        return omega / cell_factor(model, mu, mu0)  # omega / (1 * 1): the linear divisors are 1
+    root = np.sqrt(1.0 - omega)
     if model != "full":
-        shape = omega / (angle_divisor(model, omega, mu) * angle_divisor(model, omega, mu0))
-        return shape / cell_factor(model, mu, mu0)
+        first, second = _buffers(omega, mu, mu0)
+        divisors = np.multiply(_chandrasekhar_divisor(mu, root, first), _chandrasekhar_divisor(mu0, root, second),
+                               out=first)
+        return np.divide(np.divide(omega, divisors, out=first), cell_factor(model, mu, mu0), out=first)
+    first, second = _buffers(omega, mu, mu0, g)
     surge = opposition_effect(g, params)
     p = phase_function(g, params)
-    root = np.sqrt(1.0 - omega)
-    return omega / (4.0 * (mu + mu0)) * ((1.0 + surge) * p + _h(mu, root) * _h(mu0, root) - 1.0)
+    # the bracket (1 + B) P + H(mu) H(mu0) - 1 in first, then omega / (4 (mu + mu0)) in second times it
+    h = np.multiply(_h(mu, root, first), _h(mu0, root, second), out=first)
+    bracket = np.subtract(np.add((1.0 + surge) * p, h, out=first), 1.0, out=first)
+    return np.multiply(np.divide(omega, 4.0 * (mu + mu0), out=second), bracket, out=first)
 
 
 def cell_factor(model: str, mu, mu0):

@@ -7,17 +7,23 @@ spectral angle and RMSE per grid cell.  Each model is split as shape / Q
 tabled per grid angle, Q tabled per cell.  The grid is swept one theta0 row
 at a time: row i is one (theta, bands) block of shapes against the single
 A(omega, mu0_i) row, divided once by the row's Q into the reflectances,
-every temporary in buffers allocated once per sweep.  RMSE is rmse of the
-reflectances, bit for bit those of hapke.reflectance.  SAM is
-spectral_angle of the shapes, free of Q: within 2 eps of that of the
-reflectances, and exactly 0 between lambertian and relative.  A cell where a
-model is undefined (the lambertian doubly grazing one) is computed with
-Q = NaN and then set to NaN.
+every temporary in buffers allocated once per sweep.  A row keeps two sums
+of squares per cell, both from one call of core.sum_of_squares (one BLAS
+dot per cell): of the reflectances' difference, and of the difference of
+the shapes' unit vectors (the linear shape's, the albedo's own, is computed
+once per sweep).  RMSE and SAM are formed from them over the whole grid
+after the sweep.  RMSE is rmse of the reflectances, bit for bit those of
+hapke.reflectance.  SAM is spectral_angle of the shapes, bit for bit: the
+identity |u' + v'|^2 = 4 - |u' - v'|^2 of unit vectors u', v' gives it up
+to 60 degrees, and a row with a wider cell also sums |u' + v'|^2.  Free of
+Q, it is within 2 eps of the angle of the reflectances, and exactly 0
+between lambertian and relative.  A cell where a model is undefined (the
+lambertian doubly grazing one) is computed with Q = NaN and then set to NaN.
 
 On a square grid (the same angles on both axes) the two A tables are one,
 a product or sum of two of its entries is the same in either order, and so
 shape[i, j] == shape[j, i] and Q[i, j] == Q[j, i] bit for bit: every row is
-computed on the columns j >= i only, and SAM and RMSE are mirrored to the
+computed on the columns j >= i only, and its sums are mirrored to the
 others.  No value depends on the row blocks or on the mirror.  The mirror
 is bit for bit, so io.write_sweep_csv formats each mirrored pair of cells
 once; it checks the bits itself and assumes no mirror.
@@ -32,34 +38,53 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import _ANGLE_LIMITS, AlbedoSpectrum, FloatArray, Geometry, PhotometricParams, _readonly, check_config_keys, config_value, cos_deg, json_name
+from .core import _ANGLE_LIMITS, AlbedoSpectrum, FloatArray, Geometry, PhotometricParams, _readonly, check_config_keys, config_value, cos_deg, json_name, root_mean_square, sum_of_squares
 from .hapke import MODELS, _check_omega, angle_divisor, cell_factor, defined_at, reflectance
 
 #: Models an angle sweep may pair: the ones fully determined by (mu, mu0).
 SWEEP_MODELS = ("lambertian", "relative", "linear")
+#: |u' - v'|^2 of two unit vectors up to which |u' + v'|^2 is taken as 4 - |u' - v'|^2 (angles up to 60
+#: degrees).  Past it that difference loses digits (all of them at pi), and the rounding of |u'| and |v'|
+#: costs the identity up to 1 eps more than summing |u' + v'|^2 directly, as spectral_angle then does.
+_ACROSS_SQ_MAX = 1.0
 
 
+@np.errstate(over="ignore")  # a sum of squares that overflows is summed again, scaled
 def spectral_angle(u, v):
     """Angle in radians between two spectra (or stacks of spectra).
 
     arccos(<u, v> / (|u| |v|)) in [0, pi]; invariant to positive rescaling
-    of either argument.  Reduction is over the last axis.  Evaluated in the
-    2 atan2 form, which stays fully accurate near 0 and pi where the
-    arccosine loses half its digits; identical spectra give exactly zero.
+    of either argument.  Reduction is over the last axis.  Evaluated from
+    the unit vectors u' = u / |u| and v' = v / |v| as 2 atan2(|u' - v'|,
+    |u' + v'|), which stays fully accurate near 0 and pi where the
+    arccosine loses half its digits; identical spectra, or one a power-of-two
+    multiple of the other, give exactly zero.  Up to 60 degrees
+    (|u' - v'|^2 <= 1) |u' + v'|^2 is taken as 4 - |u' - v'|^2, the identity
+    of two unit vectors; past it, where that difference loses digits, it is
+    summed directly.  Every sum of squares is one dot per row
+    (core.sum_of_squares), so spectra of any finite magnitude give the same
+    angle.
 
-    Raises ValueError on zero vectors or mismatched lengths.
+    Raises ValueError on zero or empty spectra or mismatched lengths.
     """
     u_arr, v_arr = _spectra(u, v)
-    return _angle(u_arr, v_arr, np.empty((3, *np.broadcast_shapes(u_arr.shape, v_arr.shape))))
+    shape = np.broadcast_shapes(u_arr.shape, v_arr.shape)
+    u_rows, v_rows = (_unit(np.broadcast_to(a, shape).reshape(-1, shape[-1])) for a in (u_arr, v_arr))
+    angle = _angle(sum_of_squares(u_rows - v_rows), sum_of_squares(u_rows + v_rows))
+    return angle.reshape(shape[:-1])[()]
 
 
+@np.errstate(over="ignore")  # a sum of squares that overflows is summed again, scaled
 def rmse(u, v):
     """Root mean squared difference between two equal-length spectra.
 
-    Reduction is over the last axis, so stacks of spectra broadcast.
+    Reduction is over the last axis, so stacks of spectra broadcast.  Its
+    sum of squares is core.sum_of_squares, which neither overflows nor
+    underflows for finite spectra.  Raises ValueError on empty spectra or
+    mismatched lengths.
     """
     u_arr, v_arr = _spectra(u, v)
-    return _rmse(u_arr, v_arr, np.empty(np.broadcast_shapes(u_arr.shape, v_arr.shape)))
+    return root_mean_square(*sum_of_squares(np.subtract(u_arr, v_arr)), u_arr.shape[-1])
 
 
 def _spectra(u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -67,28 +92,33 @@ def _spectra(u, v) -> tuple[np.ndarray, np.ndarray]:
     v_arr = np.asarray(v, dtype=float)
     if u_arr.shape[-1] != v_arr.shape[-1]:
         raise ValueError(f"spectra lengths differ: {u_arr.shape[-1]} vs {v_arr.shape[-1]}")
+    if u_arr.shape[-1] == 0:
+        raise ValueError("spectra are empty: there are no bands to compare")
     return u_arr, v_arr
 
 
-def _angle(u, v, work):
-    """spectral_angle of float arrays; its full-size temporaries go to work[0], work[1], work[2]."""
-    norm_u = np.sqrt(_sum_sq(u))[..., None]
-    norm_v = np.sqrt(_sum_sq(v))[..., None]
-    if np.any(norm_u == 0.0) or np.any(norm_v == 0.0):
+def _unit(rows, out=None):
+    """Each row of the 2-D rows divided by its norm, into out (which may be rows); a zero row is refused."""
+    s, scale = sum_of_squares(rows)
+    norm = np.sqrt(s)[:, None]
+    if isinstance(scale, float):  # every row has its plain sum: none is zero
+        return np.divide(rows, norm, out=out)
+    if not s.all():
         raise ValueError("spectral angle undefined for a zero spectrum")
-    scaled_u, scaled_v = np.multiply(u, norm_v, out=work[0]), np.multiply(v, norm_u, out=work[1])
-    across = np.sqrt(_sum_sq(np.subtract(scaled_u, scaled_v, out=work[2])))
-    along = np.sqrt(_sum_sq(np.add(scaled_u, scaled_v, out=scaled_u)))
-    return 2.0 * np.arctan2(across, along)
+    # a rescaled row is divided by its scale first (into a new array, as out may be rows): subnormal entries
+    # keep their digits; a row of scale 1 gets the bits of the plain division
+    return np.divide(rows / scale[:, None], norm, out=out)
 
 
-def _rmse(u, v, diff):
-    """rmse of float arrays; their difference goes to diff."""
-    return np.sqrt(_sum_sq(np.subtract(u, v, out=diff)) / u.shape[-1])
+def _angle(across, plus):
+    """Angle between unit rows u and v from the sum_of_squares (s, scale) of u - v and of u + v.
 
-
-def _sum_sq(rows):
-    return np.einsum("...i,...i->...", rows, rows)  # one pass over the last axis, no temporary
+    plus is read only where |u - v|^2 > _ACROSS_SQ_MAX; elsewhere |u + v| is sqrt(4 - |u - v|^2).
+    """
+    s, scale = across
+    across_sq = s * (scale * scale)
+    along = np.where(across_sq > _ACROSS_SQ_MAX, plus[1] * np.sqrt(plus[0]), np.sqrt(np.maximum(4.0 - across_sq, 0.0)))
+    return 2.0 * np.arctan2(scale * np.sqrt(s), along)
 
 
 #: Most cells an angle sweep grid, or points an albedo curve, may have: room
@@ -261,6 +291,7 @@ class SweepResult:
         return int(np.size(self.valid) - np.count_nonzero(self.valid))
 
 
+@np.errstate(over="ignore")  # a sum of squares that overflows is summed again, scaled
 def angle_sweep(albedo: AlbedoSpectrum, grid: SweepGrid) -> SweepResult:
     """Compare the grid's model pair on one albedo across all angle cells.
 
@@ -268,7 +299,7 @@ def angle_sweep(albedo: AlbedoSpectrum, grid: SweepGrid) -> SweepResult:
     built from the albedo and compared by spectral angle and RMSE.  Cells
     where either model is undefined are flagged and hold NaN.  The angle is
     that of the shape spectra.  The grid is swept one theta0 row at a time,
-    every temporary in one (5, theta, bands) buffer stack; on a square grid
+    every temporary in one (4, theta, bands) buffer stack; on a square grid
     row i is computed for theta >= theta0 (columns j >= i) and mirrored,
     which is exact (see the module docstring).
     """
@@ -283,20 +314,32 @@ def angle_sweep(albedo: AlbedoSpectrum, grid: SweepGrid) -> SweepResult:
     factors = {m: np.where(valid, cell_factor(m, mu[None, :], mu0[:, None]), np.nan)[..., None]
                for m in pair if m != "relative"}  # relative's Q is 1: its reflectance is its shape
     square = np.array_equal(mu0, mu)
-    sam, err = np.empty(valid.shape), np.empty(valid.shape)
-    work = np.empty((5, mu.size, omega.size))  # the two shapes, then the reflectances and the temporaries
+    # the linear shape's unit vector, the same in every cell, repeated to a row block: a difference of two
+    # blocks is several times faster than one that broadcasts a single row
+    omega_unit = np.repeat(_unit(omega[None, :]), mu.size, axis=0)
+    # per cell, the sum_of_squares (s, scale) of the reflectances' difference, the unit shapes' and their sum
+    sums = np.zeros((3, 2, *valid.shape))
+    work = np.empty((4, mu.size, omega.size))  # the two shapes, then the two differences
     for i in range(mu0.size):
         cols = slice(i if square else 0, None)
         row = work[:, :mu.size - cols.start]
         shapes = [omega if m == "linear" else _over_divisors(out, omega, tables[m][1][cols], tables[m][0][i])
                   for m, out in zip(pair, row)]
-        rhos = [shape if m == "relative" else np.divide(shape, factors[m][i, cols], out=out)
-                for m, shape, out in zip(pair, shapes, row[2:])]
-        err[i, cols] = _rmse(*rhos, row[4])
-        sam[i, cols] = _angle(*shapes, row[2:])
+        outs = iter(row[2:])  # a reflectance that is not its shape goes to row[2] first: the difference goes there in place
+        rhos = [shape if m == "relative" else np.divide(shape, factors[m][i, cols], out=next(outs))
+                for m, shape in zip(pair, shapes)]
+        np.subtract(*rhos, out=row[2])
+        units = [omega_unit[cols] if m == "linear" else _unit(shape, out=shape) for m, shape in zip(pair, shapes)]
+        np.subtract(*units, out=row[3])
+        s, scale = sum_of_squares(row[2:4])  # both differences in one call
+        sums[:2, 0, i, cols], sums[:2, 1, i, cols] = s, scale
+        if s[1].max() > _ACROSS_SQ_MAX:  # past 60 degrees (or a rescaled row): rare between model spectra
+            sums[2, 0, i, cols], sums[2, 1, i, cols] = sum_of_squares(np.add(*units))
     if square:
         lower = np.tril_indices(mu.size, -1)
-        sam[lower], err[lower] = sam.T[lower], err.T[lower]
+        sums[..., lower[0], lower[1]] = sums[..., lower[1], lower[0]]
+    err = root_mean_square(sums[0, 0], sums[0, 1], omega.size)
+    sam = _angle(sums[1], sums[2])
     sam[~valid] = np.nan  # err is NaN there already, through Q
     return SweepResult(grid=grid, sam=sam, rmse=err, valid=valid)
 

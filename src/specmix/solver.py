@@ -55,7 +55,8 @@ from typing import Any
 
 import numpy as np
 
-from .core import EndmemberMatrix, FloatArray, HyperCube, UnmixResult, check_config_keys, config_value, json_name, pixel_major
+from .core import (EndmemberMatrix, FloatArray, HyperCube, UnmixResult, check_config_keys, config_value, json_name, pixel_major,
+                   root_mean_square, sum_of_squares)
 
 SOLVER_MODELS = ("lmm", "elmm-global", "elmm-full")
 
@@ -354,7 +355,9 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     Pixels are solved in lockstep batches of _BATCH_FLOATS // (P+1)^2
     pixels, which bounds the gathered inverses, with no loop over pixels;
     the reconstruction residual is then formed _RESIDUAL_ROWS pixels at a
-    time, which bounds the one (pixels x bands) temporary.  Every output of
+    time, which bounds the one (pixels x bands) temporary.  A pixel's
+    residual_rmse is metrics.rmse of its reconstruction S0 (psi * a), one
+    vector-matrix product, and its spectrum, bit for bit.  Every output of
     a pixel is bit-identical to unmixing that pixel alone, or in any other
     batch.  A batch's rows are views of the pixel-major cube values; a cube
     given as a plain (bands, pixels) array is brought to that layout once
@@ -368,7 +371,7 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
         band, pixel = np.unravel_index(int(np.argmax(~np.isfinite(X))), X.shape)
         raise ValueError(f"non-finite cube value {X[band, pixel]} at band {band}, pixel {pixel}")
     _check_endmembers(S)
-    n_pixels = X.shape[1]
+    n_bands, n_pixels = X.shape
     n_materials = S.shape[1]
     G = S.T @ S
     # each product reads its right operand along contiguous memory: S by columns, S' by rows
@@ -384,12 +387,12 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
         # one pixel per row: X[:, px].T is a C-contiguous view of the pixel-major cube
         a, scales, degenerate[px] = _unmix_rows(config, G, _rowwise(X[:, px].T, S_cols))
         A[:, px], psi[:, px] = a.T, scales.T
-    for start in range(0, n_pixels, _RESIDUAL_ROWS):
-        px = slice(start, start + _RESIDUAL_ROWS)
-        residual = _rowwise((psi[:, px] * A[:, px]).T, S_rows)
-        residual -= X[:, px].T
-        residual *= residual
-        residual_rmse[px] = np.sqrt(np.mean(residual, axis=1))
+    with np.errstate(over="ignore"):  # a sum of squares that overflows is summed again, scaled
+        for start in range(0, n_pixels, _RESIDUAL_ROWS):
+            px = slice(start, start + _RESIDUAL_ROWS)
+            residual = _rowwise((psi[:, px] * A[:, px]).T, S_rows)
+            residual -= X[:, px].T
+            residual_rmse[px] = root_mean_square(*sum_of_squares(residual), n_bands)
     return UnmixResult(
         abundances=A,
         scales=psi,

@@ -153,6 +153,17 @@ class TestFullReflectance:
             assert reflectance("full", rng.uniform(0, 1), geom.mu, geom.mu0, geom.g, params) >= 0.0
 
 
+def expression_form(model, omega, mu, mu0, g, params):
+    """reflectance's formulas as plain numpy expressions, one fresh temporary per operation."""
+    if model == "full":
+        root = np.sqrt(1.0 - omega)
+        h_mu, h_mu0 = ((1.0 + 2.0 * m) / (1.0 + 2.0 * m * root) for m in (mu, mu0))
+        surge, p = opposition_effect(g, params), phase_function(g, params)
+        return omega / (4.0 * (mu + mu0)) * ((1.0 + surge) * p + h_mu * h_mu0 - 1.0)
+    shape = omega / (angle_divisor(model, omega, mu) * angle_divisor(model, omega, mu0))
+    return shape / cell_factor(model, mu, mu0)
+
+
 def numpy_phi(theta0, theta):
     # deterministic azimuth pattern for grid tests
     return float((theta0 * 1.7 + theta * 0.9) % 180.0)
@@ -383,6 +394,35 @@ class TestReflectanceKernel:
             assert np.max(np.abs(rho - expected)) <= 2.2e-16 * np.max(np.abs(expected))
         else:
             np.testing.assert_array_equal(rho, expected)
+
+    @staticmethod
+    def layouts():
+        """(name, omega, mu, mu0, g) of the argument layouts callers use."""
+        rng = np.random.default_rng(16)
+        omega = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 30)])
+        mu, mu0, g = rng.uniform(0.01, 1.0, 40), rng.uniform(0.01, 1.0, 40), rng.uniform(0.0, 150.0, 40)
+        angles = rng.uniform(0.01, 1.0, 6)
+        return [
+            ("pixels x bands", omega, mu[:, None], mu0[:, None], g[:, None]),
+            ("float geometry x bands", omega, float(mu[0]), float(mu0[0]), float(g[0])),
+            ("numpy scalar geometry x bands", omega, mu[1], mu0[1], g[1]),
+            ("angle grid x bands", omega, angles[None, :, None], angles[:, None, None], rng.uniform(0.0, 150.0, (6, 6, 1))),
+            ("bands x pixels", omega[:, None], mu, mu0, g),
+            ("albedo only", omega, 0.5, 0.25, 30.0),
+            ("phase angles only the full model reads", omega, 0.5, 0.25, rng.uniform(0.0, 150.0, (3, 1))),
+            ("all floats", 0.4, 0.5, 0.25, 30.0),
+            ("numpy scalars", np.float64(0.4), mu[2], mu0[2], g[2]),
+            ("0-d arrays", np.array(0.4), np.array(0.5), np.array(0.25), np.array(30.0)),
+        ]
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_buffered_kernel_matches_the_expression_form_bit_for_bit(self, model):
+        for name, omega, mu, mu0, g in self.layouts():
+            rho = reflectance(model, omega, mu, mu0, g, self.PARAMS)
+            expected = expression_form(model, omega, mu, mu0, g, self.PARAMS)
+            assert type(rho) is type(expected), name
+            assert np.shape(rho) == np.shape(expected) and np.asarray(rho).dtype == np.float64, name
+            assert np.asarray(rho).tobytes() == np.asarray(expected).tobytes(), name
 
     @pytest.mark.parametrize("model", MODELS)
     def test_reciprocal_bit_for_bit(self, model):

@@ -11,6 +11,7 @@ from bruteforce import kkt_violation
 import serial_reference
 from specmix import solver
 from specmix.core import HyperCube, WavelengthAxis
+from specmix.metrics import rmse
 from specmix.solver import SolverConfig, fcls, unmix_cube
 
 MODELS = (
@@ -132,6 +133,26 @@ def test_bit_identical_across_batches(model, monkeypatch):
     monkeypatch.setattr(solver, "_BATCH_FLOATS", 7 * (5 + 1) ** 2)
     monkeypatch.setattr(solver, "_RESIDUAL_ROWS", 3)
     assert_identical(whole, [unmix_cube(cube_of(X), S, config)])
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m[0]}-{m[1]}")
+def test_residual_rmse_is_metrics_rmse_of_the_reconstruction(model, monkeypatch):
+    name, sum_to_one = model
+    S, X = problem(43, 5, n_pixels=37)
+    config = SolverConfig(model=name, sum_to_one=sum_to_one, psi_bounds=(0.5, 2.0))
+
+    def check(result):
+        # the reconstruction S0 (psi * a) as unmix_cube forms it, one pixel per row
+        recon = solver._rowwise((result.scales * result.abundances).T, np.ascontiguousarray(S.T))
+        for n in range(X.shape[1]):  # X[:, n] is a strided view
+            assert rmse(recon[n], X[:, n]) == result.residual_rmse[n]
+        np.testing.assert_array_equal(rmse(recon, X.T), result.residual_rmse)
+
+    check(unmix_cube(cube_of(X), S, config))
+    # 7-pixel lockstep batches over 3-pixel residual blocks
+    monkeypatch.setattr(solver, "_BATCH_FLOATS", 7 * (5 + 1) ** 2)
+    monkeypatch.setattr(solver, "_RESIDUAL_ROWS", 3)
+    check(unmix_cube(cube_of(X), S, config))
 
 
 def test_unmix_cube_peak_memory_is_a_fraction_of_the_cube():

@@ -1,10 +1,11 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from specmix.core import AlbedoSpectrum, Geometry, PhotometricParams, WavelengthAxis, cos_deg
+from specmix.core import AlbedoSpectrum, Geometry, PhotometricParams, WavelengthAxis, cos_deg, sum_of_squares
 from specmix.hapke import ModelDomainError, reflectance
 from specmix.metrics import AlbedoCurve, SweepGrid, SweepResult, angle_sweep, rmse, spectral_angle
 
@@ -93,6 +94,123 @@ class TestRmse:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             rmse([1.0], [1.0, 2.0])
+
+
+class TestSumOfSquares:
+    def test_row_bits_do_not_depend_on_block_offset_or_stride(self):
+        rng = np.random.default_rng(21)
+        rows = rng.uniform(-1.0, 1.0, (37, 203))
+        s, scale = sum_of_squares(rows)
+        np.testing.assert_array_equal(scale, 1.0)
+        for n in range(rows.shape[0]):
+            assert sum_of_squares(rows[n])[0] == s[n]
+        for size in (2, 3, 5, 8, 16, 36):
+            for lo in range(0, rows.shape[0], size):
+                np.testing.assert_array_equal(sum_of_squares(rows[lo:lo + size])[0], s[lo:lo + size])
+        buffer = np.empty(rows.size + 8)
+        for offset in range(8):
+            shifted = buffer[offset:offset + rows.size].reshape(rows.shape)
+            shifted[...] = rows
+            np.testing.assert_array_equal(sum_of_squares(shifted)[0], s)
+        strided = np.empty((rows.shape[0], 2 * rows.shape[1]))
+        strided[:, ::2] = rows
+        np.testing.assert_array_equal(sum_of_squares(strided[:, ::2])[0], s)
+        np.testing.assert_array_equal(sum_of_squares(rows[::3])[0], s[::3])  # contiguous rows, every third one
+        np.testing.assert_array_equal(sum_of_squares(np.asfortranarray(rows))[0], s)
+        np.testing.assert_array_equal(sum_of_squares(rows.reshape(37, 1, 203))[0], s[:, None])
+
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-200, 1e-160, 1e-310, 1e300])
+    def test_rows_whose_sum_under_or_overflows_are_rescaled(self, magnitude):
+        rng = np.random.default_rng(22)
+        unit = rng.uniform(0.5, 1.0, (4, 50))
+        rows = magnitude * unit
+        with np.errstate(over="ignore"):  # the first sum of 1e200 entries overflows
+            s, scale = sum_of_squares(rows)
+        exact = np.sum(rows.astype(np.longdouble) ** 2, axis=1) if magnitude > 1e-300 else None
+        assert np.all(scale == np.max(rows, axis=1)) and np.all((s >= 1.0) & (s <= 50.0))
+        if exact is not None and np.finfo(np.longdouble).maxexp > 1024:
+            np.testing.assert_allclose(s * scale.astype(np.longdouble) ** 2, exact, rtol=1e-14)
+        np.testing.assert_allclose(np.sqrt(s) * scale, np.sqrt(np.sum(unit ** 2, axis=1)) * magnitude, rtol=1e-14)
+
+    def test_zero_and_non_finite_rows_are_not_rescaled(self):
+        rows = np.array([[0.0, 0.0, 0.0], [np.inf, 1.0, 0.0], [np.nan, 1.0, 0.0], [1e-200, 0.0, 0.0]])
+        s, scale = sum_of_squares(rows)
+        assert s[0] == 0.0 and s[1] == np.inf and np.isnan(s[2])
+        np.testing.assert_array_equal(scale, [1.0, 1.0, 1.0, 1e-200])
+        assert s[3] == 1.0
+
+
+class TestExtremeMagnitudes:
+    U = np.array([0.3, 0.1, 0.9, 0.2, 0.55])
+    V = np.array([0.1, 0.4, 0.7, 0.3, 0.05])
+
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-200, 1e300, 1e-300, 1e-315])
+    def test_spectral_angle_does_not_depend_on_magnitude(self, magnitude):
+        u = magnitude * self.U
+        assert spectral_angle(u, 2.0 * u) == 0.0
+        tol = 4 * np.finfo(float).eps if magnitude > 1e-300 else 1e-7  # subnormal entries hold fewer digits
+        assert spectral_angle(magnitude * self.U, magnitude * self.V) == pytest.approx(
+            spectral_angle(self.U, self.V), rel=tol)
+        assert spectral_angle(magnitude * self.U, self.V) == pytest.approx(spectral_angle(self.U, self.V), rel=tol)
+
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-200, 1e300, 1e-300])
+    def test_rmse_does_not_depend_on_magnitude(self, magnitude):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow on the way is not reported
+            assert rmse(magnitude * self.U, 2.0 * magnitude * self.U) == pytest.approx(
+                magnitude * rmse(self.U, 2.0 * self.U), rel=4 * np.finfo(float).eps, abs=0.0)
+
+    def test_zero_spectrum_still_refused_among_tiny_ones(self):
+        with pytest.raises(ValueError, match="zero spectrum"):
+            spectral_angle([[1e-300, 0.0], [0.0, 0.0]], [1.0, 1.0])
+
+    @pytest.mark.parametrize("metric", [rmse, spectral_angle])
+    def test_empty_spectra_refused_by_name(self, metric):
+        with pytest.raises(ValueError, match="spectra are empty"):
+            metric([], [])
+
+    def test_sweep_of_a_tiny_albedo_is_computed(self):
+        # sqrt(1 - omega) is 1 here: the relative model is the linear one, to rounding
+        albedo = make_albedo(1e-200 * np.linspace(0.2, 0.9, 30))
+        angles = np.arange(0.0, 91.0, 15.0)
+        result = angle_sweep(albedo, SweepGrid(theta0_values=angles, theta_values=angles))
+        assert np.all(result.sam <= 4 * np.finfo(float).eps)
+        assert np.all(np.isfinite(result.rmse)) and np.all(result.rmse <= 1e-215)
+
+
+def long_double_angle(u, v):
+    """2 atan2(|u' - v'|, |u' + v'|) of the unit vectors, in long double."""
+    unit_u, unit_v = (np.asarray(x, np.longdouble) / np.sqrt(np.sum(np.asarray(x, np.longdouble) ** 2, axis=-1,
+                                                                      keepdims=True)) for x in (u, v))
+    across = np.sqrt(np.sum((unit_u - unit_v) ** 2, axis=-1))
+    along = np.sqrt(np.sum((unit_u + unit_v) ** 2, axis=-1))
+    return 2 * np.arctan2(across, along)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double")
+class TestSpectralAngleAccuracy:
+    @pytest.mark.parametrize("gap", [1e-2, 1e-5, 1e-8, 1e-11, 1e-14])
+    def test_near_pi_within_one_eps_of_long_double_unit_vector_oracle(self, gap):
+        rng = np.random.default_rng(23)
+        u = rng.normal(0.0, 1.0, (200, 40))
+        v = -u * rng.uniform(0.5, 2.0, (200, 1)) + gap * rng.normal(0.0, 1.0, (200, 40))
+        angle = spectral_angle(u, v)
+        assert np.all(angle > np.pi / 2)  # every pair sums |u' + v'|^2 directly
+        oracle = long_double_angle(u, v)
+        # relative: half an ulp of pi, the rounding of the result alone, is already 1 eps absolute
+        assert np.max(np.abs(angle - oracle) / oracle) <= np.finfo(float).eps
+
+    @pytest.mark.parametrize("gap", [1.0, 1e-3, 1e-8])
+    def test_other_angles_within_rounding_of_the_oracle(self, gap):
+        # rounding each entry of a unit vector alone moves the angle by up to about 2 eps
+        rng = np.random.default_rng(24)
+        u = rng.uniform(0.0, 1.0, (200, 40))
+        v = u + gap * rng.normal(0.0, 1.0, (200, 40))
+        assert np.max(np.abs(spectral_angle(u, v) - long_double_angle(u, v))) <= 2.5 * np.finfo(float).eps
+        w = u + rng.uniform(0.0, 4.0, (200, 1)) * rng.normal(0.0, 1.0, (200, 40))  # angles on both branches
+        angle = spectral_angle(u, w)
+        assert np.any(angle < np.pi / 3) and np.any(angle > np.pi / 3)
+        assert np.max(np.abs(angle - long_double_angle(u, w))) <= 2.5 * np.finfo(float).eps
 
 
 def curve(model, theta0, theta, omega):
