@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__, io
-from .core import AlbedoSpectrum, Geometry, HyperCube, PhotometricParams, json_name, validate_cube
+from .core import AlbedoSpectrum, Geometry, HyperCube, PhotometricParams, config_value, json_name, validate_cube
 from .hapke import MODELS, ModelDomainError
 from .metrics import AlbedoCurve, SweepGrid, angle_sweep
 from .simulate import SceneConfig, reference_endmembers, simulate_cube
@@ -209,9 +209,12 @@ def _conservation_violations(cube: HyperCube) -> list[str]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cube = io.read_cube(args.cube)
     # a finite snr_db: additive noise, which can make a reflectance negative and breaks the generative identity
-    noisy = io.read_json(args.cube).get("snr_db") is not None
+    snr_db = io.read_json(args.cube).get("snr_db")
+    if snr_db is not None and not 0.0 < config_value(snr_db, f"{args.cube}: snr_db") < np.inf:
+        raise ValueError(f"{args.cube}: snr_db must be null or a finite number > 0, got {snr_db!r}")
+    noisy = snr_db is not None
+    cube = io.read_cube(args.cube)
     violations = validate_cube(cube, noisy=noisy)
     if not noisy:
         violations.extend(_conservation_violations(cube))

@@ -135,7 +135,7 @@ def reflectance(model: str, omega, mu, mu0, g=None, params: PhotometricParams | 
                 (4 (mu + mu0) / ((1 + 2 mu)(1 + 2 mu0)))
     relative    omega / ((1 + 2 mu sqrt(1-omega)) (1 + 2 mu0 sqrt(1-omega)))
     linear      omega / ((1 + 2 mu)(1 + 2 mu0))
-    (the last three evaluated, with these roundings, as shape / cell_factor)
+    (the last three evaluated, with these roundings, as shape / cell_factor; relative as shape)
 
     The full model is taken in its smooth-surface regime (no shadowing
     term, unmodified angles); with isotropic scattering and no surge it
@@ -165,7 +165,8 @@ def reflectance(model: str, omega, mu, mu0, g=None, params: PhotometricParams | 
         first, second = _buffers(omega, mu, mu0)
         divisors = np.multiply(_chandrasekhar_divisor(mu, root, first), _chandrasekhar_divisor(mu0, root, second),
                                out=first)
-        return np.divide(np.divide(omega, divisors, out=first), cell_factor(model, mu, mu0), out=first)
+        shape = np.divide(omega, divisors, out=first)
+        return shape if model == "relative" else np.divide(shape, cell_factor(model, mu, mu0), out=first)
     first, second = _buffers(omega, mu, mu0, g)
     surge = opposition_effect(g, params)
     p = phase_function(g, params)

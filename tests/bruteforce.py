@@ -1,31 +1,61 @@
-"""Independent brute-force oracles for cross-checking solver optima.
+"""Independent oracles for cross-checking solver optima.
 
-These evaluate the fit objective directly from the endmember matrix and
-pixel spectrum on dense grids with local refinement; they share no code
-path with the active-set solvers they check.
+support_oracle gives the exact optimum of every model's convex program by
+enumerating supports; elmm_full_oracle_two_materials searches the
+per-material (a, psi1, psi2) form on zoomed grids, so it checks the convex
+reformulation itself.  Neither shares a code path with the active-set
+solver they check.
 """
 
 import numpy as np
 
 
-def fcls_oracle_two_materials(S, x, step=1e-6):
-    """Minimum of |x - S a|^2 over the 1-simplex by grid search + refinement."""
-    direction = S[:, 0] - S[:, 1]
-    base = x - S[:, 1]
-    bb = float(base @ base)
-    bd = float(base @ direction)
-    dd = float(direction @ direction)
+def _fixed_sum(G, C, total):
+    """argmin 0.5 z'Gz - c'z over sum(z) = total for each column c of C, by null-space elimination.
 
-    def objective(a1):
-        return bb - 2.0 * a1 * bd + a1 * a1 * dd
+    z = (total / k) 1 + N y, N an orthonormal basis of the sum row's null
+    space: sum(z) is total to rounding however large c is, where a bordered
+    solve leaks rounding times |c| into it.
+    """
+    k = G.shape[0]
+    null = np.linalg.svd(np.ones((1, k)))[2][1:].T
+    start = total / k
+    y = np.linalg.solve(null.T @ G @ null, null.T @ (C - G.sum(axis=1)[:, None] * start))
+    return start + null @ y
 
-    coarse = np.arange(0.0, 1.0 + step / 2.0, step)
-    values = objective(coarse)
-    k = int(np.argmin(values))
-    lo = max(0.0, coarse[k] - step)
-    hi = min(1.0, coarse[k] + step)
-    fine = np.linspace(lo, hi, 2001)
-    return float(min(values[k], objective(fine).min()))
+
+def support_oracle(S, X, lo=0.0, hi=np.inf):
+    """argmin 0.5 z'Gz - c'z over {z >= 0, lo <= sum(z) <= hi} for each column x of X; G = S'S, c = S'x.
+
+    (lo, hi) is (0, inf) for NNLS, (1, 1) for lmm with sum-to-one and
+    psi_bounds for the ELMM program.  S has full column rank, so the
+    program is strictly convex and its optimum is the best feasible
+    candidate over the 2^P supports F: the free solve on G_F, kept only if
+    lo <= sum <= hi, and the solves with sum = lo and sum = hi.  A candidate
+    is feasible only if every entry on F is > 0; an optimum with a zero
+    entry is found on the smaller support.  The empty support (z = 0)
+    counts only when lo is 0.  Candidates are ranked by the program's own
+    objective, not |x - Sz|^2, whose |x|^2 term would hide the differences
+    of a re-solve far below the fit.
+    """
+    G, C = S.T @ S, S.T @ X
+    p, n = C.shape
+    Z = np.zeros((p, n))
+    best = np.full(n, 0.0 if lo <= 0.0 else np.inf)
+    for mask in range(1, 2**p):
+        F = np.flatnonzero([(mask >> k) & 1 for k in range(p)])
+        G_F, C_F = G[np.ix_(F, F)], C[F]
+        free = np.linalg.solve(G_F, C_F)
+        total = free.sum(axis=0)
+        candidates = [np.where((lo <= total) & (total <= hi), free, np.nan)]
+        candidates += [_fixed_sum(G_F, C_F, t) for t in {lo, hi} if 0.0 < t < np.inf]
+        for z in candidates:
+            objective = 0.5 * np.sum(z * (G_F @ z), axis=0) - np.sum(C_F * z, axis=0)
+            better = np.all(z > 0.0, axis=0) & (objective < best)
+            best[better] = objective[better]
+            Z[:, better] = 0.0
+            Z[np.ix_(F, better)] = z[:, better]
+    return Z
 
 
 def elmm_full_oracle_two_materials(S, x, psi_lo, psi_hi, points=41, zooms=7):

@@ -197,6 +197,22 @@ class TestSimulateAndVerify:
         assert main(["verify", "--cube", str(tmp_path / "cube.json")]) == 1
         assert "negative reflectance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr_db", ["abc", False, 0, -3.0, [20.0] * 5])
+    def test_snr_db_other_than_null_or_a_positive_number_exits_1_naming_the_sidecar(self, tmp_path, albedo_csv,
+                                                                                     capsys, snr_db):
+        # a non-null snr_db turns off the negative-value and conservation checks, so only a real one may
+        main(["simulate", "--config", str(scene_config(tmp_path, n_pixels=64)), "--albedo", str(albedo_csv),
+              "--out", str(tmp_path / "cube")])
+        data = bytearray((tmp_path / "cube.bin").read_bytes())
+        data[:8] = np.array([-0.5]).tobytes()
+        (tmp_path / "cube.bin").write_bytes(bytes(data))
+        sidecar = tmp_path / "cube.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "snr_db": snr_db}))
+        capsys.readouterr()
+        assert main(["verify", "--cube", str(sidecar)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {sidecar}: snr_db must be ") and not captured.out
+
     def test_noisy_cube_passes_verify_unless_a_value_is_not_finite(self, tmp_path, capsys):
         # the installed-package smoke albedos at 20 dB up to grazing angles: noise makes some reflectances negative
         albedo_csv = tmp_path / "albedos.csv"

@@ -1,4 +1,4 @@
-"""The lockstep solver against the serial reference, and its batch invariance."""
+"""The lockstep solver against the exact support-enumeration oracle and its KKT conditions, and its batch invariance."""
 
 import tracemalloc
 
@@ -7,8 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bruteforce import kkt_violation
-import serial_reference
+from bruteforce import kkt_violation, support_oracle
 from specmix import solver
 from specmix.core import HyperCube, WavelengthAxis
 from specmix.metrics import rmse
@@ -21,7 +20,7 @@ MODELS = (
     ("elmm-full", True),
 )
 BOUNDS = ((1e-2, 1e2), (0.5, 2.0), (1.0, 1.0))
-#: psi_bounds beyond the serial reference's absolute tolerances
+#: psi_bounds 30 orders from 1: a pixel re-solved on a bound sits far below its fit
 WIDE_BOUNDS = (1e-30, 1e30)
 
 
@@ -66,19 +65,41 @@ def assert_kkt(S, x, a, psi, model, sum_to_one, bounds):
     assert stationarity <= 1e-8 * scale
 
 
-def reference(S, x, model, sum_to_one, bounds):
-    """The serial result, with the NNLS of a dark pixel taken at unit scale.
+def sum_range(model, bounds):
+    """(lo, hi) of sum(z) in the model's program: NNLS, lmm with sum-to-one, or the ELMM program on bounds."""
+    name, sum_to_one = model
+    if name != "lmm":
+        return bounds
+    return (1.0, 1.0) if sum_to_one else (0.0, np.inf)
 
-    The serial NNLS floors its KKT tolerance at 1e-10 absolute, so on a
-    pixel with max|S'x| < 1 it may stop before the optimum.  Plain NNLS is
-    scale-equivariant, so there the reference solves x / max|S'x| and
-    scales the answer back.
+
+def degenerate(S, X):
+    """The degenerate flag by its definition: no entry of c = S'x above 1e-10 max|c|."""
+    C = S.T @ X
+    return ~np.any(C > 1e-10 * np.max(np.abs(C), axis=0), axis=0)
+
+
+def assert_matches_oracle(S, X, result, model, bounds, rtol=1e-12):
+    """Every pixel against the oracle's z: the degenerate flag, support, a and psi to rtol, and the KKT conditions.
+
+    lmm: a = z, psi = 1.  ELMM: a = z / sum(z), psi = clamp(sum(z), bounds),
+    and elmm-full reports 1 on absent materials, those at or below the
+    support test's tolerance, rtol max(a).
     """
-    k = float(np.max(np.abs(S.T @ x)))
-    if model != "lmm" or sum_to_one or not 0.0 < k < 1.0:
-        return serial_reference.unmix_pixel(S, x, model, sum_to_one, bounds)
-    a, psi, degenerate = serial_reference.unmix_pixel(S, x / k, model, sum_to_one, bounds)
-    return a * k, psi, degenerate
+    name, sum_to_one = model
+    np.testing.assert_array_equal(result.degenerate, degenerate(S, X))
+    Z = support_oracle(S, X, *sum_range(model, bounds))
+    for n in range(X.shape[1]):
+        z, a, psi = Z[:, n], result.abundances[:, n], result.scales[:, n]
+        a_ref = z if name == "lmm" else z / z.sum()
+        # support: entries above rounding (a pure pixel's other entries are +-1e-16)
+        tol = rtol * np.max(np.abs(a_ref))
+        np.testing.assert_array_equal(a > tol, a_ref > tol)
+        np.testing.assert_allclose(a, a_ref, rtol=0.0, atol=tol)
+        present = (a_ref > tol) | (name == "elmm-global")
+        psi_ref = np.ones_like(z) if name == "lmm" else np.where(present, np.clip(z.sum(), *bounds), 1.0)
+        np.testing.assert_allclose(psi, psi_ref, rtol=rtol, atol=0.0)
+        assert_kkt(S, X[:, n], a, psi, name, sum_to_one, bounds)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None,
@@ -89,21 +110,28 @@ def reference(S, x, model, sum_to_one, bounds):
     model=st.sampled_from(MODELS),
     bounds=st.sampled_from(BOUNDS),
 )
-def test_matches_serial_reference(seed, n_materials, model, bounds):
+def test_matches_the_exact_oracle(seed, n_materials, model, bounds):
     name, sum_to_one = model
     S, X = problem(seed, n_materials)
     config = SolverConfig(model=name, sum_to_one=sum_to_one, psi_bounds=bounds)
-    result = unmix_cube(cube_of(X), S, config)
-    for n in range(X.shape[1]):
-        a_ref, psi_ref, degenerate_ref = reference(S, X[:, n], name, sum_to_one, bounds)
-        a, psi = result.abundances[:, n], result.scales[:, n]
-        assert result.degenerate[n] == degenerate_ref
-        # support: entries above rounding (a pure pixel's other entries are +-1e-16)
-        tol = 1e-12 * np.max(np.abs(a_ref))
-        np.testing.assert_array_equal(a > tol, a_ref > tol)
-        np.testing.assert_allclose(a, a_ref, rtol=0.0, atol=tol)
-        np.testing.assert_allclose(psi, psi_ref, rtol=1e-12, atol=0.0)
-        assert_kkt(S, X[:, n], a, psi, name, sum_to_one, bounds)
+    assert_matches_oracle(S, X, unmix_cube(cube_of(X), S, config), model, bounds)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m[0]}-{m[1]}")
+def test_matches_the_exact_oracle_where_materials_re_enter(model):
+    # From the full-support start problem()'s pixels drop materials but, on seeds 0-59, never take one back.  Two
+    # pairs of nearly equal endmembers make sparse noisy mixtures do so (9-22 entering steps per model), which
+    # judges the entering rule.
+    name, sum_to_one = model
+    rng = np.random.default_rng(0)
+    S = rng.uniform(0.05, 1.0, (30, 6))
+    for k in (0, 2):
+        S[:, k + 1] = S[:, k] + rng.uniform(-1.0, 1.0, 30) * 0.01
+    X = S @ (rng.dirichlet(np.full(6, 0.1), 200).T * rng.uniform(0.5, 1.5, 200)) + rng.normal(0.0, 0.02, (30, 200))
+    config = SolverConfig(model=name, sum_to_one=sum_to_one, psi_bounds=(0.5, 2.0))
+    # cond(G) is about 1e5: either solve may be off by rounding times cond(G)
+    rtol = 10 * np.finfo(float).eps * np.linalg.cond(S.T @ S)
+    assert_matches_oracle(S, X, unmix_cube(cube_of(X), S, config), model, (0.5, 2.0), rtol)
 
 
 def all_outputs(result):
@@ -173,17 +201,15 @@ def test_unmix_cube_peak_memory_is_a_fraction_of_the_cube():
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m[0]}-{m[1]}")
 def test_support_masks_of_any_width(model):
-    # 64 materials: support masks past 63 bits are Python integers, on the same code path
+    # 64 materials: support masks past 63 bits are Python integers, on the same code path.  The oracle's
+    # 2^64 supports are out of reach, so the KKT conditions, which certify a convex program's optimum, judge it.
     name, sum_to_one = model
     S, X = problem(5, 64, n_pixels=8)
     config = SolverConfig(model=name, sum_to_one=sum_to_one, psi_bounds=(0.5, 2.0))
     result = unmix_cube(cube_of(X), S, config)
+    np.testing.assert_array_equal(result.degenerate, degenerate(S, X))
     for n in range(X.shape[1]):
-        a_ref, _, degenerate_ref = reference(S, X[:, n], name, sum_to_one, (0.5, 2.0))
-        tol = 1e-12 * np.max(np.abs(a_ref))
-        assert result.degenerate[n] == degenerate_ref
-        np.testing.assert_array_equal(result.abundances[:, n] > tol, a_ref > tol)
-        np.testing.assert_allclose(result.abundances[:, n], a_ref, rtol=0.0, atol=tol)
+        assert_kkt(S, X[:, n], result.abundances[:, n], result.scales[:, n], name, sum_to_one, (0.5, 2.0))
     assert_identical(result, [unmix_cube(cube_of(X[:, n:n + 1]), S, config) for n in range(X.shape[1])])
 
 
@@ -293,16 +319,16 @@ def scaling_law(z_ref, k, model, bounds, with_endmembers):
 )
 def test_any_magnitude_keeps_each_models_scaling_law_psi_bounds_and_kkt(seed, n_materials, model, bounds, exponent,
                                                                        with_endmembers):
-    """The cube times k in [1e-12, 1e12], alone or with the endmembers, against the serial reference at k = 1.
+    """The cube times k in [1e-12, 1e12], alone or with the endmembers, against the exact oracle at k = 1.
 
     Scaling both leaves every model's z = psi * a unchanged.  Scaling the
     cube alone scales z by k under plain NNLS, and under the ELMM models for
     a pixel whose sum(z) stays strictly inside psi_bounds at both scales;
-    sum-constrained lmm has no law there.  The laws are checked on BOUNDS,
-    where the serial reference holds; WIDE_BOUNDS, whose re-solves sit 30
-    orders below the fit, only on the checks that follow.  Every result keeps
-    psi inside psi_bounds and meets its KKT conditions relative to max|S'x|
-    (max|S'Sz| for a zero pixel).
+    sum-constrained lmm has no law there.  The laws are checked at every
+    bound drawn, WIDE_BOUNDS included, whose re-solves sit 30 orders below
+    the fit.  The degenerate flag meets its definition on the scaled inputs.
+    Every result keeps psi inside psi_bounds and meets its KKT conditions
+    relative to max|S'x| (max|S'Sz| for a zero pixel).
     """
     name, sum_to_one = model
     lo, hi = bounds
@@ -312,14 +338,13 @@ def test_any_magnitude_keeps_each_models_scaling_law_psi_bounds_and_kkt(seed, n_
     result = unmix_cube(cube_of(k * X), S_k, SolverConfig(model=name, sum_to_one=sum_to_one, psi_bounds=bounds))
     if name != "lmm":
         assert np.all((result.scales >= lo) & (result.scales <= hi))
+    np.testing.assert_array_equal(result.degenerate, degenerate(S_k, k * X))
+    Z_ref = support_oracle(S, X, *sum_range(model, bounds))
     for n in range(X.shape[1]):
         z = result.scales[:, n] * result.abundances[:, n]
-        if bounds != WIDE_BOUNDS:
-            a_ref, psi_ref, degenerate_ref = reference(S, X[:, n], name, sum_to_one, bounds)
-            law = scaling_law(psi_ref * a_ref, k, model, bounds, with_endmembers)
-            if law is not None:
-                assert result.degenerate[n] == degenerate_ref
-                np.testing.assert_allclose(z, law, rtol=0.0, atol=1e-9 * np.max(np.abs(law)))
+        law = scaling_law(Z_ref[:, n], k, model, bounds, with_endmembers)
+        if law is not None:
+            np.testing.assert_allclose(z, law, rtol=0.0, atol=1e-9 * np.max(np.abs(law)))
         violation, stationarity = relative_kkt(S_k, k * X[:, n], z, model, bounds)
         assert violation >= -1e-8 and stationarity <= 1e-8
 
@@ -339,34 +364,32 @@ def test_kkt_residual_stays_at_rounding_on_ill_conditioned_endmembers():
             assert violation >= -1e-10 and stationarity <= 1e-12, (model, n)
 
 
-def serial_failures(S, X, sum_to_one):
+def failures_alone(S, X, config):
     failures = 0
     for n in range(X.shape[1]):
         try:
-            serial_reference.unmix_pixel(S, X[:, n], "lmm", sum_to_one)
+            unmix_cube(cube_of(X[:, n:n + 1]), S, config)
         except RuntimeError:
             failures += 1
     return failures
 
 
-def test_iteration_cap_fails_the_serial_pixels_and_names_their_count(monkeypatch):
+def test_iteration_cap_fails_the_pixels_that_fail_alone_and_names_their_count(monkeypatch):
     rng = np.random.default_rng(45)
     S = rng.uniform(0.05, 1.0, (20, 4))
     # noisy sparse mixtures drop materials one at a time from the full-support start: paths past 2 solves
     X = np.column_stack([S[:, :3], S @ rng.dirichlet(np.ones(4), 5).T,
                          S @ rng.dirichlet(np.full(4, 0.1), 4).T + rng.normal(0.0, 0.02, (20, 4))])
-    counts = set()
-    for factor in (-6, -7, -8):  # cap = factor * P + 30: 6, 2 and -2 steps
+    # cap = factor * P + 30: 6, 2 and -2 steps; the pixels each cap fails without and with the sum constraint
+    for factor, failing in ((-6, (0, 0)), (-7, (2, 3)), (-8, (12, 12))):
         monkeypatch.setattr(solver, "_MAX_OUTER_FACTOR", factor)
-        monkeypatch.setattr(serial_reference, "_MAX_OUTER_FACTOR", factor)
-        for sum_to_one, name in ((False, "non-negative"), (True, "sum-constrained")):
+        for sum_to_one, name, expected in zip((False, True), ("non-negative", "sum-constrained"), failing):
             config = SolverConfig(model="lmm", sum_to_one=sum_to_one)
-            expected = serial_failures(S, X, sum_to_one)
-            counts.add(expected)
+            # batch invariance: a pixel fails in the cube exactly when it fails alone
+            assert failures_alone(S, X, config) == expected
             if expected == 0:
                 unmix_cube(cube_of(X), S, config)
                 continue
             message = f"{name} least squares did not converge on {expected} of 12 pixels"
             with pytest.raises(RuntimeError, match=message):
                 unmix_cube(cube_of(X), S, config)
-    assert len(counts - {0, 12}) > 0  # some cap stops some pixels but not all

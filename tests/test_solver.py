@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bruteforce import elmm_full_oracle_two_materials, fcls_oracle_two_materials, kkt_violation
+from bruteforce import elmm_full_oracle_two_materials, kkt_violation, support_oracle
 from specmix.core import AlbedoSpectrum, Geometry, HyperCube, WavelengthAxis
 from specmix.simulate import AbundanceSampler, GeometrySampler, SceneConfig, simulate_cube
 from specmix.solver import SolverConfig, fcls, unmix_cube
@@ -52,13 +52,14 @@ class TestFcls:
         x = 0.5 * S[:, 0] + 0.5 * S[:, 1]
         np.testing.assert_allclose(fcls(x, S), [0.5, 0.5], atol=1e-8)
 
-    def test_objective_matches_grid_oracle(self):
+    def test_objective_matches_exact_oracle(self):
         rng = np.random.default_rng(2)
         S = random_endmembers(4, 2, rng)
         x = rng.uniform(0.0, 1.0, 4)
         a = fcls(x, S)
-        objective = float(np.sum((x - S @ a) ** 2))
-        assert objective <= fcls_oracle_two_materials(S, x) + 1e-9
+        best = support_oracle(S, x[:, None], 1.0, 1.0)[:, 0]
+        np.testing.assert_allclose(a, best, rtol=0.0, atol=1e-12)
+        assert np.sum((x - S @ a) ** 2) <= np.sum((x - S @ best) ** 2) * (1 + 1e-12)
 
     def test_kkt_conditions_hold(self):
         rng = np.random.default_rng(3)
