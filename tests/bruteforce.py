@@ -1,10 +1,13 @@
 """Independent oracles for cross-checking solver optima.
 
 support_oracle gives the exact optimum of every model's convex program by
-enumerating supports; elmm_full_oracle_two_materials searches the
-per-material (a, psi1, psi2) form on zoomed grids, so it checks the convex
-reformulation itself.  Neither shares a code path with the active-set
-solver they check.
+enumerating supports.  support_solve gives the optimum on one support:
+where the 2^P supports are out of reach, it re-solves a result on its own
+support, which with the signs of the multipliers off it certifies the
+optimum.  elmm_full_oracle_two_materials searches the per-material
+(a, psi1, psi2) form on zoomed grids, so it checks the convex
+reformulation itself.  None shares a code path with the active-set solver
+they check.
 """
 
 import numpy as np
@@ -24,19 +27,33 @@ def _fixed_sum(G, C, total):
     return start + null @ y
 
 
+def support_solve(G, C, lo=0.0, hi=np.inf):
+    """argmin 0.5 z'Gz - c'z over lo <= sum(z) <= hi, no sign constraint, for each column c of C; and its objective.
+
+    The program is strictly convex and its minimum over sum(z) = t is convex
+    in t, least at the free solve's sum: the optimum is the free solve where
+    its sum lies in [lo, hi], else the fixed-sum solve on the bound it
+    crosses.
+    """
+    Z = np.linalg.solve(G, C)
+    total = Z.sum(axis=0)
+    for t, beyond in ((lo, total < lo), (hi, total > hi)):
+        if beyond.any():
+            Z[:, beyond] = _fixed_sum(G, C[:, beyond], t)
+    return Z, 0.5 * np.sum(Z * (G @ Z), axis=0) - np.sum(C * Z, axis=0)
+
+
 def support_oracle(S, X, lo=0.0, hi=np.inf):
     """argmin 0.5 z'Gz - c'z over {z >= 0, lo <= sum(z) <= hi} for each column x of X; G = S'S, c = S'x.
 
     (lo, hi) is (0, inf) for NNLS, (1, 1) for lmm with sum-to-one and
     psi_bounds for the ELMM program.  S has full column rank, so the
-    program is strictly convex and its optimum is the best feasible
-    candidate over the 2^P supports F: the free solve on G_F, kept only if
-    lo <= sum <= hi, and the solves with sum = lo and sum = hi.  A candidate
-    is feasible only if every entry on F is > 0; an optimum with a zero
-    entry is found on the smaller support.  The empty support (z = 0)
-    counts only when lo is 0.  Candidates are ranked by the program's own
-    objective, not |x - Sz|^2, whose |x|^2 term would hide the differences
-    of a re-solve far below the fit.
+    program is strictly convex, and its optimum, restricted to its own
+    support F, is support_solve on G_F with every entry > 0.  So the
+    optimum is the best such candidate over the 2^P supports; the empty
+    support (z = 0) counts only when lo is 0.  Candidates are ranked by the
+    program's own objective, not |x - Sz|^2, whose |x|^2 term would hide
+    the differences of a re-solve far below the fit.
     """
     G, C = S.T @ S, S.T @ X
     p, n = C.shape
@@ -44,17 +61,11 @@ def support_oracle(S, X, lo=0.0, hi=np.inf):
     best = np.full(n, 0.0 if lo <= 0.0 else np.inf)
     for mask in range(1, 2**p):
         F = np.flatnonzero([(mask >> k) & 1 for k in range(p)])
-        G_F, C_F = G[np.ix_(F, F)], C[F]
-        free = np.linalg.solve(G_F, C_F)
-        total = free.sum(axis=0)
-        candidates = [np.where((lo <= total) & (total <= hi), free, np.nan)]
-        candidates += [_fixed_sum(G_F, C_F, t) for t in {lo, hi} if 0.0 < t < np.inf]
-        for z in candidates:
-            objective = 0.5 * np.sum(z * (G_F @ z), axis=0) - np.sum(C_F * z, axis=0)
-            better = np.all(z > 0.0, axis=0) & (objective < best)
-            best[better] = objective[better]
-            Z[:, better] = 0.0
-            Z[np.ix_(F, better)] = z[:, better]
+        z, objective = support_solve(G[np.ix_(F, F)], C[F], lo, hi)
+        better = np.all(z > 0.0, axis=0) & (objective < best)
+        best[better] = objective[better]
+        Z[:, better] = 0.0
+        Z[np.ix_(F, better)] = z[:, better]
     return Z
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bruteforce import kkt_violation, support_oracle
+from bruteforce import kkt_violation, support_oracle, support_solve
 from specmix import solver
 from specmix.core import HyperCube, WavelengthAxis
 from specmix.metrics import rmse
@@ -79,8 +79,8 @@ def degenerate(S, X):
     return ~np.any(C > 1e-10 * np.max(np.abs(C), axis=0), axis=0)
 
 
-def assert_matches_oracle(S, X, result, model, bounds, rtol=1e-12):
-    """Every pixel against the oracle's z: the degenerate flag, support, a and psi to rtol, and the KKT conditions.
+def assert_matches_oracle(S, X, result, model, bounds, rtol=1e-12, Z=None):
+    """Every pixel against z, support_oracle's by default: the degenerate flag, support, a and psi to rtol, and KKT.
 
     lmm: a = z, psi = 1.  ELMM: a = z / sum(z), psi = clamp(sum(z), bounds),
     and elmm-full reports 1 on absent materials, those at or below the
@@ -88,7 +88,8 @@ def assert_matches_oracle(S, X, result, model, bounds, rtol=1e-12):
     """
     name, sum_to_one = model
     np.testing.assert_array_equal(result.degenerate, degenerate(S, X))
-    Z = support_oracle(S, X, *sum_range(model, bounds))
+    if Z is None:
+        Z = support_oracle(S, X, *sum_range(model, bounds))
     for n in range(X.shape[1]):
         z, a, psi = Z[:, n], result.abundances[:, n], result.scales[:, n]
         a_ref = z if name == "lmm" else z / z.sum()
@@ -201,15 +202,22 @@ def test_unmix_cube_peak_memory_is_a_fraction_of_the_cube():
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m[0]}-{m[1]}")
 def test_support_masks_of_any_width(model):
-    # 64 materials: support masks past 63 bits are Python integers, on the same code path.  The oracle's
-    # 2^64 supports are out of reach, so the KKT conditions, which certify a convex program's optimum, judge it.
+    # 64 materials: support masks past 63 bits are Python integers, on the same code path.  The oracle's 2^64
+    # supports are out of reach, so each result is re-solved on its own support F.  Matching that re-solve, with
+    # non-negative multipliers off F, certifies the optimum of the convex program.
     name, sum_to_one = model
+    bounds = (0.5, 2.0)
     S, X = problem(5, 64, n_pixels=8)
-    config = SolverConfig(model=name, sum_to_one=sum_to_one, psi_bounds=(0.5, 2.0))
+    config = SolverConfig(model=name, sum_to_one=sum_to_one, psi_bounds=bounds)
     result = unmix_cube(cube_of(X), S, config)
-    np.testing.assert_array_equal(result.degenerate, degenerate(S, X))
+    G, C = S.T @ S, S.T @ X
+    Z = np.zeros_like(result.abundances)
     for n in range(X.shape[1]):
-        assert_kkt(S, X[:, n], result.abundances[:, n], result.scales[:, n], name, sum_to_one, (0.5, 2.0))
+        a = result.abundances[:, n]
+        F = np.flatnonzero(a > 1e-12 * np.max(np.abs(a)))
+        Z[F, n] = support_solve(G[np.ix_(F, F)], C[F, n:n + 1], *sum_range(model, bounds))[0][:, 0]
+        assert relative_kkt(S, X[:, n], Z[:, n], model, bounds)[0] >= 0.0
+    assert_matches_oracle(S, X, result, model, bounds, Z=Z)
     assert_identical(result, [unmix_cube(cube_of(X[:, n:n + 1]), S, config) for n in range(X.shape[1])])
 
 
