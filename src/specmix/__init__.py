@@ -22,7 +22,7 @@ from .hapke import (
     reflectance,
     scaling_factor,
 )
-from .metrics import AlbedoCurve, SweepGrid, SweepResult, angle_sweep, rmse, spectral_angle
+from .metrics import AlbedoCurve, SweepGrid, SweepResult, angle_sweep, angle_sweeps, rmse, spectral_angle
 from .simulate import (
     AbundanceSampler,
     GeometrySampler,
@@ -55,6 +55,7 @@ __all__ = [
     "UnmixResult",
     "WavelengthAxis",
     "angle_sweep",
+    "angle_sweeps",
     "endmember_variant",
     "fcls",
     "inject_noise",

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, io
 from .core import AlbedoSpectrum, Geometry, HyperCube, PhotometricParams, config_value, json_name, validate_cube
 from .hapke import MODELS, ModelDomainError
-from .metrics import AlbedoCurve, SweepGrid, angle_sweep
+from .metrics import AlbedoCurve, SweepGrid, angle_sweeps
 from .simulate import SceneConfig, reference_endmembers, simulate_cube
 from .solver import SOLVER_MODELS, SolverConfig, unmix_cube
 
@@ -177,7 +177,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if kind == "curve":
         # a curve reads no albedo, only its material's params: one curve per distinct params
         curves = {params: clock.timed("model", config.reflectance, params) for params in dict.fromkeys(photometry)}
-    # the output directory is made only once the whole config has been read and checked
+    else:  # every albedo is checked here; each sweep is computed as it is written
+        sweeps = clock.timed("model", angle_sweeps, albedos, config)
+    # the output directory is made only once the whole config and every input has been read and checked
     out_base = _out_base(args.out)
     outputs = [out_base.parent / f"{out_base.name}.{albedo.material}.csv" for albedo in albedos]
     if kind == "curve":
@@ -185,9 +187,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             paths = [path for path, own in zip(outputs, photometry) if own == params]
             clock.timed("write", io.write_curve_csv, paths, config.omega, rho)
     else:
-        for path, albedo in zip(outputs, albedos):
-            result = clock.timed("model", angle_sweep, albedo, config)
-            clock.timed("write", io.write_sweep_csv, path, result)
+        for path in outputs:
+            clock.timed("write", io.write_sweep_csv, path, clock.timed("model", next, sweeps))
     inputs = {"albedo": args.albedo, "config": args.config or ""}
     _manifest(out_base, "sweep", config.to_dict(), inputs, outputs, None, clock)
     return EXIT_OK

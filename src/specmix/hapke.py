@@ -6,12 +6,15 @@ form, and the geometry scaling factor that links linear-model variants of
 one endmember.  Every closed form and the choice between them live in one
 kernel, reflectance(), whose arguments combine by numpy broadcasting: the
 caller picks the layout, so one call evaluates a spectrum, an albedo
-curve, a grid of angle cells or a whole block of pixels.  The kernel trusts
-its albedos and cosines; they are validated once, where they enter the
-program (AlbedoSpectrum, Geometry).  It writes every full-size intermediate
-into one of two buffers per call (out=), with the formulas' operations in
-their order, so a block of pixels costs two allocations, not one per
-operation, and the same bits.
+curve, a grid of angle cells or a whole block of pixels.  A block of pixels
+of several materials is one call: the albedos as the columns of omega, the
+geometry on a leading pixel axis and, for the full model, one photometric
+parameter set per column, whose (1 + B(g)) P(g) is stacked on the last
+axis.  The kernel trusts its albedos and cosines; they are validated once,
+where they enter the program (AlbedoSpectrum, Geometry).  It writes every
+full-size intermediate into one of two buffers per call (out=), with the
+formulas' operations in their order, so a block of pixels costs two
+allocations, not one per operation, and the same bits.
 The three reduced forms share one split, shape / Q: the shape
 omega / (A(omega, mu) A(omega, mu0)) carries the albedo (angle_divisor), the
 factor Q(mu, mu0) the geometry alone (cell_factor).  Every model is
@@ -23,6 +26,8 @@ Pure functions of immutable inputs: safe to call concurrently.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -121,14 +126,19 @@ def defined_at(model: str, mu, mu0) -> np.ndarray:
     return np.ones(np.shape(mu_sum), dtype=bool)
 
 
-def reflectance(model: str, omega, mu, mu0, g=None, params: PhotometricParams | None = None):
+def reflectance(model: str, omega, mu, mu0, g=None,
+                params: PhotometricParams | Sequence[PhotometricParams | None] | None = None):
     """Bidirectional reflectance of the selected model, broadcast over its inputs.
 
     omega is the single-scattering albedo, mu and mu0 the cosines of the
     emergence and incidence angles, g the phase angle in degrees; g and
-    params are used, and required, by the full model only.  For N pixels
-    of L bands, omega of shape (L,) with (N, 1) geometry columns gives an
-    (N, L) block.  From the full model to its simplest form:
+    params are used, and required, by the full model only.  params is one
+    set for every albedo, or a sequence of one set per column (the last
+    axis) of omega; g then has a last axis of length 1, or is a scalar.
+    For N pixels of L bands, omega of shape (L,) with (N, 1) geometry
+    columns gives an (N, L) block, and P materials as the columns of an
+    (L, P) omega with (N, 1, 1) geometry give the (N, L, P) block of the
+    pixels' endmember matrices.  From the full model to its simplest form:
 
     full        omega / (4 (mu + mu0)) ((1 + B(g)) P(g) + H(omega, mu) H(omega, mu0) - 1)
     lambertian  omega / ((1 + 2 mu sqrt(1-omega)) (1 + 2 mu0 sqrt(1-omega))) /
@@ -151,7 +161,9 @@ def reflectance(model: str, omega, mu, mu0, g=None, params: PhotometricParams | 
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    if model == "full" and (g is None or params is None):
+    per_column = isinstance(params, (list, tuple))
+    columns = params if per_column else [params]
+    if model == "full" and (g is None or any(p is None for p in columns)):
         raise ValueError("full model requires photometric parameters and a phase angle")
     if not np.all(defined_at(model, mu, mu0)):
         raise ModelDomainError(
@@ -167,12 +179,13 @@ def reflectance(model: str, omega, mu, mu0, g=None, params: PhotometricParams | 
                                out=first)
         shape = np.divide(omega, divisors, out=first)
         return shape if model == "relative" else np.divide(shape, cell_factor(model, mu, mu0), out=first)
-    first, second = _buffers(omega, mu, mu0, g)
-    surge = opposition_effect(g, params)
-    p = phase_function(g, params)
+    lobes = [(1.0 + opposition_effect(g, p)) * phase_function(g, p) for p in columns]
+    # one column's params: (1 + B) P in g's shape; params per column: stacked on the last axis
+    lobes = np.concatenate([np.atleast_1d(lobe) for lobe in lobes], axis=-1) if per_column else lobes[0]
+    first, second = _buffers(omega, mu, mu0, g, lobes)
     # the bracket (1 + B) P + H(mu) H(mu0) - 1 in first, then omega / (4 (mu + mu0)) in second times it
     h = np.multiply(_h(mu, root, first), _h(mu0, root, second), out=first)
-    bracket = np.subtract(np.add((1.0 + surge) * p, h, out=first), 1.0, out=first)
+    bracket = np.subtract(np.add(lobes, h, out=first), 1.0, out=first)
     return np.multiply(np.divide(omega, 4.0 * (mu + mu0), out=second), bracket, out=first)
 
 

@@ -7,11 +7,11 @@ spectral angle and RMSE per grid cell.  Each model is split as shape / Q
 tabled per grid angle, Q tabled per cell.  The grid is swept one theta0 row
 at a time: row i is one (theta, bands) block of shapes against the single
 A(omega, mu0_i) row, divided once by the row's Q into the reflectances,
-every temporary in buffers allocated once per sweep.  A row keeps two sums
+every temporary in buffers allocated once per group.  A row keeps two sums
 of squares per cell, both from one call of core.sum_of_squares (one BLAS
 dot per cell): of the reflectances' difference, and of the difference of
 the shapes' unit vectors (the linear shape's, the albedo's own, is computed
-once per sweep).  RMSE and SAM are formed from them over the whole grid
+once per group).  RMSE and SAM are formed from them over the whole grid
 after the sweep.  RMSE is rmse of the reflectances, bit for bit those of
 hapke.reflectance.  SAM is spectral_angle of the shapes, bit for bit: the
 identity |u' + v'|^2 = 4 - |u' - v'|^2 of unit vectors u', v' gives it up
@@ -23,10 +23,22 @@ lambertian doubly grazing one) is computed with Q = NaN and then set to NaN.
 On a square grid (the same angles on both axes) the two A tables are one,
 a product or sum of two of its entries is the same in either order, and so
 shape[i, j] == shape[j, i] and Q[i, j] == Q[j, i] bit for bit: every row is
-computed on the columns j >= i only, and its sums are mirrored to the
-others.  No value depends on the row blocks or on the mirror.  The mirror
-is bit for bit, so io.write_sweep_csv formats each mirrored pair of cells
-once; it checks the bits itself and assumes no mirror.
+computed on the columns j >= i only, and its SAM and RMSE, each a
+function of its cell's sums alone, are mirrored to the others.  No value
+depends on the row blocks or on the mirror.  The mirror is bit for bit,
+so io.write_sweep_csv formats each mirrored pair of cells once; it checks
+the bits itself and assumes no mirror.
+
+angle_sweeps sweeps several albedos in groups, each group in one row loop:
+its K albedos are one spectrum of K x bands, with the A tables built over
+that axis, so each row's operations run once on a (theta, K x bands)
+block and the per-row call overhead is shared by the group.  Every norm
+and dot is still taken per albedo, on the block's view as (theta x K,
+bands) rows, one contiguous row of bands each, so a result is bit for bit
+the albedo's own sweep (angle_sweep is angle_sweeps of one albedo).  K is
+as many albedos as _SWEEP_GROUP_FLOATS holds in the four row buffers and
+the per-cell sums (four on the default 91 x 91 grid at 200 bands), so a
+group's memory does not grow with the number of albedos.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -127,6 +139,11 @@ _MAX_SWEEP_CELLS = 10**6
 #: Most angles on one sweep axis, a 0.01-degree axis: angle_sweep's row
 #: buffers grow with the theta axis times the band count, not with the cells.
 _MAX_AXIS_ANGLES = 9001
+#: Floats that one group of angle_sweeps may take in its four row buffers
+#: (theta angles x bands each per albedo) and its per-cell sums (6 per cell
+#: and albedo): the group holds as many albedos as fit, at least one.  Four
+#: fit on the default 91 x 91 grid at 200 bands; eight were slower there.
+_SWEEP_GROUP_FLOATS = 2**19
 
 
 def _sweep_keys(raw: Any, kind: str, keys: tuple[str, ...]) -> None:
@@ -291,57 +308,94 @@ class SweepResult:
         return int(np.size(self.valid) - np.count_nonzero(self.valid))
 
 
-@np.errstate(over="ignore")  # a sum of squares that overflows is summed again, scaled
 def angle_sweep(albedo: AlbedoSpectrum, grid: SweepGrid) -> SweepResult:
     """Compare the grid's model pair on one albedo across all angle cells.
 
     For each (theta0, theta) cell both models' reflectance spectra are
     built from the albedo and compared by spectral angle and RMSE.  Cells
     where either model is undefined are flagged and hold NaN.  The angle is
-    that of the shape spectra.  The grid is swept one theta0 row at a time,
-    every temporary in one (4, theta, bands) buffer stack; on a square grid
-    row i is computed for theta >= theta0 (columns j >= i) and mirrored,
-    which is exact (see the module docstring).
+    that of the shape spectra.  This is angle_sweeps of the one albedo.
     """
-    omega = albedo.omega
-    if np.all(omega == 0.0):
-        raise ValueError("albedo spectrum is identically zero; spectral angle undefined")
+    return next(angle_sweeps([albedo], grid))
+
+
+def angle_sweeps(albedos: Iterable[AlbedoSpectrum], grid: SweepGrid) -> Iterator[SweepResult]:
+    """angle_sweep of each albedo, in order, bit for bit: one SweepResult per albedo as its group is swept.
+
+    Every albedo is checked before anything is computed: one that is
+    identically zero (its spectral angle is undefined) is refused by name,
+    and all must have one band count.  The albedos are swept in groups of
+    as many as _SWEEP_GROUP_FLOATS allows (see the module docstring).
+    """
+    albedos = list(albedos)
+    for albedo in albedos:
+        if not np.any(albedo.omega):
+            raise ValueError(f"albedo {albedo.material!r} is identically zero; spectral angle undefined")
+    bands = {albedo.omega.size for albedo in albedos}
+    if len(bands) > 1:
+        raise ValueError(f"albedos of one angle sweep share one band count, got {sorted(bands)}")
+    return _sweep_groups(albedos, grid)
+
+
+def _sweep_groups(albedos: list[AlbedoSpectrum], grid: SweepGrid) -> Iterator[SweepResult]:
     pair = grid.model_pair
     mu0, mu = cos_deg(grid.theta0_values), cos_deg(grid.theta_values)
     valid = np.logical_and(*(defined_at(m, mu[None, :], mu0[:, None]) for m in pair))
-    tables = {m: (angle_divisor(m, omega, mu0[:, None]), angle_divisor(m, omega, mu[:, None]))
-              for m in pair if m != "linear"}
     factors = {m: np.where(valid, cell_factor(m, mu[None, :], mu0[:, None]), np.nan)[..., None]
                for m in pair if m != "relative"}  # relative's Q is 1: its reflectance is its shape
     square = np.array_equal(mu0, mu)
-    # the linear shape's unit vector, the same in every cell, repeated to a row block: a difference of two
+    lower = np.tril_indices(mu.size, -1)
+    n_bands = albedos[0].omega.size if albedos else 0
+    size = max(1, _SWEEP_GROUP_FLOATS // (4 * mu.size * n_bands + 6 * valid.size))
+    for start in range(0, len(albedos), size):
+        omega = np.stack([albedo.omega for albedo in albedos[start:start + size]])
+        sums = _group_sums(omega, pair, mu0, mu, factors, square).reshape(3, 2, *valid.shape, -1)
+        for k in range(omega.shape[0]):
+            err = root_mean_square(sums[0, 0, ..., k], sums[0, 1, ..., k], n_bands)
+            sam = _angle(sums[1, ..., k], sums[2, ..., k])
+            sam[~valid] = np.nan  # err is NaN there already, through Q
+            if square:  # the lower cells' sums are 0: their values are the upper cells', mirrored
+                sam[lower], err[lower] = sam.T[lower], err.T[lower]
+            yield SweepResult(grid=grid, sam=sam, rmse=err, valid=valid.copy())
+
+
+@np.errstate(over="ignore")  # a sum of squares that overflows is summed again, scaled
+def _group_sums(omega, pair, mu0, mu, factors, square):
+    """The (3, 2, theta0, theta x K) sum_of_squares (s, scale) of one group's K albedos, the rows of omega.
+
+    Per cell and albedo: of the reflectances' difference, of the unit shapes' difference and of their sum.
+    On a square grid only the cells with theta >= theta0 are summed; the others hold 0.
+    """
+    n_albedos, n_bands = omega.shape
+    flat = omega.reshape(-1)  # the group as one spectrum of K x bands
+    tables = {m: (angle_divisor(m, flat, mu0[:, None]), angle_divisor(m, flat, mu[:, None]))
+              for m in pair if m != "linear"}
+    # the linear shape's unit vectors, the same in every cell, repeated to a row block: a difference of two
     # blocks is several times faster than one that broadcasts a single row
-    omega_unit = np.repeat(_unit(omega[None, :]), mu.size, axis=0)
-    # per cell, the sum_of_squares (s, scale) of the reflectances' difference, the unit shapes' and their sum
-    sums = np.zeros((3, 2, *valid.shape))
-    work = np.empty((4, mu.size, omega.size))  # the two shapes, then the two differences
+    omega_unit = np.repeat(_unit(omega).reshape(1, -1), mu.size, axis=0)
+    sums = np.zeros((3, 2, mu0.size, mu.size * n_albedos))
+    work = np.empty((4, mu.size, flat.size))  # the two shapes, then the two differences
     for i in range(mu0.size):
         cols = slice(i if square else 0, None)
         row = work[:, :mu.size - cols.start]
-        shapes = [omega if m == "linear" else _over_divisors(out, omega, tables[m][1][cols], tables[m][0][i])
+        by_albedo = row.reshape(4, -1, n_bands)  # a view: one row of bands per cell and albedo
+        shapes = [flat if m == "linear" else _over_divisors(out, flat, tables[m][1][cols], tables[m][0][i])
                   for m, out in zip(pair, row)]
         outs = iter(row[2:])  # a reflectance that is not its shape goes to row[2] first: the difference goes there in place
         rhos = [shape if m == "relative" else np.divide(shape, factors[m][i, cols], out=next(outs))
                 for m, shape in zip(pair, shapes)]
         np.subtract(*rhos, out=row[2])
-        units = [omega_unit[cols] if m == "linear" else _unit(shape, out=shape) for m, shape in zip(pair, shapes)]
+        for m, own in zip(pair, by_albedo):  # a shape in the row buffer becomes its unit vectors, in place
+            if m != "linear":
+                _unit(own, out=own)
+        units = [omega_unit[cols] if m == "linear" else shape for m, shape in zip(pair, shapes)]
         np.subtract(*units, out=row[3])
-        s, scale = sum_of_squares(row[2:4])  # both differences in one call
-        sums[:2, 0, i, cols], sums[:2, 1, i, cols] = s, scale
+        s, scale = sum_of_squares(by_albedo[2:4])  # both differences in one call, one dot per cell and albedo
+        cells = slice(cols.start * n_albedos, None)
+        sums[:2, 0, i, cells], sums[:2, 1, i, cells] = s, scale
         if s[1].max() > _ACROSS_SQ_MAX:  # past 60 degrees (or a rescaled row): rare between model spectra
-            sums[2, 0, i, cols], sums[2, 1, i, cols] = sum_of_squares(np.add(*units))
-    if square:
-        lower = np.tril_indices(mu.size, -1)
-        sums[..., lower[0], lower[1]] = sums[..., lower[1], lower[0]]
-    err = root_mean_square(sums[0, 0], sums[0, 1], omega.size)
-    sam = _angle(sums[1], sums[2])
-    sam[~valid] = np.nan  # err is NaN there already, through Q
-    return SweepResult(grid=grid, sam=sam, rmse=err, valid=valid)
+            sums[2, 0, i, cells], sums[2, 1, i, cells] = sum_of_squares(np.add(*units).reshape(-1, n_bands))
+    return sums
 
 
 def _over_divisors(out, omega, a_mu, a_mu0):

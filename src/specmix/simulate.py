@@ -2,8 +2,11 @@
 
 Each pixel draws a geometry and an abundance column.  The reflectance
 kernel then evaluates every material at every pixel's geometry, one block
-of pixels at a time; each pixel mixes its variants linearly, and white
-Gaussian noise scaled to a target SNR is added last.  Each random purpose
+of pixels at a time and one kernel call per block: with the materials'
+albedos as the columns of one omega and the pixels on a leading axis, the
+call returns the block of the pixels' endmember matrices.  Each pixel
+mixes its variants linearly, and white Gaussian noise scaled to a target
+SNR is added last.  Each random purpose
 draws all pixels from one (seed, purpose) stream in one pixel-major call,
 so a pixel's draws do not depend on the pixel count, and its value does
 not depend on the block it falls in: a smaller scene is a prefix of a
@@ -33,9 +36,9 @@ from .core import (
 )
 from .hapke import MODELS, endmember_variant, reflectance, scaling_factor
 
-#: Pixels per block of variants: a (pixels, bands, materials) block of this
-#: many pixels stays a few megabytes at a few hundred bands.
-_CHUNK_PIXELS = 1024
+#: Floats per block of variants, a (pixels, bands, materials) block of as
+#: many pixels as fit (at least one): 2 MB, whatever the bands and materials.
+_CHUNK_FLOATS = 2**18
 
 # stream tags: independent streams per random purpose, keyed [seed, tag]
 _ABUNDANCE_STREAM = 1
@@ -253,16 +256,15 @@ def simulate_cube(
     geometries = sample_geometries(config)
     endmembers = reference_endmembers(albedos, photometry, config.model, config.reference)
 
-    # pixel geometry as (pixels, 1) columns, the layout of the variant blocks
-    mu, mu0, g = geometries.mu[:, None], geometries.mu0[:, None], geometries.g[:, None]
-    n_bands, n_pixels = len(axis), config.n_pixels
-    values = np.empty((n_bands, n_pixels), order="F")  # pixel-major, the layout HyperCube keeps
-    for start in range(0, n_pixels, _CHUNK_PIXELS):
-        px = slice(start, min(start + _CHUNK_PIXELS, n_pixels))
+    # the materials as columns, and each pixel's geometry on a leading axis: the layout of the variant blocks
+    omega = np.column_stack([albedo.omega for albedo in albedos])
+    mu, mu0, g = (angle[:, None, None] for angle in (geometries.mu, geometries.mu0, geometries.g))
+    n_pixels, chunk = config.n_pixels, max(1, _CHUNK_FLOATS // omega.size)
+    values = np.empty((len(axis), n_pixels), order="F")  # pixel-major, the layout HyperCube keeps
+    for start in range(0, n_pixels, chunk):
+        px = slice(start, min(start + chunk, n_pixels))
         # block[n] is pixel n's S_n, C-contiguous like a column-stacked matrix
-        block = np.empty((px.stop - px.start, n_bands, config.n_materials))
-        for k, (albedo, params) in enumerate(zip(albedos, photometry)):
-            block[:, :, k] = reflectance(config.model, albedo.omega, mu[px], mu0[px], g[px], params)
+        block = reflectance(config.model, omega, mu[px], mu0[px], g[px], photometry)
         # one matrix-vector product per pixel, S_n @ a_n, written as that pixel's contiguous spectrum
         values.T[px] = np.matmul(block, abundances.T[px, :, None])[:, :, 0]
     scales: FloatArray | None = None

@@ -521,6 +521,24 @@ class TestSweep:
         assert manifest["inputs"]["albedo"] == str(albedo_csv)
         assert len(manifest["outputs"]) == 3
 
+    def test_an_all_zero_albedo_exits_1_naming_it_before_any_output(self, tmp_path, capsys):
+        albedo = tmp_path / "albedos.csv"
+        albedo.write_text("wavelength,basalt,void\n" + "".join(f"{0.4 + 0.1 * k},0.3,0\n" for k in range(4)))
+        assert main(["sweep", "--albedo", str(albedo), "--out", str(tmp_path / "out" / "sw")]) == 1
+        assert "error: albedo 'void' is identically zero" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_each_csv_equals_its_material_swept_alone_byte_for_byte(self, tmp_path, albedo_csv):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"theta0_values": {"step": 15}, "theta_values": {"step": 10}}))
+        assert main(sweep_argv(albedo_csv, config, tmp_path / "all" / "s")) == 0
+        for albedo in io.read_albedos(albedo_csv):
+            alone = tmp_path / f"{albedo.material}.csv"
+            io.write_albedos(alone, [albedo])
+            assert main(sweep_argv(alone, config, tmp_path / "one" / "s")) == 0
+            name = f"s.{albedo.material}.csv"
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
     def test_curve_kind_identity_at_double_grazing(self, tmp_path, albedo_csv):
         config = tmp_path / "curve.json"
         config.write_text(json.dumps({

@@ -460,6 +460,27 @@ class TestReflectanceKernel:
             reflectance("hapke", 0.5, 1.0, 1.0)
         with pytest.raises(ValueError, match="photometric"):
             reflectance("full", 0.5, 1.0, 1.0, g=0.0)
+        with pytest.raises(ValueError, match="photometric"):  # one column of two without params
+            reflectance("full", np.full((3, 2), 0.5), 1.0, 1.0, 0.0, [self.PARAMS, None])
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_one_call_block_of_materials_equals_per_material_calls_bit_for_bit(self, model):
+        # the materials as the columns of omega, each with its own params, and the pixels on a leading axis
+        rng = np.random.default_rng(18)
+        omega = rng.uniform(0.0, 1.0, (30, 4))
+        omega[0, 0], omega[1, 1] = 0.0, 1.0
+        params = [PhotometricParams(b=rng.uniform(0.0, 0.6), c=rng.uniform(0.2, 0.8), B0=rng.uniform(0.0, 1.0),
+                                    h=rng.uniform(0.03, 0.2)) for _ in range(4)]
+        mu, mu0, g = rng.uniform(0.01, 1.0, 40), rng.uniform(0.01, 1.0, 40), rng.uniform(0.0, 150.0, 40)
+        block = reflectance(model, omega, mu[:, None, None], mu0[:, None, None], g[:, None, None], params)
+        assert block.shape == (40, 30, 4)
+        # one geometry: the (bands, materials) endmember matrix
+        matrix = reflectance(model, omega, mu[0], mu0[0], g[0], params)
+        assert matrix.shape == (30, 4)
+        for k in range(4):
+            column = reflectance(model, omega[:, k], mu[:, None], mu0[:, None], g[:, None], params[k])
+            assert block[:, :, k].tobytes() == column.tobytes(), k
+            assert matrix[:, k].tobytes() == reflectance(model, omega[:, k], mu[0], mu0[0], g[0], params[k]).tobytes()
 
 
 class TestSeparableSplit:

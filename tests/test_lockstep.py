@@ -357,6 +357,27 @@ def test_any_magnitude_keeps_each_models_scaling_law_psi_bounds_and_kkt(seed, n_
         assert violation >= -1e-8 and stationarity <= 1e-8
 
 
+def test_remainder_rule_gives_one_material_exactly_its_sum_on_wide_bounds():
+    """P = 1: the one free entry is the lowest, so the remainder rule sets it to the whole total.
+
+    An inverse alone leaks rounding times |c| into it: on WIDE_BOUNDS that
+    is 15 orders above a pixel pinned at 1e-30, and a negative pixel's entry
+    turns negative.  Both ELMM models meet each bound exactly, and lmm with
+    sum-to-one gives a = 1 exactly at 1e40 times reflectance scale.
+    """
+    rng = np.random.default_rng(0)
+    S = rng.uniform(0.05, 1.0, (9, 1))
+    # a pixel inside WIDE_BOUNDS, one below, one above, a negative and a zero pixel
+    X = S * np.array([0.7, 1e-40, 1e40, -1.0, 0.0])
+    for name in ("elmm-global", "elmm-full"):
+        result = unmix_cube(cube_of(X), S, SolverConfig(model=name, psi_bounds=WIDE_BOUNDS))
+        np.testing.assert_array_equal(result.abundances, np.ones((1, 5)))
+        np.testing.assert_array_equal(result.scales[0, 1:], [1e-30, 1e30, 1e-30, 1e-30])
+        assert result.scales[0, 0] == pytest.approx(0.7, rel=1e-14, abs=0.0)
+    result = unmix_cube(cube_of(1e40 * S), S, SolverConfig(model="lmm", sum_to_one=True))
+    np.testing.assert_array_equal(result.abundances, [[1.0]])
+
+
 def test_kkt_residual_stays_at_rounding_on_ill_conditioned_endmembers():
     # two nearly equal endmembers: cond(S) ~ 3e3, so cond(G) ~ 1e7 (an inverse alone leaves ~1e-9 here)
     rng = np.random.default_rng(1)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import warnings
@@ -7,7 +8,9 @@ import pytest
 
 from specmix.core import AlbedoSpectrum, Geometry, PhotometricParams, WavelengthAxis, cos_deg, sum_of_squares
 from specmix.hapke import ModelDomainError, reflectance
-from specmix.metrics import AlbedoCurve, SweepGrid, SweepResult, angle_sweep, rmse, spectral_angle
+from specmix import metrics
+from specmix.metrics import (SWEEP_MODELS, AlbedoCurve, SweepGrid, SweepResult, angle_sweep, angle_sweeps, rmse,
+                             spectral_angle)
 
 RMSE_OFFSET_CASE = 2.8284271247461901  # sqrt(16/2), hand-checkable
 CURVE_REL_45 = {  # relative model at theta0 = theta = 45, frozen oracle values
@@ -437,6 +440,71 @@ class TestAngleSweep:
         nan[1, 1] = "lambertian" in pair  # (90, 90), the doubly grazing cell
         np.testing.assert_array_equal(np.isnan(square.sam), nan)
         np.testing.assert_array_equal(np.isnan(square.rmse), nan)
+
+
+#: (theta0_values, theta_values) of a square grid (mirrored), a non-square one and one of grazing angles
+GROUP_GRIDS = {
+    "square": ([0.0, 90.0, 12.5, 37.0, 60.0, 88.0, 1e-300], [0.0, 90.0, 12.5, 37.0, 60.0, 88.0, 1e-300]),
+    "non-square": ([90.0, 0.0, 5.0, 20.0, 45.0, 75.0], [0.0, 30.0, 60.0, 85.0, 90.0]),
+    "grazing": ([85.0, 88.0, 89.9, 90.0], [80.0, 89.0, 89.99, 90.0]),
+}
+
+
+class TestAngleSweeps:
+    N_BANDS = 31
+
+    @classmethod
+    def albedos(cls):
+        rng = np.random.default_rng(23)
+        spectra = [rng.uniform(0.05, 0.95, cls.N_BANDS) for _ in range(4)]
+        # a flat albedo, and a tiny one whose reflectance differences are summed again, rescaled
+        spectra += [np.full(cls.N_BANDS, 0.5), 1e-200 * rng.uniform(0.2, 0.9, cls.N_BANDS)]
+        return [make_albedo(omega, f"m{k}") for k, omega in enumerate(spectra)]
+
+    @staticmethod
+    def assert_each_equals_its_one_albedo_sweep(albedos, grid):
+        results = list(angle_sweeps(albedos, grid))
+        assert len(results) == len(albedos)
+        for albedo, result in zip(albedos, results):
+            alone = angle_sweep(albedo, grid)
+            assert result.grid is grid
+            for name in ("sam", "rmse", "valid"):
+                assert getattr(result, name).tobytes() == getattr(alone, name).tobytes(), (albedo.material, name)
+
+    @staticmethod
+    def group_floats(grid, albedos_per_group):
+        """The _SWEEP_GROUP_FLOATS that makes groups of albedos_per_group albedos on this grid."""
+        n_theta0, n_theta = grid.theta0_values.size, grid.theta_values.size
+        return albedos_per_group * (4 * n_theta * TestAngleSweeps.N_BANDS + 6 * n_theta0 * n_theta)
+
+    @pytest.mark.parametrize("pair", list(itertools.permutations(SWEEP_MODELS, 2)))
+    @pytest.mark.parametrize("axes", GROUP_GRIDS.values(), ids=GROUP_GRIDS)
+    def test_each_result_equals_the_one_albedo_sweep_bit_for_bit(self, pair, axes):
+        grid = SweepGrid(theta0_values=axes[0], theta_values=axes[1], model_pair=pair)
+        albedos = self.albedos()
+        assert metrics._SWEEP_GROUP_FLOATS >= self.group_floats(grid, len(albedos))  # one group holds them all
+        self.assert_each_equals_its_one_albedo_sweep(albedos, grid)
+
+    @pytest.mark.parametrize("pair", list(itertools.permutations(SWEEP_MODELS, 2)))
+    @pytest.mark.parametrize("per_group", [2, 4])
+    def test_group_boundaries_do_not_change_values(self, pair, per_group, monkeypatch):
+        grid = SweepGrid(*GROUP_GRIDS["square"], model_pair=pair)
+        # six albedos in groups of two, or of four and then two
+        monkeypatch.setattr(metrics, "_SWEEP_GROUP_FLOATS", self.group_floats(grid, per_group))
+        self.assert_each_equals_its_one_albedo_sweep(self.albedos(), grid)
+
+    def test_a_zero_albedo_is_refused_by_name_before_any_sweep(self):
+        albedos = [*self.albedos()[:2], make_albedo(np.zeros(self.N_BANDS), "void")]
+        # refused by the call itself, before a result is asked for
+        with pytest.raises(ValueError, match="albedo 'void' is identically zero"):
+            angle_sweeps(albedos, SweepGrid())
+
+    def test_albedos_of_two_band_counts_refused(self):
+        with pytest.raises(ValueError, match=r"share one band count, got \[5, 31\]"):
+            angle_sweeps([*self.albedos()[:1], make_albedo(np.full(5, 0.5))], SweepGrid())
+
+    def test_no_albedos_give_no_results(self):
+        assert list(angle_sweeps([], SweepGrid())) == []
 
 
 def long_double_sweep(pair, omega, angles):

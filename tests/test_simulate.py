@@ -6,7 +6,7 @@ import pytest
 import scipy.optimize
 
 from specmix.core import AlbedoSpectrum, Geometry, HyperCube, PhotometricParams, WavelengthAxis
-from specmix.hapke import endmember_variant, scaling_factor
+from specmix.hapke import MODELS, endmember_variant, reflectance, scaling_factor
 from specmix import simulate
 from specmix.simulate import (
     AbundanceSampler,
@@ -286,18 +286,34 @@ class TestSimulateCube:
             )
             np.testing.assert_allclose(cube.values[:, n], variants @ A[:, n], atol=1e-12)
 
-    @pytest.mark.parametrize("model", ["full", "linear"])
-    def test_pixel_blocks_do_not_change_values(self, model, monkeypatch):
+    PARAMS = [PhotometricParams(b=0.3, c=0.6, B0=0.5, h=0.1), PhotometricParams(b=0.1, c=0.4, B0=0.0, h=0.2),
+              PhotometricParams(b=0.5, c=0.7, B0=1.0, h=0.05)]
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("floats", [1, 7 * 12 * 3 + 5])  # blocks of one pixel, and of 7 (12 bands, 3 materials)
+    def test_pixel_blocks_do_not_change_values(self, model, floats, monkeypatch):
         albedos = make_albedos()
-        params = [PhotometricParams(b=0.3, c=0.6, B0=0.5, h=0.1)] * 3
         config = base_config(n_pixels=40, model=model, snr_db=30.0)
-        whole = simulate_cube(albedos, params, config)
-        monkeypatch.setattr(simulate, "_CHUNK_PIXELS", 7)
-        chunked = simulate_cube(albedos, params, config)
+        whole = simulate_cube(albedos, self.PARAMS, config)
+        monkeypatch.setattr(simulate, "_CHUNK_FLOATS", floats)
+        chunked = simulate_cube(albedos, self.PARAMS, config)
         np.testing.assert_array_equal(chunked.values, whole.values)
         assert whole.values.flags.f_contiguous and chunked.values.flags.f_contiguous
         if model == "linear":
             np.testing.assert_array_equal(chunked.ground_truth.scales, whole.ground_truth.scales)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_values_are_the_mix_of_per_material_kernel_calls_bit_for_bit(self, model):
+        # each material's variants from its own reflectance call, stacked into the pixels' S_n and mixed
+        albedos = make_albedos()
+        cube = simulate_cube(albedos, self.PARAMS, base_config(n_pixels=40, model=model))
+        geometries, A = cube.geometries, cube.ground_truth.abundances
+        mu, mu0, g = geometries.mu[:, None], geometries.mu0[:, None], geometries.g[:, None]
+        block = np.empty((40, 12, 3))
+        for k, (albedo, params) in enumerate(zip(albedos, self.PARAMS)):
+            block[:, :, k] = reflectance(model, albedo.omega, mu, mu0, g, params)
+        expected = np.matmul(block, A.T[:, :, None])[:, :, 0].T
+        assert cube.values.tobytes(order="F") == np.asfortranarray(expected).tobytes(order="F")
 
     @pytest.mark.parametrize(
         "sampler", [AbundanceSampler(kind="uniform"), AbundanceSampler(kind="dirichlet", alpha=0.3)]
