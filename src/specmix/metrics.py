@@ -221,7 +221,8 @@ class SweepGrid:
                 f"theta0_values ({n_theta0} angles) x theta_values ({n_theta} angles) make "
                 f"{n_theta0 * n_theta} sweep cells; at most {_MAX_SWEEP_CELLS} are allowed"
             )
-        return cls(theta0_values=theta0(), theta_values=theta(), model_pair=raw.get("model_pair", ("relative", "linear")))
+        pair = {"model_pair": raw["model_pair"]} if "model_pair" in raw else {}
+        return cls(theta0_values=theta0(), theta_values=theta(), **pair)
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,22 @@
 """Constrained least-squares unmixing against a fixed endmember matrix.
 
-Three models share one deterministic active-set core, ``_active_set``,
-run in Gram space so per-pixel work costs O(P^3) regardless of band count.
-It is a primal active set for non-negative least squares (Lawson & Hanson
-1974), or with the equality row sum(z) = total for the fully constrained
-least squares of Heinz & Chang (IEEE TGRS 2001).  Both problems start
-alike: on the full support at a uniform interior point, from which ratio
+Every model solves one convex program per pixel in Gram space,
+
+    min 0.5 z'Gz - c'z  over  {z >= 0, lo <= sum(z) <= hi},  G = S'S, c = S'x,
+
+so per-pixel work costs O(P^3) regardless of band count.  One deterministic
+primal active-set core, ``_active_set``, takes the sum bounds per pixel:
+(0, inf) is non-negative least squares (Lawson & Hanson 1974), (1, 1) the
+fully constrained least squares of Heinz & Chang (IEEE TGRS 2001).  Every
+pixel starts on the full support at a uniform point, from which ratio
 steps drop materials and the multiplier check adds back any that should
 enter.  A dense pixel thus finishes in one solve, not one per material.
 
 - "lmm": classic (fully) constrained least squares per pixel.
 - "elmm-global" (one scale per pixel) and "elmm-full" (per-material scales
   psi, x ~ S0 (psi * a)): per pixel the data pin down only z = psi * a, and
-  either scaled simplex maps onto exactly {z >= 0, lo <= sum(z) <= hi}.
-  That set is convex, so both are one program, one exact active-set solve
+  either scaled simplex maps onto exactly the program with (lo, hi) =
+  psi_bounds.  That set is convex, so both are one exact active-set pass
   split as a = z / sum(z) and psi = sum(z); elmm-full alone reports psi = 1
   on absent materials.  Telling per-material scales apart needs a spatial
   prior, such as the regularized ADMM of Drumetz et al. (IEEE TIP 2016),
@@ -24,25 +27,24 @@ the entering test at z = 0: its non-negative fit is 0.
 
 The core runs every pixel of a batch in lockstep: each step takes one
 action per unfinished pixel (pick an entering material, or solve its
-system on the free materials and take the ratio step).  All pixels share
-G = S'S, so a pixel's system depends only on its free set, an integer
-support mask.  A step builds the system of each distinct mask once, keeping
-the rows and columns of the free materials and replacing the others by the
-identity, inverts them in one stacked ``np.linalg.inv`` and gives every
-pixel its mask's inverse by a gather and one batched ``np.matmul``; with a
-sum constraint the lowest free material then takes exactly what the others
-leave of the total.  Each final result takes one step of iterative
-refinement, so its KKT residual is a solve's, not rounding times cond(G).
-A pixel's arithmetic thus never depends on which other pixels share the
-batch.  Every product whose length varies with the
-batch is computed one pixel at a time (``_rowwise``).  A pixel's result is
-therefore bit-identical whether it is solved alone, in a batch of any size
-or in the whole cube.
+program on the free materials and take the ratio step).  All pixels share
+G, so a pixel's solve depends only on its free set, an integer support
+mask: a step inverts each distinct mask's P x P system once, in one
+stacked ``np.linalg.inv``, and a pixel whose free solve leaves [lo, hi]
+moves onto the bound it crosses by the Schur complement of the sum row
+(``_solve_free``).  So one pass moves a pixel between in-bound solves and
+solves on a bound as its free set changes.  Each final result takes one
+step of iterative refinement, so its KKT residual is a solve's, not
+rounding times cond(G).  Every product whose length varies with the batch
+is computed one pixel at a time (``_rowwise``), and every per-pixel sum
+column by column, so a pixel's arithmetic never depends on which other
+pixels share the batch: its result is bit-identical whether it is solved
+alone, in a batch of any size or in the whole cube.
 
 unmix_cube sizes its two kinds of work apart.  A lockstep batch pays a
 fixed cost per step, so it is as large as its biggest per-pixel temporary
-allows: the gathered (P+1) x (P+1) inverses, _BATCH_FLOATS floats per batch
-(2 MB, about 10^4 pixels at P = 4).  The residual, the one temporary of band
+allows: the gathered P x P inverses, _BATCH_FLOATS floats per batch (2 MB,
+16 384 pixels at P = 4).  The residual, the one temporary of band
 length, is computed _RESIDUAL_ROWS pixels at a time, so peak memory stays a
 small fraction of the cube's.
 """
@@ -67,7 +69,7 @@ _KKT_RTOL = 1e-10
 #: Coefficients at or below this fraction of the solution scale are zero.
 _DROP_TOL = 1e-12
 _MAX_OUTER_FACTOR = 30
-#: Floats of the gathered (P+1) x (P+1) inverses, the largest per-pixel temporary, in one lockstep batch.
+#: Floats of the gathered P x P inverses, the largest per-pixel temporary, in one lockstep batch.
 _BATCH_FLOATS = 2**18
 #: Pixels per block of the (pixels x bands) residual in unmix_cube.
 _RESIDUAL_ROWS = 1024
@@ -111,11 +113,9 @@ class SolverConfig:
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "SolverConfig":
         check_config_keys(raw, (f.name for f in fields(cls)), "solver config")
-        return cls(
-            model=raw.get("model", "elmm-full"),
-            sum_to_one=config_value(raw.get("sum_to_one", True), "sum_to_one", "flag"),
-            psi_bounds=config_value(raw.get("psi_bounds", (1e-2, 1e2)), "psi_bounds", "pair"),
-        )
+        # only the keys present: an absent one takes its field default
+        kinds = {"sum_to_one": "flag", "psi_bounds": "pair"}
+        return cls(**{key: config_value(value, key, kinds[key]) if key in kinds else value for key, value in raw.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -131,40 +131,60 @@ def _rowwise(M: FloatArray, B: FloatArray) -> FloatArray:
     return np.matmul(np.ascontiguousarray(M)[:, None, :], B)[:, 0, :]
 
 
-def _solve_free(K: FloatArray, rhs: FloatArray, mask: np.ndarray, free: np.ndarray,
-                start: FloatArray | None = None) -> FloatArray:
-    """Solve K restricted to each row's free indices, from one inverse per distinct free set.
+def _solve_free(G: FloatArray, C: FloatArray, mask: np.ndarray, free: np.ndarray, lo: FloatArray, hi: FloatArray,
+                start: FloatArray | None = None, mu: FloatArray | None = None) -> tuple[FloatArray, FloatArray]:
+    """Each row's program on its free indices, and the multiplier mu of its sum, from one inverse per free set.
 
-    Row n's free set is free[n], or its integer support mask mask[n]; the
-    indices past free's width (the sum border) are always free.  Rows and
-    columns outside a free set become the identity, whose inverse keeps the
-    free block exactly apart: the kept block is solved as if alone, and
-    entries outside it are never read.  Each distinct mask's system is built
-    and inverted once (one stacked ``np.linalg.inv``), then every row takes
-    its inverse by a gather and one batched ``np.matmul``.  Given start, a
-    point that is 0 outside the free sets, the result is start plus the
-    solution for the residual rhs - K start: one step of iterative
-    refinement.  With the border, whose row is sum(z) = rhs[:, -1], the
-    lowest free index takes what the other free entries leave of that
-    total, so the sum holds to their rounding: the inverse alone would leak
-    rounding times |c|, which at radiance scale or on a bound far below the
-    fit can empty a support.
+    Row n's free set F is free[n], or its integer support mask mask[n].
+    Each distinct mask's G_F is built with the identity outside F, inverted
+    once (one stacked ``np.linalg.inv``) and zeroed outside F; every row
+    takes its inverse by a gather and one batched ``np.matmul``, so
+    u = G_F^-1 c_F and u is 0 outside F.  A row whose sum sigma of u lies in
+    [lo, hi] keeps u, with mu = 0.  Any other row moves onto the bound t it
+    crosses by the Schur complement of the sum row: with v = G_F^-1 1_F,
+    one per mask, mu = (sigma - t) / sum(v) and z = u - mu v, so that
+    G_F z + mu 1 = c_F.  The lowest free index then takes what the other
+    free entries leave of t, so the sum holds to their rounding: u - mu v
+    alone leaks rounding times |c| into it, which at radiance scale or on a
+    bound far below the fit can empty a support.  This is the exact
+    optimum over {lo <= sum(z) <= hi} on F, the oracle's support_solve.
+
+    Given start, a point that is 0 outside the free sets, and its
+    multiplier mu, the result is one step of iterative refinement:
+    u = start + G_F^-1 (c - G start - mu 1), on the bound that the sign of
+    mu names (hi above 0, lo below, none at 0), and the multiplier returned
+    is mu plus the step's.
     """
-    n, p = free.shape
     _, first, which = np.unique(mask, return_index=True, return_inverse=True)
-    kept = np.ones((first.size, K.shape[0]), dtype=bool)
-    kept[:, :p] = free[first]
-    inverse = np.linalg.inv(np.where(kept[:, :, None] & kept[:, None, :], K, np.eye(K.shape[0])))
-    residual = rhs if start is None else rhs - _rowwise(start, K)
-    solution = np.matmul(inverse[which], residual[:, :, None])[:, :, 0]
-    if start is not None:
-        solution += start
-    if K.shape[0] > p:
-        rows, lowest = np.arange(n), np.argmax(kept[:, :p], axis=1)[which]
-        others = np.where(free, solution[:, :p], 0.0)
-        others[rows, lowest] = 0.0
-        solution[rows, lowest] = rhs[:, p] - reduce(np.add, others.T)
-    return solution
+    kept = free[first]
+    block = kept[:, :, None] & kept[:, None, :]
+    inverse = np.where(block, np.linalg.inv(np.where(block, G, np.eye(G.shape[0]))), 0.0)
+    # v = G_F^-1 1_F and sum(v), per mask
+    v = inverse.sum(axis=2)
+    v_sum = v.sum(axis=1)
+    residual = C if start is None else C - _rowwise(start, G) - mu[:, None]
+    z = np.matmul(inverse.take(which, axis=0), residual[:, :, None])[:, :, 0]
+    if start is None:
+        sigma = reduce(np.add, z.T)
+        t = np.minimum(np.maximum(sigma, lo), hi)
+        mu = np.zeros(len(C))
+    else:
+        z += start
+        sigma = reduce(np.add, z.T)
+        t = np.where(mu > 0.0, hi, np.where(mu < 0.0, lo, sigma))
+        mu = mu.copy()
+    rows = np.flatnonzero(t != sigma)
+    if rows.size:  # the Schur step onto t for rows outside [lo, hi]; take, not fancy indexing, gathers their rows
+        m = which.take(rows)
+        step = (sigma.take(rows) - t.take(rows)) / v_sum.take(m)
+        mu[rows] += step
+        on_bound = z.take(rows, axis=0) - step[:, None] * v.take(m, axis=0)
+        i, lowest = np.arange(rows.size), np.argmax(kept, axis=1).take(m)
+        others = on_bound.copy()
+        others[i, lowest] = 0.0
+        on_bound[i, lowest] = t.take(rows) - reduce(np.add, others.T)
+        z[rows] = on_bound
+    return z, mu
 
 
 def _ratio_step(current: FloatArray, target: FloatArray, free: np.ndarray, sink: np.ndarray) -> FloatArray:
@@ -175,53 +195,45 @@ def _ratio_step(current: FloatArray, target: FloatArray, free: np.ndarray, sink:
     return np.where(free, current + alpha * (target - current), 0.0)
 
 
-def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, total: FloatArray | None = None) -> FloatArray:
-    """min 0.5 z'Gz - c'z over z >= 0 for every row c of C, and sum(z) = total if given.
+def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, lo: FloatArray, hi: FloatArray) -> FloatArray:
+    """min 0.5 z'Gz - c'z over {z >= 0, lo <= sum(z) <= hi} for every row c of C.
 
     scale holds max|c| per row, which the caller already has from its
-    column-wise reductions.  total holds one positive sum per row.  Every
-    pixel starts on the full support at the uniform point whose entries sum
-    to its level: total, or scale / max(diag G) without one.  Without a
-    total, a pixel that no material would enter at z = 0 (c = 0 among them)
-    has level 0 and starts at z = 0, in the multiplier check, so its fit
-    stays exactly 0.  With total the systems carry the equality row as a
-    border whose multiplier the check subtracts.
+    column-wise reductions; lo and hi hold each row's sum bounds, with
+    0 <= lo <= hi and hi > 0.  Every pixel starts on the full support at the
+    uniform point whose entries sum to its level: scale / max(diag G), or 0
+    for a pixel that no material would enter at z = 0 (c = 0 among them),
+    clipped to [lo, hi].  A pixel of level 0 starts at z = 0, in the
+    multiplier check, so its fit stays exactly 0; with lo > 0 such a pixel
+    starts at lo instead.
     Each pixel's free set is an integer support mask, bit k for material k
-    (Python integers past 63 materials, so any P fits); a step solves its
-    pixels from one inverse per distinct mask (``_solve_free``), at most
-    min(2^P, pixels in the step) of them, and the result takes one
-    refinement step on its final free set.
-    The entering variable is the active index with the most negative
-    multiplier (lowest index on ties).  A free entry whose target is at or
-    below the floor, +drop_tol without a total and -drop_tol with one, is a
-    sink; the ratio step moves toward the target until the first sink hits
-    0, at most all the way.  Tolerances are relative: kkt_tol to the
-    gradient's scale, max|c| (with a total also total * max(diag G), so a
-    dark pixel keeps a tolerance above the rounding of G z), and drop_tol to
-    the solution's.  A pixel fails past either cap: 1 plus its entering
-    steps, or its solves since the last one.
+    (Python integers past 63 materials, so any P fits).  A step solves its
+    pixels' free sets within their sum bounds from one inverse per distinct
+    mask (``_solve_free``), at most min(2^P, pixels in the step) of them, and
+    the result takes one refinement step on its final free set, on the side
+    of the bound its final multiplier names.  The multiplier of an active
+    material is its reduced gradient plus the sum's multiplier mu, which is
+    0 off a bound; the entering variable is the active index with the most
+    negative one (lowest index on ties).  A free entry whose target is at or
+    below -drop_tol is a sink; the ratio step moves toward the target until
+    the first sink hits 0, at most all the way.  Tolerances are relative:
+    kkt_tol to the gradient's scale, max(max|c|, level * max(diag G)), so a
+    dark pixel on a bound keeps a tolerance above the rounding of G z; and
+    drop_tol to the level.  A pixel fails past either cap: 1 plus its
+    entering steps, or its solves since the last one.
     """
     n, p = C.shape
     cap = _MAX_OUTER_FACTOR * p + 30
     g_max = np.max(np.diag(G))
     bits = np.array([1 << k for k in range(p)], dtype=np.int64 if p < 64 else object)
-    if total is None:
-        name = "non-negative least squares"
-        K, rhs = G, C
-        kkt_tol = _KKT_RTOL * scale
-        level = np.where(reduce(np.maximum, C.T) > kkt_tol, scale / g_max, 0.0)
-    else:
-        name = "sum-constrained least squares"
-        K = np.ones((p + 1, p + 1))
-        K[:p, :p], K[p, p] = G, 0.0
-        rhs = np.column_stack([C, total])
-        level = total
-        kkt_tol = _KKT_RTOL * np.maximum(scale, total * g_max)
-        lam = np.zeros(n)
+    name = "non-negative" if np.all(hi == np.inf) else "sum-constrained"
+    level = np.where(reduce(np.maximum, C.T) > _KKT_RTOL * scale, scale / g_max, 0.0)
+    level = np.minimum(np.maximum(level, lo), hi)
+    kkt_tol = _KKT_RTOL * np.maximum(scale, level * g_max)
     drop_tol = (_DROP_TOL * level)[:, None]
-    floor = drop_tol if total is None else -drop_tol
     # the uniform point on the full support; a pixel of level 0 starts at z = 0, in the multiplier check
     Z = np.repeat((level / p)[:, None], p, axis=1)
+    mu = np.zeros(n)
     starts = level > 0
     mask = starts.astype(bits.dtype) * ((1 << p) - 1)
     checking, solving = np.flatnonzero(~starts), np.flatnonzero(starts)
@@ -233,13 +245,10 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, total: FloatArr
         failed[solving[inner[solving] > cap]] = True
         s = solving[inner[solving] <= cap]
         f = (mask[s, None] & bits) != 0
-        solution = _solve_free(K, rhs[s], mask[s], f)
-        target = solution[:, :p]
-        if total is not None:
-            lam[s] = -solution[:, p]
-        sink = f & (target <= floor[s])
+        target, mu[s] = _solve_free(G, C.take(s, axis=0), mask[s], f, lo[s], hi[s])
+        sink = f & (target <= -drop_tol[s])
         done = (sink @ bits) == 0
-        Z[s[done]] = np.where(f[done], np.maximum(target[done], 0.0), 0.0)
+        Z[s[done]] = np.maximum(target[done], 0.0)
 
         stepping = ~done
         b, f = s[stepping], f[stepping]
@@ -247,54 +256,52 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, total: FloatArr
         f &= step > drop_tol[b]
         Z[b] = np.where(f, step, 0.0)
         mask[b] = f @ bits
-        emptied = mask[b] == 0
+        emptied = b[mask[b] == 0]
+        # an emptied support sits at z = 0, where the multiplier of the target it did not reach does not hold
+        mu[emptied] = 0.0
         # multiplier check: pixels of level 0, finished solves and emptied supports
-        m = np.concatenate([checking, s[done], b[emptied]])
+        m = np.concatenate([checking, s[done], emptied])
 
+        # the sum's multiplier mu shifts a row's multipliers alike, so it enters after the argmin
         multipliers = _rowwise(Z[m], G) - C[m]
-        if total is not None:
-            multipliers -= lam[m, None]
         multipliers[(mask[m, None] & bits) != 0] = np.inf
         j = np.argmin(multipliers, axis=1)
-        go = multipliers[np.arange(m.size), j] < -kkt_tol[m]
+        go = multipliers[np.arange(m.size), j] + mu[m] < -kkt_tol[m]
         e, j = m[go], j[go]
         mask[e] |= bits[j]
         inner[e] = 0
         outer[e] += 1
         failed[e[outer[e] > cap]] = True
-        checking, solving = np.arange(0), np.concatenate([b[~emptied], e[outer[e] <= cap]])
+        checking, solving = np.arange(0), np.concatenate([b[mask[b] != 0], e[outer[e] <= cap]])
     if failed.any():
-        raise RuntimeError(f"{name} did not converge on {int(failed.sum())} of {n} pixels")
+        raise RuntimeError(f"{name} least squares did not converge on {int(failed.sum())} of {n} pixels")
     # An inverse gives a solve's forward error, but leaves a residual of rounding times cond(G) where a
     # solve leaves rounding: one refinement step from each result brings the KKT residual back to rounding.
     free = (mask[:, None] & bits) != 0
-    solution = _solve_free(K, rhs, mask, free, Z if total is None else np.column_stack([Z, -lam]))
-    return np.where(free, np.maximum(solution[:, :p], 0.0), 0.0)
+    return np.maximum(_solve_free(G, C, mask, free, lo, hi, Z, mu)[0], 0.0)
 
 
 def _unmix_rows(config: SolverConfig, G: FloatArray, C: FloatArray):
     """Abundances, scales and degenerate flags for the pixels c in the rows of C.
 
     Degenerate: no entry of c passes the non-negative active set's entering
-    test at z = 0, so the non-negative fit is 0.  The ELMM models start from
-    that fit z and re-solve the pixels whose sum(z) leaves psi_bounds, a
-    degenerate one included, on the nearer bound: the exact optimum over
-    {z >= 0, lo <= sum(z) <= hi}, the image of the scaled simplex.
+    test at z = 0, so the non-negative fit is 0.  Every model is one
+    _active_set pass with its sum bounds: (0, inf) for NNLS, (1, 1) for lmm
+    with sum-to-one, and psi_bounds for the ELMM models, whose program over
+    {z >= 0, lo <= sum(z) <= hi} is the image of the scaled simplex.
     """
     n, p = C.shape
     # max(c) and max|c| column by column: a row-wise max over the short material axis is several times slower
     c_max = reduce(np.maximum, C.T)
     scale = np.maximum(c_max, -reduce(np.minimum, C.T))
     degenerate = ~(c_max > _KKT_RTOL * scale)
+    if config.model != "lmm":
+        lo, hi = config.psi_bounds
+    else:
+        lo, hi = (1.0, 1.0) if config.sum_to_one else (0.0, np.inf)
+    Z = _active_set(G, C, scale, np.full(n, lo), np.full(n, hi))
     if config.model == "lmm":
-        return _active_set(G, C, scale, np.ones(n) if config.sum_to_one else None), np.ones((n, p)), degenerate
-    lo, hi = config.psi_bounds
-    Z = _active_set(G, C, scale)
-    s = Z.sum(axis=1)
-    bound = np.minimum(np.maximum(s, lo), hi)
-    resolve = bound != s
-    if resolve.any():
-        Z[resolve] = _active_set(G, C[resolve], scale[resolve], bound[resolve])
+        return Z, np.ones((n, p)), degenerate
     total = Z.sum(axis=1)  # >= lo > 0
     A = Z / total[:, None]
     # a sum-constrained solve meets its bound only to rounding
@@ -352,7 +359,7 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     psi = sum(z); elmm-full reports 1 on absent materials.  A non-finite
     cube value is rejected before any solve, naming its band and pixel.
 
-    Pixels are solved in lockstep batches of _BATCH_FLOATS // (P+1)^2
+    Pixels are solved in lockstep batches of _BATCH_FLOATS // P^2
     pixels, which bounds the gathered inverses, with no loop over pixels;
     the reconstruction residual is then formed _RESIDUAL_ROWS pixels at a
     time, which bounds the one (pixels x bands) temporary.  A pixel's
@@ -381,7 +388,7 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     psi = np.empty((n_materials, n_pixels))
     degenerate = np.empty(n_pixels, dtype=bool)
     residual_rmse = np.empty(n_pixels)
-    batch = max(1, _BATCH_FLOATS // (n_materials + 1) ** 2)
+    batch = max(1, _BATCH_FLOATS // n_materials ** 2)
     for start in range(0, n_pixels, batch):
         px = slice(start, start + batch)
         # one pixel per row: X[:, px].T is a C-contiguous view of the pixel-major cube

@@ -135,6 +135,20 @@ def test_matches_the_exact_oracle_where_materials_re_enter(model):
     assert_matches_oracle(S, X, unmix_cube(cube_of(X), S, config), model, (0.5, 2.0), rtol)
 
 
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m[0]}-{m[1]}")
+def test_matches_the_exact_oracle_where_paths_switch_sides(model):
+    # One pass moves a pixel between in-bound solves and solves on a sum bound as its free set changes.  Mixtures
+    # with negative coefficients do so: here 4 ELMM paths leave a psi bound for the interior and 3 reach a bound
+    # after in-bound solves (test_matches_the_exact_oracle's draws: 3 and 0), and 8 non-negative paths pass
+    # through a solve on the sum's floor at 0.
+    name, sum_to_one = model
+    rng = np.random.default_rng(0)
+    S = rng.uniform(0.05, 1.0, (30, 4))
+    X = S @ (rng.normal(0.4, 0.5, (4, 200)) * rng.uniform(0.5, 3.0, 200)) + rng.normal(0.0, 0.01, (30, 200))
+    config = SolverConfig(model=name, sum_to_one=sum_to_one, psi_bounds=(0.5, 2.0))
+    assert_matches_oracle(S, X, unmix_cube(cube_of(X), S, config), model, (0.5, 2.0))
+
+
 def all_outputs(result):
     return (result.abundances, result.scales, result.residual_rmse, result.degenerate)
 
@@ -358,12 +372,15 @@ def test_any_magnitude_keeps_each_models_scaling_law_psi_bounds_and_kkt(seed, n_
 
 
 def test_remainder_rule_gives_one_material_exactly_its_sum_on_wide_bounds():
-    """P = 1: the one free entry is the lowest, so the remainder rule sets it to the whole total.
+    """A one-material free set: its entry is the lowest, so the remainder rule sets it to the whole total.
 
     An inverse alone leaks rounding times |c| into it: on WIDE_BOUNDS that
     is 15 orders above a pixel pinned at 1e-30, and a negative pixel's entry
-    turns negative.  Both ELMM models meet each bound exactly, and lmm with
-    sum-to-one gives a = 1 exactly at 1e40 times reflectance scale.
+    turns negative.  P = 1: both ELMM models meet each bound exactly, and
+    lmm with sum-to-one gives a = 1 exactly at 1e40 times reflectance scale.
+    P = 2: negative pixels and noise at 1e12 pinned at 1e-30 end on one
+    material, reached from two-material solves on the bound whose rounding
+    is 14 orders above it.
     """
     rng = np.random.default_rng(0)
     S = rng.uniform(0.05, 1.0, (9, 1))
@@ -376,6 +393,17 @@ def test_remainder_rule_gives_one_material_exactly_its_sum_on_wide_bounds():
         assert result.scales[0, 0] == pytest.approx(0.7, rel=1e-14, abs=0.0)
     result = unmix_cube(cube_of(1e40 * S), S, SolverConfig(model="lmm", sum_to_one=True))
     np.testing.assert_array_equal(result.abundances, [[1.0]])
+    rng = np.random.default_rng(0)
+    S = rng.uniform(0.05, 1.0, (9, 2))
+    X = np.column_stack([-np.abs(rng.normal(0.0, 1.0, (20, 9))).T, 1e12 * rng.normal(0.0, 1.0, (20, 9)).T])
+    Z = support_oracle(S, X, *WIDE_BOUNDS)
+    pinned = Z.sum(axis=0) == 1e-30
+    one = Z[:, pinned] > 0.0
+    assert pinned.sum() == 29 and np.all(one.sum(axis=0) == 1)
+    for name in ("elmm-global", "elmm-full"):
+        result = unmix_cube(cube_of(X), S, SolverConfig(model=name, psi_bounds=WIDE_BOUNDS))
+        np.testing.assert_array_equal(result.abundances[:, pinned], one)
+        np.testing.assert_array_equal(result.scales[:, pinned][one], 1e-30)
 
 
 def test_kkt_residual_stays_at_rounding_on_ill_conditioned_endmembers():

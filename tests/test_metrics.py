@@ -278,6 +278,9 @@ class TestSweepGrid:
         assert grid.theta_values.size == 91
         assert grid.model_pair == ("relative", "linear")
 
+    def test_absent_keys_take_the_field_defaults(self):
+        assert SweepGrid.from_dict({}).to_dict() == SweepGrid().to_dict()
+
 
 class TestSweepResult:
     @pytest.mark.parametrize("name", ["sam", "rmse", "valid"])

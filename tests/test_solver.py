@@ -27,6 +27,9 @@ class TestSolverConfig:
         config = SolverConfig(model="elmm-global", psi_bounds=(0.5, 3.0))
         assert SolverConfig.from_dict(config.to_dict()) == config
 
+    def test_absent_keys_take_the_field_defaults(self):
+        assert SolverConfig.from_dict({}).to_dict() == SolverConfig().to_dict()
+
     def test_unknown_keys_rejected_by_name(self):
         with pytest.raises(ValueError, match="unknown solver config keys: psi_bound, sed"):
             SolverConfig.from_dict({"model": "lmm", "sed": 1, "psi_bound": [1, 2]})
