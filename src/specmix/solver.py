@@ -29,9 +29,10 @@ The core runs every pixel of a batch in lockstep: each step takes one
 action per unfinished pixel (pick an entering material, or solve its
 program on the free materials and take the ratio step).  All pixels share
 G, so a pixel's solve depends only on its free set, an integer support
-mask: a step inverts each distinct mask's P x P system once, in one
-stacked ``np.linalg.inv``, and a pixel whose free solve leaves [lo, hi]
-moves onto the bound it crosses by the Schur complement of the sum row
+mask: a step finds the distinct masks by ``np.unique`` without a sort
+index, inverts each one's P x P system once, in one stacked
+``np.linalg.inv``, and a pixel whose free solve leaves [lo, hi] moves
+onto the bound it crosses by the Schur complement of the sum row
 (``_solve_free``).  So one pass moves a pixel between in-bound solves and
 solves on a bound as its free set changes.  Each final result takes one
 step of iterative refinement, so its KKT residual is a solve's, not
@@ -41,12 +42,14 @@ column by column, so a pixel's arithmetic never depends on which other
 pixels share the batch: its result is bit-identical whether it is solved
 alone, in a batch of any size or in the whole cube.
 
-unmix_cube sizes its two kinds of work apart.  A lockstep batch pays a
-fixed cost per step, so it is as large as its biggest per-pixel temporary
-allows: the gathered P x P inverses, _BATCH_FLOATS floats per batch (2 MB,
-16 384 pixels at P = 4).  The residual, the one temporary of band
-length, is computed _RESIDUAL_ROWS pixels at a time, so peak memory stays a
-small fraction of the cube's.
+unmix_cube forms C = X'S once per call and judges the cube's finiteness
+on C, scanning X only when some c is not finite.  It sizes its two kinds
+of work apart.  A lockstep batch pays a fixed cost per step, so it is as
+large as its biggest per-pixel temporary allows: the gathered P x P
+inverses, _BATCH_FLOATS floats per batch (2 MB, 16 384 pixels at P = 4).
+The residual, the one temporary of band length, is computed
+_RESIDUAL_ROWS pixels at a time, so peak memory stays a small fraction
+of the cube's.
 """
 
 from __future__ import annotations
@@ -131,12 +134,13 @@ def _rowwise(M: FloatArray, B: FloatArray) -> FloatArray:
     return np.matmul(np.ascontiguousarray(M)[:, None, :], B)[:, 0, :]
 
 
-def _solve_free(G: FloatArray, C: FloatArray, mask: np.ndarray, free: np.ndarray, lo: FloatArray, hi: FloatArray,
+def _solve_free(G: FloatArray, C: FloatArray, mask: np.ndarray, bits: np.ndarray, lo: FloatArray, hi: FloatArray,
                 start: FloatArray | None = None, mu: FloatArray | None = None) -> tuple[FloatArray, FloatArray]:
     """Each row's program on its free indices, and the multiplier mu of its sum, from one inverse per free set.
 
-    Row n's free set F is free[n], or its integer support mask mask[n].
-    Each distinct mask's G_F is built with the identity outside F, inverted
+    Row n's free set F is its integer support mask mask[n], bit bits[k]
+    for material k, deduplicated by ``np.unique`` without a sort index.
+    Each mask's G_F is built with the identity outside F, inverted
     once (one stacked ``np.linalg.inv``) and zeroed outside F; every row
     takes its inverse by a gather and one batched ``np.matmul``, so
     u = G_F^-1 c_F and u is 0 outside F.  A row whose sum sigma of u lies in
@@ -155,8 +159,8 @@ def _solve_free(G: FloatArray, C: FloatArray, mask: np.ndarray, free: np.ndarray
     mu names (hi above 0, lo below, none at 0), and the multiplier returned
     is mu plus the step's.
     """
-    _, first, which = np.unique(mask, return_index=True, return_inverse=True)
-    kept = free[first]
+    masks, which = np.unique(mask, return_inverse=True)
+    kept = (masks[:, None] & bits) != 0
     block = kept[:, :, None] & kept[:, None, :]
     inverse = np.where(block, np.linalg.inv(np.where(block, G, np.eye(G.shape[0]))), 0.0)
     # v = G_F^-1 1_F and sum(v), per mask
@@ -191,7 +195,7 @@ def _ratio_step(current: FloatArray, target: FloatArray, free: np.ndarray, sink:
     """Move free entries from current toward target until the first sink hits 0, at most to target."""
     with np.errstate(divide="ignore", invalid="ignore"):
         steps = np.where(sink, current / (current - target), np.inf)
-    alpha = np.minimum(1.0, steps.min(axis=1))[:, None]
+    alpha = np.minimum(1.0, reduce(np.minimum, steps.T))[:, None]
     return np.where(free, current + alpha * (target - current), 0.0)
 
 
@@ -242,43 +246,44 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, lo: FloatArray,
     failed = np.zeros(n, dtype=bool)
     while checking.size or solving.size:
         inner[solving] += 1
-        failed[solving[inner[solving] > cap]] = True
-        s = solving[inner[solving] <= cap]
-        f = (mask[s, None] & bits) != 0
-        target, mu[s] = _solve_free(G, C.take(s, axis=0), mask[s], f, lo[s], hi[s])
-        sink = f & (target <= -drop_tol[s])
+        failed[solving.compress(inner.take(solving) > cap)] = True
+        s = solving.compress(inner.take(solving) <= cap)
+        mask_s = mask.take(s)
+        target, mu[s] = _solve_free(G, C.take(s, axis=0), mask_s, bits, lo.take(s), hi.take(s))
+        f = (mask_s[:, None] & bits) != 0
+        sink = f & (target <= -drop_tol.take(s, axis=0))
         done = (sink @ bits) == 0
-        Z[s[done]] = np.maximum(target[done], 0.0)
+        Z[s.compress(done)] = np.maximum(target.compress(done, axis=0), 0.0)
 
         stepping = ~done
-        b, f = s[stepping], f[stepping]
-        step = _ratio_step(Z[b], target[stepping], f, sink[stepping])
-        f &= step > drop_tol[b]
+        b, f = s.compress(stepping), f.compress(stepping, axis=0)
+        step = _ratio_step(Z.take(b, axis=0), target.compress(stepping, axis=0), f, sink.compress(stepping, axis=0))
+        f &= step > drop_tol.take(b, axis=0)
         Z[b] = np.where(f, step, 0.0)
-        mask[b] = f @ bits
-        emptied = b[mask[b] == 0]
+        mask_b = f @ bits
+        mask[b] = mask_b
+        emptied = b.compress(mask_b == 0)
         # an emptied support sits at z = 0, where the multiplier of the target it did not reach does not hold
         mu[emptied] = 0.0
         # multiplier check: pixels of level 0, finished solves and emptied supports
-        m = np.concatenate([checking, s[done], emptied])
+        m = np.concatenate([checking, s.compress(done), emptied])
 
         # the sum's multiplier mu shifts a row's multipliers alike, so it enters after the argmin
-        multipliers = _rowwise(Z[m], G) - C[m]
-        multipliers[(mask[m, None] & bits) != 0] = np.inf
+        multipliers = _rowwise(Z.take(m, axis=0), G) - C.take(m, axis=0)
+        multipliers[(mask.take(m)[:, None] & bits) != 0] = np.inf
         j = np.argmin(multipliers, axis=1)
-        go = multipliers[np.arange(m.size), j] + mu[m] < -kkt_tol[m]
-        e, j = m[go], j[go]
-        mask[e] |= bits[j]
+        go = multipliers.take(np.arange(0, m.size * p, p) + j) + mu.take(m) < -kkt_tol.take(m)
+        e, j = m.compress(go), j.compress(go)
+        mask[e] = mask.take(e) | bits.take(j)
         inner[e] = 0
         outer[e] += 1
-        failed[e[outer[e] > cap]] = True
-        checking, solving = np.arange(0), np.concatenate([b[mask[b] != 0], e[outer[e] <= cap]])
+        failed[e.compress(outer.take(e) > cap)] = True
+        checking, solving = np.arange(0), np.concatenate([b.compress(mask_b != 0), e.compress(outer.take(e) <= cap)])
     if failed.any():
         raise RuntimeError(f"{name} least squares did not converge on {int(failed.sum())} of {n} pixels")
     # An inverse gives a solve's forward error, but leaves a residual of rounding times cond(G) where a
     # solve leaves rounding: one refinement step from each result brings the KKT residual back to rounding.
-    free = (mask[:, None] & bits) != 0
-    return np.maximum(_solve_free(G, C, mask, free, lo, hi, Z, mu)[0], 0.0)
+    return np.maximum(_solve_free(G, C, mask, bits, lo, hi, Z, mu)[0], 0.0)
 
 
 def _unmix_rows(config: SolverConfig, G: FloatArray, C: FloatArray):
@@ -358,6 +363,10 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     Both ELMM models solve the convex program in z = psi * a and report
     psi = sum(z); elmm-full reports 1 on absent materials.  A non-finite
     cube value is rejected before any solve, naming its band and pixel.
+    C = X'S is formed once per call, and finiteness is judged on it: a
+    non-finite x_b makes every c_k non-finite (inf * 0 is NaN), so X is
+    scanned only when some c is; a finite cube whose C overflows is solved
+    as given.
 
     Pixels are solved in lockstep batches of _BATCH_FLOATS // P^2
     pixels, which bounds the gathered inverses, with no loop over pixels;
@@ -366,23 +375,25 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     residual_rmse is metrics.rmse of its reconstruction S0 (psi * a), one
     vector-matrix product, and its spectrum, bit for bit.  Every output of
     a pixel is bit-identical to unmixing that pixel alone, or in any other
-    batch.  A batch's rows are views of the pixel-major cube values; a cube
-    given as a plain (bands, pixels) array is brought to that layout once
-    per call, by core.pixel_major.
+    batch.  A batch's rows are a slice of C, whose rows are products of the
+    pixel-major cube values; a cube given as a plain (bands, pixels) array
+    is brought to that layout once per call, by core.pixel_major.
     """
     X = cube.values if isinstance(cube, HyperCube) else pixel_major(cube, copy=False)
     S = _endmember_array(S0)
     if X.shape[0] != S.shape[0]:
         raise ValueError(f"cube has {X.shape[0]} bands, endmembers have {S.shape[0]}")
-    if not np.all(np.isfinite(X)):
+    # one pixel per row: X.T is a C-contiguous view of the pixel-major cube, and S is read by columns
+    with np.errstate(invalid="ignore"):  # a non-finite x makes every c non-finite, and is named below
+        C = _rowwise(X.T, np.asfortranarray(S))
+    if not np.all(np.isfinite(C)) and not np.all(np.isfinite(X)):
         band, pixel = np.unravel_index(int(np.argmax(~np.isfinite(X))), X.shape)
         raise ValueError(f"non-finite cube value {X[band, pixel]} at band {band}, pixel {pixel}")
     _check_endmembers(S)
     n_bands, n_pixels = X.shape
     n_materials = S.shape[1]
     G = S.T @ S
-    # each product reads its right operand along contiguous memory: S by columns, S' by rows
-    S_cols, S_rows = np.asfortranarray(S), np.ascontiguousarray(S.T)
+    S_rows = np.ascontiguousarray(S.T)
 
     A = np.empty((n_materials, n_pixels))
     psi = np.empty((n_materials, n_pixels))
@@ -391,8 +402,7 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     batch = max(1, _BATCH_FLOATS // n_materials ** 2)
     for start in range(0, n_pixels, batch):
         px = slice(start, start + batch)
-        # one pixel per row: X[:, px].T is a C-contiguous view of the pixel-major cube
-        a, scales, degenerate[px] = _unmix_rows(config, G, _rowwise(X[:, px].T, S_cols))
+        a, scales, degenerate[px] = _unmix_rows(config, G, C[px])
         A[:, px], psi[:, px] = a.T, scales.T
     with np.errstate(over="ignore"):  # a sum of squares that overflows is summed again, scaled
         for start in range(0, n_pixels, _RESIDUAL_ROWS):

@@ -173,7 +173,7 @@ def test_bit_identical_across_batches(model, monkeypatch):
     chunks = [unmix_cube(cube_of(X[:, lo:hi]), S, config) for lo, hi in zip(edges, edges[1:])]
     assert_identical(whole, chunks)
     # 7-pixel lockstep batches (P = 5) over 3-pixel residual blocks: a batch spans several blocks
-    monkeypatch.setattr(solver, "_BATCH_FLOATS", 7 * (5 + 1) ** 2)
+    monkeypatch.setattr(solver, "_BATCH_FLOATS", 7 * 5 ** 2)
     monkeypatch.setattr(solver, "_RESIDUAL_ROWS", 3)
     assert_identical(whole, [unmix_cube(cube_of(X), S, config)])
 
@@ -193,7 +193,7 @@ def test_residual_rmse_is_metrics_rmse_of_the_reconstruction(model, monkeypatch)
 
     check(unmix_cube(cube_of(X), S, config))
     # 7-pixel lockstep batches over 3-pixel residual blocks
-    monkeypatch.setattr(solver, "_BATCH_FLOATS", 7 * (5 + 1) ** 2)
+    monkeypatch.setattr(solver, "_BATCH_FLOATS", 7 * 5 ** 2)
     monkeypatch.setattr(solver, "_RESIDUAL_ROWS", 3)
     check(unmix_cube(cube_of(X), S, config))
 

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from bruteforce import elmm_full_oracle_two_materials, kkt_violation, support_oracle
+from specmix import solver
 from specmix.core import AlbedoSpectrum, Geometry, HyperCube, WavelengthAxis
 from specmix.simulate import AbundanceSampler, GeometrySampler, SceneConfig, simulate_cube
 from specmix.solver import SolverConfig, fcls, unmix_cube
@@ -363,3 +366,56 @@ class TestCubeInput:
                 fcls(x, S, sum_to_one=sum_to_one)
         with pytest.raises(ValueError, match=message):
             unmix_cube(x[:, None], S, SolverConfig(model="elmm-global"))
+
+    # a non-finite x makes every c = S'x non-finite, so the cube is scanned only then; the scan names the value
+    # without a floating-point warning
+    @pytest.mark.parametrize("model", ["lmm", "elmm-global", "elmm-full"])
+    def test_inf_at_a_band_where_every_endmember_is_zero_is_named(self, model):
+        rng = np.random.default_rng(36)
+        S = random_endmembers(12, 3, rng)
+        S[6] = 0.0  # inf * 0 = nan in every c
+        X = S @ rng.dirichlet(np.ones(3), 4).T
+        X[6, 2] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite cube value inf at band 6, pixel 2"):
+                unmix_cube(X, S, SolverConfig(model=model))
+
+    @pytest.mark.parametrize("model", ["lmm", "elmm-global", "elmm-full"])
+    def test_opposite_infinities_in_one_pixel_are_named(self, model):
+        rng = np.random.default_rng(37)
+        S = random_endmembers(12, 3, rng)
+        X = S @ rng.dirichlet(np.ones(3), 4).T
+        X[3, 1], X[8, 1] = np.inf, -np.inf  # inf - inf = nan in every c
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite cube value inf at band 3, pixel 1"):
+                unmix_cube(X, S, SolverConfig(model=model))
+
+    def test_nan_in_the_last_batch_refused_before_any_solve(self, monkeypatch):
+        cube = linear_scene(n_pixels=40, seed=38)
+        values = np.array(cube.values)
+        values[11, 38] = np.nan
+        # 9-pixel lockstep batches at P = 3: pixel 38 is in the fifth and last
+        monkeypatch.setattr(solver, "_BATCH_FLOATS", 9 * 3 ** 2)
+        calls = []
+        active_set = solver._active_set
+        monkeypatch.setattr(solver, "_active_set", lambda *args: calls.append(len(args[1])) or active_set(*args))
+        unmix_cube(cube, cube.ground_truth.endmembers, SolverConfig(model="lmm"))
+        assert calls == [9, 9, 9, 9, 4]
+        calls.clear()
+        for model in ("lmm", "elmm-global", "elmm-full"):
+            with pytest.raises(ValueError, match="non-finite cube value nan at band 11, pixel 38"):
+                unmix_cube(HyperCube(values=values, axis=cube.axis), cube.ground_truth.endmembers, SolverConfig(model=model))
+        assert calls == []
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("model", ["lmm", "elmm-global", "elmm-full"])
+    def test_finite_cube_whose_products_overflow_is_solved_as_given(self, model):
+        rng = np.random.default_rng(39)
+        S = random_endmembers(12, 3, rng)
+        X = np.full((12, 4), 1.7e308)
+        assert np.all(np.isfinite(X)) and not np.any(np.isfinite(S.T @ X))
+        # not refused as a non-finite cube: the solve runs, and its non-finite result is refused
+        with pytest.raises(ValueError, match="abundances must be finite; pixel 0 is not"):
+            unmix_cube(X, S, SolverConfig(model=model))
