@@ -236,7 +236,10 @@ class AlbedoCurve:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {json_name(self.model)}; expected one of {MODELS}")
-        object.__setattr__(self, "omega", _check_omega(_readonly(self.omega, ndim=1, name="omega")))
+        omega = _readonly(self.omega, ndim=1, name="omega")
+        if omega.size == 0:
+            raise ValueError("omega must hold at least one albedo")
+        object.__setattr__(self, "omega", _check_omega(omega))
 
     def reflectance(self, params: PhotometricParams | None = None) -> FloatArray:
         """hapke.reflectance at each omega (the full model needs params); model-domain errors propagate."""
@@ -247,7 +250,7 @@ class AlbedoCurve:
         """The config from_dict reads back: omega as a {"start", "stop", "num"} range when
         np.linspace rebuilds it bit for bit, else as the list of its values."""
         w = self.omega
-        if w.size and np.array_equal(np.linspace(w[0], w[-1], w.size).view(np.int64), w.view(np.int64)):
+        if np.array_equal(np.linspace(w[0], w[-1], w.size).view(np.int64), w.view(np.int64)):
             omega: Any = {"start": float(w[0]), "stop": float(w[-1]), "num": w.size}
         else:
             omega = w.tolist()
@@ -259,8 +262,8 @@ class AlbedoCurve:
 
         Keys: "kind" ("curve"); "model" (one of hapke.MODELS, default
         "relative"); "theta0", "theta" and "phi" (degrees, default 0; phi
-        matters for the full model only); "omega", a list of albedos in
-        [0, 1] or a range {"start": 0, "stop": 1, "num": 101} (those
+        matters for the full model only); "omega", a non-empty list of albedos
+        in [0, 1] or a range {"start": 0, "stop": 1, "num": 101} (those
         defaults, both ends included), that range when absent.  num may be
         at most 10^6, which is checked before the grid is built.
         """

@@ -29,18 +29,22 @@ The core runs every pixel of a batch in lockstep: each step takes one
 action per unfinished pixel (pick an entering material, or solve its
 program on the free materials and take the ratio step).  All pixels share
 G, so a pixel's solve depends only on its free set, an integer support
-mask: a step finds the distinct masks by ``np.unique`` without a sort
-index, inverts each one's P x P system once, in one stacked
-``np.linalg.inv``, and a pixel whose free solve leaves [lo, hi] moves
-onto the bound it crosses by the Schur complement of the sum row
-(``_solve_free``).  So one pass moves a pixel between in-bound solves and
-solves on a bound as its free set changes.  Each final result takes one
-step of iterative refinement, so its KKT residual is a solve's, not
-rounding times cond(G).  Every product whose length varies with the batch
-is computed one pixel at a time (``_rowwise``), and every per-pixel sum
-column by column, so a pixel's arithmetic never depends on which other
-pixels share the batch: its result is bit-identical whether it is solved
-alone, in a batch of any size or in the whole cube.
+mask: a step finds the distinct masks in a table of all 2^P masks when it
+has at least 2^P pixels or P <= 8, else by ``np.unique``, inverts each
+one's P x P system once, in one stacked ``np.linalg.inv``, and a pixel
+whose free solve leaves [lo, hi] moves onto the bound it crosses by the
+Schur complement of the sum row (``_solve_free``).  So one pass moves a
+pixel between in-bound solves and solves on a bound as its free set
+changes.  Each final result takes one step of iterative refinement, so
+its KKT residual is a solve's, not rounding times cond(G); its right-hand
+side reuses the residual c - G z that the pixel's last multiplier check
+formed.  A pixel that finishes on the full support skips that check, as
+no material can enter, and only its residual is formed again.  Every
+product whose length varies with the batch is computed one pixel at a
+time (``_rowwise``), and every per-pixel sum column by column, so a
+pixel's arithmetic never depends on which other pixels share the batch:
+its result is bit-identical whether it is solved alone, in a batch of any
+size or in the whole cube.
 
 unmix_cube forms C = X'S once per call and judges the cube's finiteness
 on C, scanning X only when some c is not finite.  It sizes its two kinds
@@ -74,8 +78,12 @@ _DROP_TOL = 1e-12
 _MAX_OUTER_FACTOR = 30
 #: Floats of the gathered P x P inverses, the largest per-pixel temporary, in one lockstep batch.
 _BATCH_FLOATS = 2**18
-#: Pixels per block of the (pixels x bands) residual in unmix_cube.
-_RESIDUAL_ROWS = 1024
+#: Pixels per block of the (pixels x bands) residual in unmix_cube: at 200 bands the block and the cube
+#: rows it subtracts, 1.6 MB together, fit a 2 MB L2 cache (1024 rows, 3.2 MB, do not).
+_RESIDUAL_ROWS = 512
+#: Entries of a table of all 2^P support masks that always costs less than sorting a step's masks: on numpy
+#: 2.4, 5-10 us at P <= 8 against 8-15 us for np.unique of 1 to 100 masks (23 against 12 us at P = 12).
+_MASK_TABLE = 2**8
 
 
 @dataclass(frozen=True)
@@ -83,12 +91,12 @@ class SolverConfig:
     """Model choice and constraints for unmixing.
 
     Scaled models keep sum-to-one on: without it the product of scale and
-    abundance is unidentifiable.  psi_bounds must bracket 1 so the plain
-    mixing model stays inside the feasible set.  Every model is one exact
-    solve per pixel, so there is no iteration budget.  elmm-global and
-    elmm-full solve one program; elmm-global reports the pixel's scale on
-    every material, elmm-full on every present one and exactly 1 on every
-    absent one.
+    abundance is unidentifiable.  psi_bounds must be finite and bracket 1
+    so the plain mixing model stays inside the feasible set.  Every model
+    is one exact solve per pixel, so there is no iteration budget.
+    elmm-global and elmm-full solve one program; elmm-global reports the
+    pixel's scale on every material, elmm-full on every present one and
+    exactly 1 on every absent one.
     """
 
     model: str = "elmm-full"
@@ -99,8 +107,8 @@ class SolverConfig:
         if self.model not in SOLVER_MODELS:
             raise ValueError(f"unknown solver model {json_name(self.model)}; expected one of {SOLVER_MODELS}")
         lo, hi = self.psi_bounds
-        if not (0.0 < lo <= 1.0 <= hi):
-            raise ValueError(f"psi_bounds must satisfy 0 < low <= 1 <= high, got {self.psi_bounds}")
+        if not (0.0 < lo <= 1.0 <= hi < np.inf):
+            raise ValueError(f"psi_bounds must satisfy 0 < low <= 1 <= high < inf, got {self.psi_bounds}")
         object.__setattr__(self, "psi_bounds", (float(lo), float(hi)))
         if self.model != "lmm" and not self.sum_to_one:
             raise ValueError(f"{self.model} requires sum_to_one: the scale/abundance split is "
@@ -134,61 +142,82 @@ def _rowwise(M: FloatArray, B: FloatArray) -> FloatArray:
     return np.matmul(np.ascontiguousarray(M)[:, None, :], B)[:, 0, :]
 
 
-def _solve_free(G: FloatArray, C: FloatArray, mask: np.ndarray, bits: np.ndarray, lo: FloatArray, hi: FloatArray,
-                start: FloatArray | None = None, mu: FloatArray | None = None) -> tuple[FloatArray, FloatArray]:
-    """Each row's program on its free indices, and the multiplier mu of its sum, from one inverse per free set.
+def _solve_free(G: FloatArray, B: FloatArray, mask: np.ndarray, bits: np.ndarray, lo: FloatArray, hi: FloatArray,
+                start: FloatArray | None = None,
+                mu: FloatArray | None = None) -> tuple[FloatArray, FloatArray, np.ndarray]:
+    """Each row's program on its free indices, the multiplier mu of its sum and its free set, from one inverse per mask.
 
     Row n's free set F is its integer support mask mask[n], bit bits[k]
-    for material k, deduplicated by ``np.unique`` without a sort index.
-    Each mask's G_F is built with the identity outside F, inverted
-    once (one stacked ``np.linalg.inv``) and zeroed outside F; every row
-    takes its inverse by a gather and one batched ``np.matmul``, so
-    u = G_F^-1 c_F and u is 0 outside F.  A row whose sum sigma of u lies in
-    [lo, hi] keeps u, with mu = 0.  Any other row moves onto the bound t it
-    crosses by the Schur complement of the sum row: with v = G_F^-1 1_F,
-    one per mask, mu = (sigma - t) / sum(v) and z = u - mu v, so that
-    G_F z + mu 1 = c_F.  The lowest free index then takes what the other
-    free entries leave of t, so the sum holds to their rounding: u - mu v
-    alone leaks rounding times |c| into it, which at radiance scale or on a
-    bound far below the fit can empty a support.  This is the exact
-    optimum over {lo <= sum(z) <= hi} on F, the oracle's support_solve.
+    for material k.  A step of at least 2^P rows, or any step at P <= 8,
+    finds the distinct masks in a table of all 2^P of them, with no sort;
+    other steps, any at P >= 64 among them, by ``np.unique``.  Each mask's
+    G_F is built with the identity outside F, inverted once (one stacked
+    ``np.linalg.inv``) and zeroed outside F; every row takes its inverse by
+    a gather and one batched ``np.matmul``, so u = G_F^-1 b and u is 0
+    outside F.  A row whose sum sigma of u lies in [lo, hi] keeps u, with
+    mu = 0.  Any other row moves onto the bound t it crosses by the Schur
+    complement of the sum row: with v = G_F^-1 1_F, one per mask,
+    mu = (sigma - t) / sum(v) and z = u - mu v, so that G_F z + mu 1 = b_F.
+    The lowest free index then takes what the other free entries leave of
+    t, so the sum holds to their rounding: u - mu v alone leaks rounding
+    times |c| into it, which at radiance scale or on a bound far below the
+    fit can empty a support.  This is the exact optimum over
+    {lo <= sum(z) <= hi} on F, the oracle's support_solve.  When every row
+    crosses a bound (lmm with sum-to-one, at nearly every step) the step
+    works on whole arrays.
 
-    Given start, a point that is 0 outside the free sets, and its
-    multiplier mu, the result is one step of iterative refinement:
-    u = start + G_F^-1 (c - G start - mu 1), on the bound that the sign of
-    mu names (hi above 0, lo below, none at 0), and the multiplier returned
+    B holds the right-hand sides: the rows c of C for a solve.  Given
+    start, a point that is 0 outside the free sets, its multiplier mu and
+    B = c - G start - mu 1, the result is one step of iterative
+    refinement: u = start + G_F^-1 B, on the bound that the sign of mu
+    names (hi above 0, lo below, none at 0), and the multiplier returned
     is mu plus the step's.
     """
-    masks, which = np.unique(mask, return_inverse=True)
+    p = len(bits)
+    if 1 << p <= max(len(mask), _MASK_TABLE):  # mark each mask in a table; its cumsum numbers them as np.unique does
+        present = np.zeros(1 << p, dtype=bool)
+        present[mask] = True
+        masks, which = np.flatnonzero(present), (np.cumsum(present) - 1).take(mask)
+    else:
+        masks, which = np.unique(mask, return_inverse=True)
     kept = (masks[:, None] & bits) != 0
     block = kept[:, :, None] & kept[:, None, :]
-    inverse = np.where(block, np.linalg.inv(np.where(block, G, np.eye(G.shape[0]))), 0.0)
+    inverse = np.where(block, np.linalg.inv(np.where(block, G, np.eye(p))), 0.0)
     # v = G_F^-1 1_F and sum(v), per mask
     v = inverse.sum(axis=2)
     v_sum = v.sum(axis=1)
-    residual = C if start is None else C - _rowwise(start, G) - mu[:, None]
-    z = np.matmul(inverse.take(which, axis=0), residual[:, :, None])[:, :, 0]
+    z = np.matmul(inverse.take(which, axis=0), B[:, :, None])[:, :, 0]
     if start is None:
         sigma = reduce(np.add, z.T)
         t = np.minimum(np.maximum(sigma, lo), hi)
-        mu = np.zeros(len(C))
+        mu = np.zeros(len(B))
     else:
         z += start
         sigma = reduce(np.add, z.T)
         t = np.where(mu > 0.0, hi, np.where(mu < 0.0, lo, sigma))
         mu = mu.copy()
     rows = np.flatnonzero(t != sigma)
-    if rows.size:  # the Schur step onto t for rows outside [lo, hi]; take, not fancy indexing, gathers their rows
-        m = which.take(rows)
-        step = (sigma.take(rows) - t.take(rows)) / v_sum.take(m)
-        mu[rows] += step
-        on_bound = z.take(rows, axis=0) - step[:, None] * v.take(m, axis=0)
-        i, lowest = np.arange(rows.size), np.argmax(kept, axis=1).take(m)
-        others = on_bound.copy()
-        others[i, lowest] = 0.0
-        on_bound[i, lowest] = t.take(rows) - reduce(np.add, others.T)
-        z[rows] = on_bound
-    return z, mu
+    if rows.size:
+        first = kept & (np.cumsum(kept, axis=1) == 1)  # the lowest free index, one-hot, per mask
+        if rows.size == len(z):  # every row on a bound: no gather and no scatter
+            z, step = _onto_bound(z, sigma, t, v.take(which, axis=0), v_sum.take(which), first.take(which, axis=0))
+            mu += step
+        else:  # take, not fancy indexing, gathers the rows on a bound
+            m = which.take(rows)
+            on_bound, step = _onto_bound(z.take(rows, axis=0), sigma.take(rows), t.take(rows), v.take(m, axis=0),
+                                         v_sum.take(m), first.take(m, axis=0))
+            mu[rows] += step
+            z[rows] = on_bound
+    return z, mu, kept.take(which, axis=0)
+
+
+def _onto_bound(z: FloatArray, sigma: FloatArray, t: FloatArray, v: FloatArray, v_sum: FloatArray,
+                first: np.ndarray) -> tuple[FloatArray, FloatArray]:
+    """The Schur step of _solve_free from free solves z with sums sigma onto the sums t, and its multiplier step."""
+    step = (sigma - t) / v_sum
+    on_bound = z - step[:, None] * v
+    rest = reduce(np.add, np.where(first, 0.0, on_bound).T)
+    return np.where(first, (t - rest)[:, None], on_bound), step
 
 
 def _ratio_step(current: FloatArray, target: FloatArray, free: np.ndarray, sink: np.ndarray) -> FloatArray:
@@ -213,9 +242,13 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, lo: FloatArray,
     Each pixel's free set is an integer support mask, bit k for material k
     (Python integers past 63 materials, so any P fits).  A step solves its
     pixels' free sets within their sum bounds from one inverse per distinct
-    mask (``_solve_free``), at most min(2^P, pixels in the step) of them, and
-    the result takes one refinement step on its final free set, on the side
-    of the bound its final multiplier names.  The multiplier of an active
+    mask (``_solve_free``), at most min(2^P, pixels in the step) of them,
+    which also returns each pixel's free set as a boolean row.  The result
+    takes one refinement step on its final free set, on the side of the
+    bound its final multiplier names, from the residual c - G z that the
+    pixel's last multiplier check formed; a pixel that finishes on the full
+    support skips the check, since no material can enter, and its residual
+    is formed for the refinement alone.  The multiplier of an active
     material is its reduced gradient plus the sum's multiplier mu, which is
     0 off a bound; the entering variable is the active index with the most
     negative one (lowest index on ties).  A free entry whose target is at or
@@ -230,6 +263,7 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, lo: FloatArray,
     cap = _MAX_OUTER_FACTOR * p + 30
     g_max = np.max(np.diag(G))
     bits = np.array([1 << k for k in range(p)], dtype=np.int64 if p < 64 else object)
+    full = (1 << p) - 1
     name = "non-negative" if np.all(hi == np.inf) else "sum-constrained"
     level = np.where(reduce(np.maximum, C.T) > _KKT_RTOL * scale, scale / g_max, 0.0)
     level = np.minimum(np.maximum(level, lo), hi)
@@ -239,24 +273,25 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, lo: FloatArray,
     Z = np.repeat((level / p)[:, None], p, axis=1)
     mu = np.zeros(n)
     starts = level > 0
-    mask = starts.astype(bits.dtype) * ((1 << p) - 1)
+    mask = starts.astype(bits.dtype) * full
     checking, solving = np.flatnonzero(~starts), np.flatnonzero(starts)
     outer = np.ones(n, dtype=int)
     inner = np.zeros(n, dtype=int)
     failed = np.zeros(n, dtype=bool)
+    # c - G z of each row that leaves through the multiplier check: the right-hand side of its refinement step
+    residual = np.empty((n, p))
     while checking.size or solving.size:
         inner[solving] += 1
         failed[solving.compress(inner.take(solving) > cap)] = True
         s = solving.compress(inner.take(solving) <= cap)
         mask_s = mask.take(s)
-        target, mu[s] = _solve_free(G, C.take(s, axis=0), mask_s, bits, lo.take(s), hi.take(s))
-        f = (mask_s[:, None] & bits) != 0
-        sink = f & (target <= -drop_tol.take(s, axis=0))
+        target, mu[s], free = _solve_free(G, C.take(s, axis=0), mask_s, bits, lo.take(s), hi.take(s))
+        sink = free & (target <= -drop_tol.take(s, axis=0))
         done = (sink @ bits) == 0
         Z[s.compress(done)] = np.maximum(target.compress(done, axis=0), 0.0)
 
         stepping = ~done
-        b, f = s.compress(stepping), f.compress(stepping, axis=0)
+        b, f = s.compress(stepping), free.compress(stepping, axis=0)
         step = _ratio_step(Z.take(b, axis=0), target.compress(stepping, axis=0), f, sink.compress(stepping, axis=0))
         f &= step > drop_tol.take(b, axis=0)
         Z[b] = np.where(f, step, 0.0)
@@ -265,14 +300,19 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, lo: FloatArray,
         emptied = b.compress(mask_b == 0)
         # an emptied support sits at z = 0, where the multiplier of the target it did not reach does not hold
         mu[emptied] = 0.0
-        # multiplier check: pixels of level 0, finished solves and emptied supports
+        # multiplier check: pixels of level 0, finished solves and emptied supports; a solve finished on the
+        # full support skips it, since no material can enter
+        done &= mask_s != full
         m = np.concatenate([checking, s.compress(done), emptied])
+        blocked = np.zeros((m.size, p), dtype=bool)
+        blocked[checking.size:m.size - emptied.size] = free.compress(done, axis=0)
 
-        # the sum's multiplier mu shifts a row's multipliers alike, so it enters after the argmin
-        multipliers = _rowwise(Z.take(m, axis=0), G) - C.take(m, axis=0)
-        multipliers[(mask.take(m)[:, None] & bits) != 0] = np.inf
-        j = np.argmin(multipliers, axis=1)
-        go = multipliers.take(np.arange(0, m.size * p, p) + j) + mu.take(m) < -kkt_tol.take(m)
+        # a free material cannot enter; the sum's multiplier mu shifts a row's multipliers, mu - (c - G z), alike,
+        # so it enters after the argmax
+        r = C.take(m, axis=0) - _rowwise(Z.take(m, axis=0), G)
+        j = np.argmax(np.where(blocked, -np.inf, r), axis=1)
+        go = r.take(np.arange(0, m.size * p, p) + j) - mu.take(m) > kkt_tol.take(m)
+        residual[m] = r  # a row that enters overwrites its row again at a later check or after the loop
         e, j = m.compress(go), j.compress(go)
         mask[e] = mask.take(e) | bits.take(j)
         inner[e] = 0
@@ -283,7 +323,10 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, lo: FloatArray,
         raise RuntimeError(f"{name} least squares did not converge on {int(failed.sum())} of {n} pixels")
     # An inverse gives a solve's forward error, but leaves a residual of rounding times cond(G) where a
     # solve leaves rounding: one refinement step from each result brings the KKT residual back to rounding.
-    return np.maximum(_solve_free(G, C, mask, bits, lo, hi, Z, mu)[0], 0.0)
+    # A row that finished on the full support had no multiplier check: its c - G z is formed here.
+    unchecked = np.flatnonzero(mask == full)
+    residual[unchecked] = C.take(unchecked, axis=0) - _rowwise(Z.take(unchecked, axis=0), G)
+    return np.maximum(_solve_free(G, residual - mu[:, None], mask, bits, lo, hi, Z, mu)[0], 0.0)
 
 
 def _unmix_rows(config: SolverConfig, G: FloatArray, C: FloatArray):

@@ -565,6 +565,7 @@ class TestSweep:
             ({"theta0_values": {"start": 0, "stop": 90, "step": 0}}, "theta0_values.step must be > 0"),
             ({"theta_values": {"start": 0, "stop": 90, "step": -5}}, "theta_values.step must be > 0"),
             ({"kind": "curve", "omega": {"start": 0.0, "stop": 1.0, "num": 0}}, "omega.num must be >= 1"),
+            ({"kind": "curve", "omega": []}, "omega must hold at least one albedo"),
         ],
     )
     def test_empty_or_endless_range_exits_1_naming_key(self, tmp_path, albedo_csv, capsys, config, named):

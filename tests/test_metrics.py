@@ -598,7 +598,6 @@ class TestSweepConfigs:
             (np.linspace(0.0, 1.0, 5) * np.array([-1.0, 1.0, 1.0, 1.0, 1.0]), list),  # -0.0 first, 0.0 rebuilt
             (np.linspace(1.0, 0.0, 3), dict),
             (np.array([0.3]), dict),
-            (np.array([]), list),
         ],
     )
     def test_albedo_curve_round_trip(self, omega, form):
@@ -631,6 +630,8 @@ class TestSweepConfigs:
             AlbedoCurve("hapke", geom, [0.5])
         with pytest.raises(ValueError, match="omega must be 1-D"):
             AlbedoCurve("linear", geom, [[0.5]])
+        with pytest.raises(ValueError, match="omega must hold at least one albedo"):
+            AlbedoCurve("linear", geom, [])
         assert not AlbedoCurve("linear", geom, [0.5]).omega.flags.writeable
 
     @pytest.mark.parametrize("cls, kind", [(SweepGrid, "curve"), (AlbedoCurve, "angle")])

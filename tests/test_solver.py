@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -20,6 +21,9 @@ class TestSolverConfig:
             SolverConfig(psi_bounds=(1.5, 2.0))
         with pytest.raises(ValueError, match="psi_bounds"):
             SolverConfig(psi_bounds=(0.0, 2.0))
+        # JSON reads 1e400 as infinity, which unmix.json could only write back as the non-standard Infinity
+        with pytest.raises(ValueError, match="psi_bounds"):
+            SolverConfig.from_dict(json.loads('{"psi_bounds": [0.5, 1e400]}'))
 
     def test_scaled_models_require_sum_to_one(self):
         with pytest.raises(ValueError, match="sum_to_one"):
