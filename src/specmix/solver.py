@@ -29,22 +29,21 @@ The core runs every pixel of a batch in lockstep: each step takes one
 action per unfinished pixel (pick an entering material, or solve its
 program on the free materials and take the ratio step).  All pixels share
 G, so a pixel's solve depends only on its free set, an integer support
-mask: a step finds the distinct masks in a table of all 2^P masks when it
-has at least 2^P pixels or P <= 8, else by ``np.unique``, inverts each
-one's P x P system once, in one stacked ``np.linalg.inv``, and a pixel
-whose free solve leaves [lo, hi] moves onto the bound it crosses by the
-Schur complement of the sum row (``_solve_free``).  So one pass moves a
-pixel between in-bound solves and solves on a bound as its free set
-changes.  Each final result takes one step of iterative refinement, so
-its KKT residual is a solve's, not rounding times cond(G); its right-hand
-side reuses the residual c - G z that the pixel's last multiplier check
-formed.  A pixel that finishes on the full support skips that check, as
-no material can enter, and only its residual is formed again.  Every
-product whose length varies with the batch is computed one pixel at a
-time (``_rowwise``), and every per-pixel sum column by column, so a
-pixel's arithmetic never depends on which other pixels share the batch:
-its result is bit-identical whether it is solved alone, in a batch of any
-size or in the whole cube.
+mask: a step finds the distinct masks in a table of all 2^P masks when
+P <= 8, else by ``np.unique``, inverts each one's P x P system once, in
+one stacked ``np.linalg.inv``, and a pixel whose free solve leaves
+[lo, hi] moves onto the bound it crosses by the Schur complement of the
+sum row (``_solve_free``).  So one pass moves a pixel between in-bound
+solves and solves on a bound as its free set changes.  Each final result
+takes one step of iterative refinement, so its KKT residual is a solve's,
+not rounding times cond(G); its right-hand side reuses the residual
+c - G z that the pixel's last multiplier check formed.  A pixel that
+finishes on the full support skips that check, as no material can enter,
+and only its residual is formed again.  Every product whose length varies
+with the batch is computed one pixel at a time (``_rowwise``), and every
+per-pixel sum column by column, so a pixel's arithmetic never depends on
+which other pixels share the batch: its result is bit-identical whether
+it is solved alone, in a batch of any size or in the whole cube.
 
 unmix_cube forms C = X'S once per call and judges the cube's finiteness
 on C, scanning X only when some c is not finite.  It sizes its two kinds
@@ -148,9 +147,9 @@ def _solve_free(G: FloatArray, B: FloatArray, mask: np.ndarray, bits: np.ndarray
     """Each row's program on its free indices, the multiplier mu of its sum and its free set, from one inverse per mask.
 
     Row n's free set F is its integer support mask mask[n], bit bits[k]
-    for material k.  A step of at least 2^P rows, or any step at P <= 8,
-    finds the distinct masks in a table of all 2^P of them, with no sort;
-    other steps, any at P >= 64 among them, by ``np.unique``.  Each mask's
+    for material k.  At P <= 8 (2^P <= _MASK_TABLE) a step finds the
+    distinct masks in a table of all 2^P of them, with no sort; at larger
+    P, P >= 64 among them, by ``np.unique``.  Each mask's
     G_F is built with the identity outside F, inverted once (one stacked
     ``np.linalg.inv``) and zeroed outside F; every row takes its inverse by
     a gather and one batched ``np.matmul``, so u = G_F^-1 b and u is 0
@@ -162,9 +161,7 @@ def _solve_free(G: FloatArray, B: FloatArray, mask: np.ndarray, bits: np.ndarray
     t, so the sum holds to their rounding: u - mu v alone leaks rounding
     times |c| into it, which at radiance scale or on a bound far below the
     fit can empty a support.  This is the exact optimum over
-    {lo <= sum(z) <= hi} on F, the oracle's support_solve.  When every row
-    crosses a bound (lmm with sum-to-one, at nearly every step) the step
-    works on whole arrays.
+    {lo <= sum(z) <= hi} on F, the oracle's support_solve.
 
     B holds the right-hand sides: the rows c of C for a solve.  Given
     start, a point that is 0 outside the free sets, its multiplier mu and
@@ -174,7 +171,7 @@ def _solve_free(G: FloatArray, B: FloatArray, mask: np.ndarray, bits: np.ndarray
     is mu plus the step's.
     """
     p = len(bits)
-    if 1 << p <= max(len(mask), _MASK_TABLE):  # mark each mask in a table; its cumsum numbers them as np.unique does
+    if 1 << p <= _MASK_TABLE:  # mark each mask in a table; its cumsum numbers them as np.unique does
         present = np.zeros(1 << p, dtype=bool)
         present[mask] = True
         masks, which = np.flatnonzero(present), (np.cumsum(present) - 1).take(mask)
@@ -197,27 +194,15 @@ def _solve_free(G: FloatArray, B: FloatArray, mask: np.ndarray, bits: np.ndarray
         t = np.where(mu > 0.0, hi, np.where(mu < 0.0, lo, sigma))
         mu = mu.copy()
     rows = np.flatnonzero(t != sigma)
-    if rows.size:
-        first = kept & (np.cumsum(kept, axis=1) == 1)  # the lowest free index, one-hot, per mask
-        if rows.size == len(z):  # every row on a bound: no gather and no scatter
-            z, step = _onto_bound(z, sigma, t, v.take(which, axis=0), v_sum.take(which), first.take(which, axis=0))
-            mu += step
-        else:  # take, not fancy indexing, gathers the rows on a bound
-            m = which.take(rows)
-            on_bound, step = _onto_bound(z.take(rows, axis=0), sigma.take(rows), t.take(rows), v.take(m, axis=0),
-                                         v_sum.take(m), first.take(m, axis=0))
-            mu[rows] += step
-            z[rows] = on_bound
+    if rows.size:  # take, not fancy indexing, gathers the rows on a bound
+        m = which.take(rows)
+        step = (sigma.take(rows) - t.take(rows)) / v_sum.take(m)
+        on_bound = z.take(rows, axis=0) - step[:, None] * v.take(m, axis=0)
+        first = np.argmax(kept, axis=1).take(m)[:, None] == np.arange(p)  # the lowest free index, one-hot
+        rest = reduce(np.add, np.where(first, 0.0, on_bound).T)
+        mu[rows] += step
+        z[rows] = np.where(first, (t.take(rows) - rest)[:, None], on_bound)
     return z, mu, kept.take(which, axis=0)
-
-
-def _onto_bound(z: FloatArray, sigma: FloatArray, t: FloatArray, v: FloatArray, v_sum: FloatArray,
-                first: np.ndarray) -> tuple[FloatArray, FloatArray]:
-    """The Schur step of _solve_free from free solves z with sums sigma onto the sums t, and its multiplier step."""
-    step = (sigma - t) / v_sum
-    on_bound = z - step[:, None] * v
-    rest = reduce(np.add, np.where(first, 0.0, on_bound).T)
-    return np.where(first, (t - rest)[:, None], on_bound), step
 
 
 def _ratio_step(current: FloatArray, target: FloatArray, free: np.ndarray, sink: np.ndarray) -> FloatArray:
@@ -310,8 +295,9 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, lo: FloatArray,
         # a free material cannot enter; the sum's multiplier mu shifts a row's multipliers, mu - (c - G z), alike,
         # so it enters after the argmax
         r = C.take(m, axis=0) - _rowwise(Z.take(m, axis=0), G)
-        j = np.argmax(np.where(blocked, -np.inf, r), axis=1)
-        go = r.take(np.arange(0, m.size * p, p) + j) - mu.take(m) > kkt_tol.take(m)
+        ranked = np.where(blocked, -np.inf, r)
+        j = np.argmax(ranked, axis=1)
+        go = ranked.take(np.arange(0, m.size * p, p) + j) - mu.take(m) > kkt_tol.take(m)
         residual[m] = r  # a row that enters overwrites its row again at a later check or after the loop
         e, j = m.compress(go), j.compress(go)
         mask[e] = mask.take(e) | bits.take(j)
