@@ -100,6 +100,10 @@ def root_mean_square(s, scale, n: int) -> FloatArray:
     return scale * np.sqrt(s / n)
 
 
+class _Unshared(np.ndarray):
+    """View type of a new array that its maker hands to one HyperCube, keeping no reference: kept, not copied."""
+
+
 def _views_bytes(values) -> bool:
     """Whether values is an array whose chain of bases ends in an immutable bytes object."""
     base = values
@@ -422,7 +426,8 @@ class HyperCube:
     spectrum is contiguous, as in the .bin file and the solver's rows; any
     other input layout or dtype is converted once, here, by pixel_major.
     A pixel-major float64 array over an immutable bytes object is kept as is,
-    and any other array copied, by _readonly's rule.
+    and so is one handed over as an _Unshared view (simulate's new cubes);
+    any other array is copied, by _readonly's rule.
     geometries, when known, holds every pixel's acquisition angles as one
     Geometry of (N,) arrays (pixel n at index n).  Construction refuses a
     wavelength axis, geometry count, ground-truth column count or
@@ -438,7 +443,7 @@ class HyperCube:
     ground_truth: GroundTruth | None = None
 
     def __post_init__(self) -> None:
-        arr = pixel_major(self.values, copy=not _views_bytes(self.values))
+        arr = pixel_major(self.values, copy=not (_views_bytes(self.values) or type(self.values) is _Unshared))
         n_bands, n_pixels = arr.shape
         if n_bands != len(self.axis):
             raise ValueError(f"band count {n_bands} does not match wavelength axis length {len(self.axis)}")

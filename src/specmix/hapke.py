@@ -14,7 +14,11 @@ axis.  The kernel trusts its albedos and cosines; they are validated once,
 where they enter the program (AlbedoSpectrum, Geometry).  It writes every
 full-size intermediate into one of two buffers per call (out=), with the
 formulas' operations in their order, so a block of pixels costs two
-allocations, not one per operation, and the same bits.
+allocations, not one per operation, and the same bits.  reflectance() is
+the checks (_lobes) and those two buffers around the arithmetic
+(_evaluate); a caller that evaluates many blocks of one layout, such as
+simulate.simulate_cube, checks all of them once and passes the same two
+buffers to every block, so it allocates nothing per block.
 The three reduced forms share one split, shape / Q: the shape
 omega / (A(omega, mu) A(omega, mu0)) carries the albedo (angle_divisor), the
 factor Q(mu, mu0) the geometry alone (cell_factor).  Every model is
@@ -159,6 +163,18 @@ def reflectance(model: str, omega, mu, mu0, g=None,
     g and params, and ModelDomainError, judged on the geometry alone, where
     the model is undefined (defined_at, phase_function, opposition_effect).
     """
+    lobes = _lobes(model, mu, mu0, g, params)
+    if model == "linear":  # its one operation writes a fresh result
+        return _evaluate(model, omega, mu, mu0, None, None, None)
+    operands = (omega, mu, mu0) if lobes is None else (omega, mu, mu0, lobes)
+    return _evaluate(model, omega, mu, mu0, lobes, *_buffers(*operands))
+
+
+def _lobes(model: str, mu, mu0, g, params):
+    """reflectance's checks on the model and the geometry, and the full model's (1 + B(g)) P(g) (else None).
+
+    One column's params give it in g's shape; params per column stack it on the last axis.
+    """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     per_column = isinstance(params, (list, tuple))
@@ -170,19 +186,28 @@ def reflectance(model: str, omega, mu, mu0, g=None,
             f"{model} reflectance requires mu + mu0 > 0; "
             "theta0 = theta = 90 degrees (doubly grazing) is singular"
         )
-    if model == "linear":
-        return omega / cell_factor(model, mu, mu0)  # omega / (1 * 1): the linear divisors are 1
+    if model != "full":
+        return None
+    lobes = [(1.0 + opposition_effect(g, p)) * phase_function(g, p) for p in columns]
+    return np.concatenate([np.atleast_1d(lobe) for lobe in lobes], axis=-1) if per_column else lobes[0]
+
+
+def _evaluate(model: str, omega, mu, mu0, lobes, first, second):
+    """reflectance of checked inputs (lobes from _lobes), written into the buffers and returned in first.
+
+    The buffers have the broadcast shape of omega, mu, mu0 and lobes (the linear model uses first alone), or
+    are None for a fresh result.  A caller that evaluates many blocks of one layout passes the same buffers,
+    or prefixes of them, to every block.
+    """
+    if model == "linear":  # omega / (1 * 1): the linear divisors are 1
+        q = cell_factor(model, mu, mu0)
+        return omega / q if first is None else np.divide(omega, q, out=first)
     root = np.sqrt(1.0 - omega)
     if model != "full":
-        first, second = _buffers(omega, mu, mu0)
         divisors = np.multiply(_chandrasekhar_divisor(mu, root, first), _chandrasekhar_divisor(mu0, root, second),
                                out=first)
         shape = np.divide(omega, divisors, out=first)
         return shape if model == "relative" else np.divide(shape, cell_factor(model, mu, mu0), out=first)
-    lobes = [(1.0 + opposition_effect(g, p)) * phase_function(g, p) for p in columns]
-    # one column's params: (1 + B) P in g's shape; params per column: stacked on the last axis
-    lobes = np.concatenate([np.atleast_1d(lobe) for lobe in lobes], axis=-1) if per_column else lobes[0]
-    first, second = _buffers(omega, mu, mu0, g, lobes)
     # the bracket (1 + B) P + H(mu) H(mu0) - 1 in first, then omega / (4 (mu + mu0)) in second times it
     h = np.multiply(_h(mu, root, first), _h(mu0, root, second), out=first)
     bracket = np.subtract(np.add(lobes, h, out=first), 1.0, out=first)

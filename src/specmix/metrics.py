@@ -4,36 +4,44 @@ The angle sweep compares a reference reflectance model against its
 approximation over a grid of incidence/emergence angles and reports the
 spectral angle and RMSE per grid cell.  Each model is split as shape / Q
 (hapke.cell_factor): the shape omega / (A(omega, mu) A(omega, mu0)) from A
-tabled per grid angle, Q tabled per cell.  The grid is swept one theta0 row
-at a time: row i is one (theta, bands) block of shapes against the single
-A(omega, mu0_i) row, divided once by the row's Q into the reflectances,
-every temporary in buffers allocated once per group.  A row keeps two sums
-of squares per cell, both from one call of core.sum_of_squares (one BLAS
-dot per cell): of the reflectances' difference, and of the difference of
-the shapes' unit vectors (the linear shape's, the albedo's own, is computed
-once per group).  RMSE and SAM are formed from them over the whole grid
-after the sweep.  RMSE is rmse of the reflectances, bit for bit those of
-hapke.reflectance.  SAM is spectral_angle of the shapes, bit for bit: the
-identity |u' + v'|^2 = 4 - |u' - v'|^2 of unit vectors u', v' gives it up
-to 60 degrees, and a row with a wider cell also sums |u' + v'|^2.  Free of
-Q, it is within 2 eps of the angle of the reflectances, and exactly 0
-between lambertian and relative.  A cell where a model is undefined (the
-lambertian doubly grazing one) is computed with Q = NaN and then set to NaN.
+tabled per grid angle, Q tabled per cell.  The grid is swept in steps of
+whole theta0 rows: row i is one (theta, bands) block of shapes, the albedo
+divided by the table products A(omega, mu) A(omega, mu0_i), then divided
+by the row's Q into the reflectances.  The albedo is itself a row block,
+repeated once per cell, as are its unit vectors (the linear shape's): both
+are built once per group, so no operation of a step broadcasts a row of
+bands, and every temporary is in buffers allocated once per group.  A step
+holds as many rows as _SWEEP_STEP_FLOATS allows (at least one), and its
+fixed numpy calls are shared by its rows.  A step keeps two sums of
+squares per cell, both from one call of core.sum_of_squares (one BLAS dot
+per cell): of the reflectances' difference, and of the difference of the
+shapes' unit vectors.  RMSE and SAM are formed from them over every swept
+cell after the sweep, and placed on the grid.  RMSE is rmse of the
+reflectances, bit for bit those of hapke.reflectance.  SAM is
+spectral_angle of the shapes, bit for bit: the identity
+|u' + v'|^2 = 4 - |u' - v'|^2 of unit vectors u', v' gives it up to 60
+degrees, and a step with a wider cell also sums |u' + v'|^2.  Free of Q,
+it is within 2 eps of the angle of the reflectances, and exactly 0 between
+lambertian and relative.  A cell where a model is undefined (the
+lambertian doubly grazing one) is computed with Q = NaN and then set to
+NaN.
 
 On a square grid (the same angles on both axes) the two A tables are one,
 a product or sum of two of its entries is the same in either order, and so
-shape[i, j] == shape[j, i] and Q[i, j] == Q[j, i] bit for bit: every row is
-computed on the columns j >= i only, and its SAM and RMSE, each a
-function of its cell's sums alone, are mirrored to the others.  No value
-depends on the row blocks or on the mirror.  The mirror is bit for bit,
-so io.write_sweep_csv formats each mirrored pair of cells once; it checks
-the bits itself and assumes no mirror.
+shape[i, j] == shape[j, i] and Q[i, j] == Q[j, i] bit for bit: every row
+is computed on the columns j >= i only, and its SAM and RMSE, each a
+function of its cell's sums alone, are mirrored to the others.  Row i is
+swept next to row n - 1 - i, so a pair holds n + 1 cells and every step of
+whole pairs has one shape.  No value depends on the steps, the row order
+or the mirror.  The mirror is bit for bit, so io.write_sweep_csv formats
+each mirrored pair of cells once; it checks the bits itself and assumes no
+mirror.
 
 angle_sweeps sweeps several albedos in groups, each group in one row loop:
 its K albedos are one spectrum of K x bands, with the A tables built over
-that axis, so each row's operations run once on a (theta, K x bands)
-block and the per-row call overhead is shared by the group.  Every norm
-and dot is still taken per albedo, on the block's view as (theta x K,
+that axis, so each step's operations run once on a (cells, K x bands)
+block and the per-step call overhead is shared by the group.  Every norm
+and dot is still taken per albedo, on the block's view as (cells x K,
 bands) rows, one contiguous row of bands each, so a result is bit for bit
 the albedo's own sweep (angle_sweep is angle_sweeps of one albedo).  K is
 as many albedos as _SWEEP_GROUP_FLOATS holds in the four row buffers and
@@ -144,6 +152,13 @@ _MAX_AXIS_ANGLES = 9001
 #: and albedo): the group holds as many albedos as fit, at least one.  Four
 #: fit on the default 91 x 91 grid at 200 bands; eight were slower there.
 _SWEEP_GROUP_FLOATS = 2**19
+#: Floats that one step of a group's row loop may take in its six (cells, K x bands) arrays, the four row
+#: buffers and the albedo's two row blocks: 2 MB, one L2 cache.  A step holds as many rows as fit (at
+#: least one), on a square grid whole row pairs of n + 1 cells when one fits.  One albedo at 200 bands on
+#: the 181 x 181 grid: 6 x 182 x 200 floats, 1.7 MB, one row pair a step, 12% faster than one row a step.
+#: Four at 200 bands on the default 91 x 91 grid: a pair takes 6 x 92 x 800 floats, 3.5 MB, so one row a
+#: step, 6% faster than a pair.  2^19 and 2^20 were 7-15% slower on both.
+_SWEEP_STEP_FLOATS = 2**18
 
 
 def _sweep_keys(raw: Any, kind: str, keys: tuple[str, ...]) -> None:
@@ -345,63 +360,91 @@ def _sweep_groups(albedos: list[AlbedoSpectrum], grid: SweepGrid) -> Iterator[Sw
     pair = grid.model_pair
     mu0, mu = cos_deg(grid.theta0_values), cos_deg(grid.theta_values)
     valid = np.logical_and(*(defined_at(m, mu[None, :], mu0[:, None]) for m in pair))
-    factors = {m: np.where(valid, cell_factor(m, mu[None, :], mu0[:, None]), np.nan)[..., None]
-               for m in pair if m != "relative"}  # relative's Q is 1: its reflectance is its shape
     square = np.array_equal(mu0, mu)
-    lower = np.tril_indices(mu.size, -1)
+    segments = _swept_rows(mu0.size, square)
+    # the swept cells in the loop's order: segment k's cells are its row's columns from its first one on
+    widths = mu.size - segments[1]
+    rows = np.repeat(segments[0], widths)
+    # a cell's column is its index less its segment's (first cell - first column)
+    cols = np.arange(rows.size) - np.repeat(np.cumsum(widths) - widths - segments[1], widths)
+    factors = {m: np.where(valid, cell_factor(m, mu[None, :], mu0[:, None]), np.nan)[rows, cols, None]
+               for m in pair if m != "relative"}  # relative's Q is 1: its reflectance is its shape
     n_bands = albedos[0].omega.size if albedos else 0
     size = max(1, _SWEEP_GROUP_FLOATS // (4 * mu.size * n_bands + 6 * valid.size))
     for start in range(0, len(albedos), size):
         omega = np.stack([albedo.omega for albedo in albedos[start:start + size]])
-        sums = _group_sums(omega, pair, mu0, mu, factors, square).reshape(3, 2, *valid.shape, -1)
+        sums = _group_sums(omega, pair, mu0, mu, factors, segments, square).reshape(3, 2, rows.size, -1)
         for k in range(omega.shape[0]):
-            err = root_mean_square(sums[0, 0, ..., k], sums[0, 1, ..., k], n_bands)
-            sam = _angle(sums[1, ..., k], sums[2, ..., k])
+            sam, err = np.empty(valid.shape), np.empty(valid.shape)
+            for values, swept in ((err, root_mean_square(sums[0, 0, :, k], sums[0, 1, :, k], n_bands)),
+                                  (sam, _angle(sums[1, :, :, k], sums[2, :, :, k]))):
+                values[rows, cols] = swept
+                if square:  # the lower cells are the upper cells, mirrored
+                    values[cols, rows] = swept
             sam[~valid] = np.nan  # err is NaN there already, through Q
-            if square:  # the lower cells' sums are 0: their values are the upper cells', mirrored
-                sam[lower], err[lower] = sam.T[lower], err.T[lower]
             yield SweepResult(grid=grid, sam=sam, rmse=err, valid=valid.copy())
 
 
-@np.errstate(over="ignore")  # a sum of squares that overflows is summed again, scaled
-def _group_sums(omega, pair, mu0, mu, factors, square):
-    """The (3, 2, theta0, theta x K) sum_of_squares (s, scale) of one group's K albedos, the rows of omega.
+def _swept_rows(n_rows: int, square: bool) -> np.ndarray:
+    """The (2, n_rows) rows of the row loop, in its order, over each one's first swept column.
 
-    Per cell and albedo: of the reflectances' difference, of the unit shapes' difference and of their sum.
-    On a square grid only the cells with theta >= theta0 are summed; the others hold 0.
+    On a square grid the cells j >= i are swept, and row i comes next to row n - 1 - i: each pair holds
+    n + 1 cells.  Otherwise every row is swept whole, in order.
+    """
+    if not square:
+        return np.stack([np.arange(n_rows), np.zeros(n_rows, dtype=int)])
+    order = np.column_stack([np.arange(n_rows), np.arange(n_rows)[::-1]]).ravel()[:n_rows]
+    return np.stack([order, order])
+
+
+@np.errstate(over="ignore")  # a sum of squares that overflows is summed again, scaled
+def _group_sums(omega, pair, mu0, mu, factors, segments, square):
+    """The (3, 2, cells x K) sum_of_squares (s, scale) of one group's K albedos, the rows of omega.
+
+    Per swept cell, in the order of _swept_rows' segments, and albedo: of the reflectances' difference, of
+    the unit shapes' difference and of their sum.  factors holds each model's Q of the cells in that order.
     """
     n_albedos, n_bands = omega.shape
     flat = omega.reshape(-1)  # the group as one spectrum of K x bands
     tables = {m: (angle_divisor(m, flat, mu0[:, None]), angle_divisor(m, flat, mu[:, None]))
               for m in pair if m != "linear"}
-    # the linear shape's unit vectors, the same in every cell, repeated to a row block: a difference of two
-    # blocks is several times faster than one that broadcasts a single row
-    omega_unit = np.repeat(_unit(omega).reshape(1, -1), mu.size, axis=0)
-    sums = np.zeros((3, 2, mu0.size, mu.size * n_albedos))
-    work = np.empty((4, mu.size, flat.size))  # the two shapes, then the two differences
-    for i in range(mu0.size):
-        cols = slice(i if square else 0, None)
-        row = work[:, :mu.size - cols.start]
+    # a step sweeps as many segments as _SWEEP_STEP_FLOATS holds, whole row pairs on a square grid when one fits
+    per_cell, n_segments = 6 * flat.size, segments.shape[1]
+    step = max(1, 2 * (_SWEEP_STEP_FLOATS // (per_cell * (mu.size + 1))) if square
+               else _SWEEP_STEP_FLOATS // (per_cell * mu.size))
+    steps = [range(first, min(first + step, n_segments)) for first in range(0, n_segments, step)]
+    rows, starts = segments.tolist()
+    bounds = [0, *np.cumsum(mu.size - segments[1]).tolist()]  # segment k's cells are bounds[k]:bounds[k + 1]
+    width = max(bounds[run.stop] - bounds[run.start] for run in steps)
+    # the albedo (the linear shape) and its unit vectors, the same in every cell, repeated to row blocks: an
+    # operation on two blocks is several times faster than one that broadcasts a single row
+    omega_rows, omega_unit = (np.repeat(block.reshape(1, -1), width, axis=0) for block in (omega, _unit(omega)))
+    sums = np.zeros((3, 2, bounds[-1] * n_albedos))
+    work = np.empty((4, width, flat.size))  # the two shapes, then the two differences
+    for run in steps:
+        cells = slice(bounds[run.start], bounds[run.stop])
+        width = cells.stop - cells.start
+        row = work[:, :width]
         by_albedo = row.reshape(4, -1, n_bands)  # a view: one row of bands per cell and albedo
-        shapes = [flat if m == "linear" else _over_divisors(out, flat, tables[m][1][cols], tables[m][0][i])
+        for m, out in zip(pair, row):  # a shape's divisors: the table products A(omega, mu) A(omega, mu0_i)
+            if m != "linear":
+                for k in run:  # one per segment, on its row's columns
+                    np.multiply(tables[m][1][starts[k]:], tables[m][0][rows[k]],
+                                out=out[bounds[k] - cells.start:bounds[k + 1] - cells.start])
+        shapes = [omega_rows[:width] if m == "linear" else np.divide(omega_rows[:width], out, out=out)
                   for m, out in zip(pair, row)]
         outs = iter(row[2:])  # a reflectance that is not its shape goes to row[2] first: the difference goes there in place
-        rhos = [shape if m == "relative" else np.divide(shape, factors[m][i, cols], out=next(outs))
+        rhos = [shape if m == "relative" else np.divide(shape, factors[m][cells], out=next(outs))
                 for m, shape in zip(pair, shapes)]
         np.subtract(*rhos, out=row[2])
         for m, own in zip(pair, by_albedo):  # a shape in the row buffer becomes its unit vectors, in place
             if m != "linear":
                 _unit(own, out=own)
-        units = [omega_unit[cols] if m == "linear" else shape for m, shape in zip(pair, shapes)]
+        units = [omega_unit[:width] if m == "linear" else shape for m, shape in zip(pair, shapes)]
         np.subtract(*units, out=row[3])
         s, scale = sum_of_squares(by_albedo[2:4])  # both differences in one call, one dot per cell and albedo
-        cells = slice(cols.start * n_albedos, None)
-        sums[:2, 0, i, cells], sums[:2, 1, i, cells] = s, scale
+        by_cell = slice(cells.start * n_albedos, cells.stop * n_albedos)
+        sums[:2, 0, by_cell], sums[:2, 1, by_cell] = s, scale
         if s[1].max() > _ACROSS_SQ_MAX:  # past 60 degrees (or a rescaled row): rare between model spectra
-            sums[2, 0, i, cells], sums[2, 1, i, cells] = sum_of_squares(np.add(*units).reshape(-1, n_bands))
+            sums[2, 0, by_cell], sums[2, 1, by_cell] = sum_of_squares(np.add(*units).reshape(-1, n_bands))
     return sums
-
-
-def _over_divisors(out, omega, a_mu, a_mu0):
-    """omega / (A(omega, mu) A(omega, mu0)) of one row into out."""
-    return np.divide(omega, np.multiply(a_mu, a_mu0, out=out), out=out)

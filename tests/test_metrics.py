@@ -474,6 +474,23 @@ class TestAngleSweeps:
             for name in ("sam", "rmse", "valid"):
                 assert getattr(result, name).tobytes() == getattr(alone, name).tobytes(), (albedo.material, name)
 
+    @pytest.mark.parametrize("pair", [("relative", "linear"), ("lambertian", "linear"), ("lambertian", "relative")])
+    @pytest.mark.parametrize("axes", GROUP_GRIDS.values(), ids=GROUP_GRIDS)
+    @pytest.mark.parametrize("rows_per_step", [1, 2, 4])
+    def test_row_loop_steps_do_not_change_values(self, pair, axes, rows_per_step, monkeypatch):
+        # a small grid is one step by default; a smaller _SWEEP_STEP_FLOATS makes steps of one row (a square
+        # grid's row pair does not fit), of one row pair or of two, or of one, two or four whole rows
+        albedos = self.albedos()[:2]
+        grid = SweepGrid(theta0_values=axes[0], theta_values=axes[1], model_pair=pair)
+        whole = list(angle_sweeps(albedos, grid))
+        square = axes[0] == axes[1]
+        # a step holds F // (6 K L (n + 1)) row pairs on a square grid, else F // (6 K L n) rows
+        per_unit = 6 * len(albedos) * self.N_BANDS * (len(axes[1]) + square)
+        monkeypatch.setattr(metrics, "_SWEEP_STEP_FLOATS", per_unit * rows_per_step // (1 + square))
+        for one, stepped in zip(whole, angle_sweeps(albedos, grid), strict=True):
+            for name in ("sam", "rmse", "valid"):
+                assert getattr(stepped, name).tobytes() == getattr(one, name).tobytes(), name
+
     @staticmethod
     def group_floats(grid, albedos_per_group):
         """The _SWEEP_GROUP_FLOATS that makes groups of albedos_per_group albedos on this grid."""

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,12 +296,31 @@ class TestSimulateCube:
         albedos = make_albedos()
         config = base_config(n_pixels=40, model=model, snr_db=30.0)
         whole = simulate_cube(albedos, self.PARAMS, config)
-        monkeypatch.setattr(simulate, "_CHUNK_FLOATS", floats)
+        monkeypatch.setattr(simulate, "_BLOCK_FLOATS", floats)
         chunked = simulate_cube(albedos, self.PARAMS, config)
         np.testing.assert_array_equal(chunked.values, whole.values)
         assert whole.values.flags.f_contiguous and chunked.values.flags.f_contiguous
         if model == "linear":
             np.testing.assert_array_equal(chunked.ground_truth.scales, whole.ground_truth.scales)
+
+    def test_peak_memory_is_the_outputs_and_one_block_budget(self):
+        # the kernel buffers are allocated once per call within _BLOCK_FLOATS, the spectra are written into the
+        # cube's own values, and the cube keeps those values rather than a copy
+        n_pixels, n_materials = 4096, 4
+        albedos = make_albedos(n_materials=n_materials, n_bands=200)
+        config = base_config(n_materials=n_materials, n_pixels=n_pixels, model="full")
+        tracemalloc.start()
+        try:
+            cube = simulate_cube(albedos, [*self.PARAMS, self.PARAMS[0]], config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        truth, geometries = cube.ground_truth, cube.geometries
+        outputs = sum(a.nbytes for a in (cube.values, truth.abundances, truth.endmembers.values)) + sum(
+            getattr(geometries, name).nbytes for name in ("theta0", "theta", "phi", "mu0", "mu", "g"))
+        # besides: one float per pixel and material twice, the drawn abundances (ground truth keeps a copy) and
+        # the full model's phase-angle lobes
+        assert peak <= outputs + 8 * (simulate._BLOCK_FLOATS + 2 * n_pixels * n_materials)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_values_are_the_mix_of_per_material_kernel_calls_bit_for_bit(self, model):
