@@ -291,10 +291,11 @@ def read_cube(sidecar_path: str | Path) -> HyperCube:
 
     The sidecar is read like a config, through config_value, and refused by
     key before any data file is read: a missing key, a size that is not a
-    whole number >= 0, a dtype or order other than write_cube's, a file
-    entry that is not a file name (such as an older format's per-pixel
-    geometry list), wavelengths_um that are not bands numbers.  A data file
-    of the wrong size is refused by its path, a bad angle by its .geom.bin.
+    whole number >= 0, a pixel count of 0, a dtype or order other than
+    write_cube's, a file entry that is not a file name (such as an older
+    format's per-pixel geometry list), wavelengths_um that are not bands
+    numbers.  A data file of the wrong size is refused by its path, a bad
+    angle by its .geom.bin.
     """
     raw, files = _read_sidecar(Path(sidecar_path))
     where = str(sidecar_path)
@@ -302,6 +303,8 @@ def read_cube(sidecar_path: str | Path) -> HyperCube:
         if raw[key] != written:
             raise ValueError(f"{where}: {key} must be {written!r}, got {json_name(raw[key])}")
     bands, pixels = (config_value(raw[key], f"{where}: {key}", "count") for key in ("bands", "pixels"))
+    if pixels < 1:
+        raise ValueError(f"{where}: pixels must be >= 1, got {pixels}")
     wavelengths = config_value(raw["wavelengths_um"], f"{where}: wavelengths_um", "numbers")
     if len(wavelengths) != bands:
         raise ValueError(f"{where}: wavelengths_um holds {len(wavelengths)} values, bands is {bands}")

@@ -9,8 +9,9 @@ whole theta0 rows: row i is one (theta, bands) block of shapes, the albedo
 divided by the table products A(omega, mu) A(omega, mu0_i), then divided
 by the row's Q into the reflectances.  The albedo is itself a row block,
 repeated once per cell, as are its unit vectors (the linear shape's): both
-are built once per group, so no operation of a step broadcasts a row of
-bands, and every temporary is in buffers allocated once per group.  A step
+are built once per albedo, so no operation of a step broadcasts a row of
+bands.  Every other block of a step is in four work buffers, allocated once
+per angle_sweeps call and shared by its albedos, swept one at a time.  A step
 holds as many rows as _SWEEP_STEP_FLOATS allows (at least one), and its
 fixed numpy calls are shared by its rows.  A step keeps two sums of
 squares per cell, both from one call of core.sum_of_squares (one BLAS dot
@@ -36,17 +37,6 @@ whole pairs has one shape.  No value depends on the steps, the row order
 or the mirror.  The mirror is bit for bit, so io.write_sweep_csv formats
 each mirrored pair of cells once; it checks the bits itself and assumes no
 mirror.
-
-angle_sweeps sweeps several albedos in groups, each group in one row loop:
-its K albedos are one spectrum of K x bands, with the A tables built over
-that axis, so each step's operations run once on a (cells, K x bands)
-block and the per-step call overhead is shared by the group.  Every norm
-and dot is still taken per albedo, on the block's view as (cells x K,
-bands) rows, one contiguous row of bands each, so a result is bit for bit
-the albedo's own sweep (angle_sweep is angle_sweeps of one albedo).  K is
-as many albedos as _SWEEP_GROUP_FLOATS holds in the four row buffers and
-the per-cell sums (four on the default 91 x 91 grid at 200 bands), so a
-group's memory does not grow with the number of albedos.
 """
 
 from __future__ import annotations
@@ -147,17 +137,12 @@ _MAX_SWEEP_CELLS = 10**6
 #: Most angles on one sweep axis, a 0.01-degree axis: angle_sweep's row
 #: buffers grow with the theta axis times the band count, not with the cells.
 _MAX_AXIS_ANGLES = 9001
-#: Floats that one group of angle_sweeps may take in its four row buffers
-#: (theta angles x bands each per albedo) and its per-cell sums (6 per cell
-#: and albedo): the group holds as many albedos as fit, at least one.  Four
-#: fit on the default 91 x 91 grid at 200 bands; eight were slower there.
-_SWEEP_GROUP_FLOATS = 2**19
-#: Floats that one step of a group's row loop may take in its six (cells, K x bands) arrays, the four row
-#: buffers and the albedo's two row blocks: 2 MB, one L2 cache.  A step holds as many rows as fit (at
-#: least one), on a square grid whole row pairs of n + 1 cells when one fits.  One albedo at 200 bands on
-#: the 181 x 181 grid: 6 x 182 x 200 floats, 1.7 MB, one row pair a step, 12% faster than one row a step.
-#: Four at 200 bands on the default 91 x 91 grid: a pair takes 6 x 92 x 800 floats, 3.5 MB, so one row a
-#: step, 6% faster than a pair.  2^19 and 2^20 were 7-15% slower on both.
+#: Floats that one step of the row loop may take in its six (cells, bands) arrays, the four work buffers
+#: and the albedo's two row blocks: 2 MB, one L2 cache.  A step holds as many rows as fit (at least one), on
+#: a square grid whole row pairs of n + 1 cells when one fits.  At 200 bands a pair of the default 91 x 91
+#: grid takes 6 x 92 x 200 floats, 0.9 MB, so a step holds two pairs; one of the 181 x 181 grid 6 x 182 x
+#: 200 floats, 1.7 MB, one pair a step, 12% faster than one row a step.  2^19 and 2^20 were 7-15% slower
+#: there.
 _SWEEP_STEP_FLOATS = 2**18
 
 
@@ -339,12 +324,13 @@ def angle_sweep(albedo: AlbedoSpectrum, grid: SweepGrid) -> SweepResult:
 
 
 def angle_sweeps(albedos: Iterable[AlbedoSpectrum], grid: SweepGrid) -> Iterator[SweepResult]:
-    """angle_sweep of each albedo, in order, bit for bit: one SweepResult per albedo as its group is swept.
+    """angle_sweep of each albedo, in order, bit for bit: one SweepResult per albedo as it is swept.
 
     Every albedo is checked before anything is computed: one that is
     identically zero (its spectral angle is undefined) is refused by name,
-    and all must have one band count.  The albedos are swept in groups of
-    as many as _SWEEP_GROUP_FLOATS allows (see the module docstring).
+    and all must have one band count.  The grid's swept cells, their Q and
+    the row loop's steps, and the loop's work buffers, are built once per
+    call; the albedos are swept one at a time through them.
     """
     albedos = list(albedos)
     for albedo in albedos:
@@ -353,10 +339,12 @@ def angle_sweeps(albedos: Iterable[AlbedoSpectrum], grid: SweepGrid) -> Iterator
     bands = {albedo.omega.size for albedo in albedos}
     if len(bands) > 1:
         raise ValueError(f"albedos of one angle sweep share one band count, got {sorted(bands)}")
-    return _sweep_groups(albedos, grid)
+    return _sweep(albedos, grid)
 
 
-def _sweep_groups(albedos: list[AlbedoSpectrum], grid: SweepGrid) -> Iterator[SweepResult]:
+def _sweep(albedos: list[AlbedoSpectrum], grid: SweepGrid) -> Iterator[SweepResult]:
+    if not albedos:
+        return
     pair = grid.model_pair
     mu0, mu = cos_deg(grid.theta0_values), cos_deg(grid.theta_values)
     valid = np.logical_and(*(defined_at(m, mu[None, :], mu0[:, None]) for m in pair))
@@ -369,20 +357,23 @@ def _sweep_groups(albedos: list[AlbedoSpectrum], grid: SweepGrid) -> Iterator[Sw
     cols = np.arange(rows.size) - np.repeat(np.cumsum(widths) - widths - segments[1], widths)
     factors = {m: np.where(valid, cell_factor(m, mu[None, :], mu0[:, None]), np.nan)[rows, cols, None]
                for m in pair if m != "relative"}  # relative's Q is 1: its reflectance is its shape
-    n_bands = albedos[0].omega.size if albedos else 0
-    size = max(1, _SWEEP_GROUP_FLOATS // (4 * mu.size * n_bands + 6 * valid.size))
-    for start in range(0, len(albedos), size):
-        omega = np.stack([albedo.omega for albedo in albedos[start:start + size]])
-        sums = _group_sums(omega, pair, mu0, mu, factors, segments, square).reshape(3, 2, rows.size, -1)
-        for k in range(omega.shape[0]):
-            sam, err = np.empty(valid.shape), np.empty(valid.shape)
-            for values, swept in ((err, root_mean_square(sums[0, 0, :, k], sums[0, 1, :, k], n_bands)),
-                                  (sam, _angle(sums[1, :, :, k], sums[2, :, :, k]))):
-                values[rows, cols] = swept
-                if square:  # the lower cells are the upper cells, mirrored
-                    values[cols, rows] = swept
-            sam[~valid] = np.nan  # err is NaN there already, through Q
-            yield SweepResult(grid=grid, sam=sam, rmse=err, valid=valid.copy())
+    n_bands, n_segments = albedos[0].omega.size, segments.shape[1]
+    # a step sweeps as many segments as _SWEEP_STEP_FLOATS holds, whole row pairs on a square grid when one fits
+    step = max(1, 2 * (_SWEEP_STEP_FLOATS // (6 * n_bands * (mu.size + 1))) if square
+               else _SWEEP_STEP_FLOATS // (6 * n_bands * mu.size))
+    steps = [range(first, min(first + step, n_segments)) for first in range(0, n_segments, step)]
+    bounds = [0, *np.cumsum(widths).tolist()]  # segment k's cells are bounds[k]:bounds[k + 1]
+    width = max(bounds[run.stop] - bounds[run.start] for run in steps)
+    work = np.empty((4, width, n_bands))  # the two shapes, then the two differences: shared by the albedos
+    for albedo in albedos:
+        sums = _albedo_sums(albedo.omega, pair, mu0, mu, factors, segments, steps, bounds, work)
+        sam, err = np.empty(valid.shape), np.empty(valid.shape)
+        for values, swept in ((err, root_mean_square(*sums[0], n_bands)), (sam, _angle(sums[1], sums[2]))):
+            values[rows, cols] = swept
+            if square:  # the lower cells are the upper cells, mirrored
+                values[cols, rows] = swept
+        sam[~valid] = np.nan  # err is NaN there already, through Q
+        yield SweepResult(grid=grid, sam=sam, rmse=err, valid=valid.copy())
 
 
 def _swept_rows(n_rows: int, square: bool) -> np.ndarray:
@@ -398,34 +389,25 @@ def _swept_rows(n_rows: int, square: bool) -> np.ndarray:
 
 
 @np.errstate(over="ignore")  # a sum of squares that overflows is summed again, scaled
-def _group_sums(omega, pair, mu0, mu, factors, segments, square):
-    """The (3, 2, cells x K) sum_of_squares (s, scale) of one group's K albedos, the rows of omega.
+def _albedo_sums(omega, pair, mu0, mu, factors, segments, steps, bounds, work):
+    """The (3, 2, cells) sum_of_squares (s, scale) of one albedo omega, through the (4, cells, bands) work.
 
-    Per swept cell, in the order of _swept_rows' segments, and albedo: of the reflectances' difference, of
-    the unit shapes' difference and of their sum.  factors holds each model's Q of the cells in that order.
+    Per swept cell, in the order of _swept_rows' segments: of the reflectances' difference, of the unit
+    shapes' difference and of their sum.  factors holds each model's Q of the cells in that order, segment
+    k's cells are bounds[k]:bounds[k + 1], and each step of steps is a range of segments.
     """
-    n_albedos, n_bands = omega.shape
-    flat = omega.reshape(-1)  # the group as one spectrum of K x bands
-    tables = {m: (angle_divisor(m, flat, mu0[:, None]), angle_divisor(m, flat, mu[:, None]))
+    tables = {m: (angle_divisor(m, omega, mu0[:, None]), angle_divisor(m, omega, mu[:, None]))
               for m in pair if m != "linear"}
-    # a step sweeps as many segments as _SWEEP_STEP_FLOATS holds, whole row pairs on a square grid when one fits
-    per_cell, n_segments = 6 * flat.size, segments.shape[1]
-    step = max(1, 2 * (_SWEEP_STEP_FLOATS // (per_cell * (mu.size + 1))) if square
-               else _SWEEP_STEP_FLOATS // (per_cell * mu.size))
-    steps = [range(first, min(first + step, n_segments)) for first in range(0, n_segments, step)]
     rows, starts = segments.tolist()
-    bounds = [0, *np.cumsum(mu.size - segments[1]).tolist()]  # segment k's cells are bounds[k]:bounds[k + 1]
-    width = max(bounds[run.stop] - bounds[run.start] for run in steps)
     # the albedo (the linear shape) and its unit vectors, the same in every cell, repeated to row blocks: an
     # operation on two blocks is several times faster than one that broadcasts a single row
-    omega_rows, omega_unit = (np.repeat(block.reshape(1, -1), width, axis=0) for block in (omega, _unit(omega)))
-    sums = np.zeros((3, 2, bounds[-1] * n_albedos))
-    work = np.empty((4, width, flat.size))  # the two shapes, then the two differences
+    omega = omega.reshape(1, -1)
+    omega_rows, omega_unit = (np.repeat(block, work.shape[1], axis=0) for block in (omega, _unit(omega)))
+    sums = np.zeros((3, 2, bounds[-1]))
     for run in steps:
         cells = slice(bounds[run.start], bounds[run.stop])
         width = cells.stop - cells.start
         row = work[:, :width]
-        by_albedo = row.reshape(4, -1, n_bands)  # a view: one row of bands per cell and albedo
         for m, out in zip(pair, row):  # a shape's divisors: the table products A(omega, mu) A(omega, mu0_i)
             if m != "linear":
                 for k in run:  # one per segment, on its row's columns
@@ -437,14 +419,11 @@ def _group_sums(omega, pair, mu0, mu, factors, segments, square):
         rhos = [shape if m == "relative" else np.divide(shape, factors[m][cells], out=next(outs))
                 for m, shape in zip(pair, shapes)]
         np.subtract(*rhos, out=row[2])
-        for m, own in zip(pair, by_albedo):  # a shape in the row buffer becomes its unit vectors, in place
-            if m != "linear":
-                _unit(own, out=own)
-        units = [omega_unit[:width] if m == "linear" else shape for m, shape in zip(pair, shapes)]
+        # a shape in the row buffer becomes its unit vectors, in place
+        units = [omega_unit[:width] if m == "linear" else _unit(shape, out=shape) for m, shape in zip(pair, shapes)]
         np.subtract(*units, out=row[3])
-        s, scale = sum_of_squares(by_albedo[2:4])  # both differences in one call, one dot per cell and albedo
-        by_cell = slice(cells.start * n_albedos, cells.stop * n_albedos)
-        sums[:2, 0, by_cell], sums[:2, 1, by_cell] = s, scale
+        s, scale = sum_of_squares(row[2:4])  # both differences in one call, one dot per cell
+        sums[:2, 0, cells], sums[:2, 1, cells] = s, scale
         if s[1].max() > _ACROSS_SQ_MAX:  # past 60 degrees (or a rescaled row): rare between model spectra
-            sums[2, 0, by_cell], sums[2, 1, by_cell] = sum_of_squares(np.add(*units).reshape(-1, n_bands))
+            sums[2, 0, cells], sums[2, 1, cells] = sum_of_squares(np.add(*units))
     return sums

@@ -315,8 +315,9 @@ def inject_noise(cube: HyperCube, snr_db: float, seed: int) -> HyperCube:
     signal_power = float(np.mean(np.square(cube.values, order="C")))
     sigma = math.sqrt(signal_power / 10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng([int(seed), _NOISE_STREAM])
-    # the pixel-major draws, transposed, have the cube's pixel-major layout
-    noisy = cube.values + rng.normal(0.0, sigma, (cube.n_pixels, cube.n_bands)).T
+    # the pixel-major draws, transposed, have the cube's pixel-major layout: the cube is added into them
+    noisy = rng.normal(0.0, sigma, (cube.n_pixels, cube.n_bands)).T
+    noisy += cube.values
     return HyperCube(
         values=noisy.view(_Unshared),
         axis=cube.axis,

@@ -425,6 +425,22 @@ class TestUnmix:
         ]) == 1
         assert "at band 3, pixel 4" in capsys.readouterr().err
 
+    def test_zero_pixel_cube_exits_1_naming_pixels_and_writes_nothing(self, tmp_path, albedo_csv, capsys):
+        cube, endmembers = self.simulate(tmp_path, albedo_csv, n_pixels=6)
+        # every data file the sidecar names is empty, the size its 0 pixels take
+        meta = json.loads(cube.read_text())
+        meta.update(pixels=0, data="empty.bin", geometries="empty.bin")
+        meta["ground_truth"].update(abundances="empty.bin", scales="empty.bin")
+        (tmp_path / "empty.bin").write_bytes(b"")
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["unmix", "--cube", str(zero), "--endmembers", str(endmembers), "--out", str(tmp_path / "fit")]) == 1
+        assert capsys.readouterr().err == f"error: {zero}: pixels must be >= 1, got 0\n"
+        assert not list(tmp_path.glob("fit*"))
+        assert main(["verify", "--cube", str(zero)]) == 1
+        assert "pixels must be >= 1" in capsys.readouterr().err
+
     def test_solver_failure_exits_1_without_traceback(self, tmp_path, albedo_csv, capsys, monkeypatch):
         cube, endmembers = self.simulate(tmp_path, albedo_csv, n_pixels=4)
 

@@ -339,6 +339,7 @@ class TestCubeFiles:
             ({"bands": -1}, r": bands must be >= 0, got -1$"),
             ({"pixels": -3}, r": pixels must be >= 0, got -3$"),
             ({"pixels": 2.5}, r": pixels must be a whole number, got 2.5$"),
+            ({"pixels": 0}, r": pixels must be >= 1, got 0$"),
             ({"ground_truth": {"abundances": "x.gt_a.bin"}}, r": ground_truth: missing keys materials; expected keys materials, abundances$"),
             ({"ground_truth": {"materials": -2, "abundances": "x.gt_a.bin"}},
              r": ground_truth.materials must be >= 0, got -2$"),
@@ -357,7 +358,7 @@ class TestCubeFiles:
             ({"ground_truth": [0.5] * 100_000},
              r": ground_truth must be a JSON object, got a JSON array of 100000 entries$"),
         ],
-        ids=["dtype", "order", "no-bands", "negative-bands", "negative-pixels", "fractional-pixels",
+        ids=["dtype", "order", "no-bands", "negative-bands", "negative-pixels", "fractional-pixels", "zero-pixels",
              "no-materials", "negative-materials", "numeric-data", "numeric-geometries", "numeric-abundances",
              "null-abundances", "numeric-scales", "numeric-endmembers", "text-wavelengths", "short-wavelengths",
              "listed-ground-truth"],

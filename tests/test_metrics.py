@@ -446,7 +446,7 @@ class TestAngleSweep:
 
 
 #: (theta0_values, theta_values) of a square grid (mirrored), a non-square one and one of grazing angles
-GROUP_GRIDS = {
+SWEEP_GRIDS = {
     "square": ([0.0, 90.0, 12.5, 37.0, 60.0, 88.0, 1e-300], [0.0, 90.0, 12.5, 37.0, 60.0, 88.0, 1e-300]),
     "non-square": ([90.0, 0.0, 5.0, 20.0, 45.0, 75.0], [0.0, 30.0, 60.0, 85.0, 90.0]),
     "grazing": ([85.0, 88.0, 89.9, 90.0], [80.0, 89.0, 89.99, 90.0]),
@@ -475,7 +475,7 @@ class TestAngleSweeps:
                 assert getattr(result, name).tobytes() == getattr(alone, name).tobytes(), (albedo.material, name)
 
     @pytest.mark.parametrize("pair", [("relative", "linear"), ("lambertian", "linear"), ("lambertian", "relative")])
-    @pytest.mark.parametrize("axes", GROUP_GRIDS.values(), ids=GROUP_GRIDS)
+    @pytest.mark.parametrize("axes", SWEEP_GRIDS.values(), ids=SWEEP_GRIDS)
     @pytest.mark.parametrize("rows_per_step", [1, 2, 4])
     def test_row_loop_steps_do_not_change_values(self, pair, axes, rows_per_step, monkeypatch):
         # a small grid is one step by default; a smaller _SWEEP_STEP_FLOATS makes steps of one row (a square
@@ -484,34 +484,21 @@ class TestAngleSweeps:
         grid = SweepGrid(theta0_values=axes[0], theta_values=axes[1], model_pair=pair)
         whole = list(angle_sweeps(albedos, grid))
         square = axes[0] == axes[1]
-        # a step holds F // (6 K L (n + 1)) row pairs on a square grid, else F // (6 K L n) rows
-        per_unit = 6 * len(albedos) * self.N_BANDS * (len(axes[1]) + square)
+        # a step holds F // (6 L (n + 1)) row pairs on a square grid, else F // (6 L n) rows
+        per_unit = 6 * self.N_BANDS * (len(axes[1]) + square)
         monkeypatch.setattr(metrics, "_SWEEP_STEP_FLOATS", per_unit * rows_per_step // (1 + square))
         for one, stepped in zip(whole, angle_sweeps(albedos, grid), strict=True):
             for name in ("sam", "rmse", "valid"):
                 assert getattr(stepped, name).tobytes() == getattr(one, name).tobytes(), name
 
-    @staticmethod
-    def group_floats(grid, albedos_per_group):
-        """The _SWEEP_GROUP_FLOATS that makes groups of albedos_per_group albedos on this grid."""
-        n_theta0, n_theta = grid.theta0_values.size, grid.theta_values.size
-        return albedos_per_group * (4 * n_theta * TestAngleSweeps.N_BANDS + 6 * n_theta0 * n_theta)
-
     @pytest.mark.parametrize("pair", list(itertools.permutations(SWEEP_MODELS, 2)))
-    @pytest.mark.parametrize("axes", GROUP_GRIDS.values(), ids=GROUP_GRIDS)
-    def test_each_result_equals_the_one_albedo_sweep_bit_for_bit(self, pair, axes):
+    @pytest.mark.parametrize("axes", SWEEP_GRIDS.values(), ids=SWEEP_GRIDS)
+    @pytest.mark.parametrize("order", [1, -1], ids=["given", "reversed"])
+    def test_each_result_equals_the_one_albedo_sweep_bit_for_bit(self, pair, axes, order):
+        # reversed, the tiny albedo (rescaled sums, past _ACROSS_SQ_MAX) is swept first: the work buffers that
+        # the albedos of one call share carry nothing from one albedo to the next
         grid = SweepGrid(theta0_values=axes[0], theta_values=axes[1], model_pair=pair)
-        albedos = self.albedos()
-        assert metrics._SWEEP_GROUP_FLOATS >= self.group_floats(grid, len(albedos))  # one group holds them all
-        self.assert_each_equals_its_one_albedo_sweep(albedos, grid)
-
-    @pytest.mark.parametrize("pair", list(itertools.permutations(SWEEP_MODELS, 2)))
-    @pytest.mark.parametrize("per_group", [2, 4])
-    def test_group_boundaries_do_not_change_values(self, pair, per_group, monkeypatch):
-        grid = SweepGrid(*GROUP_GRIDS["square"], model_pair=pair)
-        # six albedos in groups of two, or of four and then two
-        monkeypatch.setattr(metrics, "_SWEEP_GROUP_FLOATS", self.group_floats(grid, per_group))
-        self.assert_each_equals_its_one_albedo_sweep(self.albedos(), grid)
+        self.assert_each_equals_its_one_albedo_sweep(self.albedos()[::order], grid)
 
     def test_a_zero_albedo_is_refused_by_name_before_any_sweep(self):
         albedos = [*self.albedos()[:2], make_albedo(np.zeros(self.N_BANDS), "void")]
