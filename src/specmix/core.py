@@ -29,10 +29,12 @@ def _readonly(values, dtype=np.float64, ndim: int | None = None, name: str = "ar
     """values as a read-only array of dtype that no one else can write.
 
     An array over an immutable bytes object (_views_bytes), such as a file
-    read by io.read_cube, is kept as is when it already has dtype; anything
-    else is copied, so the result never shares memory a caller can change.
+    read by io.read_cube, or one handed over as an _Unshared view, is kept
+    as is when it already has dtype; anything else is copied, so the result
+    never shares memory a caller can change.
     """
-    arr = np.asarray(values, dtype=dtype) if _views_bytes(values) else np.array(values, dtype=dtype)
+    kept = type(values) is _Unshared or _views_bytes(values)
+    arr = np.asarray(values, dtype=dtype) if kept else np.array(values, dtype=dtype)
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     arr.setflags(write=False)

@@ -29,11 +29,13 @@ The core runs every pixel of a batch in lockstep: each step takes one
 action per unfinished pixel (pick an entering material, or solve its
 program on the free materials and take the ratio step).  All pixels share
 G, so a pixel's solve depends only on its free set, an integer support
-mask: a step finds the distinct masks in a table of all 2^P masks when
-P <= 8, else by ``np.unique``, inverts each one's P x P system once, in
-one stacked ``np.linalg.inv``, and a pixel whose free solve leaves
-[lo, hi] moves onto the bound it crosses by the Schur complement of the
-sum row (``_solve_free``).  So one pass moves a pixel between in-bound
+mask.  At P <= 8 a call keeps each mask's inverse in a table of all 2^P
+masks, and a step inverts only the masks that no earlier step met; at
+larger P a step finds its distinct masks by ``np.unique`` and inverts
+each once.  Either way the inverses come from one stacked
+``np.linalg.inv``, and a pixel whose free solve leaves [lo, hi] moves
+onto the bound it crosses by the Schur complement of the sum row
+(``_solve_free``).  So one pass moves a pixel between in-bound
 solves and solves on a bound as its free set changes.  Each final result
 takes one step of iterative refinement, so its KKT residual is a solve's,
 not rounding times cond(G); its right-hand side reuses the residual
@@ -51,8 +53,9 @@ of work apart.  A lockstep batch pays a fixed cost per step, so it is as
 large as its biggest per-pixel temporary allows: the gathered P x P
 inverses, _BATCH_FLOATS floats per batch (2 MB, 16 384 pixels at P = 4).
 The residual, the one temporary of band length, is computed
-_RESIDUAL_ROWS pixels at a time, so peak memory stays a small fraction
-of the cube's.
+_RESIDUAL_ROWS pixels at a time into one block allocated per call, so
+peak memory stays a small fraction of the cube's.  The result keeps the
+call's new output arrays, read-only, without copying them.
 """
 
 from __future__ import annotations
@@ -63,8 +66,8 @@ from typing import Any
 
 import numpy as np
 
-from .core import (EndmemberMatrix, FloatArray, HyperCube, UnmixResult, check_config_keys, config_value, json_name, pixel_major,
-                   root_mean_square, sum_of_squares)
+from .core import (EndmemberMatrix, FloatArray, HyperCube, UnmixResult, _Unshared, check_config_keys, config_value,
+                   json_name, pixel_major, root_mean_square, sum_of_squares)
 
 SOLVER_MODELS = ("lmm", "elmm-global", "elmm-full")
 
@@ -81,7 +84,8 @@ _BATCH_FLOATS = 2**18
 #: rows it subtracts, 1.6 MB together, fit a 2 MB L2 cache (1024 rows, 3.2 MB, do not).
 _RESIDUAL_ROWS = 512
 #: Entries of a table of all 2^P support masks that always costs less than sorting a step's masks: on numpy
-#: 2.4, 5-10 us at P <= 8 against 8-15 us for np.unique of 1 to 100 masks (23 against 12 us at P = 12).
+#: 2.4, 5-10 us at P <= 8 against 8-15 us for np.unique of 1 to 100 masks (23 against 12 us at P = 12).  It also
+#: bounds _active_set's per-call table of every mask's inverse: 2^8 x 8 x 8 floats, 128 KB at P = 8.
 _MASK_TABLE = 2**8
 
 
@@ -132,36 +136,54 @@ class SolverConfig:
 # lockstep active-set core (Gram space, one pixel per row)
 # ---------------------------------------------------------------------------
 
-def _rowwise(M: FloatArray, B: FloatArray) -> FloatArray:
-    """Row n of the result is M[n] @ B, as its own vector-matrix product.
+def _rowwise(M: FloatArray, B: FloatArray, out: FloatArray | None = None) -> FloatArray:
+    """Row n of the result is M[n] @ B, as its own vector-matrix product, written to out[n, 0] when out is given.
 
     With contiguous rows, BLAS computes a row the same way however many rows
     are stacked, which a single matrix-matrix product does not promise.
     """
-    return np.matmul(np.ascontiguousarray(M)[:, None, :], B)[:, 0, :]
+    return np.matmul(np.ascontiguousarray(M)[:, None, :], B, out=out)[:, 0, :]
+
+
+def _inverses(G: FloatArray, masks: np.ndarray, bits: np.ndarray):
+    """Each mask's G_F^-1, zero outside F, v = G_F^-1 1_F, sum(v), free set F and lowest free index, one-hot.
+
+    G_F has the identity outside F.  One stacked ``np.linalg.inv`` inverts
+    each matrix alone, so a mask's inverse does not depend on the others.
+    """
+    kept = (masks[:, None] & bits) != 0
+    block = kept[:, :, None] & kept[:, None, :]
+    inverse = np.where(block, np.linalg.inv(np.where(block, G, np.eye(len(bits)))), 0.0)
+    v = inverse.sum(axis=2)
+    return inverse, v, v.sum(axis=1), kept, np.argmax(kept, axis=1)[:, None] == np.arange(len(bits))
 
 
 def _solve_free(G: FloatArray, B: FloatArray, mask: np.ndarray, bits: np.ndarray, lo: FloatArray, hi: FloatArray,
-                start: FloatArray | None = None,
+                table: tuple | None, start: FloatArray | None = None,
                 mu: FloatArray | None = None) -> tuple[FloatArray, FloatArray, np.ndarray]:
     """Each row's program on its free indices, the multiplier mu of its sum and its free set, from one inverse per mask.
 
     Row n's free set F is its integer support mask mask[n], bit bits[k]
-    for material k.  At P <= 8 (2^P <= _MASK_TABLE) a step finds the
-    distinct masks in a table of all 2^P of them, with no sort; at larger
-    P, P >= 64 among them, by ``np.unique``.  Each mask's
-    G_F is built with the identity outside F, inverted once (one stacked
-    ``np.linalg.inv``) and zeroed outside F; every row takes its inverse by
-    a gather and one batched ``np.matmul``, so u = G_F^-1 b and u is 0
-    outside F.  A row whose sum sigma of u lies in [lo, hi] keeps u, with
-    mu = 0.  Any other row moves onto the bound t it crosses by the Schur
-    complement of the sum row: with v = G_F^-1 1_F, one per mask,
-    mu = (sigma - t) / sum(v) and z = u - mu v, so that G_F z + mu 1 = b_F.
-    The lowest free index then takes what the other free entries leave of
-    t, so the sum holds to their rounding: u - mu v alone leaks rounding
-    times |c| into it, which at radiance scale or on a bound far below the
-    fit can empty a support.  This is the exact optimum over
-    {lo <= sum(z) <= hi} on F, the oracle's support_solve.
+    for material k.  At P <= 8 (2^P <= _MASK_TABLE), table is the
+    caller's per-call table of ``_inverses``' arrays for all 2^P masks,
+    indexed by the integer mask, and a last entry that flags the filled
+    ones: a step marks its masks in a 2^P array, with no sort, inverts
+    only those that no earlier step met and gathers every row's from the
+    table.  At larger P, P >= 64 among them, table is None and a step
+    finds its distinct masks by ``np.unique``.  Every row takes its
+    inverse by a gather and one batched ``np.matmul``, so u = G_F^-1 b
+    and u is 0 outside F.  A row whose sum sigma of u lies
+    in [lo, hi] keeps u, with mu = 0.  Any other row moves onto the bound
+    t it crosses by the Schur complement of the sum row: with
+    v = G_F^-1 1_F, mu = (sigma - t) / sum(v) and z = u - mu v, so that
+    G_F z + mu 1 = b_F.  The lowest free index then takes what the other
+    free entries leave of t, so the sum holds to their rounding: u - mu v
+    alone leaks rounding times |c| into it, which at radiance scale or on
+    a bound far below the fit can empty a support.  This is the exact
+    optimum over {lo <= sum(z) <= hi} on F, the oracle's support_solve.
+    When any row leaves its bounds, the step runs on every row, and
+    np.where keeps u and mu on the rows inside them: no row is gathered
+    or scattered.
 
     B holds the right-hand sides: the rows c of C for a solve.  Given
     start, a point that is 0 outside the free sets, its multiplier mu and
@@ -170,19 +192,19 @@ def _solve_free(G: FloatArray, B: FloatArray, mask: np.ndarray, bits: np.ndarray
     names (hi above 0, lo below, none at 0), and the multiplier returned
     is mu plus the step's.
     """
-    p = len(bits)
-    if 1 << p <= _MASK_TABLE:  # mark each mask in a table; its cumsum numbers them as np.unique does
-        present = np.zeros(1 << p, dtype=bool)
-        present[mask] = True
-        masks, which = np.flatnonzero(present), (np.cumsum(present) - 1).take(mask)
-    else:
+    if table is None:
         masks, which = np.unique(mask, return_inverse=True)
-    kept = (masks[:, None] & bits) != 0
-    block = kept[:, :, None] & kept[:, None, :]
-    inverse = np.where(block, np.linalg.inv(np.where(block, G, np.eye(p))), 0.0)
-    # v = G_F^-1 1_F and sum(v), per mask
-    v = inverse.sum(axis=2)
-    v_sum = v.sum(axis=1)
+        inverse, v, v_sum, kept, first = _inverses(G, masks, bits)
+    else:
+        *per_mask, seen = table
+        fresh = np.zeros(len(seen), dtype=bool)
+        fresh[mask] = True
+        new = np.flatnonzero(fresh & ~seen)
+        if new.size:
+            for column, values in zip(per_mask, _inverses(G, new, bits)):
+                column[new] = values
+            seen[new] = True
+        (inverse, v, v_sum, kept, first), which = per_mask, mask
     z = np.matmul(inverse.take(which, axis=0), B[:, :, None])[:, :, 0]
     if start is None:
         sigma = reduce(np.add, z.T)
@@ -192,16 +214,15 @@ def _solve_free(G: FloatArray, B: FloatArray, mask: np.ndarray, bits: np.ndarray
         z += start
         sigma = reduce(np.add, z.T)
         t = np.where(mu > 0.0, hi, np.where(mu < 0.0, lo, sigma))
-        mu = mu.copy()
-    rows = np.flatnonzero(t != sigma)
-    if rows.size:  # take, not fancy indexing, gathers the rows on a bound
-        m = which.take(rows)
-        step = (sigma.take(rows) - t.take(rows)) / v_sum.take(m)
-        on_bound = z.take(rows, axis=0) - step[:, None] * v.take(m, axis=0)
-        first = np.argmax(kept, axis=1).take(m)[:, None] == np.arange(p)  # the lowest free index, one-hot
+    inside = t == sigma
+    if not inside.all():
+        with np.errstate(divide="ignore", invalid="ignore"):  # sum(v) is 0 on mask 0, whose rows stay inside
+            step = (sigma - t) / v_sum.take(which)
+        on_bound = z - step[:, None] * v.take(which, axis=0)
+        first = first.take(which, axis=0)
         rest = reduce(np.add, np.where(first, 0.0, on_bound).T)
-        mu[rows] += step
-        z[rows] = np.where(first, (t.take(rows) - rest)[:, None], on_bound)
+        z = np.where(inside[:, None], z, np.where(first, (t - rest)[:, None], on_bound))
+        mu = np.where(inside, mu, mu + step)
     return z, mu, kept.take(which, axis=0)
 
 
@@ -228,7 +249,9 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, lo: FloatArray,
     (Python integers past 63 materials, so any P fits).  A step solves its
     pixels' free sets within their sum bounds from one inverse per distinct
     mask (``_solve_free``), at most min(2^P, pixels in the step) of them,
-    which also returns each pixel's free set as a boolean row.  The result
+    which also returns each pixel's free set as a boolean row.  At P <= 8
+    the call inverts each mask once: a table of all 2^P masks keeps every
+    inverse, and later steps and the refinement gather from it.  The result
     takes one refinement step on its final free set, on the side of the
     bound its final multiplier names, from the residual c - G z that the
     pixel's last multiplier check formed; a pixel that finishes on the full
@@ -249,6 +272,10 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, lo: FloatArray,
     g_max = np.max(np.diag(G))
     bits = np.array([1 << k for k in range(p)], dtype=np.int64 if p < 64 else object)
     full = (1 << p) - 1
+    # at P <= 8, _inverses' five arrays for every mask, filled as the call meets the mask, and which are filled
+    table = None if 1 << p > _MASK_TABLE else (np.empty((full + 1, p, p)), np.empty((full + 1, p)), np.empty(full + 1),
+                                                np.empty((full + 1, p), dtype=bool), np.empty((full + 1, p), dtype=bool),
+                                                np.zeros(full + 1, dtype=bool))
     name = "non-negative" if np.all(hi == np.inf) else "sum-constrained"
     level = np.where(reduce(np.maximum, C.T) > _KKT_RTOL * scale, scale / g_max, 0.0)
     level = np.minimum(np.maximum(level, lo), hi)
@@ -270,7 +297,7 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, lo: FloatArray,
         failed[solving.compress(inner.take(solving) > cap)] = True
         s = solving.compress(inner.take(solving) <= cap)
         mask_s = mask.take(s)
-        target, mu[s], free = _solve_free(G, C.take(s, axis=0), mask_s, bits, lo.take(s), hi.take(s))
+        target, mu[s], free = _solve_free(G, C.take(s, axis=0), mask_s, bits, lo.take(s), hi.take(s), table)
         sink = free & (target <= -drop_tol.take(s, axis=0))
         done = (sink @ bits) == 0
         Z[s.compress(done)] = np.maximum(target.compress(done, axis=0), 0.0)
@@ -312,7 +339,7 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, lo: FloatArray,
     # A row that finished on the full support had no multiplier check: its c - G z is formed here.
     unchecked = np.flatnonzero(mask == full)
     residual[unchecked] = C.take(unchecked, axis=0) - _rowwise(Z.take(unchecked, axis=0), G)
-    return np.maximum(_solve_free(G, residual - mu[:, None], mask, bits, lo, hi, Z, mu)[0], 0.0)
+    return np.maximum(_solve_free(G, residual - mu[:, None], mask, bits, lo, hi, table, Z, mu)[0], 0.0)
 
 
 def _unmix_rows(config: SolverConfig, G: FloatArray, C: FloatArray):
@@ -400,7 +427,10 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     Pixels are solved in lockstep batches of _BATCH_FLOATS // P^2
     pixels, which bounds the gathered inverses, with no loop over pixels;
     the reconstruction residual is then formed _RESIDUAL_ROWS pixels at a
-    time, which bounds the one (pixels x bands) temporary.  A pixel's
+    time in one block allocated per call, which bounds the one
+    (pixels x bands) temporary.  The UnmixResult is handed the call's new
+    arrays as _Unshared views, so it keeps them, read-only and validated,
+    instead of copying them; they share no memory with the inputs.  A pixel's
     residual_rmse is metrics.rmse of its reconstruction S0 (psi * a), one
     vector-matrix product, and its spectrum, bit for bit.  Every output of
     a pixel is bit-identical to unmixing that pixel alone, or in any other
@@ -428,6 +458,7 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     psi = np.empty((n_materials, n_pixels))
     degenerate = np.empty(n_pixels, dtype=bool)
     residual_rmse = np.empty(n_pixels)
+    block = np.empty((min(n_pixels, _RESIDUAL_ROWS), 1, n_bands))
     batch = max(1, _BATCH_FLOATS // n_materials ** 2)
     for start in range(0, n_pixels, batch):
         px = slice(start, start + batch)
@@ -436,13 +467,14 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     with np.errstate(over="ignore"):  # a sum of squares that overflows is summed again, scaled
         for start in range(0, n_pixels, _RESIDUAL_ROWS):
             px = slice(start, start + _RESIDUAL_ROWS)
-            residual = _rowwise((psi[:, px] * A[:, px]).T, S_rows)
+            z = (psi[:, px] * A[:, px]).T
+            residual = _rowwise(z, S_rows, block[:len(z)])
             residual -= X[:, px].T
             residual_rmse[px] = root_mean_square(*sum_of_squares(residual), n_bands)
     return UnmixResult(
-        abundances=A,
-        scales=psi,
-        residual_rmse=residual_rmse,
+        abundances=A.view(_Unshared),
+        scales=psi.view(_Unshared),
+        residual_rmse=residual_rmse.view(_Unshared),
         sum_to_one=config.sum_to_one,
-        degenerate=degenerate,
+        degenerate=degenerate.view(_Unshared),
     )

@@ -10,6 +10,7 @@ from specmix.core import (
     PhotometricParams,
     UnmixResult,
     WavelengthAxis,
+    _Unshared,
     check_config_keys,
     config_value,
     cos_deg,
@@ -348,6 +349,29 @@ class TestUnmixResult:
         outputs[field][..., 3] = bad
         with pytest.raises(ValueError, match=f"{field} must be finite; pixel 2 is not"):
             UnmixResult(**outputs, degenerate=np.zeros(4, dtype=bool))
+
+    def test_unshared_arrays_kept_read_only_and_plain_arrays_copied(self):
+        sources = {"abundances": np.full((2, 3), 0.5), "scales": np.ones((2, 3)), "residual_rmse": np.zeros(3),
+                   "degenerate": np.zeros(3, dtype=bool)}
+        kept = UnmixResult(**{name: values.view(_Unshared) for name, values in sources.items()})
+        copied = UnmixResult(**sources)
+        for name, values in sources.items():
+            for result in (kept, copied):
+                assert type(getattr(result, name)) is np.ndarray and not getattr(result, name).flags.writeable
+            assert np.shares_memory(getattr(kept, name), values)
+            assert not np.shares_memory(getattr(copied, name), values)
+        # the caller keeps writing to its plain arrays; the copies do not move
+        for values in sources.values():
+            values[...] = 7
+        assert np.all(copied.abundances == 0.5) and np.all(copied.scales == 1.0)
+        assert np.all(copied.residual_rmse == 0.0) and not copied.degenerate.any()
+
+    def test_unshared_arrays_are_still_validated(self):
+        A = np.array([[1.2], [-0.2]]).view(_Unshared)
+        with pytest.raises(ValueError, match="non-negative"):
+            self.make(A, np.ones((2, 1)).view(_Unshared))
+        with pytest.raises(ValueError, match="abundances must be 2-D"):
+            self.make(np.full((1, 1, 1), 1.0).view(_Unshared), np.ones((1, 1, 1)))
 
     def test_sum_free_mode_skips_sum_check(self):
         A = np.array([[0.6], [0.9]])

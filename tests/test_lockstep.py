@@ -178,16 +178,53 @@ def test_bit_identical_across_batches(model, monkeypatch):
     assert_identical(whole, [unmix_cube(cube_of(X), S, config)])
 
 
-@pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m[0]}-{m[1]}")
-def test_mask_table_and_np_unique_find_the_same_masks(model, monkeypatch):
-    # at P = 5 every step finds its distinct masks in the table of all 2^P; with the table off, every step finds
-    # them by np.unique, and every output must be the same bits
+def scaled_mixtures(n_materials, n_pixels, seed):
+    """Endmembers and a cube of Dirichlet mixtures at per-pixel scales in [0.4, 2], with noise.
+
+    Under lmm most of these pixels drop materials over several steps, so
+    the same support masks recur across drop steps and in the refinement.
+    """
+    rng = np.random.default_rng(seed)
+    n_bands = 3 * n_materials + 6
+    S = rng.uniform(0.05, 1.0, (n_bands, n_materials))
+    Z = rng.dirichlet(np.ones(n_materials), n_pixels).T * rng.uniform(0.4, 2.0, n_pixels)
+    return S, S @ Z + rng.normal(0.0, 0.01, (n_bands, n_pixels))
+
+
+#: (model, (S, X), whether masks recur within the call)
+MASK_CASES = [pytest.param(model, problem(47, 5, n_pixels=37), False, id=f"{model[0]}-{model[1]}") for model in MODELS]
+MASK_CASES += [pytest.param(("lmm", True), scaled_mixtures(p, 400, 53), True, id=f"lmm-scaled-P={p}") for p in (4, 8)]
+
+
+@pytest.mark.parametrize("model, data, recur", MASK_CASES)
+def test_mask_table_and_np_unique_find_the_same_masks(model, data, recur, monkeypatch):
+    # at P <= 8 a call inverts each mask once, into its table of all 2^P, and every later step and the refinement
+    # gather from it; with the table off, every step finds its distinct masks by np.unique and inverts them again.
+    # Every output must be the same bits.
     name, sum_to_one = model
-    S, X = problem(47, 5, n_pixels=37)
+    S, X = data
     config = SolverConfig(model=name, sum_to_one=sum_to_one, psi_bounds=(0.5, 2.0))
+    inverted = []
+    inverses = solver._inverses
+    monkeypatch.setattr(solver, "_inverses", lambda G, masks, bits: inverted.append(len(masks)) or inverses(G, masks, bits))
     table = unmix_cube(cube_of(X), S, config)
+    with_table = sum(inverted)
+    inverted.clear()
     monkeypatch.setattr(solver, "_MASK_TABLE", 1)
     assert_identical(table, [unmix_cube(cube_of(X), S, config)])
+    assert with_table < sum(inverted) if recur else with_table <= sum(inverted)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m[0]}-{m[1]}")
+def test_unmix_cube_outputs_are_read_only_and_share_no_memory_with_the_inputs(model):
+    name, sum_to_one = model
+    S, X = problem(41, 5, n_pixels=37)
+    config = SolverConfig(model=name, sum_to_one=sum_to_one, psi_bounds=(0.5, 2.0))
+    cube, fortran = cube_of(X), np.asfortranarray(X)
+    for source in (cube, X, fortran):
+        for values in all_outputs(unmix_cube(source, S, config)):
+            assert type(values) is np.ndarray and not values.flags.writeable
+            assert not any(np.shares_memory(values, given) for given in (S, X, cube.values, fortran))
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m[0]}-{m[1]}")
