@@ -13,11 +13,13 @@ degrees, no noise); its random draws sample_abundances and
 sample_geometries (P = 4) and inject_noise (30 dB on a linear P = 4 cube)
 at N in {1e3, 1e4}; write_cube and read_cube of that linear P = 4 cube
 (with geometries and ground truth) at N in {1e3, 1e4}; and angle_sweep
-over a 181 x 181 grid for the relative/linear and lambertian/linear pairs
-and over the default 91 x 91 relative/linear grid; write_sweep_csv of one
-random, asymmetric 91 x 91 SweepResult (what its symmetry check costs) and
-of the mirrored default 91 x 91 angle_sweep result; and the CLI's default
-sweep command (8 albedos, 91 x 91 relative/linear, compute plus CSV files).
+over a 181 x 181 grid for the relative/linear and lambertian/linear pairs,
+over the default 91 x 91 relative/linear grid and over a non-square
+46 x 181 lambertian/linear grid (theta0 in 2-degree steps, theta in
+0.5-degree ones); write_sweep_csv of one random, asymmetric 91 x 91
+SweepResult (what its symmetry check costs) and of the mirrored default
+91 x 91 angle_sweep result; and the CLI's default sweep command (8
+albedos, 91 x 91 relative/linear, compute plus CSV files).
 Their named outputs are in OUTPUTS.  A case that draws random numbers is
 diffed only where both trees drew the same abundances, angles and noise.
 
@@ -51,6 +53,7 @@ DRAW_CASES = [(stage, n) for stage in ("sample_abundances", "sample_geometries",
 IO_CASES = [(stage, n) for n in (1000, 10_000) for stage in ("write_cube", "read_cube")]
 SWEEP_PAIRS = [("relative", "linear"), ("lambertian", "linear")]
 SWEEP_GRID = np.arange(0.0, 90.25, 0.5)
+SWEEP_THETA0 = np.arange(0.0, 90.5, 2.0)  # the non-square grid's theta0 axis; its theta axis is SWEEP_GRID
 CLI_ALBEDOS = 8
 
 
@@ -117,8 +120,11 @@ def tree_calls(tree, out: Path) -> dict[str, tuple[dict, Callable]]:
     grids = {f"angle_sweep/{'/'.join(pair)}": tree.metrics.SweepGrid(theta0_values=SWEEP_GRID, theta_values=SWEEP_GRID,
                                                                      model_pair=pair) for pair in SWEEP_PAIRS}
     grids["angle_sweep/relative/linear/91x91"] = tree.metrics.SweepGrid()
+    grids["angle_sweep/lambertian/linear/46x181"] = tree.metrics.SweepGrid(
+        theta0_values=SWEEP_THETA0, theta_values=SWEEP_GRID, model_pair=("lambertian", "linear"))
     for key, grid in grids.items():
-        params = {"pair": "/".join(grid.model_pair), "cells": grid.theta0_values.size ** 2, "L": N_BANDS}
+        params = {"pair": "/".join(grid.model_pair), "cells": grid.theta0_values.size * grid.theta_values.size,
+                  "L": N_BANDS}
         calls[key] = params, partial(tree.metrics.angle_sweep, albedos[0], grid)
     rng = np.random.default_rng(5)
     asymmetric = tree.metrics.SweepResult(grid=tree.metrics.SweepGrid(), sam=rng.uniform(0.0, 0.1, (91, 91)),

@@ -4,39 +4,38 @@ The angle sweep compares a reference reflectance model against its
 approximation over a grid of incidence/emergence angles and reports the
 spectral angle and RMSE per grid cell.  Each model is split as shape / Q
 (hapke.cell_factor): the shape omega / (A(omega, mu) A(omega, mu0)) from A
-tabled per grid angle, Q tabled per cell.  The grid is swept in steps of
-whole theta0 rows: row i is one (theta, bands) block of shapes, the albedo
-divided by the table products A(omega, mu) A(omega, mu0_i), then divided
-by the row's Q into the reflectances.  The albedo is itself a row block,
-repeated once per cell, as are its unit vectors (the linear shape's): both
-are built once per albedo, so no operation of a step broadcasts a row of
-bands.  Every other block of a step is in four work buffers, allocated once
-per angle_sweeps call and shared by its albedos, swept one at a time.  A step
-holds as many rows as _SWEEP_STEP_FLOATS allows (at least one), and its
-fixed numpy calls are shared by its rows.  A step keeps two sums of
-squares per cell, both from one call of core.sum_of_squares (one BLAS dot
-per cell): of the reflectances' difference, and of the difference of the
-shapes' unit vectors.  RMSE and SAM are formed from them over every swept
-cell after the sweep, and placed on the grid.  RMSE is rmse of the
-reflectances, bit for bit those of hapke.reflectance.  SAM is
-spectral_angle of the shapes, bit for bit: the identity
-|u' + v'|^2 = 4 - |u' - v'|^2 of unit vectors u', v' gives it up to 60
-degrees, and a step with a wider cell also sums |u' + v'|^2.  Free of Q,
-it is within 2 eps of the angle of the reflectances, and exactly 0 between
-lambertian and relative.  A cell where a model is undefined (the
-lambertian doubly grazing one) is computed with Q = NaN and then set to
-NaN.
+tabled per grid angle, Q tabled per cell.  The swept cells are one flat list
+of (theta0, theta) index pairs, built once per call, and the list is swept
+in steps of a fixed number of consecutive cells, which may start and end
+mid-row.  In a step each cell is one row of bands: its divisors A(omega,
+mu_j) and A(omega, mu0_i) are gathered from the tables per cell and
+multiplied, the albedo is divided by them into the shapes, and the shapes
+by the cells' Q into the reflectances.  The albedo is itself a block,
+repeated once per cell of a step, as are its unit vectors (the linear
+shape's): both are built once per albedo, so no operation of a step
+broadcasts a row of bands.  Every other block of a step is in four work
+buffers, allocated once per angle_sweeps call and shared by its albedos,
+swept one at a time.  A step keeps two sums of squares per cell, both from
+one call of core.sum_of_squares (one BLAS dot per cell): of the
+reflectances' difference, and of the difference of the shapes' unit
+vectors.  RMSE and SAM are formed from them over every swept cell after the
+sweep, and placed on the grid.  RMSE is rmse of the reflectances, bit for
+bit those of hapke.reflectance.  SAM is spectral_angle of the shapes, bit
+for bit: the identity |u' + v'|^2 = 4 - |u' - v'|^2 of unit vectors u', v'
+gives it up to 60 degrees, and a step with a wider cell also sums
+|u' + v'|^2.  Free of Q, it is within 2 eps of the angle of the
+reflectances, and exactly 0 between lambertian and relative.  A cell where
+a model is undefined (the lambertian doubly grazing one) is computed with
+Q = NaN and then set to NaN.
 
 On a square grid (the same angles on both axes) the two A tables are one,
 a product or sum of two of its entries is the same in either order, and so
-shape[i, j] == shape[j, i] and Q[i, j] == Q[j, i] bit for bit: every row
-is computed on the columns j >= i only, and its SAM and RMSE, each a
-function of its cell's sums alone, are mirrored to the others.  Row i is
-swept next to row n - 1 - i, so a pair holds n + 1 cells and every step of
-whole pairs has one shape.  No value depends on the steps, the row order
-or the mirror.  The mirror is bit for bit, so io.write_sweep_csv formats
-each mirrored pair of cells once; it checks the bits itself and assumes no
-mirror.
+shape[i, j] == shape[j, i] and Q[i, j] == Q[j, i] bit for bit: only the
+cells j >= i are swept, and their SAM and RMSE, each a function of its
+cell's sums alone, are mirrored to the others.  Any other grid sweeps every
+cell.  No value depends on the steps or the mirror.  The mirror is bit for
+bit, so io.write_sweep_csv formats each mirrored pair of cells once; it
+checks the bits itself and assumes no mirror.
 """
 
 from __future__ import annotations
@@ -134,15 +133,13 @@ def _angle(across, plus):
 #: Most cells an angle sweep grid, or points an albedo curve, may have: room
 #: for the whole 0.1-degree grid (901 x 901), 120 times the default one.
 _MAX_SWEEP_CELLS = 10**6
-#: Most angles on one sweep axis, a 0.01-degree axis: angle_sweep's row
-#: buffers grow with the theta axis times the band count, not with the cells.
+#: Most angles on one sweep axis, a 0.01-degree axis: it bounds the axes
+#: SweepGrid builds and echoes, through to_dict, into the run manifest.
 _MAX_AXIS_ANGLES = 9001
-#: Floats that one step of the row loop may take in its six (cells, bands) arrays, the four work buffers
-#: and the albedo's two row blocks: 2 MB, one L2 cache.  A step holds as many rows as fit (at least one), on
-#: a square grid whole row pairs of n + 1 cells when one fits.  At 200 bands a pair of the default 91 x 91
-#: grid takes 6 x 92 x 200 floats, 0.9 MB, so a step holds two pairs; one of the 181 x 181 grid 6 x 182 x
-#: 200 floats, 1.7 MB, one pair a step, 12% faster than one row a step.  2^19 and 2^20 were 7-15% slower
-#: there.
+#: Floats that one step of the sweep may take in its six (cells, bands) arrays, the four work buffers and the
+#: albedo's two repeated blocks: 2 MB, one L2 cache.  A step sweeps F // (6 L) cells (at least one), 218 at
+#: 200 bands.  On the two 181 x 181 sweeps of 200 bands (2 cores, numpy 2.4.6) 2^17 was 2% slower, and 2^19
+#: and 2^20 12% and 27% slower.
 _SWEEP_STEP_FLOATS = 2**18
 
 
@@ -167,7 +164,10 @@ def _angle_axis(raw: dict[str, Any], key: str) -> tuple[int, Callable[[], np.nda
         if not 0.0 < step < np.inf:
             raise ValueError(f"{key}.step must be > 0 and finite, got {step:g}")
         stop += 0.5 * step
-        return max(0, math.ceil((stop - start) / step)), partial(np.arange, start, stop, step)
+        count = (stop - start) / step
+        if not math.isfinite(count):  # a step under about 5e-307 degrees: the count overflows
+            raise ValueError(f"{key}.step {step:g} is too small: the range holds more angles than a float can count")
+        return max(0, math.ceil(count)), partial(np.arange, start, stop, step)
     values = np.array(config_value(spec, key, "numbers"))
     return values.size, partial(np.asarray, values)
 
@@ -329,8 +329,8 @@ def angle_sweeps(albedos: Iterable[AlbedoSpectrum], grid: SweepGrid) -> Iterator
     Every albedo is checked before anything is computed: one that is
     identically zero (its spectral angle is undefined) is refused by name,
     and all must have one band count.  The grid's swept cells, their Q and
-    the row loop's steps, and the loop's work buffers, are built once per
-    call; the albedos are swept one at a time through them.
+    the sweep's work buffers are built once per call; the albedos are swept
+    one at a time through them.
     """
     albedos = list(albedos)
     for albedo in albedos:
@@ -349,24 +349,15 @@ def _sweep(albedos: list[AlbedoSpectrum], grid: SweepGrid) -> Iterator[SweepResu
     mu0, mu = cos_deg(grid.theta0_values), cos_deg(grid.theta_values)
     valid = np.logical_and(*(defined_at(m, mu[None, :], mu0[:, None]) for m in pair))
     square = np.array_equal(mu0, mu)
-    segments = _swept_rows(mu0.size, square)
-    # the swept cells in the loop's order: segment k's cells are its row's columns from its first one on
-    widths = mu.size - segments[1]
-    rows = np.repeat(segments[0], widths)
-    # a cell's column is its index less its segment's (first cell - first column)
-    cols = np.arange(rows.size) - np.repeat(np.cumsum(widths) - widths - segments[1], widths)
+    # the swept cells as one flat list: on a square grid the upper triangle j >= i, else every cell
+    rows, cols = np.triu_indices(mu.size) if square else np.divmod(np.arange(valid.size), mu.size)
     factors = {m: np.where(valid, cell_factor(m, mu[None, :], mu0[:, None]), np.nan)[rows, cols, None]
                for m in pair if m != "relative"}  # relative's Q is 1: its reflectance is its shape
-    n_bands, n_segments = albedos[0].omega.size, segments.shape[1]
-    # a step sweeps as many segments as _SWEEP_STEP_FLOATS holds, whole row pairs on a square grid when one fits
-    step = max(1, 2 * (_SWEEP_STEP_FLOATS // (6 * n_bands * (mu.size + 1))) if square
-               else _SWEEP_STEP_FLOATS // (6 * n_bands * mu.size))
-    steps = [range(first, min(first + step, n_segments)) for first in range(0, n_segments, step)]
-    bounds = [0, *np.cumsum(widths).tolist()]  # segment k's cells are bounds[k]:bounds[k + 1]
-    width = max(bounds[run.stop] - bounds[run.start] for run in steps)
-    work = np.empty((4, width, n_bands))  # the two shapes, then the two differences: shared by the albedos
+    n_bands = albedos[0].omega.size
+    step = min(max(1, _SWEEP_STEP_FLOATS // (6 * n_bands)), rows.size)  # cells a step sweeps
+    work = np.empty((4, step, n_bands))  # the two shapes, then the two differences: shared by the albedos
     for albedo in albedos:
-        sums = _albedo_sums(albedo.omega, pair, mu0, mu, factors, segments, steps, bounds, work)
+        sums = _albedo_sums(albedo.omega, pair, mu0, mu, factors, rows, cols, work)
         sam, err = np.empty(valid.shape), np.empty(valid.shape)
         for values, swept in ((err, root_mean_square(*sums[0], n_bands)), (sam, _angle(sums[1], sums[2]))):
             values[rows, cols] = swept
@@ -376,53 +367,41 @@ def _sweep(albedos: list[AlbedoSpectrum], grid: SweepGrid) -> Iterator[SweepResu
         yield SweepResult(grid=grid, sam=sam, rmse=err, valid=valid.copy())
 
 
-def _swept_rows(n_rows: int, square: bool) -> np.ndarray:
-    """The (2, n_rows) rows of the row loop, in its order, over each one's first swept column.
-
-    On a square grid the cells j >= i are swept, and row i comes next to row n - 1 - i: each pair holds
-    n + 1 cells.  Otherwise every row is swept whole, in order.
-    """
-    if not square:
-        return np.stack([np.arange(n_rows), np.zeros(n_rows, dtype=int)])
-    order = np.column_stack([np.arange(n_rows), np.arange(n_rows)[::-1]]).ravel()[:n_rows]
-    return np.stack([order, order])
-
-
 @np.errstate(over="ignore")  # a sum of squares that overflows is summed again, scaled
-def _albedo_sums(omega, pair, mu0, mu, factors, segments, steps, bounds, work):
-    """The (3, 2, cells) sum_of_squares (s, scale) of one albedo omega, through the (4, cells, bands) work.
+def _albedo_sums(omega, pair, mu0, mu, factors, rows, cols, work):
+    """The (3, 2, cells) sum_of_squares (s, scale) of one albedo omega, through the (4, step, bands) work.
 
-    Per swept cell, in the order of _swept_rows' segments: of the reflectances' difference, of the unit
-    shapes' difference and of their sum.  factors holds each model's Q of the cells in that order, segment
-    k's cells are bounds[k]:bounds[k + 1], and each step of steps is a range of segments.
+    Per swept cell (rows[k], cols[k]): of the reflectances' difference, of the unit shapes' difference and
+    of their sum.  factors holds each model's Q of the cells in that order, and each step sweeps the next
+    work.shape[1] cells of the list.
     """
     tables = {m: (angle_divisor(m, omega, mu0[:, None]), angle_divisor(m, omega, mu[:, None]))
               for m in pair if m != "linear"}
-    rows, starts = segments.tolist()
-    # the albedo (the linear shape) and its unit vectors, the same in every cell, repeated to row blocks: an
+    step = work.shape[1]
+    # the albedo (the linear shape) and its unit vectors, the same in every cell, repeated to step blocks: an
     # operation on two blocks is several times faster than one that broadcasts a single row
     omega = omega.reshape(1, -1)
-    omega_rows, omega_unit = (np.repeat(block, work.shape[1], axis=0) for block in (omega, _unit(omega)))
-    sums = np.zeros((3, 2, bounds[-1]))
-    for run in steps:
-        cells = slice(bounds[run.start], bounds[run.stop])
-        width = cells.stop - cells.start
-        row = work[:, :width]
-        for m, out in zip(pair, row):  # a shape's divisors: the table products A(omega, mu) A(omega, mu0_i)
+    omega_rows, omega_unit = (np.repeat(spectrum, step, axis=0) for spectrum in (omega, _unit(omega)))
+    sums = np.zeros((3, 2, rows.size))
+    for first in range(0, rows.size, step):
+        cells = slice(first, first + step)
+        width = min(step, rows.size - first)
+        block = work[:, :width]
+        for m, out in zip(pair, block):  # a shape's divisors A(omega, mu_j) A(omega, mu0_i), gathered per cell
             if m != "linear":
-                for k in run:  # one per segment, on its row's columns
-                    np.multiply(tables[m][1][starts[k]:], tables[m][0][rows[k]],
-                                out=out[bounds[k] - cells.start:bounds[k + 1] - cells.start])
+                # mode="clip" lets take write into out directly, where "raise" buffers it
+                np.take(tables[m][1], cols[cells], axis=0, out=out, mode="clip")
+                out *= np.take(tables[m][0], rows[cells], axis=0, out=block[3], mode="clip")
         shapes = [omega_rows[:width] if m == "linear" else np.divide(omega_rows[:width], out, out=out)
-                  for m, out in zip(pair, row)]
-        outs = iter(row[2:])  # a reflectance that is not its shape goes to row[2] first: the difference goes there in place
+                  for m, out in zip(pair, block)]
+        outs = iter(block[2:])  # a reflectance not its shape goes to block[2] first: the difference goes there
         rhos = [shape if m == "relative" else np.divide(shape, factors[m][cells], out=next(outs))
                 for m, shape in zip(pair, shapes)]
-        np.subtract(*rhos, out=row[2])
-        # a shape in the row buffer becomes its unit vectors, in place
+        np.subtract(*rhos, out=block[2])
+        # a shape in a work buffer becomes its unit vectors, in place
         units = [omega_unit[:width] if m == "linear" else _unit(shape, out=shape) for m, shape in zip(pair, shapes)]
-        np.subtract(*units, out=row[3])
-        s, scale = sum_of_squares(row[2:4])  # both differences in one call, one dot per cell
+        np.subtract(*units, out=block[3])
+        s, scale = sum_of_squares(block[2:4])  # both differences in one call, one dot per cell
         sums[:2, 0, cells], sums[:2, 1, cells] = s, scale
         if s[1].max() > _ACROSS_SQ_MAX:  # past 60 degrees (or a rescaled row): rare between model spectra
             sums[2, 0, cells], sums[2, 1, cells] = sum_of_squares(np.add(*units))

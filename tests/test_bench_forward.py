@@ -43,6 +43,7 @@ def test_self_comparison_times_every_case_and_reads_no_diff(bench, monkeypatch, 
     monkeypatch.setattr(bench, "DRAW_CASES", [(stage, 40) for stage, _ in bench.DRAW_CASES[::2]])
     monkeypatch.setattr(bench, "IO_CASES", [(stage, 40) for stage, _ in bench.IO_CASES[:2]])
     monkeypatch.setattr(bench, "SWEEP_GRID", np.arange(0.0, 90.25, 15.0))
+    monkeypatch.setattr(bench, "SWEEP_THETA0", np.arange(0.0, 90.5, 30.0))
     monkeypatch.setattr(bench.harness, "ROUNDS", 2)
     monkeypatch.setattr(bench.harness, "MIN_ROUND_S", 0.002)
     monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "131072")
@@ -55,6 +56,7 @@ def test_self_comparison_times_every_case_and_reads_no_diff(bench, monkeypatch, 
     (tmp_path / "tree").mkdir()
     keys = bench.tree_calls(specmix, tmp_path / "tree")
     assert {key.split("/")[0] for key in keys} == set(OUTPUTS)
+    assert entries["angle_sweep/lambertian/linear/46x181/change"]["params"]["cells"] == 4 * 7  # the non-square grid
     assert set(entries) == {f"{key}/{side}" for key in keys for side in ("parent", "change")}
     for key in keys:
         for side in ("parent", "change"):

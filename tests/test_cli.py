@@ -712,6 +712,18 @@ class TestSweepRangeBounds:
         assert err.startswith("error: theta_values has 900001 angles; at most 9001 are allowed")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["theta0_values", "theta_values"])
+    @pytest.mark.parametrize("step", [5e-324, 1e-310])
+    def test_subnormal_step_exits_1_naming_key(self, tmp_path, albedo_csv, capsys, key, step):
+        # (stop - start) / step overflows to inf: refused by the key, not by math.ceil's OverflowError
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({key: {"step": step}}))
+        argv = ["sweep", "--albedo", str(albedo_csv), "--config", str(path), "--out", str(tmp_path / "out" / "s")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}.step ") and "too small" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("num", [1e10, 10**6 + 1, float("inf"), pytest.param(10**400, id="int-1e400")])
     def test_oversized_curve_exits_1_naming_key_before_linspace(
         self, tmp_path, albedo_csv, capsys, monkeypatch, num

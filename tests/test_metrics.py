@@ -476,17 +476,16 @@ class TestAngleSweeps:
 
     @pytest.mark.parametrize("pair", [("relative", "linear"), ("lambertian", "linear"), ("lambertian", "relative")])
     @pytest.mark.parametrize("axes", SWEEP_GRIDS.values(), ids=SWEEP_GRIDS)
-    @pytest.mark.parametrize("rows_per_step", [1, 2, 4])
-    def test_row_loop_steps_do_not_change_values(self, pair, axes, rows_per_step, monkeypatch):
-        # a small grid is one step by default; a smaller _SWEEP_STEP_FLOATS makes steps of one row (a square
-        # grid's row pair does not fit), of one row pair or of two, or of one, two or four whole rows
+    @pytest.mark.parametrize("cells_per_step", [1, 3, None], ids=["one", "prime", "whole"])
+    def test_cell_steps_do_not_change_values(self, pair, axes, cells_per_step, monkeypatch):
+        # a small grid is one step by default; a smaller _SWEEP_STEP_FLOATS makes steps of one cell, of three
+        # (a prime: on each grid some step starts or ends mid-row), or of the whole cell list
         albedos = self.albedos()[:2]
         grid = SweepGrid(theta0_values=axes[0], theta_values=axes[1], model_pair=pair)
         whole = list(angle_sweeps(albedos, grid))
-        square = axes[0] == axes[1]
-        # a step holds F // (6 L (n + 1)) row pairs on a square grid, else F // (6 L n) rows
-        per_unit = 6 * self.N_BANDS * (len(axes[1]) + square)
-        monkeypatch.setattr(metrics, "_SWEEP_STEP_FLOATS", per_unit * rows_per_step // (1 + square))
+        # a step holds F // (6 L) cells
+        n_cells = len(axes[0]) * len(axes[1])
+        monkeypatch.setattr(metrics, "_SWEEP_STEP_FLOATS", 6 * self.N_BANDS * (cells_per_step or n_cells))
         for one, stepped in zip(whole, angle_sweeps(albedos, grid), strict=True):
             for name in ("sam", "rmse", "valid"):
                 assert getattr(stepped, name).tobytes() == getattr(one, name).tobytes(), name
