@@ -163,11 +163,15 @@ def _angle_axis(raw: dict[str, Any], key: str) -> tuple[int, Callable[[], np.nda
                 raise ValueError(f"{key}.{name} must be finite and in [0, 90] degrees, got {value:g}")
         if not 0.0 < step < np.inf:
             raise ValueError(f"{key}.step must be > 0 and finite, got {step:g}")
+        if start > stop:
+            raise ValueError(f"{key}.start {start:g} must not exceed {key}.stop {stop:g}")
+        if start == stop:  # stop + step / 2 rounds back to stop for a step under about 2e-16 * stop
+            return 1, partial(np.array, [start])
         stop += 0.5 * step
         count = (stop - start) / step
         if not math.isfinite(count):  # a step under about 5e-307 degrees: the count overflows
             raise ValueError(f"{key}.step {step:g} is too small: the range holds more angles than a float can count")
-        return max(0, math.ceil(count)), partial(np.arange, start, stop, step)
+        return math.ceil(count), partial(np.arange, start, stop, step)
     values = np.array(config_value(spec, key, "numbers"))
     return values.size, partial(np.asarray, values)
 
@@ -209,8 +213,9 @@ class SweepGrid:
         Keys: "kind" ("angle"); "model_pair" (two of SWEEP_MODELS, default
         ["relative", "linear"]); "theta0_values" and "theta_values", each a
         list of degrees in [0, 90] or a range {"start": 0, "stop": 90,
-        "step": 1} (those defaults; stop is included when it lies on the
-        step), 0..90 in 1-degree steps when absent.  The grid may have at
+        "step": 1} (those defaults; start must not exceed stop, and stop is
+        included when it lies on the step, so start == stop is that one
+        angle), 0..90 in 1-degree steps when absent.  The grid may have at
         most 10^6 cells, which is checked before any axis is built, and
         each axis at most 9001 angles.
         """

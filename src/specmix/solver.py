@@ -5,7 +5,7 @@ Every model solves one convex program per pixel in Gram space,
     min 0.5 z'Gz - c'z  over  {z >= 0, lo <= sum(z) <= hi},  G = S'S, c = S'x,
 
 so per-pixel work costs O(P^3) regardless of band count.  One deterministic
-primal active-set core, ``_active_set``, takes the sum bounds per pixel:
+primal active-set core, ``_active_set``, takes two sum bounds per call:
 (0, inf) is non-negative least squares (Lawson & Hanson 1974), (1, 1) the
 fully constrained least squares of Heinz & Chang (IEEE TGRS 2001).  Every
 pixel starts on the full support at a uniform point, from which ratio
@@ -27,22 +27,19 @@ the entering test at z = 0: its non-negative fit is 0.
 
 The core runs every pixel of a batch in lockstep: each step takes one
 action per unfinished pixel (pick an entering material, or solve its
-program on the free materials and take the ratio step).  All pixels share
-G, so a pixel's solve depends only on its free set, an integer support
-mask.  At P <= 8 a call keeps each mask's inverse in a table of all 2^P
-masks, and a step inverts only the masks that no earlier step met; at
-larger P a step finds its distinct masks by ``np.unique`` and inverts
-each once.  Either way the inverses come from one stacked
+program on the free materials and take the ratio step).  All pixels
+share G, so a pixel's solve depends only on its free set, an integer
+support mask.  At P <= 8 a call keeps each mask's inverse in a table of
+all 2^P masks, and a step inverts only the masks that no earlier step
+met; at larger P a step finds its distinct masks by ``np.unique`` and
+inverts each once.  Either way the inverses come from one stacked
 ``np.linalg.inv``, and a pixel whose free solve leaves [lo, hi] moves
 onto the bound it crosses by the Schur complement of the sum row
-(``_solve_free``).  So one pass moves a pixel between in-bound
-solves and solves on a bound as its free set changes.  Each final result
-takes one step of iterative refinement, so its KKT residual is a solve's,
-not rounding times cond(G); its right-hand side reuses the residual
-c - G z that the pixel's last multiplier check formed.  A pixel that
-finishes on the full support skips that check, as no material can enter,
-and only its residual is formed again.  Every product whose length varies
-with the batch is computed one pixel at a time (``_rowwise``), and every
+(``_solve_free``).  So one pass moves a pixel between in-bound solves
+and solves on a bound as its free set changes.  Each final result takes
+one step of iterative refinement, so its KKT residual is a solve's, not
+rounding times cond(G).  Every product whose length varies with the
+batch is computed one pixel at a time (``_rowwise``), and every
 per-pixel sum column by column, so a pixel's arithmetic never depends on
 which other pixels share the batch: its result is bit-identical whether
 it is solved alone, in a batch of any size or in the whole cube.
@@ -158,7 +155,7 @@ def _inverses(G: FloatArray, masks: np.ndarray, bits: np.ndarray):
     return inverse, v, v.sum(axis=1), kept, np.argmax(kept, axis=1)[:, None] == np.arange(len(bits))
 
 
-def _solve_free(G: FloatArray, B: FloatArray, mask: np.ndarray, bits: np.ndarray, lo: FloatArray, hi: FloatArray,
+def _solve_free(G: FloatArray, B: FloatArray, mask: np.ndarray, bits: np.ndarray, lo: float, hi: float,
                 table: tuple | None, start: FloatArray | None = None,
                 mu: FloatArray | None = None) -> tuple[FloatArray, FloatArray, np.ndarray]:
     """Each row's program on its free indices, the multiplier mu of its sum and its free set, from one inverse per mask.
@@ -172,18 +169,19 @@ def _solve_free(G: FloatArray, B: FloatArray, mask: np.ndarray, bits: np.ndarray
     table.  At larger P, P >= 64 among them, table is None and a step
     finds its distinct masks by ``np.unique``.  Every row takes its
     inverse by a gather and one batched ``np.matmul``, so u = G_F^-1 b
-    and u is 0 outside F.  A row whose sum sigma of u lies
-    in [lo, hi] keeps u, with mu = 0.  Any other row moves onto the bound
-    t it crosses by the Schur complement of the sum row: with
-    v = G_F^-1 1_F, mu = (sigma - t) / sum(v) and z = u - mu v, so that
-    G_F z + mu 1 = b_F.  The lowest free index then takes what the other
-    free entries leave of t, so the sum holds to their rounding: u - mu v
-    alone leaks rounding times |c| into it, which at radiance scale or on
-    a bound far below the fit can empty a support.  This is the exact
-    optimum over {lo <= sum(z) <= hi} on F, the oracle's support_solve.
-    When any row leaves its bounds, the step runs on every row, and
-    np.where keeps u and mu on the rows inside them: no row is gathered
-    or scattered.
+    and u is 0 outside F.  lo and hi are two numbers, the sum bounds of
+    every row.  A row whose sum sigma of u lies in [lo, hi] keeps u, with
+    mu = 0; so a solve on the empty mask with lo = 0 keeps u = 0.  Any
+    other row moves onto the bound t it crosses by the Schur complement of
+    the sum row: with v = G_F^-1 1_F, mu = (sigma - t) / sum(v) and
+    z = u - mu v, so that G_F z + mu 1 = b_F.  The lowest free index then
+    takes what the other free entries leave of t, so the sum holds to their
+    rounding: u - mu v alone leaks rounding times |c| into it, which at
+    radiance scale or on a bound far below the fit can empty a support.
+    This is the exact optimum over {lo <= sum(z) <= hi} on F, the
+    oracle's support_solve.  When any row leaves its bounds, the step runs
+    on every row, and np.where keeps u and mu on the rows inside them: no
+    row is gathered or scattered.
 
     B holds the right-hand sides: the rows c of C for a solve.  Given
     start, a point that is 0 outside the free sets, its multiplier mu and
@@ -234,17 +232,18 @@ def _ratio_step(current: FloatArray, target: FloatArray, free: np.ndarray, sink:
     return np.where(free, current + alpha * (target - current), 0.0)
 
 
-def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, lo: FloatArray, hi: FloatArray) -> FloatArray:
+def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, live: np.ndarray, lo: float, hi: float) -> FloatArray:
     """min 0.5 z'Gz - c'z over {z >= 0, lo <= sum(z) <= hi} for every row c of C.
 
-    scale holds max|c| per row, which the caller already has from its
-    column-wise reductions; lo and hi hold each row's sum bounds, with
-    0 <= lo <= hi and hi > 0.  Every pixel starts on the full support at the
-    uniform point whose entries sum to its level: scale / max(diag G), or 0
-    for a pixel that no material would enter at z = 0 (c = 0 among them),
-    clipped to [lo, hi].  A pixel of level 0 starts at z = 0, in the
-    multiplier check, so its fit stays exactly 0; with lo > 0 such a pixel
-    starts at lo instead.
+    scale holds max|c| per row and live whether some material would enter
+    at z = 0 (not degenerate), which the caller has from its column-wise
+    reductions; lo and hi are two numbers, every row's sum bounds, with
+    0 <= lo <= hi and hi > 0.  Every pixel starts on the full support at
+    the uniform point whose entries sum to its level: scale / max(diag G)
+    if live, else 0 (c = 0 among them), clipped to [lo, hi].  A pixel of
+    level 0 starts at z = 0 on the empty support, mask 0, whose first
+    solve keeps z = 0 with mu = 0 and passes it to the multiplier check, so
+    its fit stays exactly 0; with lo > 0 such a pixel starts at lo instead.
     Each pixel's free set is an integer support mask, bit k for material k
     (Python integers past 63 materials, so any P fits).  A step solves its
     pixels' free sets within their sum bounds from one inverse per distinct
@@ -253,19 +252,19 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, lo: FloatArray,
     the call inverts each mask once: a table of all 2^P masks keeps every
     inverse, and later steps and the refinement gather from it.  The result
     takes one refinement step on its final free set, on the side of the
-    bound its final multiplier names, from the residual c - G z that the
-    pixel's last multiplier check formed; a pixel that finishes on the full
-    support skips the check, since no material can enter, and its residual
-    is formed for the refinement alone.  The multiplier of an active
-    material is its reduced gradient plus the sum's multiplier mu, which is
-    0 off a bound; the entering variable is the active index with the most
-    negative one (lowest index on ties).  A free entry whose target is at or
-    below -drop_tol is a sink; the ratio step moves toward the target until
-    the first sink hits 0, at most all the way.  Tolerances are relative:
-    kkt_tol to the gradient's scale, max(max|c|, level * max(diag G)), so a
-    dark pixel on a bound keeps a tolerance above the rounding of G z; and
-    drop_tol to the level.  A pixel fails past either cap: 1 plus its
-    entering steps, or its solves since the last one.
+    bound its final multiplier names, from the residual c - G z formed for
+    every row after the loop; a pixel that finishes on the full support
+    skips the multiplier check, since no material can enter.  The
+    multiplier of an active material is its reduced gradient plus the sum's
+    multiplier mu, which is 0 off a bound; the entering variable is the
+    active index with the most negative one (lowest index on ties).  A free
+    entry whose target is at or below -drop_tol is a sink; the ratio step
+    moves toward the target until the first sink hits 0, at most all the
+    way.  Tolerances are relative: kkt_tol to the gradient's scale,
+    max(max|c|, level * max(diag G)), so a dark pixel on a bound keeps a
+    tolerance above the rounding of G z; and drop_tol to the level.  A
+    pixel fails past either cap: 1 plus its entering steps, or its solves
+    since the last one.
     """
     n, p = C.shape
     cap = _MAX_OUTER_FACTOR * p + 30
@@ -276,28 +275,24 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, lo: FloatArray,
     table = None if 1 << p > _MASK_TABLE else (np.empty((full + 1, p, p)), np.empty((full + 1, p)), np.empty(full + 1),
                                                 np.empty((full + 1, p), dtype=bool), np.empty((full + 1, p), dtype=bool),
                                                 np.zeros(full + 1, dtype=bool))
-    name = "non-negative" if np.all(hi == np.inf) else "sum-constrained"
-    level = np.where(reduce(np.maximum, C.T) > _KKT_RTOL * scale, scale / g_max, 0.0)
-    level = np.minimum(np.maximum(level, lo), hi)
+    name = "non-negative" if hi == np.inf else "sum-constrained"
+    level = np.minimum(np.maximum(np.where(live, scale / g_max, 0.0), lo), hi)
     kkt_tol = _KKT_RTOL * np.maximum(scale, level * g_max)
     drop_tol = (_DROP_TOL * level)[:, None]
-    # the uniform point on the full support; a pixel of level 0 starts at z = 0, in the multiplier check
+    # the uniform point on the full support; a pixel of level 0 starts at z = 0 on the empty support
     Z = np.repeat((level / p)[:, None], p, axis=1)
     mu = np.zeros(n)
-    starts = level > 0
-    mask = starts.astype(bits.dtype) * full
-    checking, solving = np.flatnonzero(~starts), np.flatnonzero(starts)
+    mask = (level > 0).astype(bits.dtype) * full
+    solving = np.arange(n)
     outer = np.ones(n, dtype=int)
     inner = np.zeros(n, dtype=int)
     failed = np.zeros(n, dtype=bool)
-    # c - G z of each row that leaves through the multiplier check: the right-hand side of its refinement step
-    residual = np.empty((n, p))
-    while checking.size or solving.size:
+    while solving.size:
         inner[solving] += 1
         failed[solving.compress(inner.take(solving) > cap)] = True
         s = solving.compress(inner.take(solving) <= cap)
         mask_s = mask.take(s)
-        target, mu[s], free = _solve_free(G, C.take(s, axis=0), mask_s, bits, lo.take(s), hi.take(s), table)
+        target, mu[s], free = _solve_free(G, C.take(s, axis=0), mask_s, bits, lo, hi, table)
         sink = free & (target <= -drop_tol.take(s, axis=0))
         done = (sink @ bits) == 0
         Z[s.compress(done)] = np.maximum(target.compress(done, axis=0), 0.0)
@@ -310,14 +305,15 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, lo: FloatArray,
         mask_b = f @ bits
         mask[b] = mask_b
         emptied = b.compress(mask_b == 0)
-        # an emptied support sits at z = 0, where the multiplier of the target it did not reach does not hold
+        # an emptied support sits at z = 0, where the multiplier of the target it did not reach does not hold; it
+        # goes to the multiplier check, not to a mask-0 solve, whose Schur step divides by sum(v) = 0 when lo > 0
         mu[emptied] = 0.0
-        # multiplier check: pixels of level 0, finished solves and emptied supports; a solve finished on the
-        # full support skips it, since no material can enter
+        # multiplier check: finished solves and emptied supports; a solve finished on the full support skips it,
+        # since no material can enter
         done &= mask_s != full
-        m = np.concatenate([checking, s.compress(done), emptied])
+        m = np.concatenate([s.compress(done), emptied])
         blocked = np.zeros((m.size, p), dtype=bool)
-        blocked[checking.size:m.size - emptied.size] = free.compress(done, axis=0)
+        blocked[:m.size - emptied.size] = free.compress(done, axis=0)
 
         # a free material cannot enter; the sum's multiplier mu shifts a row's multipliers, mu - (c - G z), alike,
         # so it enters after the argmax
@@ -325,20 +321,17 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, lo: FloatArray,
         ranked = np.where(blocked, -np.inf, r)
         j = np.argmax(ranked, axis=1)
         go = ranked.take(np.arange(0, m.size * p, p) + j) - mu.take(m) > kkt_tol.take(m)
-        residual[m] = r  # a row that enters overwrites its row again at a later check or after the loop
         e, j = m.compress(go), j.compress(go)
         mask[e] = mask.take(e) | bits.take(j)
         inner[e] = 0
         outer[e] += 1
         failed[e.compress(outer.take(e) > cap)] = True
-        checking, solving = np.arange(0), np.concatenate([b.compress(mask_b != 0), e.compress(outer.take(e) <= cap)])
+        solving = np.concatenate([b.compress(mask_b != 0), e.compress(outer.take(e) <= cap)])
     if failed.any():
         raise RuntimeError(f"{name} least squares did not converge on {int(failed.sum())} of {n} pixels")
     # An inverse gives a solve's forward error, but leaves a residual of rounding times cond(G) where a
     # solve leaves rounding: one refinement step from each result brings the KKT residual back to rounding.
-    # A row that finished on the full support had no multiplier check: its c - G z is formed here.
-    unchecked = np.flatnonzero(mask == full)
-    residual[unchecked] = C.take(unchecked, axis=0) - _rowwise(Z.take(unchecked, axis=0), G)
+    residual = C - _rowwise(Z, G)
     return np.maximum(_solve_free(G, residual - mu[:, None], mask, bits, lo, hi, table, Z, mu)[0], 0.0)
 
 
@@ -360,7 +353,7 @@ def _unmix_rows(config: SolverConfig, G: FloatArray, C: FloatArray):
         lo, hi = config.psi_bounds
     else:
         lo, hi = (1.0, 1.0) if config.sum_to_one else (0.0, np.inf)
-    Z = _active_set(G, C, scale, np.full(n, lo), np.full(n, hi))
+    Z = _active_set(G, C, scale, ~degenerate, lo, hi)
     if config.model == "lmm":
         return Z, np.ones((n, p)), degenerate
     total = Z.sum(axis=1)  # >= lo > 0
@@ -442,9 +435,11 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     S = _endmember_array(S0)
     if X.shape[0] != S.shape[0]:
         raise ValueError(f"cube has {X.shape[0]} bands, endmembers have {S.shape[0]}")
-    # one pixel per row: X.T is a C-contiguous view of the pixel-major cube, and S is read by columns
+    # one pixel per row: X.T is a C-contiguous view of the pixel-major cube, and S is read by columns, as
+    # S_rows.T, the one copy of S that the residual also reads by rows
+    S_rows = np.ascontiguousarray(S.T)
     with np.errstate(invalid="ignore"):  # a non-finite x makes every c non-finite, and is named below
-        C = _rowwise(X.T, np.asfortranarray(S))
+        C = _rowwise(X.T, S_rows.T)
     if not np.all(np.isfinite(C)) and not np.all(np.isfinite(X)):
         band, pixel = np.unravel_index(int(np.argmax(~np.isfinite(X))), X.shape)
         raise ValueError(f"non-finite cube value {X[band, pixel]} at band {band}, pixel {pixel}")
@@ -452,7 +447,6 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     n_bands, n_pixels = X.shape
     n_materials = S.shape[1]
     G = S.T @ S
-    S_rows = np.ascontiguousarray(S.T)
 
     A = np.empty((n_materials, n_pixels))
     psi = np.empty((n_materials, n_pixels))

@@ -724,6 +724,32 @@ class TestSweepRangeBounds:
         assert err.startswith(f"error: {key}.step ") and "too small" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["theta0_values", "theta_values"])
+    @pytest.mark.parametrize("start, stop", [(20.0, 10.0), (10.3, 10.0)])
+    def test_start_above_stop_exits_1_naming_both_keys(self, tmp_path, albedo_csv, capsys, key, start, stop):
+        # (10.3, 10) lies within half a step of stop, where np.arange alone would still build [10.3]
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({key: {"start": start, "stop": stop}}))
+        argv = ["sweep", "--albedo", str(albedo_csv), "--config", str(path), "--out", str(tmp_path / "out" / "s")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}.start ") and f"{key}.stop" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["theta0_values", "theta_values"])
+    @pytest.mark.parametrize("step", [1e-20, 1e-10, 1.0, 5e-324])
+    def test_equal_start_and_stop_build_one_angle(self, tmp_path, albedo_csv, capsys, key, step):
+        # a step under about 2e-16 * stop: stop + step / 2 rounds back to stop
+        other = "theta_values" if key == "theta0_values" else "theta0_values"
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({key: {"start": 10, "stop": 10, "step": step}, other: [0.0, 30.0]}))
+        argv = ["sweep", "--albedo", str(albedo_csv), "--config", str(path), "--out", str(tmp_path / "s")]
+        assert main(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        _, data = read_csv_columns(tmp_path / "s.basalt.csv")
+        np.testing.assert_array_equal(data[:, 0 if key == "theta0_values" else 1], [10.0, 10.0])
+        np.testing.assert_array_equal(data[:, 1 if key == "theta0_values" else 0], [0.0, 30.0])
+
     @pytest.mark.parametrize("num", [1e10, 10**6 + 1, float("inf"), pytest.param(10**400, id="int-1e400")])
     def test_oversized_curve_exits_1_naming_key_before_linspace(
         self, tmp_path, albedo_csv, capsys, monkeypatch, num

@@ -178,6 +178,36 @@ def test_bit_identical_across_batches(model, monkeypatch):
     assert_identical(whole, [unmix_cube(cube_of(X), S, config)])
 
 
+@pytest.mark.parametrize("n_materials", [1, 4, 12], ids=lambda p: f"P={p}")
+def test_a_cube_with_no_live_pixel(n_materials):
+    # every pixel zero or a negated mixture, so no material enters at z = 0 and every pixel starts at level 0: in
+    # NNLS on the empty support, where its first solve keeps z = 0; under a sum bound at lo on the full support.
+    # P = 4 finds its masks in the table of all 2^P, P = 12 by np.unique.
+    rng = np.random.default_rng(59 + n_materials)
+    n_bands, n_pixels = 3 * n_materials + 6, 9
+    S = rng.uniform(0.05, 1.0, (n_bands, n_materials))
+    X = -np.abs(S @ rng.dirichlet(np.ones(n_materials), n_pixels).T + rng.normal(0.0, 0.01, (n_bands, n_pixels)))
+    X[:, ::2] = 0.0
+    for model in MODELS:
+        name, sum_to_one = model
+        config = SolverConfig(model=name, sum_to_one=sum_to_one, psi_bounds=(0.5, 2.0))
+        result = unmix_cube(cube_of(X), S, config)
+        assert result.degenerate.all()
+        assert_identical(result, [unmix_cube(cube_of(X[:, n:n + 1]), S, config) for n in range(n_pixels)])
+        for n in range(n_pixels):
+            assert_kkt(S, X[:, n], result.abundances[:, n], result.scales[:, n], name, sum_to_one, (0.5, 2.0))
+        if model == ("lmm", False):
+            # the non-negative fit is exactly 0: +0.0 in every byte, and the residual is the pixel itself
+            assert result.abundances.tobytes() == bytes(result.abundances.nbytes)
+            for n in range(n_pixels):
+                assert result.residual_rmse[n] == rmse(np.zeros(n_bands), X[:, n])
+        else:
+            # the sum sits on its lower bound: 1 under lmm, psi's 0.5 under the ELMM models
+            z = result.scales * result.abundances
+            np.testing.assert_allclose(z.sum(axis=0), 1.0 if name == "lmm" else 0.5, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(result.abundances.sum(axis=0), 1.0, rtol=1e-12, atol=0.0)
+
+
 def scaled_mixtures(n_materials, n_pixels, seed):
     """Endmembers and a cube of Dirichlet mixtures at per-pixel scales in [0.4, 2], with noise.
 
