@@ -1,10 +1,10 @@
 """Shared domain types: wavelength grids, albedo spectra, photometry,
 acquisition geometry, endmember matrices, image cubes and unmixing results.
 
-All types are immutable after construction (arrays are stored read-only), so
-instances can be shared freely across threads.  Angles are degrees at every
-public boundary and converted to radians only inside the trigonometric
-helpers.
+These types, and metrics' SweepGrid and SweepResult, are immutable after
+construction (arrays are stored read-only, by _readonly), so instances can
+be shared freely across threads.  Angles are degrees at every public
+boundary and converted to radians only inside the trigonometric helpers.
 """
 
 from __future__ import annotations
@@ -28,13 +28,10 @@ _TINY = np.finfo(np.float64).tiny
 def _readonly(values, dtype=np.float64, ndim: int | None = None, name: str = "array") -> np.ndarray:
     """values as a read-only array of dtype that no one else can write.
 
-    An array over an immutable bytes object (_views_bytes), such as a file
-    read by io.read_cube, or one handed over as an _Unshared view, is kept
-    as is when it already has dtype; anything else is copied, so the result
-    never shares memory a caller can change.
+    An _Unshared view is kept as is when it already has dtype; anything
+    else is copied, so the result never shares memory a caller can change.
     """
-    kept = type(values) is _Unshared or _views_bytes(values)
-    arr = np.asarray(values, dtype=dtype) if kept else np.array(values, dtype=dtype)
+    arr = np.asarray(values, dtype=dtype) if type(values) is _Unshared else np.array(values, dtype=dtype)
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -103,15 +100,7 @@ def root_mean_square(s, scale, n: int) -> FloatArray:
 
 
 class _Unshared(np.ndarray):
-    """View type of a new array that its maker hands to one HyperCube, keeping no reference: kept, not copied."""
-
-
-def _views_bytes(values) -> bool:
-    """Whether values is an array whose chain of bases ends in an immutable bytes object."""
-    base = values
-    while isinstance(base, np.ndarray):
-        base = base.base
-    return isinstance(base, bytes)
+    """A new array, or one over immutable bytes, that its maker hands to a type and does not write again."""
 
 
 def _json_type(value: Any) -> str:
@@ -427,9 +416,9 @@ class HyperCube:
     values is always stored pixel-major (Fortran order), so each pixel's
     spectrum is contiguous, as in the .bin file and the solver's rows; any
     other input layout or dtype is converted once, here, by pixel_major.
-    A pixel-major float64 array over an immutable bytes object is kept as is,
-    and so is one handed over as an _Unshared view (simulate's new cubes);
-    any other array is copied, by _readonly's rule.
+    A pixel-major float64 array handed over as an _Unshared view (simulate's
+    new cubes, io.read_cube's files) is kept as is; any other array is
+    copied, by _readonly's rule.
     geometries, when known, holds every pixel's acquisition angles as one
     Geometry of (N,) arrays (pixel n at index n).  Construction refuses a
     wavelength axis, geometry count, ground-truth column count or
@@ -445,7 +434,7 @@ class HyperCube:
     ground_truth: GroundTruth | None = None
 
     def __post_init__(self) -> None:
-        arr = pixel_major(self.values, copy=not (_views_bytes(self.values) or type(self.values) is _Unshared))
+        arr = pixel_major(self.values, copy=type(self.values) is not _Unshared)
         n_bands, n_pixels = arr.shape
         if n_bands != len(self.axis):
             raise ValueError(f"band count {n_bands} does not match wavelength axis length {len(self.axis)}")

@@ -31,6 +31,7 @@ from .core import (
     PhotometricParams,
     UnmixResult,
     WavelengthAxis,
+    _Unshared,
     check_config_keys,
     config_value,
     json_name,
@@ -203,7 +204,7 @@ def _read_matrix(path: Path, rows: int, cols: int) -> np.ndarray:
     data = np.frombuffer(path.read_bytes(), dtype="<f8")
     if data.size != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} values, found {data.size}")
-    return data.reshape((rows, cols), order="F")
+    return data.reshape((rows, cols), order="F").view(_Unshared)  # over immutable bytes: kept, not copied
 
 
 def write_cube(stem: str | Path, cube: HyperCube, meta: dict[str, Any] | None = None) -> Path:

@@ -47,7 +47,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .core import _ANGLE_LIMITS, AlbedoSpectrum, FloatArray, Geometry, PhotometricParams, _readonly, check_config_keys, config_value, cos_deg, json_name, root_mean_square, sum_of_squares
+from .core import _ANGLE_LIMITS, AlbedoSpectrum, FloatArray, Geometry, PhotometricParams, _readonly, _Unshared, check_config_keys, config_value, cos_deg, json_name, root_mean_square, sum_of_squares
 from .hapke import MODELS, _check_omega, angle_divisor, cell_factor, defined_at, reflectance
 
 #: Models an angle sweep may pair: the ones fully determined by (mu, mu0).
@@ -149,6 +149,13 @@ def _sweep_keys(raw: Any, kind: str, keys: tuple[str, ...]) -> None:
         raise ValueError(f"a {kind} sweep config has kind {kind!r}, got {json_name(raw['kind'])}")
 
 
+def _check_cells(n_theta0: int, n_theta: int) -> None:
+    """Refuse a grid of more than _MAX_SWEEP_CELLS cells, by its axes' angle counts."""
+    if n_theta0 * n_theta > _MAX_SWEEP_CELLS:
+        raise ValueError(f"theta0_values ({n_theta0} angles) x theta_values ({n_theta} angles) make "
+                         f"{n_theta0 * n_theta} sweep cells; at most {_MAX_SWEEP_CELLS} are allowed")
+
+
 def _angle_axis(raw: dict[str, Any], key: str) -> tuple[int, Callable[[], np.ndarray]]:
     """One sweep axis as (angle count, builder of its angles), validated, with nothing built yet."""
     spec = raw.get(key, {})
@@ -178,7 +185,7 @@ def _angle_axis(raw: dict[str, Any], key: str) -> tuple[int, Callable[[], np.nda
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Angle grid and model pair for one sweep experiment."""
+    """Angle grid and model pair for one sweep experiment: at most 10^6 cells, each axis at most 9001 angles."""
 
     theta0_values: FloatArray = field(default_factory=partial(np.arange, 91.0))
     theta_values: FloatArray = field(default_factory=partial(np.arange, 91.0))
@@ -186,15 +193,15 @@ class SweepGrid:
 
     def __post_init__(self) -> None:
         for name in ("theta0_values", "theta_values"):
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = _readonly(getattr(self, name))
             if arr.ndim != 1 or arr.size == 0:
                 raise ValueError(f"{name} must be a non-empty 1-D list of degrees")
             if arr.size > _MAX_AXIS_ANGLES:
                 raise ValueError(f"{name} has {arr.size} angles; at most {_MAX_AXIS_ANGLES} are allowed")
             if not np.all((arr >= 0.0) & (arr <= 90.0)):
                 raise ValueError(f"{name} must be finite and lie in [0, 90] degrees")
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        _check_cells(self.theta0_values.size, self.theta_values.size)
         pair = self.model_pair
         two = isinstance(pair, (list, tuple)) and len(pair) == 2
         if not (two and all(m in SWEEP_MODELS for m in pair)):
@@ -221,11 +228,7 @@ class SweepGrid:
         """
         _sweep_keys(raw, "angle", ("model_pair", "theta0_values", "theta_values"))
         (n_theta0, theta0), (n_theta, theta) = (_angle_axis(raw, key) for key in ("theta0_values", "theta_values"))
-        if n_theta0 * n_theta > _MAX_SWEEP_CELLS:
-            raise ValueError(
-                f"theta0_values ({n_theta0} angles) x theta_values ({n_theta} angles) make "
-                f"{n_theta0 * n_theta} sweep cells; at most {_MAX_SWEEP_CELLS} are allowed"
-            )
+        _check_cells(n_theta0, n_theta)
         pair = {"model_pair": raw["model_pair"]} if "model_pair" in raw else {}
         return cls(theta0_values=theta0(), theta_values=theta(), **pair)
 
@@ -293,7 +296,7 @@ class AlbedoCurve:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-cell spectral angle and RMSE between the two swept models.
+    """Per-cell spectral angle and RMSE between the two swept models, in read-only arrays.
 
     sam and rmse are indexed [theta0, theta] following the grid order.
     valid is False where either model is undefined (the doubly grazing
@@ -307,14 +310,15 @@ class SweepResult:
 
     def __post_init__(self) -> None:
         expected = (self.grid.theta0_values.size, self.grid.theta_values.size)
-        for name in ("sam", "rmse", "valid"):
-            shape = np.shape(getattr(self, name))
-            if shape != expected:
-                raise ValueError(f"{name} has shape {shape}; the grid's is {expected} (theta0 x theta)")
+        for name, dtype in (("sam", np.float64), ("rmse", np.float64), ("valid", bool)):
+            arr = _readonly(getattr(self, name), dtype=dtype)
+            if arr.shape != expected:
+                raise ValueError(f"{name} has shape {arr.shape}; the grid's is {expected} (theta0 x theta)")
+            object.__setattr__(self, name, arr)
 
     @property
     def n_skipped(self) -> int:
-        return int(np.size(self.valid) - np.count_nonzero(self.valid))
+        return int(self.valid.size - np.count_nonzero(self.valid))
 
 
 def angle_sweep(albedo: AlbedoSpectrum, grid: SweepGrid) -> SweepResult:
@@ -369,7 +373,7 @@ def _sweep(albedos: list[AlbedoSpectrum], grid: SweepGrid) -> Iterator[SweepResu
             if square:  # the lower cells are the upper cells, mirrored
                 values[cols, rows] = swept
         sam[~valid] = np.nan  # err is NaN there already, through Q
-        yield SweepResult(grid=grid, sam=sam, rmse=err, valid=valid.copy())
+        yield SweepResult(grid=grid, sam=sam.view(_Unshared), rmse=err.view(_Unshared), valid=valid)
 
 
 @np.errstate(over="ignore")  # a sum of squares that overflows is summed again, scaled

@@ -7,10 +7,11 @@ albedos as the columns of one omega and the pixels on a leading axis, the
 call writes the block of the pixels' endmember matrices into two buffers
 allocated once per scene (hapke's buffered entry behind reflectance), and
 the block fits an L2 cache.  Each pixel mixes its variants linearly,
-straight into the cube's values, which the cube keeps without a copy, and
-white Gaussian noise scaled to a target SNR is added last.  Each random
-purpose draws all pixels from one (seed, purpose) stream in one
-pixel-major call, so a pixel's draws do not depend on the pixel count,
+straight into the cube's values, and white Gaussian noise scaled to a
+target SNR is added last.  The cube, its ground truth and the reference
+endmembers keep the arrays made for them (_Unshared views), not copies.
+Each random purpose draws all pixels from one (seed, purpose) stream in
+one pixel-major call, so a pixel's draws do not depend on the pixel count,
 and its value does not depend on the block it falls in: a smaller scene
 is a prefix of a larger one, and chunked and whole evaluation give
 bit-identical scenes.
@@ -231,7 +232,7 @@ def reference_endmembers(
     """Endmember matrix of model at one geometry: each material's reflectance, one per column."""
     columns = [endmember_variant(albedo, geometry, model, params) for albedo, params in zip(albedos, photometry)]
     return EndmemberMatrix(
-        values=np.column_stack(columns),
+        values=np.column_stack(columns).view(_Unshared),
         materials=tuple(albedo.material for albedo in albedos),
     )
 
@@ -284,13 +285,13 @@ def simulate_cube(
     scales: FloatArray | None = None
     if config.model == "linear":
         pixel_psi = scaling_factor(config.reference, geometries)
-        scales = np.repeat(pixel_psi[None, :], config.n_materials, axis=0)
+        scales = np.repeat(pixel_psi[None, :], config.n_materials, axis=0).view(_Unshared)
 
     cube = HyperCube(
         values=values.view(_Unshared),
         axis=axis,
         geometries=geometries,
-        ground_truth=GroundTruth(abundances=abundances, scales=scales, endmembers=endmembers),
+        ground_truth=GroundTruth(abundances=abundances.view(_Unshared), scales=scales, endmembers=endmembers),
     )
     if config.snr_db is not None:
         cube = inject_noise(cube, config.snr_db, config.seed)

@@ -368,7 +368,9 @@ def _unmix_rows(config: SolverConfig, G: FloatArray, C: FloatArray):
 # ---------------------------------------------------------------------------
 
 def _endmember_array(S0) -> FloatArray:
-    arr = S0.values if isinstance(S0, EndmemberMatrix) else np.asarray(S0, dtype=float)
+    if isinstance(S0, EndmemberMatrix):
+        return S0.values  # 2-D and finite by construction
+    arr = np.asarray(S0, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"endmember matrix must be 2-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -410,8 +412,9 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     model), per-pixel reconstruction RMSE and the degenerate-pixel flags
     (non-negative fit 0, under every model).  Each pixel is one exact solve.
     Both ELMM models solve the convex program in z = psi * a and report
-    psi = sum(z); elmm-full reports 1 on absent materials.  A non-finite
-    cube value is rejected before any solve, naming its band and pixel.
+    psi = sum(z); elmm-full reports 1 on absent materials.  A rank-deficient
+    endmember matrix is refused before any work on the cube, and a
+    non-finite cube value before any solve, naming its band and pixel.
     C = X'S is formed once per call, and finiteness is judged on it: a
     non-finite x_b makes every c_k non-finite (inf * 0 is NaN), so X is
     scanned only when some c is; a finite cube whose C overflows is solved
@@ -431,8 +434,9 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     pixel-major cube values; a cube given as a plain (bands, pixels) array
     is brought to that layout once per call, by core.pixel_major.
     """
-    X = cube.values if isinstance(cube, HyperCube) else pixel_major(cube, copy=False)
     S = _endmember_array(S0)
+    _check_endmembers(S)  # before any work on the cube
+    X = cube.values if isinstance(cube, HyperCube) else pixel_major(cube, copy=False)
     if X.shape[0] != S.shape[0]:
         raise ValueError(f"cube has {X.shape[0]} bands, endmembers have {S.shape[0]}")
     # one pixel per row: X.T is a C-contiguous view of the pixel-major cube, and S is read by columns, as
@@ -443,7 +447,6 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     if not np.all(np.isfinite(C)) and not np.all(np.isfinite(X)):
         band, pixel = np.unravel_index(int(np.argmax(~np.isfinite(X))), X.shape)
         raise ValueError(f"non-finite cube value {X[band, pixel]} at band {band}, pixel {pixel}")
-    _check_endmembers(S)
     n_bands, n_pixels = X.shape
     n_materials = S.shape[1]
     G = S.T @ S

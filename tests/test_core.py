@@ -1,3 +1,6 @@
+from dataclasses import fields
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from specmix.core import (
     pixel_major,
     validate_cube,
 )
+from specmix.metrics import AlbedoCurve, SweepGrid, SweepResult
 
 
 def make_axis(n=3):
@@ -241,13 +245,15 @@ class TestHyperCube:
         assert pixel_major(values, copy=False) is values
         assert pixel_major(self.VALUES, copy=False).flags.f_contiguous
 
-    def test_pixel_major_array_over_bytes_kept_without_copy(self):
+    def test_pixel_major_array_over_bytes_kept_only_as_unshared(self):
         data = self.VALUES.tobytes(order="F")
         over_bytes = np.frombuffer(data).reshape(self.VALUES.shape, order="F")
-        cube = HyperCube(values=over_bytes, axis=make_axis(5))
-        assert cube.values is over_bytes and not cube.values.flags.writeable
-        # writable, band-major or float32 arrays are copied, even over bytes
+        cube = HyperCube(values=over_bytes.view(_Unshared), axis=make_axis(5))
+        assert np.shares_memory(cube.values, over_bytes) and not cube.values.flags.writeable
+        # a plain array is copied, even a read-only pixel-major float64 one over immutable bytes; so are
+        # writable, band-major or float32 arrays
         for source in (
+            over_bytes,
             np.frombuffer(bytearray(data)).reshape(self.VALUES.shape, order="F"),
             np.frombuffer(self.VALUES.tobytes()).reshape(self.VALUES.shape),
             np.frombuffer(self.VALUES.astype(np.float32).tobytes(order="F"), dtype=np.float32).reshape(
@@ -377,3 +383,43 @@ class TestUnmixResult:
         A = np.array([[0.6], [0.9]])
         result = self.make(A, np.ones_like(A), sum_to_one=False)
         assert result.n_materials == 2
+
+
+#: Every type that stores arrays, as (build, its array fields' values): build(**values) makes an instance.
+#: Each 2-D value is pixel-major float64, so HyperCube too may keep it as handed over.
+_GRID = SweepGrid(theta0_values=np.arange(3.0), theta_values=np.arange(4.0))
+_ARRAY_TYPES = {
+    "WavelengthAxis": (WavelengthAxis, {"values": np.linspace(0.4, 2.5, 5)}),
+    "AlbedoSpectrum": (partial(AlbedoSpectrum, "basalt", axis=make_axis(5)), {"omega": np.linspace(0.1, 0.5, 5)}),
+    "Geometry": (Geometry, {"theta0": np.full(4, 30.0), "theta": np.arange(4.0), "phi": np.zeros(4)}),
+    "EndmemberMatrix": (partial(EndmemberMatrix, materials=("a", "b")),
+                        {"values": np.asfortranarray(np.linspace(0.1, 0.8, 10).reshape(5, 2))}),
+    "GroundTruth": (GroundTruth, {"abundances": np.full((2, 4), 0.5, order="F"), "scales": np.ones((2, 4), order="F")}),
+    "HyperCube": (partial(HyperCube, axis=make_axis(5)), {"values": np.full((5, 4), 0.2, order="F")}),
+    "UnmixResult": (UnmixResult, {"abundances": np.full((2, 4), 0.5, order="F"), "scales": np.ones((2, 4), order="F"),
+                                  "residual_rmse": np.zeros(4), "degenerate": np.zeros(4, dtype=bool)}),
+    "SweepGrid": (SweepGrid, {"theta0_values": np.arange(3.0), "theta_values": np.arange(4.0)}),
+    "SweepResult": (partial(SweepResult, _GRID), {"sam": np.zeros((3, 4), order="F"), "rmse": np.ones((3, 4), order="F"),
+                                                  "valid": np.ones((3, 4), dtype=bool, order="F")}),
+    "AlbedoCurve": (partial(AlbedoCurve, "relative", Geometry(30.0, 20.0)), {"omega": np.linspace(0.0, 1.0, 5)}),
+}
+
+
+@pytest.mark.parametrize("kind", _ARRAY_TYPES)
+def test_every_type_keeps_an_array_only_when_handed_over_as_unshared(kind):
+    build, sources = _ARRAY_TYPES[kind]
+    # the same values over an immutable bytes object, as np.frombuffer reads a file
+    over_bytes = {name: np.frombuffer(values.tobytes(order="F"), dtype=values.dtype).reshape(values.shape, order="F")
+                  for name, values in sources.items()}
+    handed = {"plain": sources, "over bytes": over_bytes, "unshared": {
+        name: values.view(_Unshared) for name, values in over_bytes.items()}}
+    for how, given in handed.items():
+        instance = build(**given)
+        for name, values in given.items():
+            assert np.array_equal(getattr(instance, name), values)
+            assert np.shares_memory(getattr(instance, name), values) == (how == "unshared"), (how, name)
+        arrays = [getattr(instance, f.name) for f in fields(instance)]
+        arrays = [arr for arr in arrays if isinstance(arr, np.ndarray)]
+        assert len(arrays) >= len(sources)
+        for arr in arrays:
+            assert type(arr) is np.ndarray and not arr.flags.writeable, how

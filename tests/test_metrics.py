@@ -281,6 +281,17 @@ class TestSweepGrid:
     def test_absent_keys_take_the_field_defaults(self):
         assert SweepGrid.from_dict({}).to_dict() == SweepGrid().to_dict()
 
+    def test_grid_built_directly_over_the_cell_bound_refused_like_from_dict(self):
+        axis = np.linspace(0.0, 90.0, 2000)
+        message = ("theta0_values (2000 angles) x theta_values (2000 angles) make 4000000 sweep cells; "
+                   "at most 1000000 are allowed")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepGrid(theta0_values=axis, theta_values=axis)
+        step = {"start": 0.0, "stop": 90.0, "step": 90.0 / 1999}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepGrid.from_dict({"theta0_values": step, "theta_values": step})
+        assert SweepGrid(theta0_values=axis[:500], theta_values=axis).theta0_values.size == 500  # 10^6 cells
+
 
 class TestSweepResult:
     @pytest.mark.parametrize("name", ["sam", "rmse", "valid"])

@@ -318,8 +318,8 @@ class TestSimulateCube:
         truth, geometries = cube.ground_truth, cube.geometries
         outputs = sum(a.nbytes for a in (cube.values, truth.abundances, truth.endmembers.values)) + sum(
             getattr(geometries, name).nbytes for name in ("theta0", "theta", "phi", "mu0", "mu", "g"))
-        # besides: one float per pixel and material twice, the drawn abundances (ground truth keeps a copy) and
-        # the full model's phase-angle lobes
+        # besides: one float per pixel and material twice, the sampler's draws behind the abundances (which the
+        # ground truth keeps as they are) and the full model's phase-angle lobes
         assert peak <= outputs + 8 * (simulate._BLOCK_FLOATS + 2 * n_pixels * n_materials)
 
     @pytest.mark.parametrize("model", MODELS)

@@ -349,6 +349,23 @@ class TestModelComparison:
 
 
 class TestCubeInput:
+    @pytest.mark.parametrize("S, message", [
+        (np.column_stack([np.linspace(0.1, 0.5, 6)] * 3), "rank deficient"),
+        (np.full((2, 3), 0.5), "need at least as many bands as materials, got 2 bands for 3"),
+    ], ids=["rank-deficient", "more-materials-than-bands"])
+    @pytest.mark.parametrize("as_cube", [True, False], ids=["hypercube", "c-order-array"])
+    def test_malformed_endmembers_refused_before_any_work_on_the_cube(self, monkeypatch, S, message, as_cube):
+        values = np.full((S.shape[0], 50), 0.3)  # C order: a plain array would reach pixel_major's copy
+        cube = HyperCube(values=values, axis=WavelengthAxis(np.linspace(0.4, 2.5, S.shape[0]))) if as_cube else values
+
+        def reached(*args, **kwargs):
+            raise AssertionError("the cube was worked on before the endmembers were checked")
+
+        monkeypatch.setattr(solver, "_rowwise", reached)
+        monkeypatch.setattr(solver, "pixel_major", reached)
+        with pytest.raises(ValueError, match=message):
+            unmix_cube(cube, S, SolverConfig(model="lmm"))
+
     def test_non_finite_value_named_before_solving(self):
         cube = linear_scene(n_pixels=10, seed=34)
         values = np.array(cube.values)
