@@ -29,20 +29,18 @@ The core runs every pixel of a batch in lockstep: each step takes one
 action per unfinished pixel (pick an entering material, or solve its
 program on the free materials and take the ratio step).  All pixels
 share G, so a pixel's solve depends only on its free set, an integer
-support mask.  At P <= 8 a call keeps each mask's inverse in a table of
-all 2^P masks, and a step inverts only the masks that no earlier step
-met; at larger P a step finds its distinct masks by ``np.unique`` and
-inverts each once.  Either way the inverses come from one stacked
-``np.linalg.inv``, and a pixel whose free solve leaves [lo, hi] moves
-onto the bound it crosses by the Schur complement of the sum row
-(``_solve_free``).  So one pass moves a pixel between in-bound solves
-and solves on a bound as its free set changes.  Each final result takes
-one step of iterative refinement, so its KKT residual is a solve's, not
-rounding times cond(G).  Every product whose length varies with the
-batch is computed one pixel at a time (``_rowwise``), and every
-per-pixel sum column by column, so a pixel's arithmetic never depends on
-which other pixels share the batch: its result is bit-identical whether
-it is solved alone, in a batch of any size or in the whole cube.
+support mask.  A step finds its distinct masks by ``np.unique`` and
+inverts each once, all in one stacked ``np.linalg.inv``, and a pixel
+whose free solve leaves [lo, hi] moves onto the bound it crosses by the
+Schur complement of the sum row (``_solve_free``).  So one pass moves a
+pixel between in-bound solves and solves on a bound as its free set
+changes.  Each final result takes one step of iterative refinement, so
+its KKT residual is a solve's, not rounding times cond(G).  Every
+product whose length varies with the batch is computed one pixel at a
+time (``_rowwise``), and every per-pixel sum column by column, so a
+pixel's arithmetic never depends on which other pixels share the batch:
+its result is bit-identical whether it is solved alone, in a batch of
+any size or in the whole cube.
 
 unmix_cube forms C = X'S once per call and judges the cube's finiteness
 on C, scanning X only when some c is not finite.  It sizes its two kinds
@@ -80,10 +78,6 @@ _BATCH_FLOATS = 2**18
 #: Pixels per block of the (pixels x bands) residual in unmix_cube: at 200 bands the block and the cube
 #: rows it subtracts, 1.6 MB together, fit a 2 MB L2 cache (1024 rows, 3.2 MB, do not).
 _RESIDUAL_ROWS = 512
-#: Entries of a table of all 2^P support masks that always costs less than sorting a step's masks: on numpy
-#: 2.4, 5-10 us at P <= 8 against 8-15 us for np.unique of 1 to 100 masks (23 against 12 us at P = 12).  It also
-#: bounds _active_set's per-call table of every mask's inverse: 2^8 x 8 x 8 floats, 128 KB at P = 8.
-_MASK_TABLE = 2**8
 
 
 @dataclass(frozen=True)
@@ -156,29 +150,24 @@ def _inverses(G: FloatArray, masks: np.ndarray, bits: np.ndarray):
 
 
 def _solve_free(G: FloatArray, B: FloatArray, mask: np.ndarray, bits: np.ndarray, lo: float, hi: float,
-                table: tuple | None, start: FloatArray | None = None,
+                start: FloatArray | None = None,
                 mu: FloatArray | None = None) -> tuple[FloatArray, FloatArray, np.ndarray]:
     """Each row's program on its free indices, the multiplier mu of its sum and its free set, from one inverse per mask.
 
     Row n's free set F is its integer support mask mask[n], bit bits[k]
-    for material k.  At P <= 8 (2^P <= _MASK_TABLE), table is the
-    caller's per-call table of ``_inverses``' arrays for all 2^P masks,
-    indexed by the integer mask, and a last entry that flags the filled
-    ones: a step marks its masks in a 2^P array, with no sort, inverts
-    only those that no earlier step met and gathers every row's from the
-    table.  At larger P, P >= 64 among them, table is None and a step
-    finds its distinct masks by ``np.unique``.  Every row takes its
-    inverse by a gather and one batched ``np.matmul``, so u = G_F^-1 b
-    and u is 0 outside F.  lo and hi are two numbers, the sum bounds of
-    every row.  A row whose sum sigma of u lies in [lo, hi] keeps u, with
-    mu = 0; so a solve on the empty mask with lo = 0 keeps u = 0.  Any
-    other row moves onto the bound t it crosses by the Schur complement of
-    the sum row: with v = G_F^-1 1_F, mu = (sigma - t) / sum(v) and
-    z = u - mu v, so that G_F z + mu 1 = b_F.  The lowest free index then
-    takes what the other free entries leave of t, so the sum holds to their
-    rounding: u - mu v alone leaks rounding times |c| into it, which at
-    radiance scale or on a bound far below the fit can empty a support.
-    This is the exact optimum over {lo <= sum(z) <= hi} on F, the
+    for material k.  A step finds the rows' distinct masks by ``np.unique``,
+    at any P (P >= 64 among them), and inverts each once by ``_inverses``.
+    Every row takes its inverse by a gather and one batched ``np.matmul``,
+    so u = G_F^-1 b and u is 0 outside F.  lo and hi are two numbers, the
+    sum bounds of every row.  A row whose sum sigma of u lies in [lo, hi]
+    keeps u, with mu = 0; so a solve on the empty mask with lo = 0 keeps
+    u = 0.  Any other row moves onto the bound t it crosses by the Schur
+    complement of the sum row: with v = G_F^-1 1_F, mu = (sigma - t) /
+    sum(v) and z = u - mu v, so that G_F z + mu 1 = b_F.  The lowest free
+    index then takes what the other free entries leave of t, so the sum
+    holds to their rounding: u - mu v alone leaks rounding times |c| into
+    it, which at radiance scale or on a bound far below the fit can empty a
+    support.  This is the exact optimum over {lo <= sum(z) <= hi} on F, the
     oracle's support_solve.  When any row leaves its bounds, the step runs
     on every row, and np.where keeps u and mu on the rows inside them: no
     row is gathered or scattered.
@@ -190,19 +179,8 @@ def _solve_free(G: FloatArray, B: FloatArray, mask: np.ndarray, bits: np.ndarray
     names (hi above 0, lo below, none at 0), and the multiplier returned
     is mu plus the step's.
     """
-    if table is None:
-        masks, which = np.unique(mask, return_inverse=True)
-        inverse, v, v_sum, kept, first = _inverses(G, masks, bits)
-    else:
-        *per_mask, seen = table
-        fresh = np.zeros(len(seen), dtype=bool)
-        fresh[mask] = True
-        new = np.flatnonzero(fresh & ~seen)
-        if new.size:
-            for column, values in zip(per_mask, _inverses(G, new, bits)):
-                column[new] = values
-            seen[new] = True
-        (inverse, v, v_sum, kept, first), which = per_mask, mask
+    masks, which = np.unique(mask, return_inverse=True)
+    inverse, v, v_sum, kept, first = _inverses(G, masks, bits)
     z = np.matmul(inverse.take(which, axis=0), B[:, :, None])[:, :, 0]
     if start is None:
         sigma = reduce(np.add, z.T)
@@ -248,9 +226,7 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, live: np.ndarra
     (Python integers past 63 materials, so any P fits).  A step solves its
     pixels' free sets within their sum bounds from one inverse per distinct
     mask (``_solve_free``), at most min(2^P, pixels in the step) of them,
-    which also returns each pixel's free set as a boolean row.  At P <= 8
-    the call inverts each mask once: a table of all 2^P masks keeps every
-    inverse, and later steps and the refinement gather from it.  The result
+    which also returns each pixel's free set as a boolean row.  The result
     takes one refinement step on its final free set, on the side of the
     bound its final multiplier names, from the residual c - G z formed for
     every row after the loop; a pixel that finishes on the full support
@@ -271,10 +247,6 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, live: np.ndarra
     g_max = np.max(np.diag(G))
     bits = np.array([1 << k for k in range(p)], dtype=np.int64 if p < 64 else object)
     full = (1 << p) - 1
-    # at P <= 8, _inverses' five arrays for every mask, filled as the call meets the mask, and which are filled
-    table = None if 1 << p > _MASK_TABLE else (np.empty((full + 1, p, p)), np.empty((full + 1, p)), np.empty(full + 1),
-                                                np.empty((full + 1, p), dtype=bool), np.empty((full + 1, p), dtype=bool),
-                                                np.zeros(full + 1, dtype=bool))
     name = "non-negative" if hi == np.inf else "sum-constrained"
     level = np.minimum(np.maximum(np.where(live, scale / g_max, 0.0), lo), hi)
     kkt_tol = _KKT_RTOL * np.maximum(scale, level * g_max)
@@ -292,7 +264,7 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, live: np.ndarra
         failed[solving.compress(inner.take(solving) > cap)] = True
         s = solving.compress(inner.take(solving) <= cap)
         mask_s = mask.take(s)
-        target, mu[s], free = _solve_free(G, C.take(s, axis=0), mask_s, bits, lo, hi, table)
+        target, mu[s], free = _solve_free(G, C.take(s, axis=0), mask_s, bits, lo, hi)
         sink = free & (target <= -drop_tol.take(s, axis=0))
         done = (sink @ bits) == 0
         Z[s.compress(done)] = np.maximum(target.compress(done, axis=0), 0.0)
@@ -332,7 +304,7 @@ def _active_set(G: FloatArray, C: FloatArray, scale: FloatArray, live: np.ndarra
     # An inverse gives a solve's forward error, but leaves a residual of rounding times cond(G) where a
     # solve leaves rounding: one refinement step from each result brings the KKT residual back to rounding.
     residual = C - _rowwise(Z, G)
-    return np.maximum(_solve_free(G, residual - mu[:, None], mask, bits, lo, hi, table, Z, mu)[0], 0.0)
+    return np.maximum(_solve_free(G, residual - mu[:, None], mask, bits, lo, hi, Z, mu)[0], 0.0)
 
 
 def _unmix_rows(config: SolverConfig, G: FloatArray, C: FloatArray):
@@ -413,8 +385,9 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     (non-negative fit 0, under every model).  Each pixel is one exact solve.
     Both ELMM models solve the convex program in z = psi * a and report
     psi = sum(z); elmm-full reports 1 on absent materials.  A rank-deficient
-    endmember matrix is refused before any work on the cube, and a
-    non-finite cube value before any solve, naming its band and pixel.
+    endmember matrix is refused before any work on the cube, a cube of
+    another band count before any copy of it, and a non-finite cube value
+    before any solve, naming its band and pixel.
     C = X'S is formed once per call, and finiteness is judged on it: a
     non-finite x_b makes every c_k non-finite (inf * 0 is NaN), so X is
     scanned only when some c is; a finite cube whose C overflows is solved
@@ -436,9 +409,12 @@ def unmix_cube(cube: HyperCube, S0, config: SolverConfig) -> UnmixResult:
     """
     S = _endmember_array(S0)
     _check_endmembers(S)  # before any work on the cube
-    X = cube.values if isinstance(cube, HyperCube) else pixel_major(cube, copy=False)
-    if X.shape[0] != S.shape[0]:
-        raise ValueError(f"cube has {X.shape[0]} bands, endmembers have {S.shape[0]}")
+    values = cube.values if isinstance(cube, HyperCube) else np.asarray(cube)
+    # the band count before pixel_major's copy of a plain cube; pixel_major refuses a cube that is not 2-D and
+    # keeps a HyperCube's values, which are pixel-major float64, as they are
+    if values.ndim == 2 and values.shape[0] != S.shape[0]:
+        raise ValueError(f"cube has {values.shape[0]} bands, endmembers have {S.shape[0]}")
+    X = pixel_major(values, copy=False)
     # one pixel per row: X.T is a C-contiguous view of the pixel-major cube, and S is read by columns, as
     # S_rows.T, the one copy of S that the residual also reads by rows
     S_rows = np.ascontiguousarray(S.T)

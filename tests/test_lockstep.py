@@ -158,22 +158,42 @@ def assert_identical(result, parts):
         assert np.array_equal(whole, np.concatenate(pieces, axis=-1))
 
 
-@pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m[0]}-{m[1]}")
-def test_bit_identical_across_batches(model, monkeypatch):
+def scaled_mixtures(n_materials, n_pixels, seed):
+    """Endmembers and a cube of Dirichlet mixtures at per-pixel scales in [0.4, 2], with noise.
+
+    Under lmm most of these pixels drop materials over several steps, so
+    the same support masks recur across drop steps and in the refinement.
+    """
+    rng = np.random.default_rng(seed)
+    n_bands = 3 * n_materials + 6
+    S = rng.uniform(0.05, 1.0, (n_bands, n_materials))
+    Z = rng.dirichlet(np.ones(n_materials), n_pixels).T * rng.uniform(0.4, 2.0, n_pixels)
+    return S, S @ Z + rng.normal(0.0, 0.01, (n_bands, n_pixels))
+
+
+#: (model, (S, X)): every model on the mixed problem, and lmm on scaled mixtures at P = 4 and 8, whose masks
+#: recur across drop steps and in the refinement
+BATCH_CASES = [pytest.param(model, problem(41, 5, n_pixels=37), id=f"{model[0]}-{model[1]}") for model in MODELS]
+BATCH_CASES += [pytest.param(("lmm", True), scaled_mixtures(p, 400, 53), id=f"lmm-scaled-P={p}") for p in (4, 8)]
+
+
+@pytest.mark.parametrize("model, data", BATCH_CASES)
+def test_bit_identical_across_batches(model, data, monkeypatch):
     name, sum_to_one = model
-    S, X = problem(41, 5, n_pixels=37)
+    S, X = data
+    n_materials, n_pixels = S.shape[1], X.shape[1]
     config = SolverConfig(model=name, sum_to_one=sum_to_one, psi_bounds=(0.5, 2.0))
     whole = unmix_cube(cube_of(X), S, config)
     assert X.flags.c_contiguous
     for plain in (X, np.asfortranarray(X)):
         assert_identical(whole, [unmix_cube(plain, S, config)])
-    singles = [unmix_cube(cube_of(X[:, n:n + 1]), S, config) for n in range(X.shape[1])]
+    singles = [unmix_cube(cube_of(X[:, n:n + 1]), S, config) for n in range(n_pixels)]
     assert_identical(whole, singles)
-    edges = (0, 5, 6, 20, 37)
+    edges = (0, 5, 6, 20, n_pixels)
     chunks = [unmix_cube(cube_of(X[:, lo:hi]), S, config) for lo, hi in zip(edges, edges[1:])]
     assert_identical(whole, chunks)
-    # 7-pixel lockstep batches (P = 5) over 3-pixel residual blocks: a batch spans several blocks
-    monkeypatch.setattr(solver, "_BATCH_FLOATS", 7 * 5 ** 2)
+    # 7-pixel lockstep batches over 3-pixel residual blocks: a batch spans several blocks
+    monkeypatch.setattr(solver, "_BATCH_FLOATS", 7 * n_materials ** 2)
     monkeypatch.setattr(solver, "_RESIDUAL_ROWS", 3)
     assert_identical(whole, [unmix_cube(cube_of(X), S, config)])
 
@@ -182,7 +202,7 @@ def test_bit_identical_across_batches(model, monkeypatch):
 def test_a_cube_with_no_live_pixel(n_materials):
     # every pixel zero or a negated mixture, so no material enters at z = 0 and every pixel starts at level 0: in
     # NNLS on the empty support, where its first solve keeps z = 0; under a sum bound at lo on the full support.
-    # P = 4 finds its masks in the table of all 2^P, P = 12 by np.unique.
+    # P = 1, 4 and 12 find their masks by np.unique among 2, 16 and 4096 possible ones.
     rng = np.random.default_rng(59 + n_materials)
     n_bands, n_pixels = 3 * n_materials + 6, 9
     S = rng.uniform(0.05, 1.0, (n_bands, n_materials))
@@ -206,43 +226,6 @@ def test_a_cube_with_no_live_pixel(n_materials):
             z = result.scales * result.abundances
             np.testing.assert_allclose(z.sum(axis=0), 1.0 if name == "lmm" else 0.5, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(result.abundances.sum(axis=0), 1.0, rtol=1e-12, atol=0.0)
-
-
-def scaled_mixtures(n_materials, n_pixels, seed):
-    """Endmembers and a cube of Dirichlet mixtures at per-pixel scales in [0.4, 2], with noise.
-
-    Under lmm most of these pixels drop materials over several steps, so
-    the same support masks recur across drop steps and in the refinement.
-    """
-    rng = np.random.default_rng(seed)
-    n_bands = 3 * n_materials + 6
-    S = rng.uniform(0.05, 1.0, (n_bands, n_materials))
-    Z = rng.dirichlet(np.ones(n_materials), n_pixels).T * rng.uniform(0.4, 2.0, n_pixels)
-    return S, S @ Z + rng.normal(0.0, 0.01, (n_bands, n_pixels))
-
-
-#: (model, (S, X), whether masks recur within the call)
-MASK_CASES = [pytest.param(model, problem(47, 5, n_pixels=37), False, id=f"{model[0]}-{model[1]}") for model in MODELS]
-MASK_CASES += [pytest.param(("lmm", True), scaled_mixtures(p, 400, 53), True, id=f"lmm-scaled-P={p}") for p in (4, 8)]
-
-
-@pytest.mark.parametrize("model, data, recur", MASK_CASES)
-def test_mask_table_and_np_unique_find_the_same_masks(model, data, recur, monkeypatch):
-    # at P <= 8 a call inverts each mask once, into its table of all 2^P, and every later step and the refinement
-    # gather from it; with the table off, every step finds its distinct masks by np.unique and inverts them again.
-    # Every output must be the same bits.
-    name, sum_to_one = model
-    S, X = data
-    config = SolverConfig(model=name, sum_to_one=sum_to_one, psi_bounds=(0.5, 2.0))
-    inverted = []
-    inverses = solver._inverses
-    monkeypatch.setattr(solver, "_inverses", lambda G, masks, bits: inverted.append(len(masks)) or inverses(G, masks, bits))
-    table = unmix_cube(cube_of(X), S, config)
-    with_table = sum(inverted)
-    inverted.clear()
-    monkeypatch.setattr(solver, "_MASK_TABLE", 1)
-    assert_identical(table, [unmix_cube(cube_of(X), S, config)])
-    assert with_table < sum(inverted) if recur else with_table <= sum(inverted)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m[0]}-{m[1]}")

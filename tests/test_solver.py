@@ -366,6 +366,21 @@ class TestCubeInput:
         with pytest.raises(ValueError, match=message):
             unmix_cube(cube, S, SolverConfig(model="lmm"))
 
+    def test_band_count_refused_before_the_layout_copy(self, monkeypatch):
+        S = random_endmembers(199, 3, np.random.default_rng(40))
+        values = np.full((200, 50), 0.3)  # C order: pixel_major would copy it
+
+        def reached(*args, **kwargs):
+            raise AssertionError("the cube was copied before its band count was checked")
+
+        monkeypatch.setattr(solver, "pixel_major", reached)
+        with pytest.raises(ValueError, match="cube has 200 bands, endmembers have 199"):
+            unmix_cube(values, S, SolverConfig(model="lmm"))
+        monkeypatch.undo()
+        # a cube that is not 2-D has no band count to check, and pixel_major refuses it
+        with pytest.raises(ValueError, match="cube values must be 2-D"):
+            unmix_cube(np.full(199, 0.3), S, SolverConfig(model="lmm"))
+
     def test_non_finite_value_named_before_solving(self):
         cube = linear_scene(n_pixels=10, seed=34)
         values = np.array(cube.values)

@@ -30,7 +30,7 @@ DIGESTS = Path(__file__).with_name("solver_digests.json")
 MODELS = (("lmm", "lmm", True), ("lmm-nnls", "lmm", False),
           ("elmm-global", "elmm-global", True), ("elmm-full", "elmm-full", True))
 PSI_BOUNDS = (0.5, 2.0)
-#: P = 12 finds its masks by np.unique, the smaller P in the table of all 2^P masks
+#: 1 to 12 materials: every P finds its masks by np.unique, among 2 to 4096 possible ones
 MATERIALS = (1, 2, 4, 8, 12)
 RADIANCE = 1e9
 
