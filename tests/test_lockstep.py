@@ -228,6 +228,48 @@ def test_a_cube_with_no_live_pixel(n_materials):
             np.testing.assert_allclose(result.abundances.sum(axis=0), 1.0, rtol=1e-12, atol=0.0)
 
 
+#: (model, (S, X)): every model on the mixed problem, and lmm on scaled mixtures at P = 4 and 8
+MASK_CASES = [pytest.param(model, problem(47, 5, n_pixels=37), id=f"{model[0]}-{model[1]}") for model in MODELS]
+MASK_CASES += [pytest.param(("lmm", True), scaled_mixtures(p, 400, 53), id=f"lmm-scaled-P={p}") for p in (4, 8)]
+
+
+@pytest.mark.parametrize("model, data", MASK_CASES)
+def test_each_step_inverts_each_distinct_mask_once(model, data, monkeypatch):
+    # a step finds its rows' distinct masks by np.unique and inverts each of them once, at most min(2^P, rows) of
+    # them; each row's free set is the bits of its own mask, and watching the steps changes no output bit
+    name, sum_to_one = model
+    S, X = data
+    n_materials = S.shape[1]
+    config = SolverConfig(model=name, sum_to_one=sum_to_one, psi_bounds=(0.5, 2.0))
+    plain = unmix_cube(cube_of(X), S, config)
+    steps = []
+    solve_free, inverses = solver._solve_free, solver._inverses
+
+    def watched_inverses(G, masks, bits):
+        steps[-1]["inverted"].append(masks.copy())
+        return inverses(G, masks, bits)
+
+    def watched_solve_free(G, B, mask, bits, *args):
+        steps.append({"rows": mask.copy(), "inverted": []})
+        result = solve_free(G, B, mask, bits, *args)
+        steps[-1]["free"] = result[2]
+        return result
+
+    monkeypatch.setattr(solver, "_inverses", watched_inverses)
+    monkeypatch.setattr(solver, "_solve_free", watched_solve_free)
+    assert_identical(plain, [unmix_cube(cube_of(X), S, config)])
+    assert steps
+    bits = np.array([1 << k for k in range(n_materials)])
+    for step in steps:
+        rows = step["rows"].astype(np.int64)
+        [inverted] = step["inverted"]
+        assert np.array_equal(inverted, np.unique(rows))
+        assert len(inverted) <= min(2 ** n_materials, len(rows))
+        assert np.array_equal(step["free"], (rows[:, None] & bits) != 0)
+    # rows share masks within a step, so a call inverts fewer masks than it solves rows
+    assert sum(len(step["inverted"][0]) for step in steps) < sum(len(step["rows"]) for step in steps)
+
+
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m[0]}-{m[1]}")
 def test_unmix_cube_outputs_are_read_only_and_share_no_memory_with_the_inputs(model):
     name, sum_to_one = model
